@@ -1,8 +1,10 @@
 // Microbenchmarks of the building blocks (google-benchmark):
 //
-//   * Dependence Table: insert/lookup/erase cycles, kick-off append/pop
-//     including dummy-entry overflow
-//   * Task Pool: insert/free with and without dummy-task chains
+//   * Dependence Table: construction at the executor's per-shard size,
+//     insert/lookup/erase cycles, kick-off append/pop including dummy-entry
+//     overflow
+//   * Task Pool: construction at the executor's per-shard size, insert/free
+//     with and without dummy-task chains
 //   * Resolver: full submit+finish cycles (hardware structures) vs the
 //     unbounded GraphOracle (software structures) — the "fewer resources
 //     and computations" claim in host-time terms
@@ -26,6 +28,17 @@
 
 namespace nexuspp {
 namespace {
+
+/// One exec-threads shard's table (65 536 entries over 4 shards, 8 ids per
+/// kick-off list): the per-run construction cost every Engine::run pays.
+void BM_DependenceTable_Construct(benchmark::State& state) {
+  for (auto _ : state) {
+    core::DependenceTable dt({16384, 8});
+    benchmark::DoNotOptimize(dt);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DependenceTable_Construct);
 
 void BM_DependenceTable_InsertLookupErase(benchmark::State& state) {
   core::DependenceTable dt({4096, 8});
@@ -66,6 +79,17 @@ void BM_DependenceTable_KickoffOverflow(benchmark::State& state) {
 }
 BENCHMARK(BM_DependenceTable_KickoffOverflow)->Arg(8)->Arg(64)->Arg(512);
 
+/// One exec-threads shard's pool (16 384 descriptors over 4 shards, 8
+/// parameters each).
+void BM_TaskPool_Construct(benchmark::State& state) {
+  for (auto _ : state) {
+    core::TaskPool tp({4096, 8});
+    benchmark::DoNotOptimize(tp);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TaskPool_Construct);
+
 void BM_TaskPool_InsertFree(benchmark::State& state) {
   core::TaskPool tp({1024, 8});
   const auto params = static_cast<std::size_t>(state.range(0));
@@ -82,28 +106,30 @@ void BM_TaskPool_InsertFree(benchmark::State& state) {
 BENCHMARK(BM_TaskPool_InsertFree)->Arg(2)->Arg(8)->Arg(24)->Arg(64);
 
 /// Hardware-structure resolution: producer/consumer pairs through
-/// TaskPool + DependenceTable + Resolver.
+/// TaskPool + DependenceTable + Resolver, grants collected in one reused
+/// buffer the way the engines do.
 void BM_Resolver_SubmitFinishPair(benchmark::State& state) {
   core::TaskPool tp({1024, 8});
   core::DependenceTable dt({4096, 8});
   core::Resolver resolver(tp, dt);
+  const std::vector<core::Param> producer{core::out(0x100, 64)};
+  const std::vector<core::Param> consumer{core::in(0x100, 64),
+                                          core::out(0x200, 64)};
+  std::vector<core::TaskId> now_ready;
   for (auto _ : state) {
-    core::TaskDescriptor producer;
-    producer.params = {core::out(0x100, 64)};
-    core::TaskDescriptor consumer;
-    consumer.params = {core::in(0x100, 64), core::out(0x200, 64)};
-    auto p = tp.insert(producer);
+    auto p = tp.insert(0, 0, producer);
     auto ps = resolver.submit(p->id);
-    auto c = tp.insert(consumer);
+    auto c = tp.insert(0, 1, consumer);
     auto cs = resolver.submit(c->id);
     benchmark::DoNotOptimize(ps);
     benchmark::DoNotOptimize(cs);
-    auto fin1 = resolver.finish(p->id);
+    now_ready.clear();
+    benchmark::DoNotOptimize(resolver.finish(p->id, now_ready));
     tp.free_task(p->id);
-    auto fin2 = resolver.finish(c->id);
+    benchmark::DoNotOptimize(resolver.finish(c->id, now_ready));
     tp.free_task(c->id);
-    benchmark::DoNotOptimize(fin1);
-    benchmark::DoNotOptimize(fin2);
+    benchmark::DoNotOptimize(now_ready.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }

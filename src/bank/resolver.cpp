@@ -91,15 +91,12 @@ core::Resolver::FinalizeResult BankedResolver::finalize_new_task(TaskId id) {
   return per_bank_.front().finalize_new_task(id);
 }
 
-BankedResolver::FinishParamResult BankedResolver::finish_param(
-    TaskId id, const Param& param) {
-  FinishParamResult out;
+std::vector<BankedResolver::BankCost> BankedResolver::finish_param(
+    TaskId id, const Param& param, std::vector<TaskId>& now_ready) {
+  std::vector<BankCost> out;
   const auto& part = table_->partition();
   auto release_in = [&](std::uint32_t b) {
-    auto r = per_bank_[b].finish_param(id, param);
-    out.costs.push_back({b, r.cost});
-    out.now_ready.insert(out.now_ready.end(), r.now_ready.begin(),
-                         r.now_ready.end());
+    out.push_back({b, per_bank_[b].finish_param(id, param, now_ready)});
   };
   if (!part.param_spans_banks(param, table_->match_mode())) {
     release_in(part.bank_of(param.addr));
@@ -133,10 +130,9 @@ core::Resolver::FinishResult BankedResolver::finish(TaskId id) {
   auto rp = tp_->read_params(id);
   out.cost += rp.cost;
   for (const auto& param : rp.params) {
-    auto pr = finish_param(id, param);
-    for (const auto& bc : pr.costs) out.cost += bc.cost;
-    out.now_ready.insert(out.now_ready.end(), pr.now_ready.begin(),
-                         pr.now_ready.end());
+    for (const auto& bc : finish_param(id, param, out.now_ready)) {
+      out.cost += bc.cost;
+    }
   }
   return out;
 }

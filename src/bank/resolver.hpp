@@ -75,13 +75,12 @@ class BankedResolver {
   /// After all parameters: ready iff the task's DC is zero.
   [[nodiscard]] core::Resolver::FinalizeResult finalize_new_task(TaskId id);
 
-  struct FinishParamResult {
-    std::vector<TaskId> now_ready;  ///< grant order across touched banks
-    std::vector<BankCost> costs;
-  };
   /// Releases one parameter of finishing task `id` in every touched bank
-  /// (canonical order). Never needs new table space.
-  [[nodiscard]] FinishParamResult finish_param(TaskId id, const Param& param);
+  /// (canonical order), appending the waiters it grants to `now_ready` in
+  /// grant order across those banks. Returns the per-bank costs. Never
+  /// needs new table space.
+  [[nodiscard]] std::vector<BankCost> finish_param(
+      TaskId id, const Param& param, std::vector<TaskId>& now_ready);
 
   /// Convenience drivers mirroring core::Resolver::submit / finish with
   /// flattened costs — the untimed interface the differential tests (and

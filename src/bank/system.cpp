@@ -140,14 +140,10 @@ sim::Co<void> BankedNexusSystem::master_process() {
 sim::Co<void> BankedNexusSystem::write_tp_process() {
   for (;;) {
     trace::TaskRecord rec = co_await tds_buffer_.get();
-    core::TaskDescriptor td;
-    td.fn = rec.fn;
-    td.serial = rec.serial;
-    td.params = rec.params;
 
-    if (!tp_.can_ever_insert(td.params.size())) {
+    if (!tp_.can_ever_insert(rec.params.size())) {
       fatal("Write TP: task " + std::to_string(rec.serial) + " needs " +
-            std::to_string(tp_.slots_needed(td.params.size())) +
+            std::to_string(tp_.slots_needed(rec.params.size())) +
             " descriptor slots but the Task Pool" +
             (cfg_.task_pool.allow_dummy_tasks
                  ? " only has " + std::to_string(tp_.capacity())
@@ -156,7 +152,7 @@ sim::Co<void> BankedNexusSystem::write_tp_process() {
     }
 
     for (;;) {
-      auto ins = tp_.insert(td);
+      auto ins = tp_.insert(rec.fn, rec.serial, rec.params);
       if (ins.has_value()) {
         const sim::Time t =
             access_time(ins->cost) + cycles(cfg_.block_overhead_cycles);
@@ -164,7 +160,7 @@ sim::Co<void> BankedNexusSystem::write_tp_process() {
         const sim::Time seg_start = sim_.now();
         co_await sim_.delay(t);
         obs_record(obs_trk_write_tp_, obs::EventKind::kSubmit, seg_start, t,
-                   td.serial);
+                   rec.serial);
         timing_by_slot_[ins->id] =
             SlotTiming{rec.exec_time, rec.read_bytes, rec.write_bytes,
                        rec.params.empty() ? 0 : rec.params.front().addr,
@@ -177,7 +173,7 @@ sim::Co<void> BankedNexusSystem::write_tp_process() {
       const sim::Time stall = sim_.now() - stall_start;
       write_tp_stall_ += stall;
       obs_record(obs_trk_write_tp_, obs::EventKind::kStall, stall_start,
-                 stall, td.serial);
+                 stall, rec.serial);
     }
   }
 }
@@ -287,6 +283,9 @@ sim::Co<void> BankedNexusSystem::send_tds_process() {
 }
 
 sim::Co<void> BankedNexusSystem::handle_finished_process() {
+  // The block's grant buffer, reused across tasks (one instance of this
+  // block exists; the list is consumed before the next task is taken).
+  std::vector<TaskId> now_ready;
   for (;;) {
     const std::size_t worker = co_await finish_signals_.next();
     const auto id_opt = fin_[worker]->try_get();
@@ -304,16 +303,14 @@ sim::Co<void> BankedNexusSystem::handle_finished_process() {
     const std::uint64_t serial = tp_.serial(id);
     auto rp = tp_.read_params(id);
     finish_sched_.reset();
-    std::vector<TaskId> now_ready;
+    now_ready.clear();
     sim::Time round = 0;
     for (const auto& param : rp.params) {
-      auto fr = resolver_.finish_param(id, param);
-      for (const auto& bc : fr.costs) {
+      const auto costs = resolver_.finish_param(id, param, now_ready);
+      for (const auto& bc : costs) {
         round += finish_sched_.charge(bc.bank, access_time(bc.cost),
                                       bank_usage_);
       }
-      now_ready.insert(now_ready.end(), fr.now_ready.begin(),
-                       fr.now_ready.end());
     }
     auto free_cost = tp_.free_task(id);
     const sim::Time t = access_time(rp.cost) + round +

@@ -1,9 +1,11 @@
 #include "core/dependence_table.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace nexuspp::core {
 
@@ -16,15 +18,31 @@ void DependenceTableConfig::validate() const {
         "DependenceTable kick_off_capacity must be >= 2 (ids plus a "
         "continuation pointer)");
   }
+  const std::uint64_t ids = std::uint64_t{capacity} * kick_off_capacity;
+  if (ids > std::numeric_limits<DependenceTable::Index>::max()) {
+    throw std::invalid_argument(
+        "DependenceTable kick_off_capacity " +
+        std::to_string(kick_off_capacity) + " x capacity " +
+        std::to_string(capacity) + " = " + std::to_string(ids) +
+        " kick-off ids overflows the flat table's 32-bit index");
+  }
 }
 
-DependenceTable::DependenceTable(DependenceTableConfig config)
-    : config_(config) {
-  config_.validate();
-  slots_.resize(config_.capacity);
-  bucket_heads_.assign(config_.capacity, kInvalidIndex);
-  for (Index i = 0; i < config_.capacity; ++i) free_.push_back(i);
+namespace {
+
+DependenceTableConfig validated(const DependenceTableConfig& config) {
+  config.validate();
+  return config;
 }
+
+}  // namespace
+
+DependenceTable::DependenceTable(DependenceTableConfig config)
+    : config_(validated(config)),
+      slots_(config_.capacity),
+      ko_ids_(std::size_t{config_.capacity} * config_.kick_off_capacity),
+      bucket_heads_(config_.capacity, kInvalidIndex),
+      free_(config_.capacity) {}
 
 std::size_t DependenceTable::bucket_of(Addr addr) const noexcept {
   // Fibonacci (multiplicative) hashing; bucket count equals table capacity.
@@ -45,19 +63,52 @@ DependenceTable::Slot& DependenceTable::parent_slot(Index index) {
   return const_cast<Slot&>(std::as_const(*this).parent_slot(index));
 }
 
+// NEXUS_HOT_PATH
 std::optional<DependenceTable::Index> DependenceTable::alloc_slot() {
   if (free_.empty()) return std::nullopt;
-  const Index i = free_.front();
-  free_.pop_front();
+  const Index i = free_.pop();
   slots_[i] = Slot{};
   slots_[i].valid = true;
   stats_.max_live_slots = std::max(stats_.max_live_slots, live_slot_count());
   return i;
 }
 
+// NEXUS_HOT_PATH
 void DependenceTable::free_slot(Index index) {
   slots_[index] = Slot{};
-  free_.push_back(index);
+  free_.push(index);
+}
+
+std::size_t DependenceTable::ko_pos(Index index,
+                                    std::uint32_t offset) const {
+  const std::uint32_t width = config_.kick_off_capacity;
+  // head < width and offset <= width: one subtraction wraps the sum.
+  std::uint64_t pos = std::uint64_t{slots_[index].ko_head} + offset;
+  if (pos >= width) pos -= width;
+  return std::size_t{index} * width + static_cast<std::size_t>(pos);
+}
+
+void DependenceTable::ko_push_back(Index index, TaskId task) {
+  Slot& s = slots_[index];
+  assert(s.ko_count < config_.kick_off_capacity);
+  ko_ids_[ko_pos(index, s.ko_count)] = task;
+  ++s.ko_count;
+}
+
+TaskId DependenceTable::ko_pop_front(Index index) {
+  Slot& s = slots_[index];
+  assert(s.ko_count > 0);
+  const TaskId task = ko_ids_[ko_pos(index, 0)];
+  s.ko_head = s.ko_head + 1 == config_.kick_off_capacity ? 0 : s.ko_head + 1;
+  --s.ko_count;
+  return task;
+}
+
+TaskId DependenceTable::ko_pop_back(Index index) {
+  Slot& s = slots_[index];
+  assert(s.ko_count > 0);
+  --s.ko_count;
+  return ko_ids_[ko_pos(index, s.ko_count)];
 }
 
 void DependenceTable::index_erase(Addr addr, Index index) {
@@ -187,7 +238,7 @@ DependenceTable::InsertResult DependenceTable::insert(Addr addr,
 
 Cost DependenceTable::erase(Index index) {
   Slot& s = parent_slot(index);
-  if (!s.ko.empty() || s.has_dummy) {
+  if (s.ko_count != 0 || s.has_dummy) {
     throw std::logic_error(
         "DependenceTable::erase: kick-off list not empty");
   }
@@ -265,16 +316,16 @@ Cost DependenceTable::set_readers(Index index, std::uint32_t value) {
   return Cost{0, 1};
 }
 
+// NEXUS_HOT_PATH
 DependenceTable::AppendResult DependenceTable::kickoff_append(Index parent,
                                                               TaskId task) {
   AppendResult out{true, false, {}};
-  Slot& p = parent_slot(parent);
+  const Slot& p = parent_slot(parent);
   const Index tail_idx = p.has_dummy ? p.last_dummy : parent;
-  Slot& tail = slots_[tail_idx];
   out.cost.reads += 1;
 
-  if (tail.ko.size() < config_.kick_off_capacity) {
-    tail.ko.push_back(task);
+  if (slots_[tail_idx].ko_count < config_.kick_off_capacity) {
+    ko_push_back(tail_idx, task);
     out.cost.writes += 1;
     return out;
   }
@@ -299,13 +350,9 @@ DependenceTable::AppendResult DependenceTable::kickoff_append(Index parent,
   Slot& d = slots_[*dummy];
   d.is_ko_dummy = true;
   d.addr = p.addr;
-  d.ko.push_back(tail.ko.back());
-  d.ko.push_back(task);
-  // Re-fetch tail reference: alloc_slot may not invalidate (vector is
-  // pre-sized) but keep the access explicit for clarity.
-  Slot& tail2 = slots_[tail_idx];
-  tail2.ko.pop_back();
-  tail2.ko_next = *dummy;
+  ko_push_back(*dummy, ko_pop_back(tail_idx));
+  ko_push_back(*dummy, task);
+  slots_[tail_idx].ko_next = *dummy;
   Slot& p2 = slots_[parent];
   p2.has_dummy = true;
   p2.last_dummy = *dummy;
@@ -316,24 +363,25 @@ DependenceTable::AppendResult DependenceTable::kickoff_append(Index parent,
   return out;
 }
 
+// NEXUS_HOT_PATH
 DependenceTable::AppendNeed DependenceTable::kickoff_append_need(
     Index parent) const {
   const Slot& p = parent_slot(parent);
   const Index tail_idx = p.has_dummy ? p.last_dummy : parent;
-  if (slots_[tail_idx].ko.size() < config_.kick_off_capacity) return {};
+  if (slots_[tail_idx].ko_count < config_.kick_off_capacity) return {};
   if (!config_.allow_dummy_entries) return {false, true};
   return {true, false};
 }
 
 DependenceTable::Index DependenceTable::promote(Index parent, Cost& cost) {
   Slot& p = slots_[parent];
-  assert(p.valid && !p.is_ko_dummy && p.has_dummy && p.ko.empty());
+  assert(p.valid && !p.is_ko_dummy && p.has_dummy && p.ko_count == 0);
   const Index first_dummy = p.ko_next;
   assert(first_dummy != kInvalidIndex);
   Slot& d = slots_[first_dummy];
 
   // Copy the entry's data (address, size, mode, counters) onto the dummy,
-  // which keeps its own kick-off list and becomes the new parent.
+  // which keeps its own kick-off row and becomes the new parent.
   d.is_ko_dummy = false;
   d.addr = p.addr;
   d.size = p.size;
@@ -367,48 +415,52 @@ DependenceTable::Index DependenceTable::promote(Index parent, Cost& cost) {
   return first_dummy;
 }
 
+// NEXUS_HOT_PATH
 DependenceTable::PopResult DependenceTable::kickoff_pop(Index parent) {
   PopResult out{std::nullopt, parent, {}};
-  Slot& p = parent_slot(parent);
+  const Slot& p = parent_slot(parent);
   out.cost.reads += 1;
-  if (p.ko.empty()) {
+  if (p.ko_count == 0) {
     assert(!p.has_dummy);
     return out;
   }
-  out.task = p.ko.front();
-  p.ko.pop_front();
+  out.task = ko_pop_front(parent);
   out.cost.writes += 1;
-  if (p.ko.empty() && p.has_dummy) {
+  if (p.ko_count == 0 && p.has_dummy) {
     out.parent = promote(parent, out.cost);
   }
   return out;
 }
 
+// NEXUS_HOT_PATH
 DependenceTable::PeekResult DependenceTable::kickoff_front(
     Index parent) const {
   PeekResult out;
   const Slot& p = parent_slot(parent);
   out.cost.reads += 1;
-  if (!p.ko.empty()) out.task = p.ko.front();
+  if (p.ko_count != 0) out.task = ko_ids_[ko_pos(parent, 0)];
   return out;
 }
 
+// NEXUS_HOT_PATH
 bool DependenceTable::kickoff_empty(Index parent) const {
   const Slot& p = parent_slot(parent);
-  return p.ko.empty() && !p.has_dummy;
+  return p.ko_count == 0 && !p.has_dummy;
 }
 
+// NEXUS_HOT_PATH
 std::uint32_t DependenceTable::kickoff_length(Index parent) const {
   const Slot* s = &parent_slot(parent);
   std::uint32_t total = 0;
   for (;;) {
-    total += static_cast<std::uint32_t>(s->ko.size());
+    total += s->ko_count;
     if (s->ko_next == kInvalidIndex) break;
     s = &slots_[s->ko_next];
   }
   return total;
 }
 
+// NEXUS_HOT_PATH
 std::uint32_t DependenceTable::kickoff_chain_slots(Index parent) const {
   const Slot* s = &parent_slot(parent);
   std::uint32_t total = 1;

@@ -20,6 +20,12 @@
 // probe per visited entry, dummy entries competing for the same pool — is
 // the same, without the relocation corner cases of coalesced hashing.
 //
+// Storage is flat and fixed at construction, like the hardware table: one
+// slot array, one `capacity x kick_off_capacity` array of kick-off ids
+// (slot i owns row i and uses it as a ring from its own head), and a
+// preallocated FIFO ring of free slot indices. No operation in base-address
+// mode touches the heap after construction.
+//
 // When a parent's own kick-off list drains while extensions exist, the
 // parent's data is copied into the first extension slot, which becomes the
 // new parent, and the old slot is freed immediately for reuse ("DT[0xC] can
@@ -48,12 +54,12 @@
 //   index); resolution logic lives in core::Resolver's range paths.
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <set>
 #include <vector>
 
+#include "core/index_fifo.hpp"
 #include "core/types.hpp"
 
 namespace nexuspp::core {
@@ -70,6 +76,9 @@ struct DependenceTableConfig {
   /// interval index behind `overlapping()`.
   MatchMode match_mode = MatchMode::kBaseAddr;
 
+  /// Throws std::invalid_argument if the configuration is unusable: zero
+  /// capacity, kick_off_capacity < 2, or a `capacity x kick_off_capacity`
+  /// kick-off id table whose offsets overflow the 32-bit Index type.
   void validate() const;
 };
 
@@ -179,7 +188,7 @@ class DependenceTable {
     return config_.match_mode;
   }
   [[nodiscard]] std::uint32_t free_slot_count() const noexcept {
-    return static_cast<std::uint32_t>(free_.size());
+    return free_.size();
   }
   [[nodiscard]] std::uint32_t live_slot_count() const noexcept {
     return config_.capacity - free_slot_count();
@@ -212,21 +221,23 @@ class DependenceTable {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  /// Fixed-width entry; its kick-off ids live in row `index` of ko_ids_.
   struct Slot {
-    bool valid = false;
-    bool is_ko_dummy = false;
     Addr addr = 0;
     std::uint32_t size = 0;
-    bool out = false;
     std::uint32_t rdrs = 0;
-    bool ww = false;
     TaskId owner = kInvalidTask;  ///< registering task (range mode only)
     Index next = kInvalidIndex;       ///< hash chain (parents only)
     Index prev = kInvalidIndex;       ///< hash chain (parents only)
     Index ko_next = kInvalidIndex;    ///< next kick-off extension slot
     Index last_dummy = kInvalidIndex; ///< parents: tail of extension chain
+    std::uint32_t ko_head = 0;   ///< ring position of this slot's oldest id
+    std::uint32_t ko_count = 0;  ///< ids queued in this slot's own row
+    bool valid = false;
+    bool is_ko_dummy = false;
+    bool out = false;
+    bool ww = false;
     bool has_dummy = false;
-    std::deque<TaskId> ko;            ///< this slot's kick-off ids
   };
 
   [[nodiscard]] std::size_t bucket_of(Addr addr) const noexcept;
@@ -241,10 +252,19 @@ class DependenceTable {
   /// Copies parent data into its first extension slot and frees the parent.
   Index promote(Index parent, Cost& cost);
 
+  // Ring operations on one slot's kick-off row.
+  /// Position in ko_ids_ of the id `offset` places after the slot's head.
+  [[nodiscard]] std::size_t ko_pos(Index index, std::uint32_t offset) const;
+  void ko_push_back(Index index, TaskId task);
+  TaskId ko_pop_front(Index index);
+  TaskId ko_pop_back(Index index);
+
   DependenceTableConfig config_;
   std::vector<Slot> slots_;
+  /// capacity x kick_off_capacity ids; row i is slot i's kick-off ring.
+  std::vector<TaskId> ko_ids_;
   std::vector<Index> bucket_heads_;
-  std::deque<Index> free_;
+  IndexFifo free_;
   /// Range mode only: parents sorted by base address (duplicates allowed —
   /// one entry per in-flight access), plus the largest *currently live*
   /// entry size, which bounds how far back an overlap query must scan.

@@ -161,16 +161,18 @@ Resolver::FinalizeResult Resolver::finalize_new_task(TaskId id) {
 
 Resolver::SubmitResult Resolver::submit(TaskId id) {
   SubmitResult out;
-  auto rp = tp_->read_params(id);
-  out.cost += rp.cost;
-  for (const auto& param : rp.params) {
-    auto pr = process_param(id, param);
-    out.cost += pr.cost;
-    if (pr.outcome == ParamOutcome::kNeedSpace) {
-      out.stalled = true;
-      return out;
+  out.cost.reads += 1 + tp_->dummy_count(id);  // the descriptor's slots
+  for (TaskId slot = id; slot != kInvalidTask;
+       slot = tp_->slot_next_dummy(slot)) {
+    for (const auto& param : tp_->slot_params(slot)) {
+      auto pr = process_param(id, param);
+      out.cost += pr.cost;
+      if (pr.outcome == ParamOutcome::kNeedSpace) {
+        out.stalled = true;
+        return out;
+      }
+      ++out.params_done;
     }
-    ++out.params_done;
   }
   auto fin = finalize_new_task(id);
   out.cost += fin.cost;
@@ -178,47 +180,50 @@ Resolver::SubmitResult Resolver::submit(TaskId id) {
   return out;
 }
 
-void Resolver::grant_waiter(TaskId task, FinishResult& out) {
+void Resolver::grant_waiter(TaskId task, Cost& cost,
+                            std::vector<TaskId>& now_ready) {
   const auto dec = tp_->decrement_dc(task);
-  out.cost += dec.cost;
+  cost += dec.cost;
   // The paper's `busy` flag: while Check Deps still processes this task's
   // remaining parameters, Handle Finished must not declare it ready — the
   // counter could transiently hit zero before later parameters add new
   // dependencies. Check Deps emits readiness itself when it finalizes.
-  if (dec.remaining == 0 && !tp_->busy(task)) out.now_ready.push_back(task);
+  if (dec.remaining == 0 && !tp_->busy(task)) now_ready.push_back(task);
 }
 
-void Resolver::release_as_reader(Addr addr, FinishResult& out) {
+void Resolver::release_as_reader(Addr addr, Cost& cost,
+                                 std::vector<TaskId>& now_ready) {
   auto lookup = dt_->lookup(addr);
-  out.cost += lookup.cost;
+  cost += lookup.cost;
   if (!lookup.index.has_value()) {
     throw std::logic_error("Resolver::finish: reader address not tracked");
   }
   auto idx = *lookup.index;
-  out.cost += dt_->remove_reader(idx);
+  cost += dt_->remove_reader(idx);
   if (dt_->readers(idx) != 0) return;
 
   if (!dt_->writer_waits(idx)) {
     // Last reader gone and nobody waits: the address leaves the table.
     assert(dt_->kickoff_empty(idx));
-    out.cost += dt_->erase(idx);
+    cost += dt_->erase(idx);
     return;
   }
   // A writer waits (WAR). It is the oldest kick-off entry; grant it.
   auto pop = dt_->kickoff_pop(idx);
-  out.cost += pop.cost;
+  cost += pop.cost;
   idx = pop.parent;
   if (!pop.task.has_value()) {
     throw std::logic_error("Resolver::finish: ww set but kick-off empty");
   }
-  out.cost += dt_->set_is_out(idx, true);
-  out.cost += dt_->set_writer_waits(idx, false);
-  grant_waiter(*pop.task, out);
+  cost += dt_->set_is_out(idx, true);
+  cost += dt_->set_writer_waits(idx, false);
+  grant_waiter(*pop.task, cost, now_ready);
 }
 
-void Resolver::release_as_writer(Addr addr, FinishResult& out) {
+void Resolver::release_as_writer(Addr addr, Cost& cost,
+                                 std::vector<TaskId>& now_ready) {
   auto lookup = dt_->lookup(addr);
-  out.cost += lookup.cost;
+  cost += lookup.cost;
   if (!lookup.index.has_value()) {
     throw std::logic_error("Resolver::finish: writer address not tracked");
   }
@@ -226,7 +231,7 @@ void Resolver::release_as_writer(Addr addr, FinishResult& out) {
   assert(dt_->is_out(idx));
 
   if (dt_->kickoff_empty(idx)) {
-    out.cost += dt_->erase(idx);
+    cost += dt_->erase(idx);
     return;
   }
 
@@ -234,11 +239,11 @@ void Resolver::release_as_writer(Addr addr, FinishResult& out) {
   std::uint32_t granted_readers = 0;
   for (;;) {
     auto peek = dt_->kickoff_front(idx);
-    out.cost += peek.cost;
+    cost += peek.cost;
     if (!peek.task.has_value()) break;  // list drained
 
     auto mode = tp_->mode_for(*peek.task, addr);
-    out.cost += mode.cost;
+    cost += mode.cost;
     if (!mode.mode.has_value()) {
       throw std::logic_error(
           "Resolver::finish: kick-off task has no parameter for address");
@@ -246,10 +251,10 @@ void Resolver::release_as_writer(Addr addr, FinishResult& out) {
 
     if (*mode.mode == AccessMode::kIn) {
       auto pop = dt_->kickoff_pop(idx);
-      out.cost += pop.cost;
+      cost += pop.cost;
       idx = pop.parent;
       ++granted_readers;
-      grant_waiter(*pop.task, out);
+      grant_waiter(*pop.task, cost, now_ready);
       continue;
     }
 
@@ -257,32 +262,32 @@ void Resolver::release_as_writer(Addr addr, FinishResult& out) {
     if (granted_readers == 0) {
       // WAW: no readers in between — the writer takes over directly.
       auto pop = dt_->kickoff_pop(idx);
-      out.cost += pop.cost;
+      cost += pop.cost;
       idx = pop.parent;
-      grant_waiter(*pop.task, out);
+      grant_waiter(*pop.task, cost, now_ready);
       // is_out stays true for the new writer.
       return;
     }
     // WAR: the writer must wait for the readers just granted.
-    out.cost += dt_->set_writer_waits(idx, true);
+    cost += dt_->set_writer_waits(idx, true);
     break;
   }
 
-  out.cost += dt_->set_is_out(idx, false);
-  out.cost += dt_->set_readers(idx, granted_readers);
+  cost += dt_->set_is_out(idx, false);
+  cost += dt_->set_readers(idx, granted_readers);
   if (granted_readers == 0 && dt_->kickoff_empty(idx) &&
       !dt_->writer_waits(idx)) {
     // Defensive: an empty drain (cannot normally happen — the list was
     // non-empty and only readers/writers leave it above).
     ++stats_.defensive_drains;
-    out.cost += dt_->erase(idx);
+    cost += dt_->erase(idx);
   }
 }
 
-void Resolver::release_owned(TaskId id, const Param& param,
-                             FinishResult& out) {
+void Resolver::release_owned(TaskId id, const Param& param, Cost& cost,
+                             std::vector<TaskId>& now_ready) {
   auto lookup = dt_->lookup_owned(param.addr, id);
-  out.cost += lookup.cost;
+  cost += lookup.cost;
   if (!lookup.index.has_value()) {
     throw std::logic_error("Resolver::finish: owned access not tracked");
   }
@@ -291,36 +296,43 @@ void Resolver::release_owned(TaskId id, const Param& param,
   // drain the whole list, then erase the entry.
   for (;;) {
     auto pop = dt_->kickoff_pop(idx);
-    out.cost += pop.cost;
+    cost += pop.cost;
     idx = pop.parent;
     if (!pop.task.has_value()) break;
-    grant_waiter(*pop.task, out);
+    grant_waiter(*pop.task, cost, now_ready);
   }
-  out.cost += dt_->erase(idx);
+  cost += dt_->erase(idx);
 }
 
-Resolver::FinishResult Resolver::finish_param(TaskId id, const Param& param) {
-  FinishResult out;
+Cost Resolver::finish_param(TaskId id, const Param& param,
+                            std::vector<TaskId>& now_ready) {
+  Cost cost;
   if (dt_->match_mode() == MatchMode::kRange) {
-    release_owned(id, param, out);
+    release_owned(id, param, cost, now_ready);
   } else if (param.mode == AccessMode::kIn) {
-    release_as_reader(param.addr, out);
+    release_as_reader(param.addr, cost, now_ready);
   } else {
-    release_as_writer(param.addr, out);
+    release_as_writer(param.addr, cost, now_ready);
   }
-  return out;
+  return cost;
+}
+
+// NEXUS_HOT_PATH
+Cost Resolver::finish(TaskId id, std::vector<TaskId>& now_ready) {
+  Cost cost;
+  cost.reads += 1 + tp_->dummy_count(id);  // the descriptor's slots
+  for (TaskId slot = id; slot != kInvalidTask;
+       slot = tp_->slot_next_dummy(slot)) {
+    for (const auto& param : tp_->slot_params(slot)) {
+      cost += finish_param(id, param, now_ready);
+    }
+  }
+  return cost;
 }
 
 Resolver::FinishResult Resolver::finish(TaskId id) {
   FinishResult out;
-  auto rp = tp_->read_params(id);
-  out.cost += rp.cost;
-  for (const auto& param : rp.params) {
-    auto pr = finish_param(id, param);
-    out.cost += pr.cost;
-    out.now_ready.insert(out.now_ready.end(), pr.now_ready.begin(),
-                         pr.now_ready.end());
-  }
+  out.cost = finish(id, out.now_ready);
   return out;
 }
 

@@ -72,25 +72,36 @@ class Resolver {
     std::size_t params_done = 0;   ///< parameters processed before a stall
     Cost cost;
   };
-  /// Convenience: reads the task's parameters from the Task Pool and runs
-  /// process_param over all of them. Does not retry on kNeedSpace — the
-  /// timed Maestro owns that policy.
+  /// Convenience: runs process_param over the task's parameters, walked in
+  /// place in the Task Pool (charged one read per descriptor slot, like
+  /// read_params). Does not retry on kNeedSpace — the timed Maestro owns
+  /// that policy.
   [[nodiscard]] SubmitResult submit(TaskId id);
+
+  /// Handle Finished: releases the finished task's accesses, grants
+  /// waiting tasks, erases drained entries. Never needs new table space.
+  /// Walks the descriptor's parameters in place (charged one read per
+  /// descriptor slot, like read_params) and appends the tasks it kicks off
+  /// to `now_ready` in grant order, keeping what the buffer already holds:
+  /// a caller that reuses one buffer makes the release path allocation-free.
+  /// Returns the table-access receipt.
+  Cost finish(TaskId id, std::vector<TaskId>& now_ready);
 
   struct FinishResult {
     std::vector<TaskId> now_ready;  ///< tasks kicked off, in grant order
     Cost cost;
   };
-  /// Handle Finished: releases the finished task's accesses, grants
-  /// waiting tasks, erases drained entries. Never needs new table space.
+  /// finish() into a fresh list, for callers without a reusable buffer.
   [[nodiscard]] FinishResult finish(TaskId id);
 
   /// The per-parameter body of finish(): releases one access of finishing
-  /// task `id` and grants its waiters. finish() is exactly read_params plus
-  /// this call per parameter in order; it is public so the banked resolver
-  /// (bank::BankedResolver) can route each parameter to its home bank's
-  /// resolver while keeping identical per-parameter semantics and costs.
-  [[nodiscard]] FinishResult finish_param(TaskId id, const Param& param);
+  /// task `id` and appends the waiters it grants to `now_ready`. finish()
+  /// is exactly this call per parameter in order; it is public so the
+  /// banked resolver (bank::BankedResolver) can route each parameter to its
+  /// home bank's resolver while keeping identical per-parameter semantics
+  /// and costs.
+  Cost finish_param(TaskId id, const Param& param,
+                    std::vector<TaskId>& now_ready);
 
   struct Stats {
     std::uint64_t granted = 0;
@@ -108,13 +119,16 @@ class Resolver {
  private:
   // Base-address paths.
   [[nodiscard]] ParamResult process_param_base(TaskId id, const Param& param);
-  void release_as_reader(Addr addr, FinishResult& out);
-  void release_as_writer(Addr addr, FinishResult& out);
+  void release_as_reader(Addr addr, Cost& cost,
+                         std::vector<TaskId>& now_ready);
+  void release_as_writer(Addr addr, Cost& cost,
+                         std::vector<TaskId>& now_ready);
   // Range paths.
   [[nodiscard]] ParamResult process_param_range(TaskId id, const Param& param);
-  void release_owned(TaskId id, const Param& param, FinishResult& out);
-  /// Decrements `task`'s DC; appends to `out.now_ready` when it hits zero.
-  void grant_waiter(TaskId task, FinishResult& out);
+  void release_owned(TaskId id, const Param& param, Cost& cost,
+                     std::vector<TaskId>& now_ready);
+  /// Decrements `task`'s DC; appends it to `now_ready` when it hits zero.
+  void grant_waiter(TaskId task, Cost& cost, std::vector<TaskId>& now_ready);
 
   TaskPool* tp_;
   DependenceTable* dt_;

@@ -1,9 +1,11 @@
 #include "core/task_pool.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace nexuspp::core {
 
@@ -16,14 +18,30 @@ void TaskPoolConfig::validate() const {
         "TaskPool max_params must be >= 2 (one parameter plus a dummy-chain "
         "pointer)");
   }
+  const std::uint64_t params = std::uint64_t{capacity} * max_params;
+  if (params > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument(
+        "TaskPool max_params " + std::to_string(max_params) +
+        " x capacity " + std::to_string(capacity) + " = " +
+        std::to_string(params) +
+        " parameters overflows the flat table's 32-bit index");
+  }
 }
 
-TaskPool::TaskPool(TaskPoolConfig config) : config_(config) {
-  config_.validate();
-  slots_.resize(config_.capacity);
-  for (auto& slot : slots_) slot.params.reserve(config_.max_params);
-  for (std::uint32_t i = 0; i < config_.capacity; ++i) free_.push_back(i);
+namespace {
+
+TaskPoolConfig validated(const TaskPoolConfig& config) {
+  config.validate();
+  return config;
 }
+
+}  // namespace
+
+TaskPool::TaskPool(TaskPoolConfig config)
+    : config_(validated(config)),
+      slots_(config_.capacity),
+      params_(std::size_t{config_.capacity} * config_.max_params),
+      free_(config_.capacity) {}
 
 std::uint32_t TaskPool::slots_needed(std::size_t param_count) const {
   const std::size_t m = config_.max_params;
@@ -44,8 +62,10 @@ std::uint32_t TaskPool::slots_needed(std::size_t param_count) const {
   return static_cast<std::uint32_t>(1 + dummies);
 }
 
-std::optional<TaskPool::Inserted> TaskPool::insert(const TaskDescriptor& td) {
-  const std::uint32_t needed = slots_needed(td.params.size());
+// NEXUS_HOT_PATH
+std::optional<TaskPool::Inserted> TaskPool::insert(
+    std::uint64_t fn, std::uint64_t serial, std::span<const Param> params) {
+  const std::uint32_t needed = slots_needed(params.size());
   if (needed > free_.size()) {
     ++stats_.insert_failures;
     return std::nullopt;
@@ -53,43 +73,35 @@ std::optional<TaskPool::Inserted> TaskPool::insert(const TaskDescriptor& td) {
 
   Cost cost;
   const std::size_t m = config_.max_params;
-  const std::size_t total = td.params.size();
+  const std::size_t total = params.size();
 
   // Allocate the primary slot.
-  const TaskId id = free_.front();
-  free_.pop_front();
+  const TaskId id = free_.pop();
   Slot& head = slots_[id];
   head = Slot{};
-  head.params.reserve(config_.max_params);
   head.used = true;
-  head.fn = td.fn;
-  head.serial = td.serial;
+  head.fn = fn;
+  head.serial = serial;
   head.total_params = static_cast<std::uint32_t>(total);
   head.n_dummies = static_cast<std::uint16_t>(needed - 1);
   cost.writes += 1;
 
   // Distribute parameters over the primary slot and the dummy chain.
-  const std::size_t head_take = (total <= m) ? total : (m - 1);
-  std::size_t next_param = 0;
-  for (; next_param < head_take; ++next_param) {
-    head.params.push_back(td.params[next_param]);
-  }
+  std::size_t next_param = (total <= m) ? total : (m - 1);
+  store_params(id, params.first(next_param));
 
   TaskId chain_tail = id;
   while (next_param < total) {
     const std::size_t remaining = total - next_param;
-    const TaskId dummy_id = free_.front();
-    free_.pop_front();
+    const TaskId dummy_id = free_.pop();
     ++stats_.dummy_slots_allocated;
     Slot& dummy = slots_[dummy_id];
     dummy = Slot{};
-    dummy.params.reserve(config_.max_params);
     dummy.used = true;
     dummy.is_dummy = true;
     const std::size_t take = (remaining <= m) ? remaining : (m - 1);
-    for (std::size_t i = 0; i < take; ++i) {
-      dummy.params.push_back(td.params[next_param++]);
-    }
+    store_params(dummy_id, params.subspan(next_param, take));
+    next_param += take;
     slots_[chain_tail].next_dummy = dummy_id;
     chain_tail = dummy_id;
     cost.writes += 1;
@@ -100,9 +112,17 @@ std::optional<TaskPool::Inserted> TaskPool::insert(const TaskDescriptor& td) {
   return Inserted{id, cost};
 }
 
+void TaskPool::store_params(TaskId index, std::span<const Param> params) {
+  std::copy(params.begin(), params.end(),
+            params_.begin() + static_cast<std::ptrdiff_t>(
+                                  std::size_t{index} * config_.max_params));
+  slots_[index].own_params = static_cast<std::uint32_t>(params.size());
+}
+
+// NEXUS_HOT_PATH
 Cost TaskPool::free_task(TaskId id) {
   Cost cost;
-  Slot& head = primary(id);
+  const Slot& head = primary(id);
   if (head.is_dummy) {
     throw std::logic_error("TaskPool::free_task on a dummy slot");
   }
@@ -111,12 +131,8 @@ Cost TaskPool::free_task(TaskId id) {
     Slot& slot = slots_[cur];
     assert(slot.used);
     const TaskId next = slot.next_dummy;
-    slot.used = false;
-    slot.busy = false;
-    slot.is_dummy = false;
-    slot.params.clear();
-    slot.next_dummy = kInvalidTask;
-    free_.push_back(cur);
+    slot = Slot{};
+    free_.push(cur);
     cost.writes += 1;
     cur = next;
   }
@@ -167,32 +183,32 @@ bool TaskPool::busy(TaskId id) const { return primary(id).busy; }
 
 TaskPool::ReadParams TaskPool::read_params(TaskId id) const {
   ReadParams out;
-  TaskId cur = id;
-  (void)primary(id);  // bounds/liveness check
-  while (cur != kInvalidTask) {
-    const Slot& slot = slots_[cur];
+  out.params.reserve(primary(id).total_params);  // also the liveness check
+  for (TaskId cur = id; cur != kInvalidTask; cur = slots_[cur].next_dummy) {
     out.cost.reads += 1;
-    out.params.insert(out.params.end(), slot.params.begin(),
-                      slot.params.end());
-    cur = slot.next_dummy;
+    const auto own = slot_params(cur);
+    out.params.insert(out.params.end(), own.begin(), own.end());
   }
   return out;
 }
 
+std::span<const Param> TaskPool::slot_params(std::uint32_t index) const {
+  if (index >= slots_.size()) return {};
+  return {params_.data() + std::size_t{index} * config_.max_params,
+          slots_[index].own_params};
+}
+
 TaskPool::ModeLookup TaskPool::mode_for(TaskId id, Addr addr) const {
   ModeLookup out;
-  TaskId cur = id;
   (void)primary(id);
-  while (cur != kInvalidTask) {
-    const Slot& slot = slots_[cur];
+  for (TaskId cur = id; cur != kInvalidTask; cur = slots_[cur].next_dummy) {
     out.cost.reads += 1;
-    for (const auto& p : slot.params) {
+    for (const auto& p : slot_params(cur)) {
       if (p.addr == addr) {
         out.mode = p.mode;
         return out;
       }
     }
-    cur = slot.next_dummy;
   }
   return out;
 }

@@ -12,15 +12,21 @@
 // Free slots are recycled through a FIFO free-index list exactly like the
 // paper's "TP Free indices" list.
 //
+// Storage is flat and fixed at construction: one slot array for the
+// descriptor headers, one `capacity x max_params` parameter array (slot i
+// owns row i), and a preallocated ring for the free-index list. Inserting
+// and freeing descriptors never touches the heap.
+//
 // All mutating operations return a Cost receipt counting the slot reads and
 // writes performed, which the timed layer converts into on-chip access
 // cycles.
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "core/index_fifo.hpp"
 #include "core/types.hpp"
 
 namespace nexuspp::core {
@@ -33,8 +39,9 @@ struct TaskPoolConfig {
   /// than max_params parameters can never be stored.
   bool allow_dummy_tasks = true;
 
-  /// Throws std::invalid_argument if the configuration is unusable
-  /// (max_params must be >= 2 so a slot can hold data + a chain pointer).
+  /// Throws std::invalid_argument if the configuration is unusable: zero
+  /// capacity, max_params < 2 (a slot holds data + a chain pointer), or a
+  /// `capacity x max_params` parameter table whose offsets overflow 32 bits.
   void validate() const;
 };
 
@@ -61,9 +68,16 @@ class TaskPool {
     TaskId id;
     Cost cost;
   };
-  /// Stores a descriptor; returns nullopt when not enough free slots are
-  /// available (the Write TP block then stalls until tasks complete).
-  [[nodiscard]] std::optional<Inserted> insert(const TaskDescriptor& td);
+  /// Stores a descriptor (function, serial, parameters copied into the
+  /// flat table); returns nullopt when not enough free slots are available
+  /// (the Write TP block then stalls until tasks complete).
+  [[nodiscard]] std::optional<Inserted> insert(std::uint64_t fn,
+                                               std::uint64_t serial,
+                                               std::span<const Param> params);
+  /// insert() for a caller that already holds a TaskDescriptor.
+  [[nodiscard]] std::optional<Inserted> insert(const TaskDescriptor& td) {
+    return insert(td.fn, td.serial, td.params);
+  }
 
   /// Frees a task's primary slot and its dummy chain, returning all indices
   /// to the free list.
@@ -95,7 +109,14 @@ class TaskPool {
     std::vector<Param> params;  ///< full list, walked across dummy tasks
     Cost cost;                  ///< one read per slot visited
   };
+  /// Copies the full parameter list out — for callers that hold it across
+  /// a suspension. Walking in place is slot_params() + slot_next_dummy().
   [[nodiscard]] ReadParams read_params(TaskId id) const;
+
+  /// The parameters stored in slot `index` itself (a primary slot or one
+  /// dummy task), in order: a view into the flat parameter table, valid
+  /// until the slot is freed. Empty for an unused slot.
+  [[nodiscard]] std::span<const Param> slot_params(std::uint32_t index) const;
 
   struct ModeLookup {
     std::optional<AccessMode> mode;
@@ -114,7 +135,7 @@ class TaskPool {
     return config_.max_params;
   }
   [[nodiscard]] std::uint32_t free_slot_count() const noexcept {
-    return static_cast<std::uint32_t>(free_.size());
+    return free_.size();
   }
   [[nodiscard]] std::uint32_t used_slot_count() const noexcept {
     return config_.capacity - free_slot_count();
@@ -139,25 +160,31 @@ class TaskPool {
   [[nodiscard]] TaskId slot_next_dummy(std::uint32_t index) const;
 
  private:
+  /// Fixed-width descriptor header; its parameters live in row `index` of
+  /// params_.
   struct Slot {
+    std::uint64_t fn = 0;
+    std::uint64_t serial = 0;
+    std::uint32_t total_params = 0;
+    std::uint32_t own_params = 0;  ///< parameters in this slot's own row
+    TaskId next_dummy = kInvalidTask;
+    std::uint16_t dc = 0;
+    std::uint16_t n_dummies = 0;
     bool used = false;
     bool busy = false;
     bool is_dummy = false;
-    std::uint64_t fn = 0;
-    std::uint64_t serial = 0;
-    std::uint16_t dc = 0;
-    std::uint16_t n_dummies = 0;
-    std::uint32_t total_params = 0;
-    std::vector<Param> params;  ///< this slot's own parameters
-    TaskId next_dummy = kInvalidTask;
   };
 
   [[nodiscard]] const Slot& primary(TaskId id) const;
   [[nodiscard]] Slot& primary(TaskId id);
+  /// Copies `params` into slot `index`'s row.
+  void store_params(TaskId index, std::span<const Param> params);
 
   TaskPoolConfig config_;
   std::vector<Slot> slots_;
-  std::deque<TaskId> free_;  ///< the "TP Free indices" FIFO list
+  /// capacity x max_params parameters; row i holds slot i's own list.
+  std::vector<Param> params_;
+  IndexFifo free_;  ///< the "TP Free indices" FIFO list
   Stats stats_;
 };
 

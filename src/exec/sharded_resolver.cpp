@@ -57,13 +57,19 @@ struct ShardState {
                cfg.match_mode}),
         resolver(pool, table),
         local_to_global(pool_capacity, ShardedResolver::kNoGlobal),
-        shard_id(shard_id) {}
+        shard_id(shard_id) {
+    // One release grants each live local task at most once, so a buffer
+    // sized to the pool never grows on the release path.
+    local_grants.reserve(pool_capacity);
+  }
 
   core::TaskPool pool;
   core::DependenceTable table;
   core::Resolver resolver;
   /// Local TaskId -> owning global task.
   std::vector<ShardedResolver::GlobalId> local_to_global;
+  /// Scratch for the local ids one release grants.
+  std::vector<core::TaskId> local_grants;
   std::uint32_t shard_id;
 };
 
@@ -136,8 +142,7 @@ SubmitResult shared_submit_group(ShardState& st, GlobalId gid,
                     " (dummy tasks disabled or pool too small)";
       return out;
     }
-    const auto inserted =
-        st.pool.insert(core::TaskDescriptor{fn, serial, params});
+    const auto inserted = st.pool.insert(fn, serial, params);
     if (!inserted.has_value()) {
       out.progress = Progress::kStalled;
       return out;
@@ -184,15 +189,17 @@ SubmitResult shared_submit_group(ShardState& st, GlobalId gid,
 // NEXUS_HOT_PATH
 void shared_finish_local(ShardState& st, core::TaskId task,
                          std::vector<GlobalId>& granted) {
-  // Audit boundary for the release path's no-alloc tripwire: the core
-  // resolver's own bookkeeping (now_ready return vector, kick-off
-  // scratch) and amortized growth of the caller's grant buffer are the
-  // reviewed allocations on this path; anything new trips the scope that
-  // ShardedResolver::finish opened.
-  util::AllowAllocScope allow("shared_finish_local resolver bookkeeping");
   chk::plain_write(&st);  // schedcheck: see shared_submit_group
-  const auto released = st.resolver.finish(task);
-  for (const auto granted_local : released.now_ready) {
+  // The core tables are flat and local_grants never grows, so the release
+  // itself runs under the no-alloc tripwire ShardedResolver::finish opened.
+  st.local_grants.clear();
+  (void)st.resolver.finish(task, st.local_grants);
+  st.local_to_global[task] = ShardedResolver::kNoGlobal;
+  (void)st.pool.free_task(task);
+  // The one audited allocation on this path: amortized growth of the
+  // caller-owned grant buffer (workers reuse one per thread).
+  util::AllowAllocScope allow("shared_finish_local grant append (amortized)");
+  for (const auto granted_local : st.local_grants) {
     const GlobalId global = st.local_to_global[granted_local];
     if (global == ShardedResolver::kNoGlobal) {
       throw std::logic_error(
@@ -200,8 +207,6 @@ void shared_finish_local(ShardState& st, core::TaskId task,
     }
     granted.push_back(global);  // nexus-lint: allow(hot-path-alloc)
   }
-  st.local_to_global[task] = ShardedResolver::kNoGlobal;
-  (void)st.pool.free_task(task);
 }
 
 // --- sync=mutex --------------------------------------------------------------
@@ -469,7 +474,8 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
  private:
   void handle(SyncRequest& base) {
     // Combiner-side mutation on behalf of whichever thread published the
-    // request: resolver bookkeeping allocates by design, and a finisher
+    // request: registration (range-mode overlap lists, failure messages)
+    // and grant-overflow blocks allocate by design, and a finisher
     // that drains the ring inside its own no-alloc scope is executing
     // *other* threads' requests — the scope's rule is about the
     // finisher's own path, so open an audited hole for the batch body.
@@ -779,8 +785,8 @@ ShardedResolver::Progress ShardedResolver::SubmitSession::advance() {
 void ShardedResolver::finish(GlobalId gid, std::vector<GlobalId>& now_ready) {
   // Checked builds abort on any unaudited allocation in this call's
   // dynamic extent; AllowAllocScope at the reviewed interior sites
-  // (resolver bookkeeping, combiner snapshots, epoch limbo nodes) opens
-  // the audited holes. See docs/CORRECTNESS.md.
+  // (grant-buffer growth, combiner work and snapshots, epoch limbo nodes)
+  // opens the audited holes. See docs/CORRECTNESS.md.
   util::NoAllocScope no_alloc("ShardedResolver::finish");
   now_ready.clear();
   TaskNode& node = nodes_[gid];

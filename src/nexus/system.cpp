@@ -130,14 +130,10 @@ sim::Co<void> NexusSystem::master_process() {
 sim::Co<void> NexusSystem::write_tp_process() {
   for (;;) {
     trace::TaskRecord rec = co_await tds_buffer_.get();
-    core::TaskDescriptor td;
-    td.fn = rec.fn;
-    td.serial = rec.serial;
-    td.params = rec.params;
 
-    if (!tp_.can_ever_insert(td.params.size())) {
+    if (!tp_.can_ever_insert(rec.params.size())) {
       fatal("Write TP: task " + std::to_string(rec.serial) + " needs " +
-            std::to_string(tp_.slots_needed(td.params.size())) +
+            std::to_string(tp_.slots_needed(rec.params.size())) +
             " descriptor slots but the Task Pool" +
             (cfg_.task_pool.allow_dummy_tasks
                  ? " only has " + std::to_string(tp_.capacity())
@@ -146,7 +142,7 @@ sim::Co<void> NexusSystem::write_tp_process() {
     }
 
     for (;;) {
-      auto ins = tp_.insert(td);
+      auto ins = tp_.insert(rec.fn, rec.serial, rec.params);
       if (ins.has_value()) {
         const sim::Time t =
             access_time(ins->cost) + cycles(cfg_.block_overhead_cycles);
@@ -154,7 +150,7 @@ sim::Co<void> NexusSystem::write_tp_process() {
         const sim::Time seg_start = sim_.now();
         co_await sim_.delay(t);
         obs_record(obs_trk_write_tp_, obs::EventKind::kSubmit, seg_start, t,
-                   td.serial);
+                   rec.serial);
         timing_by_slot_[ins->id] =
             SlotTiming{rec.exec_time, rec.read_bytes, rec.write_bytes,
                        rec.params.empty() ? 0 : rec.params.front().addr,
@@ -167,7 +163,7 @@ sim::Co<void> NexusSystem::write_tp_process() {
       const sim::Time stall = sim_.now() - stall_start;
       write_tp_stall_ += stall;
       obs_record(obs_trk_write_tp_, obs::EventKind::kStall, stall_start,
-                 stall, td.serial);
+                 stall, rec.serial);
     }
   }
 }
@@ -278,6 +274,9 @@ sim::Co<void> NexusSystem::send_tds_process() {
 }
 
 sim::Co<void> NexusSystem::handle_finished_process() {
+  // The block's grant buffer, reused across tasks (one instance of this
+  // block exists; the list is consumed before the next task is taken).
+  std::vector<TaskId> now_ready;
   for (;;) {
     const std::size_t worker = co_await finish_signals_.next();
     const auto id_opt = fin_[worker]->try_get();
@@ -290,9 +289,10 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     turnaround_ns_.add(
         sim::to_ns(sim_.now() - timing_by_slot_[id].submitted_at));
 
-    auto fr = resolver_.finish(id);
+    now_ready.clear();
+    const core::Cost release_cost = resolver_.finish(id, now_ready);
     auto free_cost = tp_.free_task(id);
-    const sim::Time t = access_time(fr.cost) + access_time(free_cost) +
+    const sim::Time t = access_time(release_cost) + access_time(free_cost) +
                         cycles(cfg_.block_overhead_cycles);
     handle_finished_busy_ += t;
     const sim::Time seg_start = sim_.now();
@@ -310,13 +310,13 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     // Return the worker token before publishing ready tasks so Schedule can
     // always drain the Global Ready list (no token/space cycle).
     co_await worker_ids_.put(static_cast<std::uint32_t>(worker));
-    for (const TaskId ready : fr.now_ready) {
+    for (const TaskId ready : now_ready) {
       // Grant edge: this finish made `ready` runnable.
       obs_record(obs_trk_handle_fin_, obs::EventKind::kReady, sim_.now(), 0,
                  tp_.serial(ready), serial);
       co_await global_ready_.put(ready);
     }
-    if (!fr.now_ready.empty()) {
+    if (!now_ready.empty()) {
       obs_record(obs_trk_handle_fin_, obs::EventKind::kReadyDepth, sim_.now(),
                  0, 0, global_ready_.size());
     }

@@ -116,7 +116,6 @@ class Runtime {
   };
 
   void worker_loop();
-  void enqueue_ready(TaskPtr task);
   void run_task(const TaskPtr& task);
   /// Registers a dependency edge pred -> succ if pred is unfinished.
   void add_edge_locked(const TaskPtr& pred, const TaskPtr& succ);

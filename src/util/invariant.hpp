@@ -23,7 +23,7 @@
 //   family with an aborting hook for the enclosing dynamic extent.
 //   ShardedResolver::finish wraps itself in one: the release hot path is
 //   documented never to allocate, and every *audited* interior allocation
-//   (core-resolver bookkeeping, combiner snapshots, epoch limbo nodes)
+//   (grant-buffer growth, combiner work and snapshots, epoch limbo nodes)
 //   re-enables allocation through an AllowAllocScope naming its reason.
 //   A new allocation sneaking onto the path trips the hook and aborts
 //   with the offending scope's label.

@@ -8,12 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <span>
 #include <vector>
 
+#include "core/dependence_table.hpp"
+#include "core/resolver.hpp"
+#include "core/task_pool.hpp"
 #include "core/types.hpp"
 #include "exec/epoch.hpp"
 #include "exec/sharded_resolver.hpp"
 #include "util/invariant.hpp"
+#include "util/rng.hpp"
 
 namespace nexuspp {
 namespace {
@@ -65,6 +71,86 @@ TEST(CheckedInvariants, ResolverChainRunsCleanMutex) {
 
 TEST(CheckedInvariants, ResolverChainRunsCleanLockfree) {
   drive_chain(SyncMode::kLockFree, 64);
+}
+
+/// The core tables' allocation-free contract: once constructed, TaskPool +
+/// DependenceTable + Resolver run insert / submit / finish / free for
+/// random base-address tasks, wide ones spilling into dummy tasks and long
+/// kick-off lists into dummy entries, without one heap allocation. Every
+/// buffer the loop uses is sized before the scope opens; failures are
+/// recorded and asserted after it closes (gtest's messages allocate).
+TEST(CheckedInvariants, CoreChurnIsAllocationFree) {
+  constexpr std::uint64_t kTasks = 20000;
+  constexpr std::uint64_t kAddresses = 32;
+  core::TaskPool pool({256, 8});
+  core::DependenceTable table({2048, 8});
+  core::Resolver resolver(pool, table);
+  util::Rng rng(13);
+  std::array<core::Param, 12> params{};
+  // Ready tasks in FIFO order: a ring over at most every live task.
+  std::vector<core::TaskId> ready(pool.capacity());
+  std::size_t ready_head = 0;
+  std::size_t ready_count = 0;
+  std::vector<core::TaskId> granted;
+  granted.reserve(pool.capacity());
+  const auto push_ready = [&](core::TaskId id) {
+    ready[(ready_head + ready_count++) % ready.size()] = id;
+  };
+  std::uint64_t submitted = 0;
+  std::uint64_t finished = 0;
+  bool stalled = false;
+  bool wedged = false;
+  {
+    const NoAllocScope no_alloc("core churn");
+    while (finished < kTasks) {
+      if (submitted < kTasks) {
+        // Distinct bases: an odd stride over a power-of-two address set.
+        const std::size_t n = 1 + rng.below(params.size());
+        const std::uint64_t start = rng.below(kAddresses);
+        const std::uint64_t stride = 2 * rng.below(kAddresses / 2) + 1;
+        for (std::size_t k = 0; k < n; ++k) {
+          const core::Addr addr =
+              0x1000 + 64 * ((start + k * stride) % kAddresses);
+          const auto roll = rng.below(3);
+          params[k] = roll == 0   ? core::in(addr, 64)
+                      : roll == 1 ? core::out(addr, 64)
+                                  : core::inout(addr, 64);
+        }
+        const auto inserted = pool.insert(
+            0xF, submitted, std::span<const core::Param>(params.data(), n));
+        if (inserted.has_value()) {
+          const auto sub = resolver.submit(inserted->id);
+          if (sub.stalled) {
+            stalled = true;
+            break;
+          }
+          if (sub.ready) push_ready(inserted->id);
+          ++submitted;
+          continue;
+        }
+      }
+      if (ready_count == 0) {
+        wedged = true;
+        break;
+      }
+      const core::TaskId id = ready[ready_head];
+      ready_head = (ready_head + 1) % ready.size();
+      --ready_count;
+      granted.clear();
+      (void)resolver.finish(id, granted);
+      (void)pool.free_task(id);
+      for (const core::TaskId next : granted) push_ready(next);
+      ++finished;
+    }
+  }
+  ASSERT_FALSE(stalled) << "the dependence table is sized never to fill";
+  ASSERT_FALSE(wedged) << "the oldest live task is always ready";
+  EXPECT_EQ(finished, kTasks);
+  EXPECT_TRUE(pool.empty());
+  EXPECT_TRUE(table.empty());
+  // The run exercised both dummy mechanisms.
+  EXPECT_GT(pool.stats().dummy_slots_allocated, 0u);
+  EXPECT_GT(table.stats().ko_dummy_allocations, 0u);
 }
 
 #if defined(NEXUSPP_CHECKED)

@@ -1,12 +1,21 @@
 // Tests for the Dependence Table: hash chains, entry lifecycle, kick-off
-// lists, dummy-entry extension and promotion, and capacity behaviour.
+// lists, dummy-entry extension and promotion, capacity behaviour, and a
+// randomized differential check of the flat kick-off rings and free list
+// against a per-entry-deque reference model.
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dependence_table.hpp"
+#include "util/rng.hpp"
 
 namespace nexuspp {
 namespace {
@@ -23,6 +32,25 @@ TEST(DependenceTableConfig, Validation) {
   EXPECT_THROW((DependenceTableConfig{16, 1}.validate()),
                std::invalid_argument);
   EXPECT_NO_THROW((DependenceTableConfig{16, 2}.validate()));
+
+  // The kick-off ids live in one capacity x kick_off_capacity table whose
+  // offsets must fit the 32-bit Index: the largest product passes, one
+  // more id fails, and so does a product that overflows 32 bits itself.
+  EXPECT_NO_THROW((DependenceTableConfig{65536, 65535}.validate()));
+  EXPECT_THROW((DependenceTableConfig{65536, 65536}.validate()),
+               std::invalid_argument);
+  EXPECT_THROW((DependenceTableConfig{16, 0xFFFF'FFFFu}.validate()),
+               std::invalid_argument);
+  try {
+    DependenceTableConfig{4096, 1u << 20}.validate();
+    ADD_FAILURE() << "oversized kick_off_capacity accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kick_off_capacity"),
+              std::string::npos)
+        << e.what();
+  }
+  // The constructor rejects it before allocating anything.
+  EXPECT_THROW((DependenceTable({4096, 1u << 20})), std::invalid_argument);
 }
 
 TEST(DependenceTable, InsertLookupEraseRoundTrip) {
@@ -114,6 +142,50 @@ TEST(DependenceTable, EraseMiddleOfHashChain) {
       EXPECT_EQ(dt.addr_of(*hit.index), addrs[i]);
     }
   }
+}
+
+TEST(DependenceTable, FreeIndicesRecycleFifo) {
+  DependenceTable dt({4, 8});
+  auto a = dt.insert(0x10, 4, true);
+  auto b = dt.insert(0x20, 4, true);
+  ASSERT_TRUE(a.index && b.index);
+  EXPECT_EQ(*a.index, 0u);
+  EXPECT_EQ(*b.index, 1u);
+  dt.erase(*a.index);
+  // Free list was [2, 3] and now gets 0 appended: the next two entries
+  // take 2 then 3, and only then is 0 reused.
+  auto c = dt.insert(0x30, 4, true);
+  auto d = dt.insert(0x40, 4, true);
+  auto e = dt.insert(0x50, 4, true);
+  ASSERT_TRUE(c.index && d.index && e.index);
+  EXPECT_EQ(*c.index, 2u);
+  EXPECT_EQ(*d.index, 3u);
+  EXPECT_EQ(*e.index, 0u);
+}
+
+TEST(DependenceTable, KickoffRingWrapsAroundInPlace) {
+  // Three ids per slot: interleaved appends and pops walk the ring head
+  // past the end of the slot's row several times without any dummy entry.
+  DependenceTable dt({4, 3});
+  auto ins = dt.insert(0x10, 4, true);
+  ASSERT_TRUE(ins.index.has_value());
+  const Index i = *ins.index;
+  TaskId next_in = 0;
+  TaskId next_out = 0;
+  for (int round = 0; round < 10; ++round) {
+    while (dt.kickoff_length(i) < 3) {
+      ASSERT_TRUE(dt.kickoff_append(i, next_in++).ok);
+    }
+    for (int pops = 0; pops < 2; ++pops) {
+      auto pop = dt.kickoff_pop(i);
+      ASSERT_TRUE(pop.task.has_value());
+      EXPECT_EQ(*pop.task, next_out++);
+      EXPECT_EQ(pop.parent, i);
+    }
+  }
+  EXPECT_EQ(dt.stats().ko_dummy_allocations, 0u);
+  EXPECT_EQ(dt.live_slot_count(), 1u);
+  EXPECT_EQ(*dt.kickoff_front(i).task, next_out);
 }
 
 TEST(DependenceTable, KickoffBasicFifo) {
@@ -325,6 +397,222 @@ TEST(DependenceTable, LookupOnConstTable) {
   EXPECT_EQ(view.stats().lookups, 2u);
   EXPECT_GE(view.stats().lookup_probes, 2u);
   EXPECT_GE(view.stats().longest_hash_chain, 1u);
+}
+
+// --- Differential model: flat kick-off rings vs per-entry deques -------------
+
+/// The table's kick-off and free-list semantics in their original form: a
+/// std::deque of ids per slot and a FIFO free list. Hash chains and entry
+/// fields are left out; the test reaches entries through its own address
+/// map and checks lookup() against it.
+class ReferenceKickoffModel {
+ public:
+  ReferenceKickoffModel(std::uint32_t capacity, std::uint32_t width)
+      : slots_(capacity), width_(width) {
+    for (Index i = 0; i < capacity; ++i) free_.push_back(i);
+  }
+
+  std::optional<Index> insert() { return alloc(); }
+  void erase(Index parent) { release(parent); }
+
+  bool append(Index parent, TaskId task) {
+    const Slot& p = slots_[parent];
+    const Index tail = p.has_dummy ? p.last_dummy : parent;
+    if (slots_[tail].ko.size() < width_) {
+      push_back(tail, task);
+      return true;
+    }
+    const auto dummy = alloc();
+    if (!dummy) return false;
+    push_back(*dummy, slots_[tail].ko.back());
+    push_back(*dummy, task);
+    slots_[tail].ko.pop_back();
+    slots_[tail].ko_next = *dummy;
+    slots_[parent].has_dummy = true;
+    slots_[parent].last_dummy = *dummy;
+    return true;
+  }
+
+  /// Oldest id and the parent index after any promotion.
+  std::pair<std::optional<TaskId>, Index> pop(Index parent) {
+    Slot& p = slots_[parent];
+    if (p.ko.empty()) return {std::nullopt, parent};
+    const TaskId task = p.ko.front();
+    p.ko.pop_front();
+    ++p.pops;
+    if (!p.ko.empty() || !p.has_dummy) return {task, parent};
+    // Promotion: the first extension becomes the parent, keeping its own
+    // list; the old parent slot goes back on the free list.
+    const Index first = p.ko_next;
+    Slot& d = slots_[first];
+    d.has_dummy = d.ko_next != DependenceTable::kInvalidIndex;
+    d.last_dummy = d.has_dummy ? p.last_dummy : DependenceTable::kInvalidIndex;
+    release(parent);
+    return {task, first};
+  }
+
+  [[nodiscard]] std::optional<TaskId> front(Index parent) const {
+    const auto& ko = slots_[parent].ko;
+    return ko.empty() ? std::nullopt : std::optional<TaskId>(ko.front());
+  }
+  [[nodiscard]] bool empty(Index parent) const {
+    return slots_[parent].ko.empty() && !slots_[parent].has_dummy;
+  }
+  [[nodiscard]] std::uint32_t length(Index parent) const {
+    std::uint32_t total = 0;
+    for (Index i = parent; i != DependenceTable::kInvalidIndex;
+         i = slots_[i].ko_next) {
+      total += static_cast<std::uint32_t>(slots_[i].ko.size());
+    }
+    return total;
+  }
+  [[nodiscard]] std::uint32_t chain_slots(Index parent) const {
+    std::uint32_t total = 0;
+    for (Index i = parent; i != DependenceTable::kInvalidIndex;
+         i = slots_[i].ko_next) {
+      ++total;
+    }
+    return total;
+  }
+  [[nodiscard]] std::uint32_t free_count() const {
+    return static_cast<std::uint32_t>(free_.size());
+  }
+  /// Appends whose position in a fixed ring of `width` ids (head advanced
+  /// by every pop since the slot was allocated) lies past the row's end —
+  /// the wrap-around case the flat table must get right.
+  [[nodiscard]] std::uint64_t wrapped_appends() const {
+    return wrapped_appends_;
+  }
+
+ private:
+  struct Slot {
+    std::deque<TaskId> ko;
+    Index ko_next = DependenceTable::kInvalidIndex;
+    Index last_dummy = DependenceTable::kInvalidIndex;
+    bool has_dummy = false;
+    std::uint64_t pops = 0;
+  };
+
+  std::optional<Index> alloc() {
+    if (free_.empty()) return std::nullopt;
+    const Index i = free_.front();
+    free_.pop_front();
+    slots_[i] = Slot{};
+    return i;
+  }
+  void release(Index i) {
+    slots_[i] = Slot{};
+    free_.push_back(i);
+  }
+  void push_back(Index i, TaskId task) {
+    Slot& s = slots_[i];
+    if (s.pops % width_ + s.ko.size() >= width_) ++wrapped_appends_;
+    s.ko.push_back(task);
+  }
+
+  std::vector<Slot> slots_;
+  std::deque<Index> free_;
+  std::uint32_t width_;
+  std::uint64_t wrapped_appends_ = 0;
+};
+
+/// Random inserts, appends, pops and erases on a handful of addresses (so
+/// kick-off chains grow long and the table fills), compared step by step
+/// with the reference model: every returned index and id, plus length,
+/// chain slots, front, emptiness, lookup and the free count of every live
+/// entry.
+void run_kickoff_differential(std::uint32_t width, std::uint64_t seed) {
+  SCOPED_TRACE("kick_off_capacity " + std::to_string(width) + ", seed " +
+               std::to_string(seed));
+  constexpr std::uint32_t kCapacity = 40;
+  constexpr std::size_t kMaxAddresses = 6;
+  DependenceTable dt({kCapacity, width});
+  ReferenceKickoffModel ref(kCapacity, width);
+  util::Rng rng(seed);
+  std::map<Addr, Index> parents;
+  Addr next_addr = 0x1000;
+  TaskId next_task = 0;
+
+  const auto check_all = [&](int step) {
+    ASSERT_EQ(dt.free_slot_count(), ref.free_count()) << "step " << step;
+    for (const auto& [addr, parent] : parents) {
+      ASSERT_EQ(dt.lookup(addr).index, std::optional<Index>(parent))
+          << "step " << step;
+      ASSERT_EQ(dt.kickoff_length(parent), ref.length(parent))
+          << "step " << step;
+      ASSERT_EQ(dt.kickoff_chain_slots(parent), ref.chain_slots(parent))
+          << "step " << step;
+      ASSERT_EQ(dt.kickoff_front(parent).task, ref.front(parent))
+          << "step " << step;
+      ASSERT_EQ(dt.kickoff_empty(parent), ref.empty(parent))
+          << "step " << step;
+    }
+  };
+
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint64_t roll = rng.below(100);
+    if (parents.empty() || (roll < 10 && parents.size() < kMaxAddresses)) {
+      const Addr addr = next_addr;
+      next_addr += 0x40;
+      const auto got = dt.insert(addr, 4, true).index;
+      ASSERT_EQ(got, ref.insert()) << "step " << step;
+      if (got) parents.emplace(addr, *got);
+    } else {
+      auto it = std::next(parents.begin(),
+                          static_cast<std::ptrdiff_t>(
+                              rng.below(parents.size())));
+      Index& parent = it->second;
+      if (roll < 62) {
+        const TaskId task = next_task++;
+        const auto app = dt.kickoff_append(parent, task);
+        ASSERT_EQ(app.ok, ref.append(parent, task)) << "step " << step;
+        ASSERT_FALSE(app.structural);
+      } else if (dt.kickoff_empty(parent)) {
+        dt.erase(parent);
+        ref.erase(parent);
+        parents.erase(it);
+      } else {
+        const auto pop = dt.kickoff_pop(parent);
+        const auto [task, new_parent] = ref.pop(parent);
+        ASSERT_EQ(pop.task, task) << "step " << step;
+        ASSERT_EQ(pop.parent, new_parent) << "step " << step;
+        parent = pop.parent;
+      }
+    }
+    check_all(step);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+
+  // Drain everything: FIFO order holds across every chain to the end.
+  for (auto& entry : parents) {
+    Index& parent = entry.second;
+    for (;;) {
+      const auto pop = dt.kickoff_pop(parent);
+      const auto [task, new_parent] = ref.pop(parent);
+      ASSERT_EQ(pop.task, task);
+      ASSERT_EQ(pop.parent, new_parent);
+      parent = pop.parent;
+      if (!pop.task) break;
+    }
+    dt.erase(parent);
+    ref.erase(parent);
+  }
+  EXPECT_TRUE(dt.empty());
+  EXPECT_EQ(dt.free_slot_count(), kCapacity);
+
+  // The run reached the cases the model exists for.
+  EXPECT_GT(ref.wrapped_appends(), 0u);
+  EXPECT_GT(dt.stats().ko_dummy_allocations, 0u);
+  EXPECT_GT(dt.stats().promotions, 0u);
+}
+
+TEST(DependenceTableDifferential, KickoffRingsMatchDequeModel) {
+  for (const std::uint32_t width : {2u, 3u, 8u, 32u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      run_kickoff_differential(width, seed);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // --- Range mode ---------------------------------------------------------------

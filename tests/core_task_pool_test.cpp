@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/task_pool.hpp"
@@ -32,6 +33,24 @@ TEST(TaskPoolConfig, Validation) {
   EXPECT_THROW((TaskPoolConfig{0, 8}.validate()), std::invalid_argument);
   EXPECT_THROW((TaskPoolConfig{16, 1}.validate()), std::invalid_argument);
   EXPECT_NO_THROW((TaskPoolConfig{16, 2}.validate()));
+
+  // Parameters live in one capacity x max_params table whose offsets must
+  // fit 32 bits: the largest product passes, one more parameter fails,
+  // and so does a product that overflows 32 bits itself.
+  EXPECT_NO_THROW((TaskPoolConfig{65536, 65535}.validate()));
+  EXPECT_THROW((TaskPoolConfig{65536, 65536}.validate()),
+               std::invalid_argument);
+  EXPECT_THROW((TaskPoolConfig{16, 0xFFFF'FFFFu}.validate()),
+               std::invalid_argument);
+  try {
+    TaskPoolConfig{4096, 1u << 20}.validate();
+    ADD_FAILURE() << "oversized max_params accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("max_params"), std::string::npos)
+        << e.what();
+  }
+  // The constructor rejects it before allocating anything.
+  EXPECT_THROW((TaskPool({4096, 1u << 20})), std::invalid_argument);
 }
 
 TEST(TaskPool, SlotsNeededMatchesPaperExample) {
@@ -91,6 +110,31 @@ TEST(TaskPool, InsertWideTaskBuildsDummyChain) {
   auto rp = pool.read_params(ins->id);
   EXPECT_EQ(rp.params, td.params);   // order preserved across the chain
   EXPECT_EQ(rp.cost.reads, 2u);      // two slots visited
+}
+
+TEST(TaskPool, SlotParamsWalkTheChainInPlace) {
+  // Inserted from a span; walking slot_params along the dummy chain gives
+  // back the list in order, split exactly as read_params reports it.
+  TaskPool pool({16, 4});
+  const auto td = make_task(10, 0xF00D);
+  auto ins = pool.insert(td.fn, 42, td.params);
+  ASSERT_TRUE(ins.has_value());
+  EXPECT_EQ(pool.serial(ins->id), 42u);
+  std::vector<Param> walked;
+  std::vector<std::size_t> per_slot;
+  for (TaskId slot = ins->id; slot != core::kInvalidTask;
+       slot = pool.slot_next_dummy(slot)) {
+    const auto own = pool.slot_params(slot);
+    walked.insert(walked.end(), own.begin(), own.end());
+    per_slot.push_back(own.size());
+  }
+  EXPECT_EQ(walked, td.params);
+  EXPECT_EQ(per_slot, (std::vector<std::size_t>{3, 3, 4}));
+  EXPECT_EQ(pool.read_params(ins->id).cost.reads, per_slot.size());
+  const TaskId dummy = pool.slot_next_dummy(ins->id);
+  pool.free_task(ins->id);
+  EXPECT_TRUE(pool.slot_params(ins->id).empty());
+  EXPECT_TRUE(pool.slot_params(dummy).empty());
 }
 
 TEST(TaskPool, VeryWideTaskMultiDummyChain) {
