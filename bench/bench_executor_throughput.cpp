@@ -15,24 +15,26 @@
 //   wavefront  — ~11.8 us kernels on a wide H.264-style frontier: the
 //                scaling showcase (the ready queue stays deep, so worker
 //                kernels overlap).
-//   fine-dag   — 250 ns kernels on a chain-heavy random DAG: resolver- and
-//                lock-bound, the regime where shard counts and lock
-//                contention decide throughput.
+//   fine-dag   — 250 ns kernels on a chain-heavy random DAG:
+//                resolver-bound, the regime where the master's per-task
+//                cost (registration plus release) and the shard count
+//                decide throughput.
 //   fine-stream — ~100 ns kernels, wide fan-in (up to 6 params/task):
-//                kernels are noise, resolution *is* the workload. This is
-//                the sync-backend showdown stream: a second grid runs
-//                sync {mutex, lockfree} x threads {1..8} ({1..32} in full
-//                mode) on it, one series per sync mode, producing the
-//                headline contention curve.
+//                kernels are noise, resolution *is* the workload. A
+//                second grid runs sync {mutex, lockfree} x threads {1..8}
+//                ({1..32} in full mode) on it, one series per sync mode:
+//                the master's per-task cost under each backend, and how
+//                much CPU time workers beyond the host's cores take from
+//                it.
 //   tiled-cholesky — the application-shaped factorization DAG.
 //
-// Plotting the contention curve from the CSV artifact
+// Plotting the thread curve from the CSV artifact
 // (NEXUSPP_BENCH_CSV=curve.csv ./bench_executor_throughput):
 // filter rows whose series starts with "fine-stream/sync-", then plot
 // exec_tasks_per_sec against the thread count in the label, one line per
-// series — the mutex line flattens where exec_lock_contentions takes off;
-// the lockfree line's analogous x-ray columns are exec_cas_retries and
-// exec_combined_batches (requests/batches = mean combiner batch size).
+// series. The master is the resolver's only caller, so the contention
+// columns stay flat: exec_lock_contentions is 0 and the combiner's
+// requests/batches ratio is 1.
 //
 // Measured scaling is bounded by the *host's* cores — that is the point of
 // a real backend. On a starved host the wavefront rows still overlap
@@ -223,12 +225,11 @@ int run() {
   bench::note(
       "Expected shape: wavefront's wide frontier overlaps kernels, so its "
       "wall-clock makespan falls with threads (up to the host's cores); "
-      "fine-dag is resolver-bound — its tasks/sec moves with shard count "
-      "and its lock-contention column is the one worth reading; the "
-      "fine-stream/sync-* series are the contention curve — past the "
-      "uncontended point the lockfree rows should hold tasks/sec at or "
-      "above the mutex rows, with combiner batch size growing where the "
-      "mutex line's contention column grows; the simulated rows are "
+      "fine-dag and the fine-stream/sync-* series are resolver-bound — "
+      "the master alone registers and releases tasks, so their tasks/sec "
+      "follows its per-task cost, holds roughly flat while workers fit "
+      "the host's cores and drops once they outnumber them, and lock "
+      "contention stays 0; the simulated rows are "
       "predicted time for a machine with `workers` free cores, the "
       "yardstick the measured rows sit next to.");
   return 0;

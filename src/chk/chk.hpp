@@ -286,10 +286,13 @@ class Mutex {
 /// Instrumented condition variable over chk::Mutex. Uncontrolled it is a
 /// std::condition_variable_any whose internal unlock/relock run through
 /// the instrumented Mutex (so the happens-before edges of the wait are
-/// visible to the checker). Under a controller a wait becomes "release
-/// the lock, yield until some thread performs a write-class operation,
-/// reacquire" — i.e. every controlled wait may wake spuriously, which
-/// both call sites in this repo are written to tolerate.
+/// visible to the checker). Under a controller a wait is "release the
+/// lock, stay blocked until a notify on this variable is issued after the
+/// wait began, reacquire": a write elsewhere does not wake it, so a
+/// missing notify (a lost wake-up) leaves the waiter blocked and the
+/// schedule ends as a diagnosed deadlock. Every notify wakes every waiter
+/// (notify_one is modelled as notify_all, which real implementations may
+/// also do), and callers re-check their predicate as usual.
 class CondVar {
  public:
   CondVar() = default;
@@ -298,22 +301,31 @@ class CondVar {
 
   void notify_one(
       std::source_location loc = std::source_location::current()) {
-    detail::point(OpKind::kCondNotify, this, loc);
+    note_notify(loc);
     cv_.notify_one();
   }
 
   void notify_all(
       std::source_location loc = std::source_location::current()) {
-    detail::point(OpKind::kCondNotify, this, loc);
+    note_notify(loc);
     cv_.notify_all();
   }
 
   template <class Predicate>
-  void wait(std::unique_lock<Mutex>& lock, Predicate pred) {
+  void wait(std::unique_lock<Mutex>& lock, Predicate pred,
+            std::source_location loc = std::source_location::current()) {
     while (!pred()) {
       if (detail::engaged()) {
+        // The point opens the window between the predicate check and the
+        // block, where a notify that does not take the lock is lost. The
+        // count is read under the lock, so a notifier holding the lock
+        // bumps it after this read.
+        detail::point(OpKind::kCondWait, this, loc);
+        const std::uint64_t seen = notifies_.load(std::memory_order_relaxed);
         lock.unlock();
-        detail::yield_blocked();
+        while (notifies_.load(std::memory_order_relaxed) == seen) {
+          detail::yield_blocked();
+        }
         lock.lock();
       } else {
         cv_.wait(lock);
@@ -321,23 +333,18 @@ class CondVar {
     }
   }
 
-  template <class Rep, class Period>
-  std::cv_status wait_for(std::unique_lock<Mutex>& lock,
-                          const std::chrono::duration<Rep, Period>& dur) {
-    if (detail::engaged()) {
-      // One controlled yield stands in for the timed wait; reporting
-      // timeout keeps callers' deadline logic schedule-deterministic
-      // (no wall-clock dependence inside an explored schedule).
-      lock.unlock();
-      detail::yield_blocked();
-      lock.lock();
-      return std::cv_status::timeout;
-    }
-    return cv_.wait_for(lock, dur);
+ private:
+  void note_notify(const std::source_location& loc) {
+    // Counted before the scheduling point: the point's write-class
+    // progress is what unblocks a controlled waiter, which must then see
+    // the new count.
+    notifies_.fetch_add(1, std::memory_order_relaxed);
+    detail::point(OpKind::kCondNotify, this, loc);
   }
 
- private:
   std::condition_variable_any cv_;
+  /// Notifies issued so far (controller bookkeeping, not instrumented).
+  std::atomic<std::uint64_t> notifies_{0};
 };
 
 /// Happens-before plumbing for thread creation/join, so checker-visible

@@ -2,18 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
+#include <exception>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
 #include "chk/chk.hpp"
+#include "exec/handoff.hpp"
 #include "exec/spin.hpp"
 #include "sim/time.hpp"
-#include "util/invariant.hpp"
 
 namespace nexuspp::exec {
 
@@ -55,40 +54,46 @@ ShardedResolverConfig ExecConfig::resolver_config() const {
 
 struct ThreadedExecutor::Impl {
   std::unique_ptr<ShardedResolver> resolver;
+  std::unique_ptr<TaskHandoff> handoff;
   std::uint64_t expected = 0;
+  /// threads == 1: no pool; the master runs ready tasks itself wherever it
+  /// would otherwise wait for a worker.
+  bool inline_mode = false;
 
-  // Per-task bookkeeping, pre-sized before any worker starts.
+  // Per-task bookkeeping, pre-sized before any worker starts. The master
+  // writes a task's entries before making it ready; the ready channel's
+  // publication orders them before the worker's reads.
   std::vector<std::uint64_t> serials;
   std::vector<std::uint64_t> exec_ns;
   std::vector<Clock::time_point> submitted_at;
 
-  // Run queue (guards `ready`, `queue_peak`, `done`, `running`).
-  chk::Mutex qmu;
-  chk::CondVar qcv;
-  std::deque<std::uint64_t> ready;
+  // Master-owned progress: only the master registers, makes ready and
+  // releases tasks, so these are plain counters and every deadlock test
+  // below is exact arithmetic on them.
+  std::uint64_t in_flight = 0;   ///< registered, not yet released
+  std::uint64_t made_ready = 0;  ///< pushed to the ready channel
+  std::uint64_t completed = 0;   ///< released
   std::size_t queue_peak = 0;
-  bool done = false;
-  /// Workers currently inside run_one (claimed a task, not yet finished
-  /// releasing it). Part of the wedge predicate below.
-  unsigned running = 0;
+  /// Reusable grant buffer for ShardedResolver::finish.
+  std::vector<std::uint64_t> grants;
 
-  // Progress counters.
-  chk::Atomic<std::int64_t> in_flight{0};  ///< registered, not yet completed
-  chk::Atomic<std::uint64_t> completed{0};
-  chk::Atomic<std::uint64_t> target{0};  ///< completions that end the run
-
-  // Per-worker accounting (slot w written only by worker w; read after
-  // the pool is joined).
-  std::vector<double> worker_busy;
-  std::vector<util::RunningStats> worker_turnaround;
+  /// One worker's accounting (written only by that worker — by the master
+  /// at threads=1 — and read after the pool is joined). Cache-line aligned
+  /// so workers finishing tasks concurrently do not share lines.
+  struct alignas(64) WorkerStats {
+    double busy_ns = 0.0;  ///< kernel time
+    std::uint64_t units = 0;
+    util::RunningStats turnaround;
+  };
+  std::vector<WorkerStats> workers;
   /// Per-worker kernel bodies (slot w used only by worker w; the inline
-  /// master uses slot 0) and the work units each executed.
+  /// master uses slot 0).
   std::vector<KernelBody> kernels;
-  std::vector<std::uint64_t> worker_units;
-  /// Per-worker reusable grant buffer for ShardedResolver::finish — the
-  /// release path runs once per task and must not allocate (slot w used
-  /// only by worker w; the inline master uses slot 0).
-  std::vector<std::vector<std::uint64_t>> finish_scratch;
+
+  /// The first exception a worker raised; run() rethrows it once the pool
+  /// is joined (the join orders the write before the read).
+  chk::Atomic<bool> worker_failed{false};
+  std::exception_ptr worker_error;
 
   core::ExecutionObserver* observer = nullptr;
 
@@ -97,123 +102,116 @@ struct ThreadedExecutor::Impl {
   std::uint32_t master_track = 0;
   std::uint32_t worker_track0 = 0;
 
+  /// Runs task `gid`'s kernel on worker `widx`. The completion event fires
+  /// before the task is posted back, hence before its accesses are
+  /// released, so recorded completion order stays oracle-valid.
   // NEXUS_HOT_PATH
-  void enqueue(const std::uint64_t* gids, std::size_t count) {
-    if (count == 0) return;
-    std::size_t depth = 0;
-    {
-      const std::lock_guard<chk::Mutex> lock(qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      // Deque growth is chunked/amortized.  // nexus-lint: allow(hot-path-alloc)
-      for (std::size_t i = 0; i < count; ++i) ready.push_back(gids[i]);
-      depth = ready.size();
-      queue_peak = std::max(queue_peak, depth);
-    }
-    if (rec != nullptr) {
-      // Attributed to whichever thread pushed (master or a worker).
-      obs::record_here(obs::EventKind::kReadyDepth, obs::here_now_ns(), 0.0,
-                       0, depth);
-    }
-    if (count == 1) {
-      qcv.notify_one();
-    } else {
-      qcv.notify_all();
-    }
-  }
-
-  /// Executes one ready task on worker `widx`: spin kernel, completion
-  /// event, access release, dependant kick-off. The completion event fires
-  /// *before* releases so recorded completion order stays oracle-valid.
-  // NEXUS_HOT_PATH
-  void run_one(std::uint64_t gid, std::uint32_t widx) {
+  void run_task(std::uint64_t gid, std::uint32_t widx) {
     if (observer != nullptr) observer->on_started(serials[gid], widx);
-    const auto t0 = Clock::now();
+    WorkerStats& stats = workers[widx];
     double obs_run0 = 0.0;
     if (rec != nullptr) obs_run0 = rec->now_ns();
-    worker_units[widx] += kernels[widx].run(exec_ns[gid], serials[gid]);
-    if (observer != nullptr) observer->on_completed(serials[gid], widx);
-    double obs_mid = 0.0;
-    if (rec != nullptr) {
-      obs_mid = rec->now_ns();
-      rec->record(worker_track0 + widx, obs::EventKind::kRun, obs_run0,
-                  obs_mid - obs_run0, serials[gid], 0);
-    }
-    auto& released = finish_scratch[widx];
-    resolver->finish(gid, released);
+    const auto t0 = Clock::now();
+    stats.units += kernels[widx].run(exec_ns[gid], serials[gid]);
     const auto t1 = Clock::now();
-
-    worker_turnaround[widx].add(elapsed_ns(submitted_at[gid], t1));
-    worker_busy[widx] += elapsed_ns(t0, t1);
-    // Release: the master's drained-retry protocol reads this counter
-    // (acquire) and relies on the space this finish freed being visible
-    // once the decrement is.
-    const std::int64_t now_in_flight =
-        in_flight.fetch_sub(1, std::memory_order_release) - 1;
+    if (observer != nullptr) observer->on_completed(serials[gid], widx);
     if (rec != nullptr) {
-      const std::uint32_t wt = worker_track0 + widx;
-      const double obs_end = rec->now_ns();
-      rec->record(wt, obs::EventKind::kRelease, obs_mid, obs_end - obs_mid,
-                  serials[gid], 0);
-      rec->record(wt, obs::EventKind::kFinish, obs_end, 0.0, serials[gid], 0);
-      // One grant instant per dependant this finish made runnable; the
-      // granter's serial is the edge the critical-path analysis walks.
-      for (std::size_t i = 0; i < released.size(); ++i) {
-        rec->record(wt, obs::EventKind::kReady, obs_end, 0.0,
-                    serials[released[i]], serials[gid]);
-      }
-      rec->record(wt, obs::EventKind::kInFlight, obs_end, 0.0, 0,
-                  static_cast<std::uint64_t>(
-                      now_in_flight > 0 ? now_in_flight : 0));
+      rec->record(worker_track0 + widx, obs::EventKind::kRun, obs_run0,
+                  rec->now_ns() - obs_run0, serials[gid], 0);
     }
-    if (!released.empty()) enqueue(released.data(), released.size());
-    // Release so the load chain below (and the master's acquire reads of
-    // the final count) also see this task's bookkeeping writes.
-    const std::uint64_t now_completed =
-        completed.fetch_add(1, std::memory_order_release) + 1;
-    // Acquire pairs with the master's end-of-stream release store.
-    if (now_completed >= target.load(std::memory_order_acquire)) {
-      // Possibly the last task: wake everyone (workers exit, master stops
-      // waiting). `done` itself is flipped by the master.
-      qcv.notify_all();
-    }
+    stats.busy_ns += elapsed_ns(t0, t1);
+    stats.turnaround.add(elapsed_ns(submitted_at[gid], t1));
   }
 
   void worker_loop(std::uint32_t widx) {
-    // Bind this worker's track so layers below (resolver shard waits)
-    // attribute to it; inert when tracing is off.
-    const obs::ThreadTrackScope obs_scope(rec, worker_track0 + widx);
-    for (;;) {
-      std::uint64_t gid;
-      {
-        std::unique_lock<chk::Mutex> lock(qmu);
-        const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-        qcv.wait(lock, [this] { return done || !ready.empty(); });
-        if (ready.empty()) return;  // done and drained
-        gid = ready.front();
-        ready.pop_front();
-        ++running;
+    try {
+      std::uint64_t gid = 0;
+      while (handoff->claim(gid)) {
+        run_task(gid, widx);
+        handoff->post(widx, gid);
       }
-      run_one(gid, widx);
-      {
-        const std::lock_guard<chk::Mutex> lock(qmu);
-        const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-        --running;
+    } catch (...) {
+      // A throwing kernel or observer callback: keep the first error, stop
+      // the master and the other workers, and let run() rethrow it.
+      // Acq_rel: the winner alone writes worker_error.
+      if (!worker_failed.exchange(true, std::memory_order_acq_rel)) {
+        worker_error = std::current_exception();
       }
+      handoff->close();
     }
   }
 
-  /// Call with `qmu` held. True when the graph can never progress again:
-  /// tasks remain in flight but none is ready and no worker is mid-task —
-  /// grants only come out of run_one, so this state is permanent. It
-  /// cannot fire spuriously: a worker between claiming a task and
-  /// finishing its releases keeps `running` nonzero (a legitimately long
-  /// kernel therefore never trips it), and run_one enqueues released
-  /// dependants *before* the claiming worker drops `running`.
+  /// Pushes newly ready tasks to the workers. Master only.
+  // NEXUS_HOT_PATH
+  void make_ready(const std::uint64_t* gids, std::size_t count) {
+    if (count == 0) return;
+    handoff->push(gids, count);
+    made_ready += count;
+    const std::size_t depth = handoff->ready_depth();
+    queue_peak = std::max(queue_peak, depth);
+    if (rec != nullptr) {
+      rec->record(master_track, obs::EventKind::kReadyDepth, rec->now_ns(),
+                  0.0, 0, depth);
+    }
+  }
+
+  /// The Handle Finished step for one completed task: release its
+  /// accesses and make the dependants it was holding back ready. Master
+  /// only — no worker ever touches the resolver.
+  // NEXUS_HOT_PATH
+  void release(std::uint64_t gid) {
+    const double obs0 = rec != nullptr ? rec->now_ns() : 0.0;
+    resolver->finish(gid, grants);
+    --in_flight;
+    ++completed;
+    if (rec != nullptr) {
+      const double obs_end = rec->now_ns();
+      rec->record(master_track, obs::EventKind::kRelease, obs0,
+                  obs_end - obs0, serials[gid], 0);
+      rec->record(master_track, obs::EventKind::kFinish, obs_end, 0.0,
+                  serials[gid], 0);
+      // One grant instant per dependant this finish made runnable; the
+      // granter's serial is the edge the critical-path analysis walks.
+      for (const std::uint64_t granted : grants) {
+        rec->record(master_track, obs::EventKind::kReady, obs_end, 0.0,
+                    serials[granted], serials[gid]);
+      }
+      rec->record(master_track, obs::EventKind::kInFlight, obs_end, 0.0, 0,
+                  in_flight);
+    }
+    make_ready(grants.data(), grants.size());
+  }
+
+  /// Releases every completion the workers have posted; returns how many.
+  std::size_t drain() {
+    return handoff->drain([this](std::uint64_t gid) { release(gid); });
+  }
+
+  /// Tasks remain in flight, yet every task ever made ready has been
+  /// released: none is ready, running or posted, and only a release can
+  /// make another ready. Exact, because only the master does either.
   [[nodiscard]] bool wedged() const {
-    // Acquire: pairs with run_one's release decrement (predicate accuracy
-    // depends on seeing finishes that already released their tasks).
-    return ready.empty() && running == 0 &&
-           in_flight.load(std::memory_order_acquire) > 0;
+    return in_flight > 0 && made_ready == completed;
+  }
+
+  /// Waits for a worker to post a completion (or close the handoff). At
+  /// threads=1 there is no worker: run and release the oldest ready task
+  /// instead. Call only when !wedged().
+  void await_progress() {
+    if (!inline_mode) {
+      handoff->wait_for_completion();
+      return;
+    }
+    std::uint64_t gid = 0;
+    if (handoff->try_claim(gid)) {
+      run_task(gid, 0);
+      release(gid);
+    }
+  }
+
+  [[nodiscard]] std::string wedge_diagnosis() const {
+    return "internal deadlock: " + std::to_string(in_flight) +
+           " task(s) in flight but none ready or running";
   }
 };
 
@@ -235,19 +233,16 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
 
   Impl& im = *impl_;
   im.expected = stream->total_tasks();
-  // Relaxed: workers have not been spawned yet (thread creation orders
-  // this store before anything they run).
-  im.target.store(im.expected, std::memory_order_relaxed);
+  im.inline_mode = config_.threads == 1;
   im.observer = config_.observer;
   im.resolver = std::make_unique<ShardedResolver>(config_.resolver_config(),
                                                   im.expected);
+  im.handoff = std::make_unique<TaskHandoff>(
+      im.expected, im.inline_mode ? 0 : config_.threads);
   im.serials.resize(im.expected);
   im.exec_ns.resize(im.expected);
   im.submitted_at.resize(im.expected);
-  im.worker_busy.assign(config_.threads, 0.0);
-  im.worker_turnaround.assign(config_.threads, {});
-  im.finish_scratch.assign(config_.threads, {});
-  im.worker_units.assign(config_.threads, 0);
+  im.workers = std::vector<Impl::WorkerStats>(config_.threads);
   // Kernel state (stream buffers, matmul tiles) is built here, before any
   // worker thread exists: each body is then touched by exactly one worker.
   im.kernels.reserve(config_.threads);
@@ -272,7 +267,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   report.banks = config_.banks;
   report.sync_mode = config_.sync;
 
-  const bool inline_mode = config_.threads == 1;
   std::vector<std::thread> pool;
   // Fork/join happens-before edges for the race checker — without them a
   // checker session would flag the master's post-join reads of worker
@@ -280,17 +274,14 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   std::vector<chk::ThreadLink> links(config_.threads);
   // Shutdown is idempotent and runs on *every* exit path while workers
   // are live — including exceptions from the stream, observer callbacks
-  // or allocation failures. Unwinding past a joinable std::thread calls
-  // std::terminate, which would take the whole sweep process down instead
-  // of letting SweepDriver contain the point's failure.
+  // or allocation failures on the master. Unwinding past a joinable
+  // std::thread calls std::terminate, which would take the whole sweep
+  // process down instead of letting SweepDriver contain the point's
+  // failure. (Worker-side exceptions are caught in worker_loop and
+  // rethrown below.)
   const auto shutdown_pool = [&im, &pool, &links] {
     if (pool.empty()) return;
-    {
-      const std::lock_guard<chk::Mutex> lock(im.qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      im.done = true;
-    }
-    im.qcv.notify_all();
+    im.handoff->close();
     for (std::size_t w = 0; w < pool.size(); ++w) {
       if (pool[w].joinable()) {
         pool[w].join();
@@ -304,7 +295,7 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
     ~PoolGuard() { shutdown(); }
   };
   const PoolGuard pool_guard{shutdown_pool};
-  if (!inline_mode) {
+  if (!im.inline_mode) {
     pool.reserve(config_.threads);
     for (std::uint32_t w = 0; w < config_.threads; ++w) {
       chk::ThreadLink& link = links[w];
@@ -317,7 +308,7 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   }
 
   // The master binds its own track for resolver-level events raised while
-  // registering tasks (and, inline, while draining them).
+  // registering and releasing tasks.
   const obs::ThreadTrackScope obs_scope(rec, im.master_track);
 
   // Force the one-time spin calibration (>= 1 ms) before the clock starts:
@@ -336,9 +327,13 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
     report.diagnosis = std::move(why);
   };
 
-  // --- Master: pull, register, enqueue ---------------------------------------
+  // --- Master: release, pull, register, make ready ---------------------------
   std::uint64_t gid = 0;
   while (!report.deadlocked) {
+    // Completions posted since the last task go first: their releases free
+    // table space and make dependants ready before the next registration.
+    (void)im.drain();
+    if (im.handoff->closed()) break;  // a worker failed
     auto record = stream->next();
     if (!record.has_value()) break;
     if (gid >= im.expected) {
@@ -354,18 +349,10 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
     auto session = im.resolver->begin_submit(gid, record->serial, record->fn,
                                              std::move(record->params));
     const auto submit_start = Clock::now();
-    // Stamped before any shard sees the task: a dependant-free projection
-    // can be kicked ready (and start running) while later shards are still
-    // being registered, and the worker reads this timestamp.
+    // Read by the worker that runs the task, after the ready channel
+    // publishes it.
     im.submitted_at[gid] = submit_start;
     double task_stall_ns = 0.0;  // time not spent registering this task
-    // Set when a stall was observed with nothing in flight: one more
-    // advance() decides between "the last finish freed space between our
-    // two observations" (it races the in-flight counter) and a genuine
-    // capacity deadlock. Space freed by a finish is visible before its
-    // in-flight decrement, so a stall *after* reading in_flight == 0 is
-    // conclusive.
-    bool drained_retry = false;
     for (;;) {
       const double obs_seg0 = rec != nullptr ? rec->now_ns() : 0.0;
       const auto progress = session.advance();
@@ -380,52 +367,26 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
         abort_run("structural deadlock: " + session.failure());
         break;
       }
-      // Stalled on table/pool space. If nothing is in flight, no finish
-      // can ever free space: that is a capacity deadlock, not a wait.
+      // Stalled on table/pool space. Only a release frees space, and only
+      // this thread releases: drain what the workers posted, and wait for
+      // more only when nothing was.
       const auto stall_start = Clock::now();
       const double obs_stall0 = rec != nullptr ? rec->now_ns() : 0.0;
-      if (inline_mode && !im.ready.empty()) {
-        // Single thread: drain one ready task ourselves to free space.
-        const std::uint64_t next_gid = im.ready.front();
-        im.ready.pop_front();
-        im.run_one(next_gid, 0);
-      } else if (im.in_flight.load(std::memory_order_acquire) == 0) {
-        // (Acquire above pairs with run_one's release decrement: a zero
-        // read means every prior finish's freed space is visible to the
-        // re-driven advance(), which is what makes the diagnosis exact.)
-        if (!drained_retry) {
-          drained_retry = true;  // re-drive once against the drained state
-        } else {
+      if (im.drain() == 0) {
+        if (im.in_flight == 0) {
           abort_run("capacity deadlock: task " +
                     std::to_string(record->serial) +
                     " cannot be registered (dependence table / task pool "
                     "too small) and nothing is in flight to free space");
           break;
         }
-      } else {
-        drained_retry = false;
-        if (inline_mode) {
-          abort_run("internal deadlock: tasks in flight but none ready");
+        if (im.wedged()) {
+          abort_run(im.wedge_diagnosis());
           break;
         }
-        bool wedged;
-        {
-          const std::lock_guard<chk::Mutex> lock(im.qmu);
-          const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-          wedged = im.wedged();
-        }
-        if (wedged) {
-          // Would otherwise spin on wait_for_space forever: the contract
-          // is a diagnosis, never a hang.
-          // Relaxed: diagnostic text only.
-          abort_run("internal deadlock: " +
-                    std::to_string(im.in_flight.load(
-                        std::memory_order_relaxed)) +
-                    " task(s) in flight but none ready or running");
-          break;
-        }
-        im.resolver->wait_for_space(session.stalled_shard(),
-                                    std::chrono::microseconds(200));
+        im.await_progress();
+        if (im.handoff->closed()) break;
+        (void)im.drain();
       }
       task_stall_ns += elapsed_ns(stall_start, Clock::now());
       if (rec != nullptr) {
@@ -433,115 +394,71 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
                     rec->now_ns() - obs_stall0, record->serial, 0);
       }
     }
-    if (report.deadlocked) break;
+    if (report.deadlocked || im.handoff->closed()) break;
 
     const auto now = Clock::now();
     report.submit_stall_ns += task_stall_ns;
     report.submit_busy_ns += elapsed_ns(submit_start, now) - task_stall_ns;
-    // Relaxed: master is the only incrementer; visibility to workers
-    // rides the run-queue mutex taken by enqueue().
-    const std::int64_t now_in_flight =
-        im.in_flight.fetch_add(1, std::memory_order_relaxed) + 1;
+    ++im.in_flight;
     ++submitted;
     if (rec != nullptr) {
       const double obs_now = rec->now_ns();
       rec->record(im.master_track, obs::EventKind::kInFlight, obs_now, 0.0,
-                  0, static_cast<std::uint64_t>(now_in_flight));
+                  0, im.in_flight);
       if (session.ready()) {
         // Runnable straight from submission: no granting predecessor.
         rec->record(im.master_track, obs::EventKind::kReady, obs_now, 0.0,
                     record->serial, obs::kNoPred);
       }
     }
-    if (session.ready()) im.enqueue(&gid, 1);
+    if (session.ready()) im.make_ready(&gid, 1);
     ++gid;
   }
 
-  // Stream exhausted (or aborted): completions now end the run. Release
-  // pairs with the workers' acquire load in run_one — a worker that sees
-  // the final target also sees every submission behind it.
-  im.target.store(submitted, std::memory_order_release);
-
-  if (inline_mode) {
-    // Relaxed: single-threaded inline loop — this thread wrote the value.
-    while (im.completed.load(std::memory_order_relaxed) < submitted &&
-           !im.ready.empty()) {
-      const std::uint64_t next_gid = im.ready.front();
-      im.ready.pop_front();
-      im.run_one(next_gid, 0);
+  // --- Master: release the rest ----------------------------------------------
+  while (!report.deadlocked && im.completed < submitted &&
+         !im.handoff->closed()) {
+    if (im.drain() > 0) continue;
+    if (im.wedged()) {
+      abort_run(im.wedge_diagnosis());
+      break;
     }
-    if (!report.deadlocked &&
-        im.completed.load(std::memory_order_relaxed) < submitted) {
-      abort_run("internal deadlock: " +
-                std::to_string(submitted - im.completed.load(
-                                               std::memory_order_relaxed)) +
-                " task(s) never became ready");
-    }
-  } else {
-    // Wait for the workers to drain everything, polling the wedge
-    // predicate: if tasks remain but none is ready or running, the graph
-    // can never progress (a bug, not a capacity condition) and we abort
-    // with a diagnosis instead of hanging CI. A legitimately long kernel
-    // keeps `running` nonzero, so honoring arbitrary trace durations
-    // never trips this.
-    {
-      std::unique_lock<chk::Mutex> lock(im.qmu);
-      const util::LockRankGuard rank(util::LockDomain::kRunQueue);
-      // Acquire on `completed` pairs with the workers' release increments
-      // so exiting the wait implies every completion's writes are visible;
-      // `target` is this thread's own store (relaxed re-read).
-      while (im.completed.load(std::memory_order_acquire) <
-                 im.target.load(std::memory_order_relaxed) &&
-             !report.deadlocked) {
-        im.qcv.wait_for(lock, std::chrono::milliseconds(50));
-        if (im.wedged()) {
-          // Relaxed: diagnostic text only.
-          abort_run("internal deadlock: " +
-                    std::to_string(im.in_flight.load(
-                        std::memory_order_relaxed)) +
-                    " task(s) in flight but none ready or running");
-        }
-      }
-    }
-    shutdown_pool();
+    im.await_progress();
   }
+  shutdown_pool();
+  if (im.worker_error) std::rethrow_exception(im.worker_error);
 
   const double wall_ns = elapsed_ns(run_start, Clock::now());
 
   // --- Report -----------------------------------------------------------------
   report.tasks_submitted = submitted;
-  // Acquire: the final report must observe every worker's completion
-  // (workers are joined by now in pool mode, but the inline path and the
-  // deadlocked early exits read this count directly).
-  report.tasks_completed = im.completed.load(std::memory_order_acquire);
+  report.tasks_completed = im.completed;
   report.wall_ns = wall_ns;
   report.total_exec_ns = total_exec_ns;
   report.tasks_per_sec =
       wall_ns > 0.0
           ? static_cast<double>(report.tasks_completed) * 1e9 / wall_ns
           : 0.0;
-  report.worker_busy_ns = im.worker_busy;
-  report.worker_utilization.reserve(im.worker_busy.size());
+  report.worker_busy_ns.reserve(im.workers.size());
+  report.worker_utilization.reserve(im.workers.size());
   double busy_total = 0.0;
-  for (const double busy : im.worker_busy) {
-    report.worker_utilization.push_back(wall_ns > 0.0 ? busy / wall_ns : 0.0);
-    busy_total += busy;
+  for (const auto& stats : im.workers) {
+    report.worker_busy_ns.push_back(stats.busy_ns);
+    report.worker_utilization.push_back(
+        wall_ns > 0.0 ? stats.busy_ns / wall_ns : 0.0);
+    busy_total += stats.busy_ns;
+    report.turnaround_ns.merge(stats.turnaround);
+    report.kernel_work_units += stats.units;
   }
   report.avg_utilization =
       wall_ns > 0.0
           ? busy_total / (wall_ns * static_cast<double>(config_.threads))
           : 0.0;
-  for (const auto& stats : im.worker_turnaround) {
-    report.turnaround_ns.merge(stats);
-  }
   report.resolver = im.resolver->resolver_stats();
   report.tables = im.resolver->table_stats();
   report.sync = im.resolver->sync_stats();
   report.ready_queue_peak = im.queue_peak;
   report.kernel = config_.kernel.kind;
-  for (const std::uint64_t units : im.worker_units) {
-    report.kernel_work_units += units;
-  }
   if (!report.deadlocked && report.tasks_completed != report.tasks_expected) {
     report.deadlocked = true;
     report.diagnosis = "stream ended after " + std::to_string(submitted) +

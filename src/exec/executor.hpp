@@ -2,29 +2,33 @@
 // ThreadedExecutor: a real concurrent StarSs executor — the first backend
 // that *runs* task graphs on worker threads instead of simulating them.
 //
-// One master (the calling thread) pulls TaskRecords from any
-// trace::TaskStream in submission order and registers them with the
-// exec::ShardedResolver (core::Resolver semantics behind
-// BankPartition-keyed shard locks). Ready tasks go to a shared FIFO run
-// queue; `threads` workers pop them, execute a spin-calibrated synthetic
-// kernel honoring the record's exec_time, then release the task's accesses
-// — kicking dependants into the queue. Capacity stalls block the master
-// until finishes free space, exactly like the Write-TP/Check-Deps stalls
-// of the simulated Maestro; a stall that can never resolve (nothing left
-// in flight, or a structural limit) terminates the run with a deadlock
-// diagnosis instead of hanging.
+// The master (the calling thread) is the Task Maestro of the paper's
+// Fig. 2: it pulls TaskRecords from any trace::TaskStream in submission
+// order, registers them with the exec::ShardedResolver (core::Resolver
+// semantics behind BankPartition-keyed shards), and is the only thread
+// that ever touches the resolver. Ready tasks go out over a TaskHandoff
+// (exec/handoff.hpp); `threads` workers claim them, execute a kernel
+// honoring the record's exec_time, and post the finished ids back. The
+// master drains those completions — releasing each task's accesses and
+// making its dependants ready, as the Maestro's Handle Finished block does
+// — before every submission, whenever registration stalls on table or
+// pool space, and after the stream ends. A stall that can never resolve
+// (nothing left in flight, or a structural limit) terminates the run with
+// a deadlock diagnosis instead of hanging.
 //
-// threads == 1 runs a fully inline master-worker loop on the calling
-// thread: no concurrency, hence a *stable, reproducible completion order*
-// — the determinism anchor the multi-threaded runs are differentially
-// tested against (same GraphOracle-validated partial order, arbitrary
-// interleaving).
+// threads == 1 spawns no worker: the master runs the oldest ready task
+// itself wherever it would otherwise wait. No concurrency, hence a
+// *stable, reproducible completion order* — the determinism anchor the
+// multi-threaded runs are differentially tested against (same
+// GraphOracle-validated partial order, arbitrary interleaving).
 //
 // The report carries real wall-clock results (tasks/sec, per-worker
 // utilization, shard-lock contention) next to the structural/hazard
 // telemetry shared with the simulated engines; ordering evidence flows
 // through core::ExecutionObserver (on_completed fires before accesses are
-// released, so recorded completion order is always oracle-checkable).
+// released, so recorded completion order is always oracle-checkable). An
+// exception thrown by a kernel or an observer callback on a worker stops
+// the run and is rethrown from run() once the pool is joined.
 
 #include <cstdint>
 #include <memory>
@@ -91,13 +95,17 @@ struct ExecReport {
   double wall_ns = 0.0;        ///< run start to last completion
   double tasks_per_sec = 0.0;  ///< completed / wall seconds
   double total_exec_ns = 0.0;  ///< sum of kernel spin budgets (scaled)
-  std::vector<double> worker_busy_ns;     ///< per worker: kernel + release
-  std::vector<double> worker_utilization; ///< per worker: busy / wall
+  /// Per worker: time inside task kernels. Releases run on the master
+  /// and are not part of it.
+  std::vector<double> worker_busy_ns;
+  std::vector<double> worker_utilization;  ///< per worker: kernel / wall
   double avg_utilization = 0.0;
   /// Per-task turnaround (registration to kernel completion), wall ns.
   util::RunningStats turnaround_ns;
   double submit_busy_ns = 0.0;   ///< master time registering tasks
-  double submit_stall_ns = 0.0;  ///< master time blocked on table space
+  /// Master time stalled on table space: releasing posted completions
+  /// and waiting for more (at threads=1, running tasks itself).
+  double submit_stall_ns = 0.0;
 
   // --- Resolution telemetry (same meaning as the simulated engines') --------
   core::Resolver::Stats resolver;
@@ -123,7 +131,8 @@ class ThreadedExecutor {
   ~ThreadedExecutor();
 
   /// Executes the whole stream; returns when every task has completed or a
-  /// deadlock was diagnosed. Throws std::logic_error on reuse.
+  /// deadlock was diagnosed. Throws std::logic_error on reuse, and
+  /// rethrows the first exception a worker raised.
   [[nodiscard]] ExecReport run(std::unique_ptr<trace::TaskStream> stream);
 
   [[nodiscard]] const ExecConfig& config() const noexcept { return config_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <condition_variable>
 #include <mutex>
 #include <stdexcept>
 
@@ -105,8 +104,6 @@ class ShardedResolver::ShardOps {
   /// caller's job).
   virtual void finish_local(core::TaskId task,
                             std::vector<GlobalId>& granted) = 0;
-
-  virtual void wait_for_space(std::chrono::nanoseconds timeout) = 0;
 
   [[nodiscard]] virtual SyncStats sync_stats() const = 0;
   [[nodiscard]] virtual const ShardState& state() const = 0;
@@ -230,20 +227,8 @@ class MutexShardOps final : public ShardedResolver::ShardOps {
   // NEXUS_HOT_PATH
   void finish_local(core::TaskId task,
                     std::vector<GlobalId>& granted) override {
-    {
-      const auto lock = lock_shard();
-      shared_finish_local(state_, task, granted);
-    }
-    // Freed pool slots and (possibly) table entries: wake stalled submits.
-    space_cv_.notify_all();
-  }
-
-  void wait_for_space(std::chrono::nanoseconds timeout) override {
-    std::unique_lock<chk::Mutex> lock(mu_);
-    // Rank-tracked like lock_shard (the guard spans the wait: the thread
-    // does nothing else while blocked, so the record never misleads).
-    util::LockRankGuard rank(util::LockDomain::kShard);
-    space_cv_.wait_for(lock, timeout);
+    const auto lock = lock_shard();
+    shared_finish_local(state_, task, granted);
   }
 
   [[nodiscard]] SyncStats sync_stats() const override {
@@ -284,24 +269,20 @@ class MutexShardOps final : public ShardedResolver::ShardOps {
 
   ShardState state_;
   chk::Mutex mu_;
-  chk::CondVar space_cv_;
   chk::Atomic<std::uint64_t> acquisitions_{0};
   chk::Atomic<std::uint64_t> contentions_{0};
 };
 
 // --- sync=lockfree -----------------------------------------------------------
 
-/// Combiner-published free-descriptor-slot count, versioned per combining
-/// batch. Producers claim admission from it wait-free (CAS decrement) and
-/// stalled submitters watch the version for change; the combiner swaps in
-/// a fresh authoritative snapshot after every batch and retires the old
-/// one through the epoch domain — the canonical EBR read pattern (readers
-/// dereference under a Guard, no lock anywhere).
+/// Combiner-published free-descriptor-slot count. Producers claim
+/// admission from it wait-free (CAS decrement); the combiner swaps in a
+/// fresh authoritative snapshot after every batch that moved the count and
+/// retires the old one through the epoch domain — the canonical EBR read
+/// pattern (readers dereference under a Guard, no lock anywhere).
 struct SpaceSnapshot {
-  SpaceSnapshot(std::int64_t free, std::uint64_t version)
-      : free_slots(free), version(version) {}
+  explicit SpaceSnapshot(std::int64_t free) : free_slots(free) {}
   chk::Atomic<std::int64_t> free_slots;
-  std::uint64_t version;
 };
 
 struct ShardRequest : SyncRequest {
@@ -336,7 +317,7 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
                    EpochDomain& epoch)
       : state_(cfg, shard_id, pool_capacity, table_capacity),
         epoch_(&epoch),
-        space_(new SpaceSnapshot(pool_capacity, 0)) {}
+        space_(new SpaceSnapshot(pool_capacity)) {}
 
   ~LockFreeShardOps() override {
     // The live snapshot is never epoch-retired (only superseded ones are);
@@ -425,32 +406,6 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
     }
   }
 
-  void wait_for_space(std::chrono::nanoseconds timeout) override {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    std::uint64_t start_version = 0;
-    {
-      EpochDomain::Guard guard(*epoch_);
-      start_version = space_.load(std::memory_order_seq_cst)->version;
-    }
-    Backoff backoff;
-    for (;;) {
-      {
-        EpochDomain::Guard guard(*epoch_);
-        SpaceSnapshot* snap = space_.load(std::memory_order_seq_cst);
-        util::assert_epoch_guard("SpaceSnapshot deref (wait_for_space)");
-        // Schedcheck: plain deref of epoch-managed memory — recorded so
-        // reclaim_check can prove the pin really protected it.
-        chk::plain_read(&snap->version);
-        if (snap->version != start_version ||
-            snap->free_slots.load(std::memory_order_relaxed) > 0) {
-          return;
-        }
-      }
-      if (std::chrono::steady_clock::now() >= deadline) return;
-      backoff.pause();
-    }
-  }
-
   [[nodiscard]] SyncStats sync_stats() const override {
     SyncStats out;
     const auto queue = queue_.stats();
@@ -519,11 +474,10 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
     queue_.release_combiner();
   }
 
-  /// Combiner flag must be held (space_version_ is combiner-owned).
-  /// Skips the allocation + swap when the live snapshot already carries
-  /// the authoritative count (typical after a submit-only batch, where
-  /// the producer's claim pre-decremented exactly what insert consumed):
-  /// waiters only need a version bump when the count actually moved.
+  /// Combiner flag must be held. Skips the allocation + swap when the
+  /// live snapshot already carries the authoritative count (typical after
+  /// a submit-only batch, where the producer's claim pre-decremented
+  /// exactly what insert consumed).
   void publish_space_if_stale() {
     SpaceSnapshot* snap = space_.load(std::memory_order_relaxed);
     if (snap->free_slots.load(std::memory_order_relaxed) ==
@@ -537,8 +491,7 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
     // One snapshot per combining *batch* — the audited allocation rate.
     util::AllowAllocScope allow("publish_space snapshot");
     auto* fresh = new SpaceSnapshot(
-        static_cast<std::int64_t>(state_.pool.free_slot_count()),
-        ++space_version_);
+        static_cast<std::int64_t>(state_.pool.free_slot_count()));
     SpaceSnapshot* old = space_.exchange(fresh, std::memory_order_seq_cst);
     epoch_->retire(old);
   }
@@ -636,7 +589,6 @@ class LockFreeShardOps final : public ShardedResolver::ShardOps {
   /// finishes bounds limbo growth without paying the scan on every op).
   chk::Atomic<std::uint64_t> finish_count_{0};
   /// Combiner-owned (guarded by the combiner flag).
-  std::uint64_t space_version_ = 0;
   std::vector<GlobalId> combiner_scratch_;
 };
 
@@ -759,10 +711,7 @@ ShardedResolver::Progress ShardedResolver::SubmitSession::advance() {
     } else {
       result = ops.submit_group(gid_, serial_, fn_, params, local, param_);
     }
-    if (result.progress == Progress::kStalled) {
-      stalled_shard_ = shard_id;
-      return Progress::kStalled;
-    }
+    if (result.progress == Progress::kStalled) return Progress::kStalled;
     if (result.progress == Progress::kStructural) {
       failure_ = std::move(result.failure);
       return Progress::kStructural;
@@ -821,11 +770,6 @@ void ShardedResolver::finish(GlobalId gid, std::vector<GlobalId>& now_ready) {
   }
   // Shrink only — never reallocates.  // nexus-lint: allow(hot-path-alloc)
   now_ready.resize(keep);
-}
-
-void ShardedResolver::wait_for_space(std::uint32_t shard_id,
-                                     std::chrono::nanoseconds timeout) {
-  shards_.at(shard_id)->wait_for_space(timeout);
 }
 
 ShardedResolver::SyncStats ShardedResolver::sync_stats() const {

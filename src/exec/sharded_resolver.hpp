@@ -53,7 +53,6 @@
 // reported as such.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -135,10 +134,6 @@ class ShardedResolver {
     /// either at kDone or never (a later finish() reports the task ready
     /// instead). Exactly one of the two paths fires per task.
     [[nodiscard]] bool ready() const noexcept { return ready_; }
-    /// Shard that reported kStalled (wait_for_space target).
-    [[nodiscard]] std::uint32_t stalled_shard() const noexcept {
-      return stalled_shard_;
-    }
     [[nodiscard]] const std::string& failure() const noexcept {
       return failure_;
     }
@@ -160,7 +155,6 @@ class ShardedResolver {
     std::vector<std::pair<std::uint32_t, std::vector<core::Param>>> groups_;
     std::size_t group_ = 0;  ///< current group cursor
     std::size_t param_ = 0;  ///< next parameter within the current group
-    std::uint32_t stalled_shard_ = 0;
     std::string failure_;
     bool ready_ = false;
   };
@@ -178,13 +172,11 @@ class ShardedResolver {
   /// one critical section at a time), frees its shard-local descriptors,
   /// and fills `now_ready` (cleared first) with the global tasks that
   /// became fully ready. The buffer is caller-owned so the release hot
-  /// path never allocates — workers reuse one per thread. Thread-safe;
-  /// callable from any worker. Never needs new table space.
+  /// path never allocates — a caller reuses one across calls. Thread-safe
+  /// (ThreadedExecutor calls it from its master only, which frees the
+  /// space a stalled SubmitSession waits for). Never needs new table
+  /// space.
   void finish(GlobalId gid, std::vector<GlobalId>& now_ready);
-
-  /// Blocks until `timeout` elapses or a finish() frees space in `shard`
-  /// (may wake spuriously — re-drive the session to find out).
-  void wait_for_space(std::uint32_t shard, std::chrono::nanoseconds timeout);
 
   // --- Telemetry (sums over shards; exact only when quiescent) ----------------
 

@@ -14,9 +14,21 @@
 // the VDSO. Calibration happens once per process, on first use, and is
 // thread-safe.
 
+#include <atomic>
 #include <cstdint>
 
 namespace nexuspp::exec {
+
+/// Architectural spin hint (PAUSE/YIELD); compiler barrier elsewhere.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
 
 /// Busy-spins (never sleeps, never yields) for approximately `ns` wall
 /// nanoseconds. ns == 0 returns immediately.

@@ -27,19 +27,9 @@
 #include <thread>
 
 #include "chk/chk.hpp"
+#include "exec/spin.hpp"  // cpu_relax
 
 namespace nexuspp::exec {
-
-/// Architectural spin hint (PAUSE/YIELD); compiler barrier elsewhere.
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#else
-  std::atomic_signal_fence(std::memory_order_seq_cst);
-#endif
-}
 
 /// Escalating wait: brief pause bursts, then scheduler yields, then short
 /// sleeps. The yield/sleep stages are load-bearing on oversubscribed hosts

@@ -13,7 +13,7 @@
 //   one-critical-section-at-a-time design depends on it: cross-shard
 //   atomicity is never needed *because* no operation spans two shards),
 //   (b) no thread holds a shard mutex and the executor's run-queue
-//   mutex at once (either order — the pair is what would make a
+//   (park) mutex at once (either order — the pair is what would make a
 //   lock-cycle possible at all), and (c) the schedcheck runtime's
 //   internal lock (kChk) is a leaf: instrumentation hooks fire *inside*
 //   shard / run-queue critical sections, so kChk may be taken while
@@ -46,7 +46,7 @@ namespace nexuspp::util {
 /// lowest so a future ordered-rank rule can drop in without re-ranking.
 enum class LockDomain : int {
   kShard = 0,     ///< a ShardedResolver shard mutex
-  kRunQueue = 1,  ///< ThreadedExecutor's run-queue mutex
+  kRunQueue = 1,  ///< the executor's run-queue park lock (TaskHandoff)
   kChk = 2,       ///< schedcheck runtime internals (src/chk session state)
 };
 

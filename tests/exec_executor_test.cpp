@@ -2,7 +2,8 @@
 // execution order across thread counts, bank (lock-shard) counts, both
 // match modes and several seeds; single-thread determinism; behaviour
 // under core oversubscription; capacity/structural deadlock diagnosis;
-// and the registry/report contract of the engine adapter.
+// master-only release; worker exceptions; and the registry/report
+// contract of the engine adapter.
 //
 // The correctness claim differs from the simulated engines': reports are
 // wall-clock measurements (never bit-identical), so what is asserted is
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -27,6 +29,7 @@
 #include "engine/registry.hpp"
 #include "exec/executor.hpp"
 #include "exec/spin.hpp"
+#include "obs/timeline.hpp"
 #include "trace/io.hpp"
 #include "trace/trace.hpp"
 #include "workloads/library.hpp"
@@ -338,6 +341,100 @@ TEST(ExecThreads, StructuralKickOffOverflowIsDiagnosed) {
   EXPECT_TRUE(report.deadlocked);
   EXPECT_NE(report.diagnosis.find("structural"), std::string::npos)
       << report.diagnosis;
+}
+
+// --- Division of labour: workers run, the master releases --------------------
+
+TEST(ExecThreads, OnlyTheMasterReleasesTasks) {
+  // Nexus++ workers hand finished task ids back to the Task Maestro, whose
+  // Handle Finished block alone updates the tables. With the master as the
+  // resolver's only caller, no shard lock is ever contended, and the
+  // timeline carries every release span on the master track.
+  const auto tasks = small_dag(11, 2000);
+  engine::EngineParams params;
+  params.threads = 4;
+  params.banks = 4;
+  params.sync = exec::SyncMode::kMutex;
+  const auto& registry = engine::EngineRegistry::builtins();
+  const auto run = [&](const engine::EngineParams& p) {
+    const auto report = registry.make("exec-threads", p)->run(
+        std::make_unique<trace::VectorStream>(
+            std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+    EXPECT_FALSE(report.deadlocked) << report.diagnosis;
+    EXPECT_EQ(report.tasks_completed, tasks.size());
+    return report;
+  };
+
+  const auto plain = run(params);
+  EXPECT_GT(plain.exec_lock_acquisitions, 0u);
+  EXPECT_EQ(plain.exec_lock_contentions, 0u);
+
+  engine::EngineParams traced_params = params;
+  traced_params.timeline.enabled = true;
+  traced_params.timeline.events_per_track =
+      static_cast<std::uint32_t>(16 * tasks.size());
+  const auto traced = run(traced_params);
+  ASSERT_NE(traced.timeline.data, nullptr);
+  EXPECT_EQ(traced.timeline.data->total_dropped(), 0u);
+  std::uint64_t master_releases = 0;
+  std::uint64_t other_releases = 0;
+  std::uint64_t lock_waits = 0;
+  for (const auto& track : traced.timeline.data->tracks) {
+    for (const auto& event : track.events) {
+      if (event.kind == obs::EventKind::kRelease) {
+        ++(track.name == "master" ? master_releases : other_releases);
+      }
+      if (event.kind == obs::EventKind::kLockWait) ++lock_waits;
+    }
+  }
+  EXPECT_EQ(master_releases, tasks.size());
+  EXPECT_EQ(other_releases, 0u);
+  EXPECT_EQ(lock_waits, 0u);
+}
+
+// --- Worker failures ------------------------------------------------------------
+
+/// Throws from on_completed for one task — on a worker thread whenever the
+/// pool runs it.
+class ThrowingObserver final : public core::ExecutionObserver {
+ public:
+  explicit ThrowingObserver(std::uint64_t serial) : serial_(serial) {}
+
+  void on_completed(std::uint64_t serial, std::uint32_t worker) override {
+    (void)worker;
+    if (serial == serial_) {
+      throw std::runtime_error("observer failed on task " +
+                               std::to_string(serial));
+    }
+  }
+
+ private:
+  std::uint64_t serial_;
+};
+
+TEST(ExecThreads, WorkerExceptionIsRethrown) {
+  // A throwing callback (or kernel) on a worker must not escape the thread
+  // and terminate the process: run() stops the pool and rethrows it.
+  const auto tasks = small_dag(3, 400);
+  for (const std::uint32_t threads : {2u, 8u}) {
+    SCOPED_TRACE(threads);
+    ThrowingObserver observer(tasks[tasks.size() / 2].serial);
+    exec::ExecConfig cfg;
+    cfg.threads = threads;
+    cfg.banks = 2;
+    cfg.duration_scale = 0.01;
+    cfg.observer = &observer;
+    exec::ThreadedExecutor executor(cfg);
+    try {
+      (void)executor.run(std::make_unique<trace::VectorStream>(
+          std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+      ADD_FAILURE() << "run() returned although a worker threw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("observer failed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // --- Engine adapter / registry contract ---------------------------------------

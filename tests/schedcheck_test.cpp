@@ -10,9 +10,9 @@
 //     purge-on-reclaim) — the checker is pure logic over those ids.
 //   * ScheduleController tests pin determinism (same seed -> same trace),
 //     seed sensitivity, and the deadlock / step-limit diagnoses.
-//   * Workload sweeps run DelegationQueue MPSC, EpochDomain reclamation
-//     and ShardedResolver submit/finish chains over seed sets and demand
-//     completion with zero race reports.
+//   * Workload sweeps run DelegationQueue MPSC, EpochDomain reclamation,
+//     ShardedResolver submit/finish chains and the executor's TaskHandoff
+//     over seed sets and demand completion with zero race reports.
 //   * The mutant test flips chk::Faults::publish_local_id_late, proves a
 //     bounded schedule budget finds the reintroduced race, and replays
 //     the found seed to the bit-identical trace and report signature.
@@ -52,6 +52,8 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 
 #else  // NEXUSPP_SCHEDCHECK
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -67,6 +69,7 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 #include "chk/session.hpp"
 #include "core/types.hpp"
 #include "exec/epoch.hpp"
+#include "exec/handoff.hpp"
 #include "exec/sharded_resolver.hpp"
 #include "exec/sync_queue.hpp"
 
@@ -547,6 +550,78 @@ TEST(SchedExploration, LockFreeResolverChainIsRaceFree) {
     }
     // The resolver (and its epoch domain) tears down after the session:
     // main never synchronized with the schedule's threads.
+  }
+}
+
+/// The executor's run queue (exec::TaskHandoff) on its own: one master
+/// pushes kTasks ids (the first alone, then in pairs), drains completions
+/// and waits when none is posted; two workers claim, "run" and post back.
+/// Every wait here can park, and a parked thread wakes only on a notify
+/// (chk::CondVar under a controller), so a lost wake-up ends the schedule
+/// as a diagnosed deadlock.
+struct HandoffWorkload {
+  static constexpr std::uint64_t kTasks = 6;
+
+  [[nodiscard]] std::vector<std::function<void()>> threads() {
+    const auto master = [this] {
+      std::uint64_t pushed = 0;
+      std::uint64_t drained = 0;
+      const auto on_done = [this, &drained](std::uint64_t id) {
+        chk::plain_write(&drains[id]);
+        ++drains[id];
+        ++drained;
+      };
+      while (drained < kTasks) {
+        if (pushed < kTasks) {
+          const std::uint64_t ids[2] = {pushed, pushed + 1};
+          const std::uint64_t count =
+              pushed == 0 ? 1 : std::min<std::uint64_t>(2, kTasks - pushed);
+          handoff.push(ids, count);
+          pushed += count;
+        }
+        if (handoff.drain(on_done) == 0 && pushed == kTasks &&
+            drained < kTasks) {
+          handoff.wait_for_completion();
+        }
+      }
+      handoff.close();
+    };
+    const auto worker = [this](std::uint32_t index) {
+      return [this, index] {
+        std::uint64_t id = 0;
+        while (handoff.claim(id)) {
+          chk::plain_write(&claims[id]);
+          ++claims[id];
+          handoff.post(index, id);
+        }
+      };
+    };
+    return {master, worker(0), worker(1)};
+  }
+
+  exec::TaskHandoff handoff{kTasks, 2};
+  std::array<std::uint32_t, kTasks> claims{};
+  std::array<std::uint32_t, kTasks> drains{};
+};
+
+TEST(SchedExploration, TaskHandoffIsRaceFreeAndLosesNoWakeup) {
+  for (const auto& policy : sweep_policies(60, 20)) {
+    HandoffWorkload workload;
+    RaceChecker checker;
+    {
+      ScheduleController controller(policy);
+      chk::SessionScope scope(&controller, &checker);
+      const auto outcome = controller.run(workload.threads());
+      ASSERT_TRUE(outcome.completed())
+          << controller.seed_banner() << ": " << outcome.diagnosis;
+      EXPECT_TRUE(checker.reports().empty())
+          << "seed " << policy.seed << ": "
+          << checker.reports()[0].to_string();
+    }
+    for (std::uint64_t id = 0; id < HandoffWorkload::kTasks; ++id) {
+      EXPECT_EQ(workload.claims[id], 1u) << "seed " << policy.seed;
+      EXPECT_EQ(workload.drains[id], 1u) << "seed " << policy.seed;
+    }
   }
 }
 
