@@ -1,9 +1,9 @@
 // Microbenchmarks of the building blocks (google-benchmark):
 //
-//   * Dependence Table: construction at the executor's per-shard size,
+//   * Dependence Table: construction at the executor's default size,
 //     insert/lookup/erase cycles, kick-off append/pop including dummy-entry
 //     overflow
-//   * Task Pool: construction at the executor's per-shard size, insert/free
+//   * Task Pool: construction at the executor's default size, insert/free
 //     with and without dummy-task chains
 //   * Resolver: full submit+finish cycles (hardware structures) vs the
 //     unbounded GraphOracle (software structures) — the "fewer resources
@@ -29,11 +29,11 @@
 namespace nexuspp {
 namespace {
 
-/// One exec-threads shard's table (65 536 entries over 4 shards, 8 ids per
-/// kick-off list): the per-run construction cost every Engine::run pays.
+/// The exec-threads master's table (65 536 entries, 8 ids per kick-off
+/// list): part of the per-run construction cost every Engine::run pays.
 void BM_DependenceTable_Construct(benchmark::State& state) {
   for (auto _ : state) {
-    core::DependenceTable dt({16384, 8});
+    core::DependenceTable dt({65536, 8});
     benchmark::DoNotOptimize(dt);
     benchmark::ClobberMemory();
   }
@@ -79,11 +79,11 @@ void BM_DependenceTable_KickoffOverflow(benchmark::State& state) {
 }
 BENCHMARK(BM_DependenceTable_KickoffOverflow)->Arg(8)->Arg(64)->Arg(512);
 
-/// One exec-threads shard's pool (16 384 descriptors over 4 shards, 8
-/// parameters each).
+/// The exec-threads master's pool (16 384 descriptors, 8 parameters
+/// each).
 void BM_TaskPool_Construct(benchmark::State& state) {
   for (auto _ : state) {
-    core::TaskPool tp({4096, 8});
+    core::TaskPool tp({16384, 8});
     benchmark::DoNotOptimize(tp);
     benchmark::ClobberMemory();
   }

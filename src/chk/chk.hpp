@@ -2,12 +2,12 @@
 // chk: the schedule-exploration / race-checking instrumentation seam
 // (layer 5 of docs/CORRECTNESS.md).
 //
-// Every synchronization operation the lock-free resolver layer performs —
-// atomic load/store/RMW/CAS, mutex acquire/release, condition-variable
-// wait/notify, epoch pin/unpin — goes through the thin wrappers below
-// instead of the raw std primitives (enforced by the
-// `chk-instrumented-sync` lint rule over src/exec). The wrappers are the
-// *only* coupling between production code and the checking runtime:
+// Every synchronization operation the exec layer performs — atomic
+// load/store/RMW/CAS, mutex acquire/release, condition-variable
+// wait/notify — goes through the thin wrappers below instead of the raw
+// std primitives (enforced by the `chk-instrumented-sync` lint rule over
+// src/exec). The wrappers are the *only* coupling between production code
+// and the checking runtime:
 //
 //   NEXUSPP_SCHEDCHECK off (default) — chk::Atomic<T> IS std::atomic<T>
 //   (a type alias, not a wrapper), chk::Mutex IS std::mutex, and every
@@ -27,7 +27,7 @@
 //
 // The hooks capture std::source_location at the call site (default
 // argument), so race reports point at the operation in executor.cpp /
-// sharded_resolver.cpp, not at this header.
+// handoff.hpp, not at this header.
 
 #include <atomic>
 #include <condition_variable>
@@ -54,9 +54,6 @@ enum class OpKind : std::uint8_t {
   kCondNotify,
   kPlainRead,   ///< annotated non-atomic read (protocol-protected data)
   kPlainWrite,  ///< annotated non-atomic write
-  kEpochPin,    ///< EpochDomain::Guard construction
-  kEpochUnpin,
-  kReclaim,     ///< epoch reclamation freeing an object
   kYield,       ///< cooperative backoff / blocked wait
 };
 
@@ -102,14 +99,8 @@ void mutex_acquired(const void* mutex, const std::source_location& loc);
 void mutex_released(const void* mutex, const std::source_location& loc);
 void plain_access(const void* addr, bool is_write,
                   const std::source_location& loc);
-void reclaim(const void* base, std::size_t len,
-             const std::source_location& loc);
 void fork_capture(std::uint64_t* clock_out);
 void fork_adopt(const std::uint64_t* clock_in);
-
-// Thread-local abort-shield depth (see AbortShield below).
-void push_abort_shield() noexcept;
-void pop_abort_shield() noexcept;
 
 [[nodiscard]] inline bool is_acquire(std::memory_order mo) noexcept {
   return mo == std::memory_order_acquire || mo == std::memory_order_acq_rel ||
@@ -364,10 +355,9 @@ class ThreadLink {
 };
 
 /// Annotates a protocol-protected *non-atomic* access: data the design
-/// serializes via a mutex, the combiner flag, or the epoch protocol
-/// rather than via atomics (shard state, task-node local-id slots, the
-/// delegation ring's request pointers). These are the accesses the
-/// happens-before checker actually races-checks.
+/// publishes through an atomic or a mutex rather than holding in one (the
+/// run queue's ready slots and completion logs). These are the accesses
+/// the happens-before checker actually race-checks.
 inline void plain_read(const void* addr,
                        std::source_location loc =
                            std::source_location::current()) {
@@ -382,41 +372,7 @@ inline void plain_write(const void* addr,
   detail::plain_access(addr, true, loc);
 }
 
-/// Call before freeing epoch-reclaimed memory: verifies every recorded
-/// access to [base, base+len) happens-before the reclaiming thread (a
-/// violation is a use-after-reclaim — the epoch protocol failed), then
-/// retires the shadow state so a reused address cannot alias old history.
-inline void reclaim_check(const void* base, std::size_t len,
-                          std::source_location loc =
-                              std::source_location::current()) {
-  detail::point(OpKind::kReclaim, base, loc);
-  detail::reclaim(base, len, loc);
-}
-
-/// Scheduling-only note (no happens-before effect): epoch pin/unpin and
-/// similar protocol landmarks worth a preemption opportunity + trace row.
-inline void sync_note(OpKind op, const void* addr,
-                      std::source_location loc =
-                          std::source_location::current()) {
-  detail::point(op, addr, loc);
-}
-
-/// RAII scope in which scheduling points swallow the controller's abort
-/// instead of throwing ScheduleAbort. Required around instrumented
-/// operations reached from destructors — implicitly noexcept, so a
-/// thrown abort would std::terminate (EpochDomain::Guard unpinning is
-/// the canonical site). The operations themselves still execute; the
-/// thread keeps cleaning up and exits the schedule at its next
-/// unshielded point or by finishing.
-class AbortShield {
- public:
-  AbortShield() noexcept { detail::push_abort_shield(); }
-  ~AbortShield() { detail::pop_abort_shield(); }
-  AbortShield(const AbortShield&) = delete;
-  AbortShield& operator=(const AbortShield&) = delete;
-};
-
-/// Cooperative replacement for one Backoff::pause round. Returns true
+/// Cooperative replacement for one spin-wait round. Returns true
 /// when a controller absorbed the wait (the caller should skip its
 /// spin/yield/sleep — wall-clock waits would desynchronize replay).
 inline bool spin_yield(std::source_location loc =
@@ -436,14 +392,13 @@ inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 [[nodiscard]] std::uint32_t schedule_thread_id() noexcept;
 
 /// Compiled-in fault toggles for the schedcheck harness. Each fault
-/// reintroduces a fixed historical bug so the explorer can prove it
-/// would have caught it (and so seed replay has a stable target).
+/// reintroduces a known race so the explorer can prove it would catch it
+/// (and so seed replay has a stable target).
 struct Faults {
-  /// PR 6's publication race: the per-group local-id cursor written
-  /// *after* the shard critical section instead of inside it, so a
-  /// concurrent finish can grant a task before its local id is visible.
-  [[nodiscard]] static bool publish_local_id_late() noexcept;
-  static void set_publish_local_id_late(bool on) noexcept;
+  /// TaskHandoff::push publishes the ready tail before it stores the
+  /// slots, so a worker can claim a slot whose id is not written yet.
+  [[nodiscard]] static bool publish_ready_tail_early() noexcept;
+  static void set_publish_ready_tail_early(bool on) noexcept;
 };
 
 }  // namespace nexuspp::chk
@@ -466,18 +421,7 @@ class ThreadLink {
 
 inline void plain_read(const void*) noexcept {}
 inline void plain_write(const void*) noexcept {}
-inline void reclaim_check(const void*, std::size_t) noexcept {}
-inline void sync_note(OpKind, const void*) noexcept {}
 inline bool spin_yield() noexcept { return false; }
-
-class AbortShield {
- public:
-  // User-provided (not defaulted) so an unused shield local does not
-  // trip -Wunused-variable; still compiles to nothing.
-  AbortShield() noexcept {}
-  AbortShield(const AbortShield&) = delete;
-  AbortShield& operator=(const AbortShield&) = delete;
-};
 
 inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 [[nodiscard]] inline constexpr std::uint32_t schedule_thread_id() noexcept {
@@ -485,7 +429,7 @@ inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 }
 
 struct Faults {
-  [[nodiscard]] static constexpr bool publish_local_id_late() noexcept {
+  [[nodiscard]] static constexpr bool publish_ready_tail_early() noexcept {
     return false;
   }
 };

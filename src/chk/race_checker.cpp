@@ -21,9 +21,6 @@ const char* to_string(OpKind kind) noexcept {
     case OpKind::kCondNotify: return "cond-notify";
     case OpKind::kPlainRead: return "plain-read";
     case OpKind::kPlainWrite: return "plain-write";
-    case OpKind::kEpochPin: return "epoch-pin";
-    case OpKind::kEpochUnpin: return "epoch-unpin";
-    case OpKind::kReclaim: return "reclaim";
     case OpKind::kYield: return "yield";
   }
   return "?";
@@ -36,7 +33,6 @@ const char* kind_name(RaceReport::Kind kind) {
     case RaceReport::Kind::kWriteWrite: return "write-write race";
     case RaceReport::Kind::kWriteRead: return "write-read race";
     case RaceReport::Kind::kReadWrite: return "read-write race";
-    case RaceReport::Kind::kUseAfterReclaim: return "use-after-reclaim";
   }
   return "?";
 }
@@ -131,24 +127,18 @@ bool RaceChecker::emit(RaceReport::Kind kind, const void* addr,
   return true;
 }
 
-void RaceChecker::on_acquire(std::uint32_t tid, const void* addr, OpKind op,
-                             const char* file, std::uint32_t line) {
+void RaceChecker::on_acquire(std::uint32_t tid, const void* addr,
+                             OpKind /*op*/, const char* /*file*/,
+                             std::uint32_t /*line*/) {
   tick(tid);
-  auto& shadow = atomics_[addr];
-  threads_[tid].vc.join(shadow.release_vc);
-  auto& stamp = shadow.accesses[tid];
-  stamp = {threads_[tid].vc.c[tid], file, line, op, threads_[tid].lockset,
-           true};
+  threads_[tid].vc.join(atomics_[addr]);
 }
 
-void RaceChecker::on_release(std::uint32_t tid, const void* addr, OpKind op,
-                             const char* file, std::uint32_t line) {
+void RaceChecker::on_release(std::uint32_t tid, const void* addr,
+                             OpKind /*op*/, const char* /*file*/,
+                             std::uint32_t /*line*/) {
   tick(tid);
-  auto& shadow = atomics_[addr];
-  shadow.release_vc.join(threads_[tid].vc);
-  auto& stamp = shadow.accesses[tid];
-  stamp = {threads_[tid].vc.c[tid], file, line, op, threads_[tid].lockset,
-           true};
+  atomics_[addr].join(threads_[tid].vc);
 }
 
 void RaceChecker::on_mutex_acquire(std::uint32_t tid, const void* mutex,
@@ -211,55 +201,6 @@ void RaceChecker::on_plain(std::uint32_t tid, const void* addr, bool is_write,
   }
 }
 
-void RaceChecker::on_reclaim(std::uint32_t tid, const void* base,
-                             std::size_t len, const char* file,
-                             std::uint32_t line) {
-  tick(tid);
-  ThreadState& self = threads_[tid];
-  const auto* lo = static_cast<const char*>(base);
-  const auto* hi = lo + len;
-  const auto in_range = [&](const void* addr) {
-    const auto* p = static_cast<const char*>(addr);
-    return p >= lo && p < hi;
-  };
-  const RaceAccess current{OpKind::kReclaim, tid, self.vc.c[tid], file, line,
-                           lockset_names(self.lockset)};
-
-  const auto check_stamps = [&](const void* addr, std::uint32_t owner,
-                                const AccessStamp& stamp) {
-    if (!stamp.valid || owner == tid) return;
-    if (!self.vc.covers(owner, stamp.clock)) {
-      emit(RaceReport::Kind::kUseAfterReclaim, addr,
-           stamp_to_access(owner, stamp, OpKind::kPlainRead), current);
-    }
-  };
-
-  for (auto it = plain_.begin(); it != plain_.end();) {
-    if (!in_range(it->first)) {
-      ++it;
-      continue;
-    }
-    check_stamps(it->first, it->second.write_tid, it->second.write);
-    for (std::uint32_t t = 0; t < kMaxThreads; ++t) {
-      check_stamps(it->first, t, it->second.reads[t]);
-    }
-    it = plain_.erase(it);
-  }
-  for (auto it = atomics_.begin(); it != atomics_.end();) {
-    if (!in_range(it->first)) {
-      ++it;
-      continue;
-    }
-    for (std::uint32_t t = 0; t < kMaxThreads; ++t) {
-      check_stamps(it->first, t, it->second.accesses[t]);
-    }
-    it = atomics_.erase(it);
-  }
-  for (auto it = mutexes_.begin(); it != mutexes_.end();) {
-    it = in_range(it->first) ? mutexes_.erase(it) : std::next(it);
-  }
-}
-
 void RaceChecker::capture_clock(std::uint32_t tid, std::uint64_t* out) {
   tick(tid);
   for (std::uint32_t i = 0; i < kMaxThreads; ++i) {
@@ -295,9 +236,6 @@ const char* to_string(OpKind kind) noexcept {
     case OpKind::kCondNotify: return "cond-notify";
     case OpKind::kPlainRead: return "plain-read";
     case OpKind::kPlainWrite: return "plain-write";
-    case OpKind::kEpochPin: return "epoch-pin";
-    case OpKind::kEpochUnpin: return "epoch-unpin";
-    case OpKind::kReclaim: return "reclaim";
     case OpKind::kYield: return "yield";
   }
   return "?";

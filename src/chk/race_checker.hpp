@@ -18,10 +18,6 @@
 //     (thread, clock, source location, lockset). A new access must
 //     happen-after every conflicting recorded access or an exact racing
 //     pair is reported.
-// chk::reclaim_check(base, len) verifies every shadow access inside the
-// range happens-before the reclaiming thread (else: use-after-reclaim,
-// i.e. the epoch protocol let a reader overlap reclamation) and then
-// purges the range so recycled addresses cannot alias old history.
 //
 // The checker never blocks and allocates only its own shadow state; the
 // session wraps calls in AllowAllocScope so hooks may fire inside
@@ -72,7 +68,6 @@ struct RaceReport {
     kWriteWrite,
     kWriteRead,   ///< prior write, racing read
     kReadWrite,   ///< prior read, racing write
-    kUseAfterReclaim,
   };
   Kind kind = Kind::kWriteWrite;
   std::uint32_t addr_token = 0;  ///< dense, first-registration order
@@ -85,7 +80,7 @@ struct RaceReport {
 /// Thrown by the session (throw mode) from plain-access hooks when a race
 /// is detected, so harness workloads unwind instead of executing the
 /// now-meaningless protocol state. Never thrown from destructor-reachable
-/// hooks (atomic ops, reclaim) — those record only.
+/// hooks (atomic ops) — those record only.
 class RaceDetected : public std::exception {
  public:
   explicit RaceDetected(RaceReport report);
@@ -122,8 +117,6 @@ class RaceChecker {
   /// May throw RaceDetected in Mode::kThrow.
   void on_plain(std::uint32_t tid, const void* addr, bool is_write,
                 const char* file, std::uint32_t line);
-  void on_reclaim(std::uint32_t tid, const void* base, std::size_t len,
-                  const char* file, std::uint32_t line);
 
   /// Join edges for thread fork/join (ThreadLink) and controller
   /// start/finish barriers.
@@ -156,10 +149,6 @@ class RaceChecker {
     AccessStamp write;
     std::array<AccessStamp, kMaxThreads> reads{};
   };
-  struct AtomicShadow {
-    VectorClock release_vc;
-    std::array<AccessStamp, kMaxThreads> accesses{};  ///< for reclaim
-  };
   struct ThreadState {
     VectorClock vc;
     std::uint64_t lockset = 0;
@@ -180,7 +169,8 @@ class RaceChecker {
   Mode mode_;
   std::array<ThreadState, kMaxThreads> threads_{};
   std::unordered_map<const void*, PlainShadow> plain_;
-  std::unordered_map<const void*, AtomicShadow> atomics_;
+  /// Per atomic address: the release accumulator.
+  std::unordered_map<const void*, VectorClock> atomics_;
   std::unordered_map<const void*, VectorClock> mutexes_;
   std::unordered_map<const void*, std::uint32_t> tokens_;
   std::unordered_map<const void*, std::uint32_t> mutex_tokens_;

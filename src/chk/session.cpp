@@ -101,7 +101,7 @@ struct EnvAutoInstall {
 };
 EnvAutoInstall g_env_autoinstall;
 
-std::atomic<bool> g_fault_publish_late{false};
+std::atomic<bool> g_fault_publish_early{false};
 
 }  // namespace
 
@@ -129,12 +129,12 @@ std::uint32_t schedule_thread_id() noexcept {
   return ScheduleController::this_thread_tid();
 }
 
-bool Faults::publish_local_id_late() noexcept {
-  return g_fault_publish_late.load(std::memory_order_relaxed);
+bool Faults::publish_ready_tail_early() noexcept {
+  return g_fault_publish_early.load(std::memory_order_relaxed);
 }
 
-void Faults::set_publish_local_id_late(bool on) noexcept {
-  g_fault_publish_late.store(on, std::memory_order_relaxed);
+void Faults::set_publish_ready_tail_early(bool on) noexcept {
+  g_fault_publish_early.store(on, std::memory_order_relaxed);
 }
 
 namespace detail {
@@ -144,27 +144,11 @@ bool engaged() noexcept {
          ScheduleController::this_thread_tid() != kNoTid;
 }
 
-// Depth of nested AbortShield scopes on this thread (destructor
-// contexts, where a thrown ScheduleAbort would std::terminate).
-thread_local int tls_abort_shield = 0;
-
-void push_abort_shield() noexcept { ++tls_abort_shield; }
-void pop_abort_shield() noexcept { --tls_abort_shield; }
-
 void point(OpKind op, const void* addr, const std::source_location& loc) {
   ScheduleController* controller =
       g_controller.load(std::memory_order_acquire);
   if (controller != nullptr &&
       ScheduleController::this_thread_tid() != kNoTid) {
-    if (tls_abort_shield > 0) {
-      try {
-        controller->point(op, addr, loc.file_name(), loc.line());
-      } catch (const ScheduleAbort&) {
-        // Shielded (noexcept) context: the thread keeps cleaning up and
-        // leaves the schedule at its next unshielded point.
-      }
-      return;
-    }
     controller->point(op, addr, loc.file_name(), loc.line());
   }
 }
@@ -220,13 +204,6 @@ void plain_access(const void* addr, bool is_write,
                   const std::source_location& loc) {
   with_checker([&](RaceChecker& checker, std::uint32_t tid) {
     checker.on_plain(tid, addr, is_write, loc.file_name(), loc.line());
-  });
-}
-
-void reclaim(const void* base, std::size_t len,
-             const std::source_location& loc) {
-  with_checker([&](RaceChecker& checker, std::uint32_t tid) {
-    checker.on_reclaim(tid, base, len, loc.file_name(), loc.line());
   });
 }
 

@@ -18,7 +18,7 @@
 //   software-rts  — the software StarSs runtime the hardware exists to beat
 //   exec-threads  — the real concurrent executor (src/exec/): worker
 //                   threads running spin-calibrated kernels, dependency
-//                   resolution via core::Resolver behind sharded locks.
+//                   resolution via core::Resolver on the master thread.
 //                   Reports real wall-clock throughput, so its RunReport is
 //                   NOT deterministic (deterministic_report() == false).
 
@@ -48,18 +48,14 @@ struct EngineParams {
   std::uint32_t dep_table_capacity = 0;  ///< entries
   std::uint32_t kick_off_capacity = 0;   ///< ids per kick-off list
   std::uint32_t tds_buffer_capacity = 0; ///< master-side TD buffer
-  /// Dependence-table banks: the `nexus-banked` engine's scaling axis and
-  /// the `exec-threads` engine's resolver lock-shard count; other engines
-  /// ignore it. 0 keeps the config default of 1.
+  /// Dependence-table banks: the `nexus-banked` engine's scaling axis.
+  /// Every other engine ignores it — `exec-threads` included, whose
+  /// master owns one unbanked table. 0 keeps the config default of 1.
   std::uint32_t banks = 0;
   /// Worker threads of the real executor (`exec-threads` only; simulated
   /// engines ignore it). 0 defaults to num_workers, so worker-count sweeps
   /// drive the real backend with the same axis as the simulated ones.
   std::uint32_t threads = 0;
-  /// Shard serialization backend of the real executor's resolver
-  /// (`exec-threads` only): mutex locks vs the lock-free
-  /// delegation/combining design. nullopt keeps the default (mutex).
-  std::optional<exec::SyncMode> sync;
   /// Kernel body of the real executor (`exec-threads` only; simulated
   /// engines consume trace durations and ignore it): spin, compute,
   /// memory, imbalance or dgemm — see exec/kernels.hpp. nullopt keeps

@@ -101,28 +101,11 @@ struct RunReport {
   // --- Real execution (exec-threads only; zeros/empty elsewhere) -------------
   /// Measured wall-clock throughput: completed tasks per second.
   double exec_tasks_per_sec = 0.0;
-  /// Resolver shard serialization backend ("mutex" / "lockfree"; empty for
-  /// simulated engines).
-  std::string exec_sync;
   /// Kernel body that ran the tasks ("spin" / "compute" / "memory" /
   /// "imbalance" / "dgemm"; empty for simulated engines) and the total
   /// calibrated work units executed (0 under spin — its model is time).
   std::string exec_kernel;
   std::uint64_t exec_kernel_work_units = 0;
-  /// Resolver shard-lock census (sync=mutex): total acquisitions, and how
-  /// many of them found the lock already held (had to wait).
-  std::uint64_t exec_lock_acquisitions = 0;
-  std::uint64_t exec_lock_contentions = 0;
-  /// Lock-free backend census (sync=lockfree; zeros under mutex): failed
-  /// claim/publish CASes, flat-combining batch telemetry, wait-free stall
-  /// detections, and epoch-reclamation progress.
-  std::uint64_t exec_cas_retries = 0;
-  std::uint64_t exec_combined_batches = 0;
-  std::uint64_t exec_combined_requests = 0;
-  std::uint64_t exec_max_combined_batch = 0;
-  std::uint64_t exec_slot_claim_failures = 0;
-  std::uint64_t exec_epoch_advances = 0;
-  std::uint64_t exec_epoch_reclaimed = 0;
   /// Per-worker busy/wall fraction. The CSV cell is the average (a single
   /// numeric column, so spreadsheets and the CI gate parse it); the JSON
   /// report additionally carries the per-worker values plus min/max.
@@ -150,8 +133,7 @@ struct RunReport {
   /// math — speedup_vs() compares makespans only.
   double metg_ns = 0.0;
 
-  // --- Dependence-table banking (nexus-banked + exec-threads lock shards;
-  // banks == 0 elsewhere) ------------------------------------------------------
+  // --- Dependence-table banking (nexus-banked only; banks == 0 elsewhere) ---
   std::uint32_t banks = 0;
   /// Cycles table operations spent queued behind a busy bank (the arbiter's
   /// conflict stall total).

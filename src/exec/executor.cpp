@@ -39,21 +39,18 @@ void ExecConfig::validate() const {
   resolver_config().validate();
 }
 
-ShardedResolverConfig ExecConfig::resolver_config() const {
-  ShardedResolverConfig cfg;
-  cfg.shards = banks;
-  cfg.region_bytes = region_bytes;
+MasterResolverConfig ExecConfig::resolver_config() const {
+  MasterResolverConfig cfg;
   cfg.match_mode = match_mode;
   cfg.pool_capacity = task_pool_capacity;
   cfg.table_capacity = dep_table_capacity;
   cfg.kick_off_capacity = kick_off_capacity;
   cfg.allow_dummies = allow_dummies;
-  cfg.sync = sync;
   return cfg;
 }
 
 struct ThreadedExecutor::Impl {
-  std::unique_ptr<ShardedResolver> resolver;
+  std::unique_ptr<MasterResolver> resolver;
   std::unique_ptr<TaskHandoff> handoff;
   std::uint64_t expected = 0;
   /// threads == 1: no pool; the master runs ready tasks itself wherever it
@@ -74,7 +71,7 @@ struct ThreadedExecutor::Impl {
   std::uint64_t made_ready = 0;  ///< pushed to the ready channel
   std::uint64_t completed = 0;   ///< released
   std::size_t queue_peak = 0;
-  /// Reusable grant buffer for ShardedResolver::finish.
+  /// Reusable grant buffer for MasterResolver::finish.
   std::vector<std::uint64_t> grants;
 
   /// One worker's accounting (written only by that worker — by the master
@@ -235,8 +232,8 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   im.expected = stream->total_tasks();
   im.inline_mode = config_.threads == 1;
   im.observer = config_.observer;
-  im.resolver = std::make_unique<ShardedResolver>(config_.resolver_config(),
-                                                  im.expected);
+  im.resolver = std::make_unique<MasterResolver>(config_.resolver_config(),
+                                                 im.expected);
   im.handoff = std::make_unique<TaskHandoff>(
       im.expected, im.inline_mode ? 0 : config_.threads);
   im.serials.resize(im.expected);
@@ -264,8 +261,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   ExecReport report;
   report.tasks_expected = im.expected;
   report.threads = config_.threads;
-  report.banks = config_.banks;
-  report.sync_mode = config_.sync;
 
   std::vector<std::thread> pool;
   // Fork/join happens-before edges for the race checker — without them a
@@ -306,10 +301,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
       });
     }
   }
-
-  // The master binds its own track for resolver-level events raised while
-  // registering and releasing tasks.
-  const obs::ThreadTrackScope obs_scope(rec, im.master_track);
 
   // Force the one-time spin calibration (>= 1 ms) before the clock starts:
   // lazily it would land inside the first task's measured kernel and bias
@@ -362,8 +353,8 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
         rec->record(im.master_track, obs::EventKind::kSubmit, obs_seg0,
                     rec->now_ns() - obs_seg0, record->serial, 0);
       }
-      if (progress == ShardedResolver::Progress::kDone) break;
-      if (progress == ShardedResolver::Progress::kStructural) {
+      if (progress == MasterResolver::Progress::kDone) break;
+      if (progress == MasterResolver::Progress::kStructural) {
         abort_run("structural deadlock: " + session.failure());
         break;
       }
@@ -456,7 +447,6 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
           : 0.0;
   report.resolver = im.resolver->resolver_stats();
   report.tables = im.resolver->table_stats();
-  report.sync = im.resolver->sync_stats();
   report.ready_queue_peak = im.queue_peak;
   report.kernel = config_.kernel.kind;
   if (!report.deadlocked && report.tasks_completed != report.tasks_expected) {

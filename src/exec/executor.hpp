@@ -4,9 +4,9 @@
 //
 // The master (the calling thread) is the Task Maestro of the paper's
 // Fig. 2: it pulls TaskRecords from any trace::TaskStream in submission
-// order, registers them with the exec::ShardedResolver (core::Resolver
-// semantics behind BankPartition-keyed shards), and is the only thread
-// that ever touches the resolver. Ready tasks go out over a TaskHandoff
+// order, registers them with its exec::MasterResolver (one Task Pool and
+// one Dependence Table under core::Resolver semantics), and is the only
+// thread that ever touches them. Ready tasks go out over a TaskHandoff
 // (exec/handoff.hpp); `threads` workers claim them, execute a kernel
 // honoring the record's exec_time, and post the finished ids back. The
 // master drains those completions — releasing each task's accesses and
@@ -23,7 +23,7 @@
 // GraphOracle-validated partial order, arbitrary interleaving).
 //
 // The report carries real wall-clock results (tasks/sec, per-worker
-// utilization, shard-lock contention) next to the structural/hazard
+// utilization, turnaround) next to the structural/hazard
 // telemetry shared with the simulated engines; ordering evidence flows
 // through core::ExecutionObserver (on_completed fires before accesses are
 // released, so recorded completion order is always oracle-checkable). An
@@ -39,7 +39,7 @@
 #include "core/resolver.hpp"
 #include "core/types.hpp"
 #include "exec/kernels.hpp"
-#include "exec/sharded_resolver.hpp"
+#include "exec/master_resolver.hpp"
 #include "obs/timeline.hpp"
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
@@ -48,18 +48,16 @@ namespace nexuspp::exec {
 
 struct ExecConfig {
   std::uint32_t threads = 4;  ///< worker pool size (1 = deterministic inline)
-  std::uint32_t banks = 1;    ///< resolver lock/table shards
-  std::uint32_t region_bytes = 256;
+  /// Ignored: the master owns one resolver, with no banks. Kept only
+  /// because perfbench/src/replay.cpp still assigns it.
+  std::uint32_t banks = 1;
   core::MatchMode match_mode = core::MatchMode::kBaseAddr;
-  /// Machine totals, split evenly across shards — same meaning as the
-  /// simulated engines' capacity knobs.
+  /// Machine totals — same meaning as the simulated engines' capacity
+  /// knobs.
   std::uint32_t task_pool_capacity = 16384;
   std::uint32_t dep_table_capacity = 65536;
   std::uint32_t kick_off_capacity = 8;
   bool allow_dummies = true;
-  /// Shard serialization backend (mutex lock vs delegation/combining —
-  /// see sharded_resolver.hpp).
-  SyncMode sync = SyncMode::kMutex;
   /// Multiplier on trace exec times (1.0 honors them; tests shrink it).
   double duration_scale = 1.0;
   /// Kernel body workers run per task (see exec/kernels.hpp). kSpin is
@@ -81,7 +79,7 @@ struct ExecConfig {
 
   /// The resolver slice of this config — the one place the field pairing
   /// is spelled out.
-  [[nodiscard]] ShardedResolverConfig resolver_config() const;
+  [[nodiscard]] MasterResolverConfig resolver_config() const;
 };
 
 struct ExecReport {
@@ -109,12 +107,9 @@ struct ExecReport {
 
   // --- Resolution telemetry (same meaning as the simulated engines') --------
   core::Resolver::Stats resolver;
-  ShardedResolver::TableStats tables;
-  ShardedResolver::SyncStats sync;
+  MasterResolver::TableStats tables;
   std::size_t ready_queue_peak = 0;
   std::uint32_t threads = 0;
-  std::uint32_t banks = 0;
-  SyncMode sync_mode = SyncMode::kMutex;
   /// Kernel body that ran the tasks, and total calibrated work units it
   /// executed across all workers (0 under kSpin, whose model is time).
   KernelKind kernel = KernelKind::kSpin;

@@ -59,7 +59,9 @@ class TaskHandoff {
   /// `workers` is the number of completion posters (0 at threads=1).
   TaskHandoff(std::uint64_t capacity, std::uint32_t workers)
       : capacity_(capacity),
-        ready_(std::make_unique_for_overwrite<TaskId[]>(capacity)),
+        // Zeroed, so even a claim of an unwritten slot (the schedcheck
+        // mutant) reads a defined id and its schedule replays exactly.
+        ready_(std::make_unique<TaskId[]>(capacity)),
         logs_(workers),
         heads_(workers, 0) {
     for (Log& log : logs_) {
@@ -79,6 +81,11 @@ class TaskHandoff {
     if (count > capacity_ - tail_) {
       throw std::logic_error("TaskHandoff: more ready tasks than capacity");
     }
+    // Compiled-in mutant (schedcheck harness only; constant-false and
+    // folded away in normal builds): the tail goes out before the slot
+    // stores, so a worker can claim a slot before its id is written.
+    const bool early = chk::Faults::publish_ready_tail_early();
+    if (early) published_.store(tail_ + count, std::memory_order_seq_cst);
     for (std::size_t i = 0; i < count; ++i) {
       chk::plain_write(&ready_[tail_ + i]);
       ready_[tail_ + i] = ids[i];
@@ -86,7 +93,7 @@ class TaskHandoff {
     tail_ += count;
     // Seq_cst: publishes the slots (release half, paired with try_claim's
     // acquire) and orders this store before the sleeper load below.
-    published_.store(tail_, std::memory_order_seq_cst);
+    if (!early) published_.store(tail_, std::memory_order_seq_cst);
     if (idle_workers_.load(std::memory_order_seq_cst) != 0) {
       wake(work_cv_, count == 1);
     }

@@ -1,7 +1,7 @@
 #pragma once
 // Unified metrics registry.
 //
-// The repo's telemetry grew up scattered: SyncStats on the sharded
+// The repo's telemetry grew up scattered: table statistics on the exec
 // resolver, BankUsage on the banked tables, stage busy/stall pairs on the
 // simulated systems, hazard counters on the dependence table. Each report
 // consumer (table printer, CSV writer, JSON writer, trace exporter) had to
@@ -22,7 +22,7 @@
 namespace nexuspp::obs {
 
 enum class MetricKind : std::uint8_t {
-  kCounter,    ///< monotone event count (lock acquisitions, CAS retries)
+  kCounter,    ///< monotone event count (hazards, table lookups)
   kGauge,      ///< point-in-time or averaged level (utilization, depth)
   kHistogram,  ///< distribution summary: count/sum plus quantile samples
 };

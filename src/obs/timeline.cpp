@@ -5,13 +5,6 @@
 
 namespace nexuspp::obs {
 
-namespace {
-
-thread_local TimelineRecorder* t_recorder = nullptr;
-thread_local std::uint32_t t_track = 0;
-
-}  // namespace
-
 const char* to_string(EventKind kind) noexcept {
   switch (kind) {
     case EventKind::kSubmit: return "submit";
@@ -20,9 +13,6 @@ const char* to_string(EventKind kind) noexcept {
     case EventKind::kRun: return "run";
     case EventKind::kFinish: return "finish";
     case EventKind::kRelease: return "release";
-    case EventKind::kLockWait: return "lock-wait";
-    case EventKind::kCombine: return "combine";
-    case EventKind::kEpochAdvance: return "epoch-advance";
     case EventKind::kInFlight: return "in-flight";
     case EventKind::kReadyDepth: return "ready-depth";
   }
@@ -38,10 +28,6 @@ const char* category(EventKind kind) noexcept {
     case EventKind::kFinish:
     case EventKind::kRelease:
       return "task";
-    case EventKind::kLockWait:
-    case EventKind::kCombine:
-    case EventKind::kEpochAdvance:
-      return "sync";
     case EventKind::kInFlight:
     case EventKind::kReadyDepth:
       return "counter";
@@ -59,7 +45,6 @@ bool is_span(EventKind kind) noexcept {
     case EventKind::kStall:
     case EventKind::kRun:
     case EventKind::kRelease:
-    case EventKind::kLockWait:
       return true;
     default:
       return false;
@@ -115,33 +100,6 @@ Timeline TimelineRecorder::finish() && {
   }
   rings_.clear();
   return timeline;
-}
-
-ThreadTrackScope::ThreadTrackScope(TimelineRecorder* recorder,
-                                   std::uint32_t track) noexcept
-    : prev_recorder_(t_recorder), prev_track_(t_track) {
-  t_recorder = recorder;
-  t_track = track;
-}
-
-ThreadTrackScope::~ThreadTrackScope() {
-  t_recorder = prev_recorder_;
-  t_track = prev_track_;
-}
-
-bool here_enabled() noexcept { return t_recorder != nullptr; }
-
-// NEXUS_HOT_PATH
-double here_now_ns() noexcept {
-  return t_recorder != nullptr ? t_recorder->now_ns() : 0.0;
-}
-
-// NEXUS_HOT_PATH
-void record_here(EventKind kind, double ts_ns, double dur_ns,
-                 std::uint64_t task, std::uint64_t arg) noexcept {
-  if (t_recorder != nullptr) {
-    t_recorder->record(t_track, kind, ts_ns, dur_ns, task, arg);
-  }
 }
 
 }  // namespace nexuspp::obs

@@ -13,12 +13,6 @@
 // while the simulated engines stamp them with `sim::to_ns(sim.now())`. The
 // finished Timeline carries which domain produced it, and the Chrome-trace
 // exporter / critical-path analysis treat both identically.
-//
-// Deep layers (the sharded resolver) cannot be handed a recorder pointer
-// without threading it through every signature, so a thread-local binding
-// (`ThreadTrackScope`) lets `record_here()` attribute events to whichever
-// worker track the current thread registered. When no binding is active the
-// helpers are inert.
 
 #include <cstdint>
 #include <chrono>
@@ -36,17 +30,14 @@ enum class EventKind : std::uint8_t {
   kRun,           ///< span: kernel execution
   kFinish,        ///< instant: task completion observed
   kRelease,       ///< span: dependence release / successor grant processing
-  kLockWait,      ///< span: blocked acquiring a contended shard lock
-  kCombine,       ///< instant: combiner drained a delegation batch; arg = size
-  kEpochAdvance,  ///< instant: reclamation epoch advanced
   kInFlight,      ///< counter: tasks submitted but not yet finished
   kReadyDepth,    ///< counter: ready-queue depth after a push
 };
 
-/// Stable display name ("submit", "lock-wait", ...) used by the exporter.
+/// Stable display name ("submit", "ready-depth", ...) used by the exporter.
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;
 
-/// Trace-event category: "task", "sync", or "counter".
+/// Trace-event category: "task" or "counter".
 [[nodiscard]] const char* category(EventKind kind) noexcept;
 
 [[nodiscard]] bool is_counter(EventKind kind) noexcept;
@@ -151,33 +142,5 @@ class TimelineRecorder {
   std::vector<Ring> rings_;
   std::chrono::steady_clock::time_point origin_;
 };
-
-/// Binds (recorder, track) to the current thread so layers without a
-/// recorder pointer (resolver shard ops) can attribute events. Restores the
-/// previous binding on destruction; a null recorder makes the helpers inert.
-class ThreadTrackScope {
- public:
-  ThreadTrackScope(TimelineRecorder* recorder, std::uint32_t track) noexcept;
-  ~ThreadTrackScope();
-  ThreadTrackScope(const ThreadTrackScope&) = delete;
-  ThreadTrackScope& operator=(const ThreadTrackScope&) = delete;
-
- private:
-  TimelineRecorder* prev_recorder_;
-  std::uint32_t prev_track_;
-};
-
-/// True when the current thread has a recorder bound.
-[[nodiscard]] bool here_enabled() noexcept;
-
-/// Wall timestamp from the bound recorder, or 0.0 when unbound. Pair with
-/// record_here: `t0 = here_now_ns(); ...; record_here(k, t0, ...)`.
-// NEXUS_HOT_PATH
-[[nodiscard]] double here_now_ns() noexcept;
-
-/// Records onto the current thread's bound track; no-op when unbound.
-// NEXUS_HOT_PATH
-void record_here(EventKind kind, double ts_ns, double dur_ns,
-                 std::uint64_t task, std::uint64_t arg) noexcept;
 
 }  // namespace nexuspp::obs

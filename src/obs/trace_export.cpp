@@ -119,11 +119,7 @@ void write_chrome_trace(const Timeline& timeline, std::ostream& out,
         write_us(out, event.dur_ns);
         out << ",\"pid\":" << pid << ",\"tid\":" << tid << ",\"name\":\""
             << name << "\",\"cat\":\"" << category(event.kind)
-            << "\",\"args\":{\"task\":" << event.task;
-        if (event.kind == EventKind::kLockWait) {
-          out << ",\"shard\":" << event.arg;
-        }
-        out << "}}";
+            << "\",\"args\":{\"task\":" << event.task << "}}";
       } else {
         out << "{\"ph\":\"i\",\"ts\":";
         write_us(out, event.ts_ns);
@@ -136,8 +132,6 @@ void write_chrome_trace(const Timeline& timeline, std::ostream& out,
           } else {
             out << ",\"pred\":" << event.arg;
           }
-        } else if (event.kind == EventKind::kCombine) {
-          out << ",\"batch\":" << event.arg;
         }
         out << "}}";
       }

@@ -16,27 +16,17 @@ namespace {
 
 // Thread-local invariant state. Plain counters — every rule here is
 // per-thread by construction, so no synchronization is needed.
-thread_local int tl_shard_locks = 0;
 thread_local int tl_run_queue_locks = 0;
 thread_local int tl_chk_locks = 0;
 thread_local int tl_no_alloc_depth = 0;
 thread_local int tl_allow_alloc_depth = 0;
 thread_local const char* tl_no_alloc_label = nullptr;
-thread_local int tl_epoch_pins = 0;
 // Re-entrancy latch: invariant_fail itself may allocate (fprintf can);
 // without this a failing allocation inside the failure path would recurse.
 thread_local bool tl_in_failure = false;
 
 int& counter_for(LockDomain domain) {
-  switch (domain) {
-    case LockDomain::kShard:
-      return tl_shard_locks;
-    case LockDomain::kRunQueue:
-      return tl_run_queue_locks;
-    case LockDomain::kChk:
-      return tl_chk_locks;
-  }
-  return tl_chk_locks;  // unreachable
+  return domain == LockDomain::kRunQueue ? tl_run_queue_locks : tl_chk_locks;
 }
 
 }  // namespace
@@ -50,34 +40,17 @@ void invariant_fail(const char* what, const char* where) {
 }
 
 LockRankGuard::LockRankGuard(LockDomain domain) : domain_(domain) {
-  if (domain == LockDomain::kShard) {
-    if (tl_shard_locks > 0) {
-      invariant_fail("shard lock acquired while a shard lock is held",
-                     "lock-rank");
-    }
-    if (tl_run_queue_locks > 0) {
-      invariant_fail("shard lock acquired while run-queue lock is held",
-                     "lock-rank");
-    }
-    if (tl_chk_locks > 0) {
-      invariant_fail("shard lock acquired while schedcheck lock is held",
-                     "lock-rank");
-    }
-  } else if (domain == LockDomain::kRunQueue) {
+  if (domain == LockDomain::kRunQueue) {
     if (tl_run_queue_locks > 0) {
       invariant_fail("run-queue lock acquired recursively", "lock-rank");
-    }
-    if (tl_shard_locks > 0) {
-      invariant_fail("run-queue lock acquired while a shard lock is held",
-                     "lock-rank");
     }
     if (tl_chk_locks > 0) {
       invariant_fail("run-queue lock acquired while schedcheck lock is held",
                      "lock-rank");
     }
   } else {
-    // kChk is a leaf: fine under shard / run-queue locks, but never
-    // recursive (the schedcheck runtime must not hook itself).
+    // kChk is a leaf: fine under the run-queue lock, but never recursive
+    // (the schedcheck runtime must not hook itself).
     if (tl_chk_locks > 0) {
       invariant_fail("schedcheck lock acquired recursively", "lock-rank");
     }
@@ -85,14 +58,7 @@ LockRankGuard::LockRankGuard(LockDomain domain) : domain_(domain) {
   ++counter_for(domain);
 }
 
-LockRankGuard::~LockRankGuard() {
-  if (engaged_) --counter_for(domain_);
-}
-
-LockRankGuard::LockRankGuard(LockRankGuard&& other) noexcept
-    : domain_(other.domain_), engaged_(other.engaged_) {
-  other.engaged_ = false;
-}
+LockRankGuard::~LockRankGuard() { --counter_for(domain_); }
 
 NoAllocScope::NoAllocScope(const char* label)
     : prev_label_(tl_no_alloc_label) {
@@ -110,16 +76,6 @@ AllowAllocScope::AllowAllocScope(const char* /*reason*/) {
 }
 
 AllowAllocScope::~AllowAllocScope() { --tl_allow_alloc_depth; }
-
-void epoch_guard_acquired() { ++tl_epoch_pins; }
-void epoch_guard_released() { --tl_epoch_pins; }
-
-void assert_epoch_guard(const char* where) {
-  if (tl_epoch_pins <= 0) {
-    invariant_fail("epoch-protected memory dereferenced without a guard",
-                   where);
-  }
-}
 
 namespace {
 

@@ -2,9 +2,9 @@
 // violates one invariant in a death-test child process and asserts the
 // checked build aborts with the documented "nexuspp-checked:" diagnostic;
 // the positive tests prove the real resolver paths run clean under full
-// instrumentation (the audited AllowAllocScope holes line up with every
-// allocation the release path actually performs). In a normal build the
-// hooks compile to nothing, and this file only verifies they stay inert.
+// instrumentation (no allocation once the tables are built). In a normal
+// build the hooks compile to nothing, and this file only verifies they
+// stay inert.
 
 #include <gtest/gtest.h>
 
@@ -16,62 +16,18 @@
 #include "core/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "core/types.hpp"
-#include "exec/epoch.hpp"
-#include "exec/sharded_resolver.hpp"
+#include "exec/master_resolver.hpp"
 #include "util/invariant.hpp"
 #include "util/rng.hpp"
 
 namespace nexuspp {
 namespace {
 
-using exec::EpochDomain;
-using exec::ShardedResolver;
-using exec::ShardedResolverConfig;
-using exec::SyncMode;
+using exec::MasterResolver;
 using util::AllowAllocScope;
 using util::LockDomain;
 using util::LockRankGuard;
 using util::NoAllocScope;
-
-/// Submits `tasks` single-chain tasks (all inout on one address, so task
-/// i depends on task i-1), then finishes them in dependency order. This
-/// walks the full grant machinery — shard critical sections, pending-
-/// counter votes, and in lockfree mode the combiner + epoch reclamation —
-/// under whatever instrumentation the build enables.
-void drive_chain(SyncMode sync, std::uint64_t tasks) {
-  ShardedResolverConfig cfg;
-  cfg.shards = 4;
-  cfg.pool_capacity = 256;
-  cfg.table_capacity = 1024;
-  cfg.sync = sync;
-  ShardedResolver resolver(cfg, tasks);
-
-  std::vector<ShardedResolver::GlobalId> order;
-  for (std::uint64_t gid = 0; gid < tasks; ++gid) {
-    auto session = resolver.begin_submit(
-        gid, gid, 0, std::vector<core::Param>{core::inout(0x1000)});
-    ASSERT_EQ(session.advance(), ShardedResolver::Progress::kDone);
-    if (session.ready()) order.push_back(gid);
-  }
-  ASSERT_EQ(order.size(), 1u);  // head of the chain only
-
-  std::vector<ShardedResolver::GlobalId> now_ready;
-  std::uint64_t finished = 0;
-  while (finished < order.size()) {
-    resolver.finish(order[finished], now_ready);
-    ++finished;
-    order.insert(order.end(), now_ready.begin(), now_ready.end());
-  }
-  EXPECT_EQ(finished, tasks);
-}
-
-TEST(CheckedInvariants, ResolverChainRunsCleanMutex) {
-  drive_chain(SyncMode::kMutex, 64);
-}
-
-TEST(CheckedInvariants, ResolverChainRunsCleanLockfree) {
-  drive_chain(SyncMode::kLockFree, 64);
-}
 
 /// The core tables' allocation-free contract: once constructed, TaskPool +
 /// DependenceTable + Resolver run insert / submit / finish / free for
@@ -153,33 +109,95 @@ TEST(CheckedInvariants, CoreChurnIsAllocationFree) {
   EXPECT_GT(table.stats().ko_dummy_allocations, 0u);
 }
 
+/// The exec master's registration and release contract: once the
+/// resolver is constructed, begin_submit / advance / finish run thousands
+/// of random base-address tasks — through pool and table stalls, dummy
+/// tasks and dummy entries — without one heap allocation. The parameter
+/// lists are built before the scope opens and moved in, as the executor
+/// moves each stream record's list.
+TEST(CheckedInvariants, MasterRegistrationIsAllocationFree) {
+  constexpr std::uint64_t kTasks = 4000;
+  constexpr std::uint64_t kAddresses = 32;
+  exec::MasterResolverConfig cfg;
+  cfg.pool_capacity = 128;
+  cfg.table_capacity = 256;
+  MasterResolver resolver(cfg, kTasks);
+  util::Rng rng(17);
+  std::vector<std::vector<core::Param>> params(kTasks);
+  for (auto& list : params) {
+    // Distinct bases: an odd stride over a power-of-two address set.
+    const std::size_t n = 1 + rng.below(12);
+    const std::uint64_t start = rng.below(kAddresses);
+    const std::uint64_t stride = 2 * rng.below(kAddresses / 2) + 1;
+    for (std::size_t k = 0; k < n; ++k) {
+      const core::Addr addr = 0x1000 + 64 * ((start + k * stride) % kAddresses);
+      const auto roll = rng.below(3);
+      list.push_back(roll == 0   ? core::in(addr, 64)
+                     : roll == 1 ? core::out(addr, 64)
+                                 : core::inout(addr, 64));
+    }
+  }
+  // Every task is made ready exactly once, so a plain array is the FIFO.
+  std::vector<MasterResolver::GlobalId> ready(kTasks);
+  std::vector<MasterResolver::GlobalId> granted;
+  granted.reserve(cfg.pool_capacity);
+  std::size_t ready_head = 0;
+  std::size_t ready_tail = 0;
+  std::uint64_t finished = 0;
+  std::uint64_t stalls = 0;
+  bool failed = false;
+  const auto finish_oldest = [&] {
+    resolver.finish(ready[ready_head++], granted);
+    for (const auto gid : granted) ready[ready_tail++] = gid;
+    ++finished;
+  };
+  {
+    const NoAllocScope no_alloc("master registration");
+    for (std::uint64_t gid = 0; gid < kTasks && !failed; ++gid) {
+      auto session =
+          resolver.begin_submit(gid, gid, 0xF, std::move(params[gid]));
+      for (;;) {
+        const auto progress = session.advance();
+        if (progress == MasterResolver::Progress::kDone) break;
+        if (progress == MasterResolver::Progress::kStructural ||
+            ready_head == ready_tail) {
+          failed = true;
+          break;
+        }
+        ++stalls;
+        finish_oldest();
+      }
+      if (session.ready()) ready[ready_tail++] = gid;
+    }
+    while (!failed && ready_head < ready_tail) finish_oldest();
+  }
+  ASSERT_FALSE(failed) << "the oldest live task is always ready";
+  EXPECT_EQ(finished, kTasks);
+  // The run exercised stalls and both dummy mechanisms.
+  EXPECT_GT(stalls, 0u);
+  EXPECT_GT(resolver.table_stats().tp_dummy_slots, 0u);
+  EXPECT_GT(resolver.table_stats().ko_dummy_allocations, 0u);
+}
+
 #if defined(NEXUSPP_CHECKED)
 
-TEST(CheckedInvariantsDeath, TwoShardLocksAbort) {
+TEST(CheckedInvariantsDeath, RunQueueLockRecursionAborts) {
   EXPECT_DEATH(
       {
-        const LockRankGuard first(LockDomain::kShard);
-        const LockRankGuard second(LockDomain::kShard);
+        const LockRankGuard first(LockDomain::kRunQueue);
+        const LockRankGuard second(LockDomain::kRunQueue);
       },
-      "nexuspp-checked: shard lock acquired while a shard lock is held");
+      "nexuspp-checked: run-queue lock acquired recursively");
 }
 
-TEST(CheckedInvariantsDeath, RunQueueUnderShardLockAborts) {
+TEST(CheckedInvariantsDeath, RunQueueUnderSchedcheckLockAborts) {
   EXPECT_DEATH(
       {
-        const LockRankGuard shard(LockDomain::kShard);
+        const LockRankGuard chk(LockDomain::kChk);
         const LockRankGuard queue(LockDomain::kRunQueue);
       },
-      "nexuspp-checked: run-queue lock acquired while a shard lock is held");
-}
-
-TEST(CheckedInvariantsDeath, ShardUnderRunQueueLockAborts) {
-  EXPECT_DEATH(
-      {
-        const LockRankGuard queue(LockDomain::kRunQueue);
-        const LockRankGuard shard(LockDomain::kShard);
-      },
-      "nexuspp-checked: shard lock acquired while run-queue lock is held");
+      "nexuspp-checked: run-queue lock acquired while schedcheck lock is "
+      "held");
 }
 
 TEST(CheckedInvariantsDeath, HotPathAllocationAborts) {
@@ -193,18 +211,12 @@ TEST(CheckedInvariantsDeath, HotPathAllocationAborts) {
       "\\(injected-hot-path\\)");
 }
 
-TEST(CheckedInvariantsDeath, EpochDerefWithoutGuardAborts) {
-  EXPECT_DEATH(
-      util::assert_epoch_guard("test-site"),
-      "nexuspp-checked: epoch-protected memory dereferenced without a guard "
-      "\\(test-site\\)");
-}
-
 TEST(CheckedInvariants, SequentialLocksAndAllowedAllocsPass) {
   {
-    const LockRankGuard first(LockDomain::kShard);
+    const LockRankGuard first(LockDomain::kRunQueue);
   }
-  const LockRankGuard second(LockDomain::kShard);  // prior scope closed
+  const LockRankGuard second(LockDomain::kRunQueue);  // prior scope closed
+  const LockRankGuard leaf(LockDomain::kChk);  // kChk nests under it
 
   const NoAllocScope no_alloc("audited-region");
   const AllowAllocScope allow("audited interior site");
@@ -212,22 +224,15 @@ TEST(CheckedInvariants, SequentialLocksAndAllowedAllocsPass) {
   delete fine;
 }
 
-TEST(CheckedInvariants, EpochGuardSatisfiesAssertion) {
-  EpochDomain domain;
-  EpochDomain::Guard guard(domain);
-  util::assert_epoch_guard("test-site");  // pinned: must not abort
-}
-
 #else  // !NEXUSPP_CHECKED
 
 TEST(CheckedInvariants, HooksAreInertInNormalBuilds) {
   // The no-op versions must accept the same shapes and do nothing.
-  const LockRankGuard a(LockDomain::kShard);
-  const LockRankGuard b(LockDomain::kShard);  // no tracking: no abort
+  const LockRankGuard a(LockDomain::kRunQueue);
+  const LockRankGuard b(LockDomain::kRunQueue);  // no tracking: no abort
   const NoAllocScope no_alloc("ignored");
   auto* ok = new int(1);  // no operator-new hook in normal builds
   delete ok;
-  util::assert_epoch_guard("ignored");
 }
 
 #endif  // NEXUSPP_CHECKED

@@ -1,9 +1,9 @@
 // The real concurrent executor (`exec-threads`): GraphOracle-validated
-// execution order across thread counts, bank (lock-shard) counts, both
-// match modes and several seeds; single-thread determinism; behaviour
-// under core oversubscription; capacity/structural deadlock diagnosis;
-// master-only release; worker exceptions; and the registry/report
-// contract of the engine adapter.
+// execution order across thread counts, both match modes and several
+// seeds; single-thread determinism; behaviour under core
+// oversubscription; capacity/structural deadlock diagnosis; master-only
+// release; worker exceptions; and the registry/report contract of the
+// engine adapter.
 //
 // The correctness claim differs from the simulated engines': reports are
 // wall-clock measurements (never bit-identical), so what is asserted is
@@ -101,10 +101,8 @@ std::vector<trace::TaskRecord> small_dag(std::uint64_t seed,
 
 struct GridCase {
   std::uint32_t threads;
-  std::uint32_t banks;
   MatchMode mode;
   std::uint64_t seed;
-  exec::SyncMode sync;
 };
 
 class ExecOrderGrid : public ::testing::TestWithParam<GridCase> {};
@@ -113,14 +111,10 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
   const auto& param = GetParam();
   exec::ExecConfig cfg;
   cfg.threads = param.threads;
-  cfg.banks = param.banks;
   cfg.match_mode = param.mode;
-  cfg.sync = param.sync;
   cfg.duration_scale = 0.05;  // keep kernels short; order is what matters
   const auto report = run_validated(small_dag(param.seed), cfg);
   EXPECT_EQ(report.threads, param.threads);
-  EXPECT_EQ(report.banks, param.banks);
-  EXPECT_EQ(report.sync_mode, param.sync);
   EXPECT_GT(report.wall_ns, 0.0);
   EXPECT_GT(report.tasks_per_sec, 0.0);
   EXPECT_EQ(report.turnaround_ns.count(), report.tasks_completed);
@@ -129,15 +123,9 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
 std::vector<GridCase> grid_cases() {
   std::vector<GridCase> cases;
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    for (const std::uint32_t banks : {1u, 4u}) {
-      for (const MatchMode mode :
-           {MatchMode::kBaseAddr, MatchMode::kRange}) {
-        for (const std::uint64_t seed : {1ull, 7ull}) {
-          for (const exec::SyncMode sync :
-               {exec::SyncMode::kMutex, exec::SyncMode::kLockFree}) {
-            cases.push_back({threads, banks, mode, seed, sync});
-          }
-        }
+    for (const MatchMode mode : {MatchMode::kBaseAddr, MatchMode::kRange}) {
+      for (const std::uint64_t seed : {1ull, 7ull}) {
+        cases.push_back({threads, mode, seed});
       }
     }
   }
@@ -145,50 +133,41 @@ std::vector<GridCase> grid_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadsBanksModesSeeds, ExecOrderGrid, ::testing::ValuesIn(grid_cases()),
+    ThreadsModesSeeds, ExecOrderGrid, ::testing::ValuesIn(grid_cases()),
     [](const auto& info) {
       // Built with += — GCC 12's -Wrestrict misfires on chained
       // `"lit" + std::to_string(x) + "lit"` (gcc PR 105651).
       std::string name = "t";
       name += std::to_string(info.param.threads);
-      name += "_b";
-      name += std::to_string(info.param.banks);
       name += info.param.mode == MatchMode::kRange ? "_range" : "_base";
       name += "_s";
       name += std::to_string(info.param.seed);
-      name += "_";
-      name += exec::to_string(info.param.sync);
       return name;
     });
 
 /// Range mode with partially overlapping halo reads — the workload whose
-/// hazards only interval matching sees, including spans that cross shard
-/// home-region boundaries (multi-shard registration).
-TEST(ExecThreads, HaloStencilRangeModeAcrossShards) {
+/// hazards only interval matching sees.
+TEST(ExecThreads, HaloStencilRangeMode) {
   workloads::HaloStencilConfig halo;
   halo.blocks = 24;
   halo.steps = 4;
   const auto tasks = *workloads::make_halo_stencil_trace(halo);
-  for (const std::uint32_t banks : {1u, 4u}) {
-    exec::ExecConfig cfg;
-    cfg.threads = 4;
-    cfg.banks = banks;
-    cfg.region_bytes = 256;  // well below a tile: spans cross regions
-    cfg.match_mode = MatchMode::kRange;
-    cfg.duration_scale = 0.05;
-    (void)run_validated(tasks, cfg);
-  }
+  exec::ExecConfig cfg;
+  cfg.threads = 4;
+  cfg.match_mode = MatchMode::kRange;
+  cfg.duration_scale = 0.05;
+  (void)run_validated(tasks, cfg);
 }
 
 // --- Determinism anchor -------------------------------------------------------
 
 TEST(ExecThreads, SingleThreadCompletionOrderIsStable) {
   const auto tasks = small_dag(42);
-  const auto run_once = [&tasks] {
+  const auto run_once = [&tasks](std::uint32_t banks) {
     core::CompletionRecorder recorder;
     exec::ExecConfig cfg;
     cfg.threads = 1;
-    cfg.banks = 2;
+    cfg.banks = banks;
     cfg.duration_scale = 0.0;  // zero-length kernels: order is pure protocol
     cfg.observer = &recorder;
     exec::ThreadedExecutor executor(cfg);
@@ -198,11 +177,24 @@ TEST(ExecThreads, SingleThreadCompletionOrderIsStable) {
     EXPECT_EQ(report.tasks_completed, tasks.size());
     return recorder.order();
   };
-  const auto first = run_once();
-  const auto second = run_once();
+  const auto first = run_once(1);
+  const auto second = run_once(1);
   ASSERT_EQ(first.size(), tasks.size());
   EXPECT_EQ(first, second)
       << "threads=1 must execute inline and deterministically";
+  // `banks` is a nexus-banked knob: the master owns one resolver whatever
+  // it says, so the order cannot depend on it.
+  EXPECT_EQ(run_once(4), first) << "exec-threads must ignore banks";
+
+  engine::EngineParams params;
+  params.threads = 1;
+  params.banks = 4;
+  const auto report =
+      engine::EngineRegistry::builtins().make("exec-threads", params)->run(
+          std::make_unique<trace::VectorStream>(
+              std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+  EXPECT_FALSE(report.deadlocked) << report.diagnosis;
+  EXPECT_EQ(report.banks, 0u);
 }
 
 // --- Oversubscription ---------------------------------------------------------
@@ -213,7 +205,6 @@ TEST(ExecThreads, OversubscribedWorkersStayOracleValid) {
   const auto cores = std::max(1u, std::thread::hardware_concurrency());
   exec::ExecConfig cfg;
   cfg.threads = std::max(16u, 2 * cores);
-  cfg.banks = 4;
   cfg.duration_scale = 0.02;
   const auto report = run_validated(small_dag(4242, 400), cfg);
   EXPECT_EQ(report.worker_busy_ns.size(), cfg.threads);
@@ -232,14 +223,11 @@ TEST(ExecThreads, CompletesWorkloadLibraryDags) {
     const auto tasks = *library.make_trace(spec);
     for (const MatchMode mode : {MatchMode::kBaseAddr, MatchMode::kRange}) {
       for (const std::uint32_t threads : {1u, 4u}) {
-        for (const std::uint32_t banks : {1u, 4u}) {
-          exec::ExecConfig cfg;
-          cfg.threads = threads;
-          cfg.banks = banks;
-          cfg.match_mode = mode;
-          cfg.duration_scale = 0.01;  // FLOP-derived durations are long
-          (void)run_validated(tasks, cfg);
-        }
+        exec::ExecConfig cfg;
+        cfg.threads = threads;
+        cfg.match_mode = mode;
+        cfg.duration_scale = 0.01;  // FLOP-derived durations are long
+        (void)run_validated(tasks, cfg);
       }
     }
   }
@@ -262,7 +250,6 @@ TEST(ExecThreads, CompletesPatternWorkloads) {
       for (const std::uint32_t threads : {1u, 4u}) {
         exec::ExecConfig cfg;
         cfg.threads = threads;
-        cfg.banks = 2;
         cfg.match_mode = mode;
         (void)run_validated(tasks, cfg);
       }
@@ -291,7 +278,6 @@ TEST(ExecThreads, RunsCapturedTracesFromTheReplayPipeline) {
 
   exec::ExecConfig cfg;
   cfg.threads = 4;
-  cfg.banks = 2;
   cfg.duration_scale = 0.01;
   (void)run_validated(reloaded.tasks, cfg);
 }
@@ -299,8 +285,8 @@ TEST(ExecThreads, RunsCapturedTracesFromTheReplayPipeline) {
 // --- Deadlock diagnosis (terminates, never hangs) -----------------------------
 
 TEST(ExecThreads, CapacityDeadlockIsDiagnosed) {
-  // A single task needing more table entries than a shard can ever hold:
-  // the executor must report a capacity deadlock, not wait forever.
+  // A single task needing more table entries than the table can ever
+  // hold: the executor must report a capacity deadlock, not wait forever.
   std::vector<trace::TaskRecord> tasks(1);
   tasks[0].serial = 0;
   tasks[0].params = {core::out(0x1000), core::out(0x2000),
@@ -309,7 +295,6 @@ TEST(ExecThreads, CapacityDeadlockIsDiagnosed) {
     SCOPED_TRACE(threads);
     exec::ExecConfig cfg;
     cfg.threads = threads;
-    cfg.banks = 1;
     cfg.dep_table_capacity = 2;
     exec::ThreadedExecutor executor(cfg);
     const auto report = executor.run(std::make_unique<trace::VectorStream>(
@@ -347,14 +332,11 @@ TEST(ExecThreads, StructuralKickOffOverflowIsDiagnosed) {
 
 TEST(ExecThreads, OnlyTheMasterReleasesTasks) {
   // Nexus++ workers hand finished task ids back to the Task Maestro, whose
-  // Handle Finished block alone updates the tables. With the master as the
-  // resolver's only caller, no shard lock is ever contended, and the
-  // timeline carries every release span on the master track.
+  // Handle Finished block alone updates the tables: the timeline carries
+  // every release span on the master track.
   const auto tasks = small_dag(11, 2000);
   engine::EngineParams params;
   params.threads = 4;
-  params.banks = 4;
-  params.sync = exec::SyncMode::kMutex;
   const auto& registry = engine::EngineRegistry::builtins();
   const auto run = [&](const engine::EngineParams& p) {
     const auto report = registry.make("exec-threads", p)->run(
@@ -365,10 +347,6 @@ TEST(ExecThreads, OnlyTheMasterReleasesTasks) {
     return report;
   };
 
-  const auto plain = run(params);
-  EXPECT_GT(plain.exec_lock_acquisitions, 0u);
-  EXPECT_EQ(plain.exec_lock_contentions, 0u);
-
   engine::EngineParams traced_params = params;
   traced_params.timeline.enabled = true;
   traced_params.timeline.events_per_track =
@@ -378,18 +356,15 @@ TEST(ExecThreads, OnlyTheMasterReleasesTasks) {
   EXPECT_EQ(traced.timeline.data->total_dropped(), 0u);
   std::uint64_t master_releases = 0;
   std::uint64_t other_releases = 0;
-  std::uint64_t lock_waits = 0;
   for (const auto& track : traced.timeline.data->tracks) {
     for (const auto& event : track.events) {
       if (event.kind == obs::EventKind::kRelease) {
         ++(track.name == "master" ? master_releases : other_releases);
       }
-      if (event.kind == obs::EventKind::kLockWait) ++lock_waits;
     }
   }
   EXPECT_EQ(master_releases, tasks.size());
   EXPECT_EQ(other_releases, 0u);
-  EXPECT_EQ(lock_waits, 0u);
 }
 
 // --- Worker failures ------------------------------------------------------------
@@ -421,7 +396,6 @@ TEST(ExecThreads, WorkerExceptionIsRethrown) {
     ThrowingObserver observer(tasks[tasks.size() / 2].serial);
     exec::ExecConfig cfg;
     cfg.threads = threads;
-    cfg.banks = 2;
     cfg.duration_scale = 0.01;
     cfg.observer = &observer;
     exec::ThreadedExecutor executor(cfg);
@@ -446,7 +420,6 @@ TEST(ExecThreads, RegisteredEngineFillsTheRealExecutionReport) {
   engine::EngineParams params;
   params.num_workers = 2;
   params.threads = 4;  // explicit threads knob wins over num_workers
-  params.banks = 2;
   const auto eng = registry.make("exec-threads", params);
   EXPECT_EQ(eng->name(), "exec-threads");
   EXPECT_FALSE(eng->deterministic_report());
@@ -458,11 +431,9 @@ TEST(ExecThreads, RegisteredEngineFillsTheRealExecutionReport) {
   ASSERT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.engine, "exec-threads");
   EXPECT_EQ(report.num_workers, 4u);
-  EXPECT_EQ(report.banks, 2u);
   EXPECT_EQ(report.tasks_completed, tasks.size());
   EXPECT_GT(report.makespan, 0);
   EXPECT_GT(report.exec_tasks_per_sec, 0.0);
-  EXPECT_GT(report.exec_lock_acquisitions, 0u);
   EXPECT_EQ(report.exec_worker_utilization.size(), 4u);
   EXPECT_GT(report.dt_lookups, 0u);
   EXPECT_EQ(report.turnaround_ns.count(), tasks.size());

@@ -3,19 +3,11 @@
 // the chk:: spellings required in exec/ paths (the fixture is linted,
 // never compiled, so no include of the real header is needed).
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace fixture {
 
 chk::Atomic<std::uint64_t> counter{0};
-
-struct Shard {
-  chk::Mutex mu_;
-  std::unique_lock<chk::Mutex> lock_shard() {
-    return std::unique_lock<chk::Mutex>(mu_);
-  }
-};
 
 // NEXUS_HOT_PATH
 inline std::uint64_t hot_but_clean(const std::vector<std::uint64_t>& in) {
@@ -23,13 +15,6 @@ inline std::uint64_t hot_but_clean(const std::vector<std::uint64_t>& in) {
   for (const auto v : in) sum += v;
   counter.fetch_add(sum, std::memory_order_relaxed);
   return counter.load(std::memory_order_acquire);
-}
-
-inline void one_lock_at_a_time(Shard& a, Shard& b) {
-  {
-    const auto lock = a.lock_shard();
-  }
-  const auto lock = b.lock_shard();
 }
 
 }  // namespace fixture

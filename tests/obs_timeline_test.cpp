@@ -93,20 +93,11 @@ TEST(TimelineRecorder, RecordPathIsAllocationFree) {
       rec.record(track, obs::EventKind::kRun, static_cast<double>(i), 1.0,
                  static_cast<std::uint64_t>(i), 0);
     }
-    obs::ThreadTrackScope scope(&rec, track);
-    ASSERT_TRUE(obs::here_enabled());
-    obs::record_here(obs::EventKind::kCombine, obs::here_now_ns(), 0.0, 0, 3);
+    rec.record(track, obs::EventKind::kFinish, rec.now_ns(), 0.0, 600, 0);
   }
-  EXPECT_FALSE(obs::here_enabled());
   const obs::Timeline timeline = std::move(rec).finish();
   EXPECT_EQ(timeline.total_events(), 601u);
   EXPECT_EQ(timeline.total_dropped(), 0u);
-}
-
-TEST(TimelineRecorder, UnboundThreadHelpersAreInert) {
-  ASSERT_FALSE(obs::here_enabled());
-  EXPECT_EQ(obs::here_now_ns(), 0.0);
-  obs::record_here(obs::EventKind::kLockWait, 1.0, 1.0, 1, 1);  // no-op
 }
 
 // --- Critical-path analysis ---------------------------------------------------

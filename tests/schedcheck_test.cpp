@@ -1,21 +1,22 @@
 // Layer-5 correctness tooling tests (docs/CORRECTNESS.md): the schedule
 // explorer, the happens-before race checker, and the compiled-in mutant
-// that proves the pair would have caught the PR 6 publication race.
+// that proves the pair catches a publication race in the executor's run
+// queue.
 //
 // Built without NEXUSPP_SCHEDCHECK the suite pins the zero-cost contract
 // (the chk:: wrappers ARE the std primitives) and skips everything else.
 // Built with it:
 //   * RaceChecker unit tests drive hand-built event sequences with
-//     explicit thread ids and assert exact verdicts (race kind, dedup,
-//     purge-on-reclaim) — the checker is pure logic over those ids.
+//     explicit thread ids and assert exact verdicts (race kind, dedup) —
+//     the checker is pure logic over those ids.
 //   * ScheduleController tests pin determinism (same seed -> same trace),
 //     seed sensitivity, and the deadlock / step-limit diagnoses.
-//   * Workload sweeps run DelegationQueue MPSC, EpochDomain reclamation,
-//     ShardedResolver submit/finish chains and the executor's TaskHandoff
-//     over seed sets and demand completion with zero race reports.
-//   * The mutant test flips chk::Faults::publish_local_id_late, proves a
-//     bounded schedule budget finds the reintroduced race, and replays
-//     the found seed to the bit-identical trace and report signature.
+//   * A workload sweep runs the executor's TaskHandoff over a seed set and
+//     demands completion with zero race reports.
+//   * The mutant test flips chk::Faults::publish_ready_tail_early, proves
+//     a bounded schedule budget finds the race it opens in TaskHandoff,
+//     and replays the found seed to the bit-identical trace and report
+//     signature.
 
 #include <gtest/gtest.h>
 
@@ -39,7 +40,7 @@ static_assert(std::is_same_v<chk::Atomic<std::uint64_t>,
 static_assert(std::is_same_v<chk::Mutex, std::mutex>);
 static_assert(std::is_same_v<chk::CondVar, std::condition_variable>);
 // The fault toggle folds to constant false (dead mutant branches).
-static_assert(!chk::Faults::publish_local_id_late());
+static_assert(!chk::Faults::publish_ready_tail_early());
 static_assert(chk::schedule_thread_id() == chk::kNoScheduleThread);
 
 TEST(SchedCheck, RequiresSchedcheckBuild) {
@@ -56,10 +57,8 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -67,11 +66,7 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 #include "chk/controller.hpp"
 #include "chk/race_checker.hpp"
 #include "chk/session.hpp"
-#include "core/types.hpp"
-#include "exec/epoch.hpp"
 #include "exec/handoff.hpp"
-#include "exec/sharded_resolver.hpp"
-#include "exec/sync_queue.hpp"
 
 namespace nexuspp {
 namespace {
@@ -180,30 +175,6 @@ TEST(RaceChecker, DuplicatePairReportedOnce) {
   checker.on_plain(1, &a, true, kFile, 2);
   checker.on_plain(1, &a, true, kFile, 2);  // same pair again
   EXPECT_EQ(checker.reports().size(), 1u);
-}
-
-TEST(RaceChecker, UseAfterReclaimDetected) {
-  RaceChecker checker;
-  int block[4] = {};
-  checker.on_plain(0, &block[1], false, kFile, 1);
-  checker.on_reclaim(1, block, sizeof(block), kFile, 2);
-  ASSERT_EQ(checker.reports().size(), 1u);
-  EXPECT_EQ(checker.reports()[0].kind, RaceReport::Kind::kUseAfterReclaim);
-}
-
-TEST(RaceChecker, OrderedReclaimIsCleanAndPurgesShadow) {
-  RaceChecker checker;
-  int block[4] = {};
-  int flag = 0;
-  checker.on_plain(0, &block[1], true, kFile, 1);
-  checker.on_release(0, &flag, OpKind::kAtomicStore, kFile, 2);
-  checker.on_acquire(1, &flag, OpKind::kAtomicLoad, kFile, 3);
-  checker.on_reclaim(1, block, sizeof(block), kFile, 4);
-  EXPECT_TRUE(checker.reports().empty());
-  // The address range was purged: a recycled allocation at the same
-  // address must not alias the pre-reclaim history.
-  checker.on_plain(2, &block[1], true, kFile, 5);
-  EXPECT_TRUE(checker.reports().empty());
 }
 
 TEST(RaceChecker, ReportCarriesLocations) {
@@ -366,36 +337,7 @@ TEST(ScheduleController, SeedBannerIsReplayable) {
   EXPECT_NE(banner.find("pct"), std::string::npos) << banner;
 }
 
-// --- Workload sweeps: real exec structures, zero reports ---------------------
-
-/// chk-instrumented two-party mailbox: the harness-side ready queue for
-/// resolver workloads (vector contents modeled as one plain location,
-/// serialized by the instrumented mutex).
-struct Mailbox {
-  chk::Mutex mu;
-  std::vector<std::uint64_t> q;
-
-  void push(std::uint64_t gid) {
-    std::lock_guard<chk::Mutex> lock(mu);
-    chk::plain_write(&q);
-    q.push_back(gid);
-  }
-  bool try_pop(std::uint64_t& gid) {
-    std::lock_guard<chk::Mutex> lock(mu);
-    chk::plain_write(&q);
-    if (q.empty()) return false;
-    gid = q.back();
-    q.pop_back();
-    return true;
-  }
-  std::uint64_t pop_blocking() {
-    std::uint64_t gid = 0;
-    while (!try_pop(gid)) {
-      if (!chk::spin_yield()) std::this_thread::yield();
-    }
-    return gid;
-  }
-};
+// --- Workload sweep: the executor's run queue, zero reports ------------------
 
 /// Standard seed set for the sweeps: random walks plus PCT schedules.
 [[nodiscard]] std::vector<SchedulePolicy> sweep_policies(
@@ -415,142 +357,6 @@ struct Mailbox {
     out.push_back(policy);
   }
   return out;
-}
-
-TEST(SchedExploration, DelegationQueueMpscIsRaceFree) {
-  for (const auto& policy : sweep_policies(60, 20)) {
-    exec::DelegationQueue queue(4);
-    std::uint64_t handled = 0;
-    // The handler mutates plain state; exclusivity comes entirely from
-    // the combiner protocol, which is exactly the claim under test.
-    const auto handler = [&handled](exec::SyncRequest&) {
-      chk::plain_write(&handled);
-      ++handled;
-    };
-    const auto producer = [&] {
-      for (int i = 0; i < 3; ++i) {
-        exec::SyncRequest request;
-        queue.execute(request, handler);
-      }
-    };
-    RaceChecker checker;
-    {
-      ScheduleController controller(policy);
-      chk::SessionScope scope(&controller, &checker);
-      const auto outcome = controller.run({producer, producer});
-      ASSERT_TRUE(outcome.completed())
-          << controller.seed_banner() << ": " << outcome.diagnosis;
-    }
-    EXPECT_EQ(handled, 6u);
-    EXPECT_TRUE(checker.reports().empty())
-        << "seed " << policy.seed << ": "
-        << checker.reports()[0].to_string();
-  }
-}
-
-TEST(SchedExploration, EpochReclamationIsRaceFree) {
-  struct Box {
-    std::uint64_t value = 0;
-  };
-  for (const auto& policy : sweep_policies(60, 20)) {
-    exec::EpochDomain domain;
-    chk::Atomic<Box*> box{new Box};
-    const auto writer = [&] {
-      for (int i = 0; i < 2; ++i) {
-        Box* fresh = new Box;
-        chk::plain_write(&fresh->value);
-        fresh->value = static_cast<std::uint64_t>(i) + 1;
-        Box* old = box.exchange(fresh, std::memory_order_acq_rel);
-        domain.retire(old);
-        domain.try_advance();
-      }
-    };
-    const auto reader = [&] {
-      for (int i = 0; i < 3; ++i) {
-        exec::EpochDomain::Guard guard(domain);
-        Box* current = box.load(std::memory_order_acquire);
-        chk::plain_read(&current->value);
-        (void)current->value;
-      }
-    };
-    RaceChecker checker;
-    {
-      ScheduleController controller(policy);
-      chk::SessionScope scope(&controller, &checker);
-      const auto outcome = controller.run({writer, reader});
-      ASSERT_TRUE(outcome.completed())
-          << controller.seed_banner() << ": " << outcome.diagnosis;
-      EXPECT_TRUE(checker.reports().empty())
-          << "seed " << policy.seed << ": "
-          << checker.reports()[0].to_string();
-    }
-    delete box.load(std::memory_order_relaxed);
-    // Remaining limbo generations are freed by ~EpochDomain after the
-    // session closed (main never synchronized with the workload threads,
-    // so in-session teardown checks would be false positives).
-  }
-}
-
-/// Master/worker resolver chain: master registers `tasks` conflicting
-/// tasks (all inout on one address) and mails every submission-granted
-/// task; the worker drains the mailbox, finishes tasks, and mails each
-/// finish-granted dependant. Exercises submit-vs-finish interleavings of
-/// one shard's full backend.
-struct ResolverChainWorkload {
-  explicit ResolverChainWorkload(std::uint64_t tasks) : total(tasks) {
-    exec::ShardedResolverConfig cfg;
-    cfg.shards = 1;
-    cfg.pool_capacity = 64;
-    cfg.table_capacity = 256;
-    cfg.sync = exec::SyncMode::kLockFree;
-    resolver = std::make_unique<exec::ShardedResolver>(cfg, tasks);
-  }
-
-  [[nodiscard]] std::vector<std::function<void()>> threads() {
-    const auto master = [this] {
-      for (std::uint64_t gid = 0; gid < total; ++gid) {
-        auto session = resolver->begin_submit(
-            gid, gid, 0, std::vector<core::Param>{core::inout(0x40)});
-        if (session.advance() != exec::ShardedResolver::Progress::kDone) {
-          throw std::runtime_error("unexpected submit stall: " +
-                                   session.failure());
-        }
-        if (session.ready()) mailbox.push(gid);
-      }
-    };
-    const auto worker = [this] {
-      std::vector<std::uint64_t> granted;
-      for (std::uint64_t finished = 0; finished < total; ++finished) {
-        const std::uint64_t gid = mailbox.pop_blocking();
-        resolver->finish(gid, granted);
-        for (const auto next : granted) mailbox.push(next);
-      }
-    };
-    return {master, worker};
-  }
-
-  std::uint64_t total;
-  std::unique_ptr<exec::ShardedResolver> resolver;
-  Mailbox mailbox;
-};
-
-TEST(SchedExploration, LockFreeResolverChainIsRaceFree) {
-  for (const auto& policy : sweep_policies(40, 15)) {
-    ResolverChainWorkload workload(3);
-    RaceChecker checker;
-    {
-      ScheduleController controller(policy);
-      chk::SessionScope scope(&controller, &checker);
-      const auto outcome = controller.run(workload.threads());
-      ASSERT_TRUE(outcome.completed())
-          << controller.seed_banner() << ": " << outcome.diagnosis;
-      EXPECT_TRUE(checker.reports().empty())
-          << "seed " << policy.seed << ": "
-          << checker.reports()[0].to_string();
-    }
-    // The resolver (and its epoch domain) tears down after the session:
-    // main never synchronized with the schedule's threads.
-  }
 }
 
 /// The executor's run queue (exec::TaskHandoff) on its own: one master
@@ -625,11 +431,11 @@ TEST(SchedExploration, TaskHandoffIsRaceFreeAndLosesNoWakeup) {
   }
 }
 
-// --- The mutant: PR 6 publication race, rediscovered and replayed ------------
+// --- The mutant: an early ready-tail publication, found and replayed ---------
 
 struct MutantScope {
-  MutantScope() { chk::Faults::set_publish_local_id_late(true); }
-  ~MutantScope() { chk::Faults::set_publish_local_id_late(false); }
+  MutantScope() { chk::Faults::set_publish_ready_tail_early(true); }
+  ~MutantScope() { chk::Faults::set_publish_ready_tail_early(false); }
 };
 
 /// Signature of a detection, stable across processes for one seed: the
@@ -641,7 +447,7 @@ struct Detection {
 };
 
 Detection run_mutant_schedule(const SchedulePolicy& policy) {
-  ResolverChainWorkload workload(2);
+  HandoffWorkload workload;
   RaceChecker checker;
   Detection out;
   {
@@ -690,7 +496,7 @@ TEST(SchedExploration, MutantPublicationRaceIsFoundAndReplays) {
   EXPECT_EQ(found.reports, replay.reports);
   EXPECT_EQ(found.outcome, replay.outcome);
 
-  // The racing pair is the real one: both sides live in the resolver.
+  // The racing pair is the real one: both sides live in the handoff.
   ASSERT_FALSE(found.reports.empty());
 }
 

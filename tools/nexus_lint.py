@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """nexus_lint: repo-specific concurrency-correctness lint for nexus++.
 
-The lock-free resolver backend (src/exec, PR 6) rests on invariants no
-compiler checks. This linter makes the mechanically checkable subset a CI
-gate with a zero-warning baseline:
+The threaded executor (src/exec) rests on invariants no compiler checks.
+This linter makes the mechanically checkable subset a CI gate with a
+zero-warning baseline:
 
   atomic-order       Every std::atomic load/store/RMW in src/exec,
                      src/bank and src/obs must name an explicit
@@ -17,14 +17,9 @@ gate with a zero-warning baseline:
                      growable containers) inside functions annotated
                      // NEXUS_HOT_PATH.
 
-  nested-shard-lock  Never two shard locks held: no lock_shard() call
-                     while a previous lock_shard()'s scope is still open,
-                     and no raw .lock()/.unlock() on a shard mutex that
-                     bypasses the counting lock_shard() wrapper.
-
   obs-hot-path       Every record-path function *definition* in src/obs
-                     (record*, now_ns, here_now_ns) must carry a
-                     // NEXUS_HOT_PATH annotation, so the hot-path-alloc
+                     (record*, now_ns) must carry a // NEXUS_HOT_PATH
+                     annotation, so the hot-path-alloc
                      rule audits its body and readers know the function
                      runs on worker fast paths.
 
@@ -84,9 +79,6 @@ ALLOC_RES = [
 # prose that merely mentions the marker mid-sentence does not annotate.
 HOT_PATH_RE = re.compile(r"^[\s/*]*NEXUS_HOT_PATH\b")
 
-LOCK_SHARD_RE = re.compile(r"\block_shard\s*\(")
-RAW_SHARD_LOCK_RE = re.compile(r"\bmu_\s*\.\s*(lock|unlock|try_lock)\s*\(")
-
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+\w+")
@@ -97,8 +89,6 @@ RULES = {
         "(src/exec, src/bank, src/obs)",
     "hot-path-alloc":
         "no allocation inside // NEXUS_HOT_PATH functions",
-    "nested-shard-lock":
-        "never two shard locks held; no raw shard-mutex lock",
     "header-hygiene":
         "#pragma once / include guard; no `using namespace` in headers",
     "obs-hot-path":
@@ -108,7 +98,7 @@ RULES = {
         "std::mutex / std::condition_variable",
 }
 
-OBS_RECORD_DEF_RE = re.compile(r"\b(record\w*|here_now_ns|now_ns)\s*\(")
+OBS_RECORD_DEF_RE = re.compile(r"\b(record\w*|now_ns)\s*\(")
 
 # Raw synchronization primitives that must be chk:: wrappers in src/exec.
 # std::atomic_signal_fence / _thread_fence are deliberately not matched:
@@ -295,71 +285,6 @@ def scan_allocs(path, code_lines, comment_lines, start, out):
     return n - 1
 
 
-# --- nested-shard-lock --------------------------------------------------------
-
-def shard_lock_calls(code_lines, idx):
-    """Column positions of lock_shard() *calls* on line idx. The inline
-    definition (`... lock_shard() {`) and a pure declaration are skipped:
-    a call site never has '{' directly after its closing parenthesis."""
-    code = code_lines[idx]
-    hits = []
-    for m in LOCK_SHARD_RE.finditer(code):
-        open_pos = code.find("(", m.start())
-        depth = 0
-        k = open_pos
-        while k < len(code):
-            if code[k] == "(":
-                depth += 1
-            elif code[k] == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            k += 1
-        rest = code[k + 1:].lstrip() if k < len(code) else ""
-        if not rest and idx + 1 < len(code_lines):
-            rest = code_lines[idx + 1].lstrip()
-        if rest.startswith("{"):
-            continue  # definition header, not a call
-        hits.append(m.start())
-    return hits
-
-
-def check_nested_shard_lock(path, code_lines, comment_lines, out):
-    # A lock_shard() result is scope-held (`const auto lock =
-    # lock_shard();`), so "two shard locks held" is exactly: a second
-    # lock_shard() while the brace scope enclosing a previous one is still
-    # open. Track brace depth and the depth at which each lock was taken;
-    # function boundaries reset naturally as scopes close.
-    depth = 0
-    held = []  # brace depths of open scopes holding a shard lock
-    for idx, code in enumerate(code_lines):
-        events = [(pos, ch) for pos, ch in enumerate(code) if ch in "{}"]
-        events += [(pos, "lock") for pos in shard_lock_calls(code_lines, idx)]
-        events.sort()
-        for _, kind in events:
-            if kind == "{":
-                depth += 1
-            elif kind == "}":
-                depth -= 1
-                while held and held[-1] > depth:
-                    held.pop()
-            else:
-                if held:
-                    if not allowed(comment_lines, idx, "nested-shard-lock"):
-                        out.append(Violation(
-                            path, idx + 1, "nested-shard-lock",
-                            "lock_shard() while another shard lock is "
-                            "still held (never two shard locks)"))
-                else:
-                    held.append(depth)
-        if RAW_SHARD_LOCK_RE.search(code):
-            if not allowed(comment_lines, idx, "nested-shard-lock"):
-                out.append(Violation(
-                    path, idx + 1, "nested-shard-lock",
-                    "raw shard-mutex lock/unlock bypasses the counting "
-                    "lock_shard() wrapper"))
-
-
 # --- obs-hot-path -------------------------------------------------------------
 
 def in_scope_for_obs(path):
@@ -491,8 +416,6 @@ def lint_file(path, selected):
         check_atomic_order(path, code_lines, comment_lines, out)
     if "hot-path-alloc" in selected:
         check_hot_path_alloc(path, code_lines, comment_lines, out)
-    if "nested-shard-lock" in selected:
-        check_nested_shard_lock(path, code_lines, comment_lines, out)
     if "header-hygiene" in selected:
         check_header_hygiene(path, code_lines, comment_lines, out)
     if "obs-hot-path" in selected:
