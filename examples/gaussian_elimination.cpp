@@ -16,6 +16,7 @@
 #include <cmath>
 #include <iostream>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"

@@ -21,7 +21,8 @@ namespace starss = nexuspp::starss;
 
 namespace {
 
-void real_runtime_demo() {
+/// Returns false when the task-parallel result is wrong.
+bool real_runtime_demo() {
   std::cout << "--- starss::Runtime (real threads) ---\n";
   starss::Runtime rt(2);
 
@@ -41,6 +42,7 @@ void real_runtime_demo() {
   const auto stats = rt.stats();
   std::cout << "tasks: " << stats.executed
             << ", dependency edges: " << stats.dependency_edges << "\n\n";
+  return c == 5.0;
 }
 
 void simulator_demo() {
@@ -76,7 +78,10 @@ void simulator_demo() {
 }  // namespace
 
 int main() {
-  real_runtime_demo();
+  if (!real_runtime_demo()) {
+    std::cerr << "FAILED: hypot(3, 4) computed by tasks is not 5\n";
+    return 1;
+  }
   simulator_demo();
   return 0;
 }

@@ -399,6 +399,11 @@ struct Faults {
   /// slots, so a worker can claim a slot whose id is not written yet.
   [[nodiscard]] static bool publish_ready_tail_early() noexcept;
   static void set_publish_ready_tail_early(bool on) noexcept;
+  /// TaskHandoff::try_claim reads its ring slot after the CAS that claims
+  /// it, so a claimer preempted between the two can read the id the master
+  /// has since written there for the ring's next lap.
+  [[nodiscard]] static bool read_ready_slot_after_claim() noexcept;
+  static void set_read_ready_slot_after_claim(bool on) noexcept;
 };
 
 }  // namespace nexuspp::chk
@@ -430,6 +435,9 @@ inline constexpr std::uint32_t kNoScheduleThread = ~0u;
 
 struct Faults {
   [[nodiscard]] static constexpr bool publish_ready_tail_early() noexcept {
+    return false;
+  }
+  [[nodiscard]] static constexpr bool read_ready_slot_after_claim() noexcept {
     return false;
   }
 };

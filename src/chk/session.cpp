@@ -102,6 +102,7 @@ struct EnvAutoInstall {
 EnvAutoInstall g_env_autoinstall;
 
 std::atomic<bool> g_fault_publish_early{false};
+std::atomic<bool> g_fault_read_after_claim{false};
 
 }  // namespace
 
@@ -135,6 +136,14 @@ bool Faults::publish_ready_tail_early() noexcept {
 
 void Faults::set_publish_ready_tail_early(bool on) noexcept {
   g_fault_publish_early.store(on, std::memory_order_relaxed);
+}
+
+bool Faults::read_ready_slot_after_claim() noexcept {
+  return g_fault_read_after_claim.load(std::memory_order_relaxed);
+}
+
+void Faults::set_read_ready_slot_after_claim(bool on) noexcept {
+  g_fault_read_after_claim.store(on, std::memory_order_relaxed);
 }
 
 namespace detail {

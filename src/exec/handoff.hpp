@@ -1,26 +1,41 @@
 #pragma once
-// TaskHandoff: the run queue between the exec-threads master and its
-// workers — the software form of the Nexus++ Task Maestro's two channels to
-// the worker cores: ready task descriptors out (Send TDs), finished task ids
+// TaskHandoff: the run queue between a Task Maestro thread and its workers
+// — the software form of the Nexus++ Task Maestro's two channels to the
+// worker cores: ready task descriptors out (Send TDs), finished task ids
 // back (Handle Finished). The master is the only thread that touches the
 // resolver; workers only claim ready ids, run them and post them back.
+// Both front ends use it: exec-threads' ThreadedExecutor and
+// starss::Runtime.
 //
-// Two channels, both allocated once at run start and allocation-free after:
+// `capacity` bounds the tasks in flight: made ready and not yet drained
+// back by the master. Both channels are rings of that many slots (rounded
+// up to a power of two), allocated once at construction and
+// allocation-free after; positions grow without bound and index the ring
+// modulo its size, so a caller may recycle ids forever as long as it keeps
+// to the bound.
 //
 //   ready      master -> workers. The master is the only producer: it
-//              writes the slot, then publishes the new tail. Workers (and
+//              writes the slots, then publishes the new tail. Workers (and
 //              the master itself at threads=1) claim the oldest unclaimed
-//              slot with a CAS on the head, so claims are FIFO. A task is
-//              made ready exactly once per run, so `capacity` slots never
-//              wrap.
+//              position with a CAS on the head, so claims are FIFO. A
+//              claimer reads its slot *before* the CAS that claims it:
+//              once the head passes a position the master may reuse its
+//              slot, so a read after the CAS could see the next lap's id.
+//              A claimer that loses the CAS discards what it read, which
+//              is why the slots are (relaxed) atomics. push() checks the
+//              ring against the claimed head (a cached copy, reloaded
+//              when the ring looks full), so the master never overwrites
+//              a slot some claimer has yet to win.
 //
 //   completed  workers -> master, one single-producer log per worker. A
 //              worker writes the finished id and publishes its own tail;
 //              the master drains every log. Per-worker logs keep a worker
 //              preempted mid-post from holding back anyone else's
-//              completions, which a shared fetch_add slot would do. Each
-//              log also holds `capacity` ids (a worker can finish at most
-//              every task), so a post never waits for the master.
+//              completions, which a shared fetch_add slot would do. A
+//              worker's undrained posts are tasks in flight, so a log
+//              never holds more than `capacity` of them: a post never
+//              waits for the master, and the slot it reuses was drained
+//              before the master made the posted task ready.
 //
 // Waiting: a thread with nothing to do spins for kSpinPauses cpu_relax
 // rounds, then parks on the park lock (rank LockDomain::kRunQueue) and a
@@ -31,6 +46,8 @@
 // Under a schedule controller the spin collapses to one controlled yield:
 // waiting is a scheduling decision there, and parking gets explored.
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -55,17 +72,17 @@ class TaskHandoff {
   /// 2 threads the three were within noise.
   static constexpr std::uint32_t kSpinPauses = 2000;
 
-  /// `capacity` bounds the tasks made ready over the handoff's lifetime;
+  /// `capacity` bounds the tasks in flight (made ready, not yet drained);
   /// `workers` is the number of completion posters (0 at threads=1).
   TaskHandoff(std::uint64_t capacity, std::uint32_t workers)
-      : capacity_(capacity),
+      : mask_(std::bit_ceil(std::max<std::uint64_t>(capacity, 1)) - 1),
         // Zeroed, so even a claim of an unwritten slot (the schedcheck
-        // mutant) reads a defined id and its schedule replays exactly.
-        ready_(std::make_unique<TaskId[]>(capacity)),
+        // mutants) reads a defined id and its schedule replays exactly.
+        ready_(std::make_unique<chk::Atomic<TaskId>[]>(mask_ + 1)),
         logs_(workers),
         heads_(workers, 0) {
     for (Log& log : logs_) {
-      log.slots = std::make_unique_for_overwrite<TaskId[]>(capacity);
+      log.slots = std::make_unique_for_overwrite<TaskId[]>(mask_ + 1);
     }
   }
 
@@ -78,8 +95,15 @@ class TaskHandoff {
   // NEXUS_HOT_PATH
   void push(const TaskId* ids, std::size_t count) {
     if (count == 0) return;
-    if (count > capacity_ - tail_) {
-      throw std::logic_error("TaskHandoff: more ready tasks than capacity");
+    if (tail_ + count - claimed_seen_ > mask_ + 1) {
+      // Acquire: pairs with try_claim's release CAS, so every winning read
+      // of a slot below the value seen happens before the stores below
+      // reuse it. Reloaded only when the cached head says the ring is full.
+      claimed_seen_ = claimed_.load(std::memory_order_acquire);
+      if (tail_ + count - claimed_seen_ > mask_ + 1) {
+        throw std::logic_error(
+            "TaskHandoff: more tasks in flight than capacity");
+      }
     }
     // Compiled-in mutant (schedcheck harness only; constant-false and
     // folded away in normal builds): the tail goes out before the slot
@@ -87,8 +111,8 @@ class TaskHandoff {
     const bool early = chk::Faults::publish_ready_tail_early();
     if (early) published_.store(tail_ + count, std::memory_order_seq_cst);
     for (std::size_t i = 0; i < count; ++i) {
-      chk::plain_write(&ready_[tail_ + i]);
-      ready_[tail_ + i] = ids[i];
+      // Relaxed: published by the tail store below.
+      ready_[(tail_ + i) & mask_].store(ids[i], std::memory_order_relaxed);
     }
     tail_ += count;
     // Seq_cst: publishes the slots (release half, paired with try_claim's
@@ -116,8 +140,9 @@ class TaskHandoff {
       // Acquire: pairs with post()'s publishing store.
       const std::uint64_t tail = log.tail.load(std::memory_order_acquire);
       for (std::uint64_t& head = heads_[w]; head < tail; ++head) {
-        chk::plain_read(&log.slots[head]);
-        on_done(log.slots[head]);
+        const TaskId& slot = log.slots[head & mask_];
+        chk::plain_read(&slot);
+        on_done(slot);
         ++drained;
       }
     }
@@ -153,8 +178,9 @@ class TaskHandoff {
     Log& log = logs_[worker];
     // Relaxed: this thread is the log's only writer.
     const std::uint64_t tail = log.tail.load(std::memory_order_relaxed);
-    chk::plain_write(&log.slots[tail]);
-    log.slots[tail] = id;
+    TaskId& slot = log.slots[tail & mask_];
+    chk::plain_write(&slot);
+    slot = id;
     // Seq_cst: publishes the slot (release half, paired with drain's
     // acquire) and orders this store before the sleeper load below.
     log.tail.store(tail + 1, std::memory_order_seq_cst);
@@ -169,20 +195,28 @@ class TaskHandoff {
   /// published. The master uses it at threads=1, where it runs tasks.
   // NEXUS_HOT_PATH
   bool try_claim(TaskId& id) {
+    // Compiled-in mutant (schedcheck harness only; constant-false in
+    // normal builds): the old claim order, CAS first and read after, which
+    // can read a slot the master has already refilled for the next lap.
+    const bool late_read = chk::Faults::read_ready_slot_after_claim();
     // Relaxed: the CAS below revalidates the head.
     std::uint64_t head = claimed_.load(std::memory_order_relaxed);
     for (;;) {
       // Acquire: pairs with push()'s store, so the slot write is visible.
       if (head >= published_.load(std::memory_order_acquire)) return false;
-      // Relaxed: the CAS only arbitrates ownership of slot `head`; its
-      // contents were ordered by the acquire load above.
+      // Relaxed: ordered by the acquire above; a stale head reads a
+      // reused slot, and then the CAS fails and the value is dropped.
+      if (!late_read) id = ready_[head & mask_].load(std::memory_order_relaxed);
+      // Release on success: orders the read above before push()'s acquire
+      // check, which precedes any reuse of the slot. Relaxed on failure:
+      // the loop re-reads everything it needs.
       if (claimed_.compare_exchange_weak(head, head + 1,
+                                         std::memory_order_release,
                                          std::memory_order_relaxed)) {
         break;
       }
     }
-    chk::plain_read(&ready_[head]);
-    id = ready_[head];
+    if (late_read) id = ready_[head & mask_].load(std::memory_order_relaxed);
     return true;
   }
 
@@ -262,9 +296,10 @@ class TaskHandoff {
     }
   }
 
-  const std::uint64_t capacity_;
-  std::unique_ptr<TaskId[]> ready_;
+  const std::uint64_t mask_;  ///< ring size - 1 (a power of two)
+  std::unique_ptr<chk::Atomic<TaskId>[]> ready_;
   std::uint64_t tail_ = 0;  ///< master-owned copy of published_
+  std::uint64_t claimed_seen_ = 0;  ///< master-owned, stale claimed_
   alignas(64) chk::Atomic<std::uint64_t> published_{0};
   alignas(64) chk::Atomic<std::uint64_t> claimed_{0};
   std::vector<Log> logs_;

@@ -100,6 +100,8 @@ void MasterResolver::finish(GlobalId gid, std::vector<GlobalId>& now_ready) {
   now_ready.clear();
   const core::TaskId task = task_of_[gid];
   if (task == core::kInvalidTask) return;  // param-less: nothing to release
+  // Forget the descriptor, so the caller may reuse `gid` for a new task.
+  task_of_[gid] = core::kInvalidTask;
   grants_.clear();
   (void)resolver_.finish(task, grants_);
   (void)pool_.free_task(task);

@@ -41,10 +41,12 @@ struct MasterResolverConfig {
 
 class MasterResolver {
  public:
-  /// Dense task index assigned by the caller in submission order.
+  /// Caller-assigned task name in [0, expected_tasks): a dense submission
+  /// index (ThreadedExecutor) or a slot recycled once finish() has
+  /// released it (starss::Runtime).
   using GlobalId = std::uint64_t;
 
-  /// `expected_tasks` sizes the per-task id map.
+  /// `expected_tasks` sizes the per-task id map: the bound on gids.
   MasterResolver(const MasterResolverConfig& config,
                  std::uint64_t expected_tasks);
 
@@ -100,9 +102,9 @@ class MasterResolver {
 
   /// Handle Finished for completed task `gid`: releases its accesses,
   /// frees its descriptor, and fills `now_ready` (cleared first) with the
-  /// tasks that became ready, in grant order. The buffer is caller-owned
-  /// so the release path never allocates once it has grown. Never needs
-  /// new table space.
+  /// tasks that became ready, in grant order. Afterwards `gid` may name a
+  /// new task. The buffer is caller-owned so the release path never
+  /// allocates once it has grown. Never needs new table space.
   void finish(GlobalId gid, std::vector<GlobalId>& now_ready);
 
   [[nodiscard]] const core::Resolver::Stats& resolver_stats() const noexcept {

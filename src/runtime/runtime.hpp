@@ -1,36 +1,55 @@
 #pragma once
-// starss::Runtime — a real, threaded StarSs-style task runtime.
+// starss::Runtime — the StarSs-style task API on real threads.
 //
-// This is the reconstructed software substrate of the paper's programming
-// model: the programmer submits tasks (any callable) together with their
+// The programmer submits tasks (any callable) together with their
 // input/output/inout memory accesses, and the runtime derives dependencies
-// from overlapping base addresses exactly like the `#pragma css task
-// input(...) inout(...)` annotations do:
+// from their base addresses exactly like the `#pragma css task input(...)
+// inout(...)` annotations do (the CppSs-style API, PAPERS.md):
 //
 //     starss::Runtime rt(4);
 //     rt.submit([&] { c = a + b; },
 //               {starss::in(&a), starss::in(&b), starss::out(&c)});
 //     rt.wait_all();
 //
-// Semantics match core::Resolver / core::GraphOracle: readers of the same
-// address run concurrently (RAR), RAW / WAR / WAW order execution. The
-// dependency tracker uses the classic last-writer + readers-since-write
-// registration: a reader depends on the last unfinished writer; a writer
-// depends on the last writer and on every unfinished reader since.
+// It is a thin front end over the exec Task Maestro core that
+// exec-threads runs on: one exec::MasterResolver (the paper's Task Pool
+// and Dependence Table with Listing-2 semantics, so readers of an address
+// run concurrently and RAW / WAR / WAW order execution, as
+// core::GraphOracle checks) and one exec::TaskHandoff to the worker
+// threads. A task is named by a slot recycled FIFO from [0, the Task
+// Pool's descriptor count). Workers only claim a slot, run its callable
+// and post the slot back. The thread inside submit(), wait_all() or
+// wait_on() acts as the Maestro: it registers tasks, releases posted
+// completions and makes dependants ready. Accesses one task declares on
+// the same base address are merged into one (in + out gives inout).
 //
-// This runtime is both a usable library (the examples compute real results
-// with it) and the reference point the simulated systems are compared
-// against conceptually; its per-task overheads motivate the
-// rts::SoftwareRtsConfig defaults.
+// Progress contract:
+//  - Ready tasks run on the workers at any time, but dependants are
+//    released, and nested submissions registered, only while some thread
+//    is inside submit(), wait_all() or wait_on(). A program that submits
+//    and then waits always completes; between its calls, a task whose
+//    predecessors have finished waits for the next call.
+//  - Back-pressure: at most one Task Pool's worth of tasks (16 384) is
+//    registered and unreleased. At that bound submit() releases posted
+//    completions, waiting for a worker when none is posted, until a slot
+//    frees; it does not grow without limit.
+//  - A submission that cannot take the Maestro role without waiting goes
+//    into a channel the Maestro drains next to completions: one from a
+//    task body, or from a second thread while another is inside the
+//    runtime. From a task body submit() and stats() never wait, and
+//    wait_all() / wait_on() throw std::logic_error (their caller's own
+//    task could never finish). A second thread's submission is registered
+//    by the next thread inside the runtime; it waits for the Maestro role
+//    only when the channel already holds a Task Pool's worth of tasks.
+//
+// Stats count the tasks passed to submit(); the sentinel task wait_on()
+// registers is not counted anywhere. The hazard and edge counts are
+// core::Resolver's, one per access that had to queue (an access granted
+// at once counts nothing).
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -70,13 +89,17 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  /// Submits a task. Dependencies against earlier unfinished tasks are
+  /// Submits a task. Dependencies against earlier unreleased tasks are
   /// derived from the access list (base-address comparison, like the
-  /// paper's hardware). Safe to call from task bodies (nested submission).
+  /// paper's hardware). Safe to call from task bodies (nested submission)
+  /// and from several threads. Throws std::invalid_argument on an empty
+  /// callable, a null or empty access, or more accesses than the
+  /// Dependence Table holds.
   void submit(TaskFn fn, std::vector<Access> accesses);
 
   /// Blocks until every submitted task has finished (the `css barrier`
-  /// pragma). Rethrows the first exception a task threw, if any.
+  /// pragma). Rethrows the first exception a task threw, if any; the
+  /// runtime stays usable.
   void wait_all();
 
   /// Blocks until every task that had declared an access on `ptr` at the
@@ -84,54 +107,23 @@ class Runtime {
   /// Tasks submitted afterwards are not waited for.
   void wait_on(const void* ptr);
 
-  [[nodiscard]] unsigned thread_count() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
+  [[nodiscard]] unsigned thread_count() const noexcept;
 
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t executed = 0;
-    std::uint64_t dependency_edges = 0;
+    std::uint64_t dependency_edges = 0;  ///< accesses that had to queue
     std::uint64_t raw_hazards = 0;
     std::uint64_t war_hazards = 0;
     std::uint64_t waw_hazards = 0;
     unsigned max_concurrency = 0;  ///< peak simultaneously-running tasks
   };
-  /// Snapshot of runtime statistics (thread-safe).
+  /// Snapshot of runtime statistics (thread-safe, never waits).
   [[nodiscard]] Stats stats() const;
 
  private:
-  struct Task {
-    TaskFn fn;
-    std::vector<Access> accesses;
-    std::uint32_t pending = 0;  ///< unfinished predecessors
-    bool finished = false;
-    std::vector<std::shared_ptr<Task>> successors;
-  };
-  using TaskPtr = std::shared_ptr<Task>;
-
-  struct AddrState {
-    TaskPtr last_writer;           ///< most recent writer (may be finished)
-    std::vector<TaskPtr> readers;  ///< readers since the last writer
-  };
-
-  void worker_loop();
-  void run_task(const TaskPtr& task);
-  /// Registers a dependency edge pred -> succ if pred is unfinished.
-  void add_edge_locked(const TaskPtr& pred, const TaskPtr& succ);
-
-  mutable std::mutex mutex_;
-  std::condition_variable ready_cv_;  ///< workers wait for ready tasks
-  std::condition_variable idle_cv_;   ///< wait_all waits for completion
-  std::deque<TaskPtr> ready_;
-  std::unordered_map<const void*, AddrState> addresses_;
-  std::vector<std::thread> workers_;
-  bool shutdown_ = false;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t executed_ = 0;
-  unsigned running_now_ = 0;
-  std::exception_ptr first_exception_;
-  Stats stats_;
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace nexuspp::starss

@@ -1,11 +1,17 @@
 // Tests for the real threaded StarSs-style runtime: dependency ordering
 // (RAW/WAR/WAW/RAR), concurrency, nested submission, exceptions, barriers,
-// and randomized stress against expected serial results.
+// duplicate accesses, waits from task bodies, slot recycling past the
+// in-flight bound, submission from two threads, and randomized stress
+// against expected serial results.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -401,6 +407,267 @@ TEST(Runtime, WaitOnDoesNotWaitForLaterTasks) {
   rt.submit([&x] { x = 2; }, {starss::out(&x)});
   rt.wait_all();
   EXPECT_EQ(x, 2);
+}
+
+TEST(Runtime, DuplicateAccessesInOneTask) {
+  // Accesses to one address in one task merge: in + out acts as inout,
+  // out + out as out, in + in as in. None may hold its own task back.
+  {
+    Runtime rt(1);
+    long v = 1;
+    rt.submit([&v] { v = v * 2 + 1; }, {starss::in(&v), starss::out(&v)});
+    rt.wait_all();
+    EXPECT_EQ(v, 3);
+    EXPECT_EQ(rt.stats().dependency_edges, 0u);
+  }
+  // Unsigned, so the mixing wraps instead of overflowing.
+  std::uint64_t x = 1;
+  std::uint64_t y = 0;
+  std::uint64_t z = 1;
+  std::uint64_t ref_x = 1;
+  std::uint64_t ref_y = 0;
+  std::uint64_t ref_z = 1;
+  Runtime rt(4);
+  for (std::uint64_t r = 0; r < 300; ++r) {
+    rt.submit([&x, r] { x = x * 3 + r; },
+              {starss::in(&x), starss::out(&x)});
+    rt.submit([&x, &y, r] { y = x + r; },
+              {starss::out(&y), starss::in(&x), starss::out(&y)});
+    rt.submit([&x, &z] { z = z * 7 + x; },
+              {starss::in(&x), starss::inout(&z), starss::in(&x)});
+    ref_x = ref_x * 3 + r;
+    ref_y = ref_x + r;
+    ref_z = ref_z * 7 + ref_x;
+  }
+  rt.wait_all();
+  EXPECT_EQ(x, ref_x);
+  EXPECT_EQ(y, ref_y);
+  EXPECT_EQ(z, ref_z);
+}
+
+TEST(Runtime, WaitFromTaskBodyThrowsLogicError) {
+  Runtime rt(2);
+  int x = 0;
+  std::atomic<int> refused{0};
+  rt.submit(
+      [&rt, &x, &refused] {
+        try {
+          rt.wait_all();
+        } catch (const std::logic_error&) {
+          refused.fetch_add(1);
+        }
+        try {
+          rt.wait_on(&x);
+        } catch (const std::logic_error&) {
+          refused.fetch_add(1);
+        }
+        x = 1;
+      },
+      {starss::out(&x)});
+  rt.wait_all();
+  EXPECT_EQ(refused.load(), 2);
+  EXPECT_EQ(x, 1);
+}
+
+TEST(Runtime, SubmitAndStatsFromTaskBodyNeverWait) {
+  // One worker: the body that submits is the only thread that could run
+  // the children, so any wait inside submit() or stats() would hang. The
+  // body submits more children than the in-flight bound.
+  Runtime rt(1);
+  constexpr long kChildren = 20'000;
+  long sum = 0;
+  std::uint64_t seen_submitted = 0;
+  rt.submit(
+      [&rt, &sum, &seen_submitted] {
+        for (long i = 1; i <= kChildren; ++i) {
+          rt.submit([&sum, i] { sum += i; }, {starss::inout(&sum)});
+        }
+        seen_submitted = rt.stats().submitted;
+      },
+      {starss::out(&seen_submitted)});
+  rt.wait_all();
+  EXPECT_EQ(sum, kChildren * (kChildren + 1) / 2);
+  EXPECT_EQ(seen_submitted, 1u + static_cast<std::uint64_t>(kChildren));
+  EXPECT_EQ(rt.stats().executed, 1u + static_cast<std::uint64_t>(kChildren));
+}
+
+TEST(Runtime, RecyclesSlotsPastTheBoundAndMatchesSerialReplay) {
+  // More than three times the 16 384-slot bound, so every slot is reused
+  // and submit() applies back-pressure throughout: a chain, mixing over
+  // independent cells, nested submissions, and wait_on mid-stream, checked
+  // against a serial replay.
+  constexpr int kOps = 52'000;
+  constexpr std::size_t kCells = 64;
+  enum class Kind { kChain, kMix, kNested };
+  struct Op {
+    Kind kind;
+    std::size_t a;
+    std::size_t b;
+  };
+  util::Rng rng(17);
+  std::vector<Op> ops;
+  std::size_t nested = 0;
+  for (int i = 0; i < kOps; ++i) {
+    const auto roll = rng.below(10);
+    Op op{roll < 3 ? Kind::kChain : roll < 9 ? Kind::kMix : Kind::kNested,
+          static_cast<std::size_t>(rng.below(kCells)),
+          static_cast<std::size_t>(rng.below(kCells))};
+    if (op.kind == Kind::kMix && op.a == op.b) op.b = (op.b + 1) % kCells;
+    if (op.kind == Kind::kNested) op.b = nested++;
+    ops.push_back(op);
+  }
+
+  // Serial replay, with the chain's value at each mid-stream check.
+  constexpr int kCheckEvery = 13'000;
+  std::uint64_t ref_chain = 1;
+  std::vector<std::uint64_t> ref_cells(kCells, 1);
+  std::vector<std::uint64_t> ref_result(nested, 0);
+  std::vector<std::uint64_t> ref_checks;
+  for (int i = 0; i < kOps; ++i) {
+    const Op& op = ops[static_cast<std::size_t>(i)];
+    if (op.kind == Kind::kChain) {
+      ref_chain = ref_chain * 31 + static_cast<std::uint64_t>(i);
+    } else if (op.kind == Kind::kMix) {
+      ref_cells[op.a] = ref_cells[op.a] * 5 + ref_cells[op.b];
+    } else {
+      ref_result[op.b] = ref_cells[op.a] * 3 + 1;
+    }
+    if ((i + 1) % kCheckEvery == 0) ref_checks.push_back(ref_chain);
+  }
+
+  std::uint64_t chain = 1;
+  std::vector<std::uint64_t> cells(kCells, 1);
+  std::vector<std::uint64_t> staged(nested, 0);
+  std::vector<std::uint64_t> result(nested, 0);
+  std::vector<std::uint64_t> checks;
+  Runtime rt(4);
+  for (int i = 0; i < kOps; ++i) {
+    const Op& op = ops[static_cast<std::size_t>(i)];
+    if (op.kind == Kind::kChain) {
+      rt.submit(
+          [&chain, i] { chain = chain * 31 + static_cast<std::uint64_t>(i); },
+          {starss::inout(&chain)});
+    } else if (op.kind == Kind::kMix) {
+      std::uint64_t* const dst = &cells[op.a];
+      const std::uint64_t* const src = &cells[op.b];
+      rt.submit([dst, src] { *dst = *dst * 5 + *src; },
+                {starss::inout(dst), starss::in(src)});
+    } else {
+      // The parent copies its cell aside; the child it submits derives the
+      // result from the copy. Neither address is shared with other tasks,
+      // so the child's registration point does not change the answer.
+      const std::uint64_t* const src = &cells[op.a];
+      std::uint64_t* const copy = &staged[op.b];
+      std::uint64_t* const out = &result[op.b];
+      rt.submit(
+          [&rt, src, copy, out] {
+            *copy = *src;
+            rt.submit([copy, out] { *out = *copy * 3 + 1; },
+                      {starss::in(copy), starss::out(out)});
+          },
+          {starss::in(src), starss::out(copy)});
+    }
+    if ((i + 1) % kCheckEvery == 0) {
+      rt.wait_on(&chain);
+      checks.push_back(chain);
+    }
+  }
+  rt.wait_all();
+  EXPECT_EQ(checks, ref_checks);
+  EXPECT_EQ(chain, ref_chain);
+  EXPECT_EQ(cells, ref_cells);
+  EXPECT_EQ(result, ref_result);
+  const auto stats = rt.stats();
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kOps) + nested);
+  EXPECT_EQ(stats.executed, stats.submitted);
+}
+
+TEST(Runtime, TwoThreadsSubmitAtOnce) {
+  // Each thread keeps its own cells, so each thread's submission order is
+  // the serial order its cells must follow; the two streams interleave
+  // through the Maestro role and the submission channel.
+  constexpr int kPerThread = 20'000;
+  constexpr std::size_t kCells = 16;
+  const auto serial = [] {
+    std::vector<std::uint64_t> cells(kCells, 1);
+    for (int i = 0; i < kPerThread; ++i) {
+      std::uint64_t& c = cells[static_cast<std::size_t>(i) % kCells];
+      c = c * 3 + static_cast<std::uint64_t>(i);
+    }
+    return cells;
+  };
+  std::vector<std::uint64_t> a(kCells, 1);
+  std::vector<std::uint64_t> b(kCells, 1);
+  Runtime rt(2);
+  const auto producer = [&rt](std::vector<std::uint64_t>* cells) {
+    for (int i = 0; i < kPerThread; ++i) {
+      std::uint64_t* const c = &(*cells)[static_cast<std::size_t>(i) % kCells];
+      rt.submit([c, i] { *c = *c * 3 + static_cast<std::uint64_t>(i); },
+                {starss::inout(c)});
+    }
+  };
+  std::thread first(producer, &a);
+  std::thread second(producer, &b);
+  first.join();
+  second.join();
+  rt.wait_all();
+  const auto expected = serial();
+  EXPECT_EQ(a, expected);
+  EXPECT_EQ(b, expected);
+  EXPECT_EQ(rt.stats().executed, 2u * kPerThread);
+}
+
+TEST(Runtime, SecondThreadWaitsForTheMaestroOnceTheChannelIsFull) {
+  // The main thread holds the Maestro role inside wait_on() while a slow
+  // task runs, so the second thread's submissions queue in the channel;
+  // past the slot bound they wait for the role instead of growing it.
+  Runtime rt(2);
+  int slow = 0;
+  std::atomic<bool> started{false};
+  rt.submit(
+      [&slow, &started] {
+        started.store(true);
+        const auto start = std::chrono::steady_clock::now();
+        while (std::chrono::steady_clock::now() - start <
+               std::chrono::milliseconds(100)) {
+        }
+        slow = 1;
+      },
+      {starss::out(&slow)});
+  constexpr long kTasks = 30'000;
+  long sum = 0;
+  std::thread second([&rt, &started, &sum] {
+    while (!started.load()) std::this_thread::yield();
+    for (long i = 1; i <= kTasks; ++i) {
+      rt.submit([&sum, i] { sum += i; }, {starss::inout(&sum)});
+    }
+  });
+  rt.wait_on(&slow);
+  EXPECT_EQ(slow, 1);
+  second.join();
+  rt.wait_all();
+  EXPECT_EQ(sum, kTasks * (kTasks + 1) / 2);
+  EXPECT_EQ(rt.stats().executed, 1u + static_cast<std::uint64_t>(kTasks));
+}
+
+TEST(Runtime, TaskWithAsManyAccessesAsTheTableHolds) {
+  // 65 536 distinct addresses fill the Dependence Table; one more could
+  // never register, so submit() rejects it up front.
+  constexpr std::size_t kTableEntries = 65'536;
+  std::vector<char> bytes(kTableEntries + 1);
+  std::vector<Access> accesses;
+  for (std::size_t i = 0; i < kTableEntries; ++i) {
+    accesses.push_back(starss::inout(&bytes[i]));
+  }
+  Runtime rt(2);
+  bool ran = false;
+  rt.submit([&ran] { ran = true; }, accesses);
+  rt.submit([&ran] { ran = !ran; }, {starss::in(&bytes[0])});
+  rt.wait_all();
+  EXPECT_FALSE(ran);  // both ran, in order
+  accesses.push_back(starss::inout(&bytes[kTableEntries]));
+  EXPECT_THROW(rt.submit([] {}, accesses), std::invalid_argument);
+  rt.wait_all();
 }
 
 }  // namespace

@@ -11,12 +11,16 @@
 //     the checker is pure logic over those ids.
 //   * ScheduleController tests pin determinism (same seed -> same trace),
 //     seed sensitivity, and the deadlock / step-limit diagnoses.
-//   * A workload sweep runs the executor's TaskHandoff over a seed set and
-//     demands completion with zero race reports.
-//   * The mutant test flips chk::Faults::publish_ready_tail_early, proves
-//     a bounded schedule budget finds the race it opens in TaskHandoff,
-//     and replays the found seed to the bit-identical trace and report
-//     signature.
+//   * Workload sweeps run TaskHandoff over a seed set, once with room to
+//     spare and once at its in-flight bound so both rings wrap, and demand
+//     completion, every task claimed and drained exactly once, and zero
+//     race reports.
+//   * The mutant tests flip one chk::Faults toggle each, prove a bounded
+//     schedule budget finds the bug it opens in TaskHandoff, and replay the
+//     found seed to the bit-identical trace and report signature:
+//     publish_ready_tail_early (the ready tail published before the slot
+//     stores) and read_ready_slot_after_claim (a claimer reading its ring
+//     slot after the CAS, when the master may already have reused it).
 
 #include <gtest/gtest.h>
 
@@ -359,25 +363,59 @@ TEST(ScheduleController, SeedBannerIsReplayable) {
   return out;
 }
 
+/// The parts of a TaskHandoff workload its two variants share: two
+/// workers that claim, "run" and post back, and per-id claim and drain
+/// counts, each written by the one thread the protocol says owns it.
+template <std::uint64_t Tasks, std::uint64_t Capacity>
+struct HandoffHarness {
+  static constexpr std::uint64_t kTasks = Tasks;
+  static constexpr std::uint64_t kCapacity = Capacity;
+
+  [[nodiscard]] std::function<void()> worker(std::uint32_t index) {
+    return [this, index] {
+      std::uint64_t id = 0;
+      while (handoff.claim(id)) {
+        chk::plain_write(&claims[id]);
+        ++claims[id];
+        handoff.post(index, id);
+      }
+    };
+  }
+
+  /// Master side: counts a drained completion.
+  void drained(std::uint64_t id) {
+    chk::plain_write(&drains[id]);
+    ++drains[id];
+  }
+
+  /// Every task claimed and drained exactly once.
+  [[nodiscard]] bool exact() const {
+    const auto once = [](std::uint32_t n) { return n == 1; };
+    return std::all_of(claims.begin(), claims.end(), once) &&
+           std::all_of(drains.begin(), drains.end(), once);
+  }
+
+  exec::TaskHandoff handoff{kCapacity, 2};
+  std::array<std::uint32_t, kTasks> claims{};
+  std::array<std::uint32_t, kTasks> drains{};
+};
+
 /// The executor's run queue (exec::TaskHandoff) on its own: one master
 /// pushes kTasks ids (the first alone, then in pairs), drains completions
 /// and waits when none is posted; two workers claim, "run" and post back.
 /// Every wait here can park, and a parked thread wakes only on a notify
 /// (chk::CondVar under a controller), so a lost wake-up ends the schedule
 /// as a diagnosed deadlock.
-struct HandoffWorkload {
-  static constexpr std::uint64_t kTasks = 6;
-
+struct HandoffWorkload : HandoffHarness<6, 6> {
   [[nodiscard]] std::vector<std::function<void()>> threads() {
     const auto master = [this] {
       std::uint64_t pushed = 0;
-      std::uint64_t drained = 0;
-      const auto on_done = [this, &drained](std::uint64_t id) {
-        chk::plain_write(&drains[id]);
-        ++drains[id];
-        ++drained;
+      std::uint64_t drained_count = 0;
+      const auto on_done = [this, &drained_count](std::uint64_t id) {
+        drained(id);
+        ++drained_count;
       };
-      while (drained < kTasks) {
+      while (drained_count < kTasks) {
         if (pushed < kTasks) {
           const std::uint64_t ids[2] = {pushed, pushed + 1};
           const std::uint64_t count =
@@ -386,28 +424,40 @@ struct HandoffWorkload {
           pushed += count;
         }
         if (handoff.drain(on_done) == 0 && pushed == kTasks &&
-            drained < kTasks) {
+            drained_count < kTasks) {
           handoff.wait_for_completion();
         }
       }
       handoff.close();
     };
-    const auto worker = [this](std::uint32_t index) {
-      return [this, index] {
-        std::uint64_t id = 0;
-        while (handoff.claim(id)) {
-          chk::plain_write(&claims[id]);
-          ++claims[id];
-          handoff.post(index, id);
-        }
+    return {master, worker(0), worker(1)};
+  }
+};
+
+/// TaskHandoff at its in-flight bound: capacity 2 and six tasks, and the
+/// master pushes one task whenever fewer than two are in flight (pushed,
+/// not yet drained), so every ready slot and completion-log slot is reused
+/// and both rings wrap three times.
+struct WrapWorkload : HandoffHarness<6, 2> {
+  [[nodiscard]] std::vector<std::function<void()>> threads() {
+    const auto master = [this] {
+      std::uint64_t pushed = 0;
+      std::uint64_t drained_count = 0;
+      const auto on_done = [this, &drained_count](std::uint64_t id) {
+        drained(id);
+        ++drained_count;
       };
+      while (drained_count < kTasks) {
+        while (pushed < kTasks && pushed - drained_count < kCapacity) {
+          handoff.push(&pushed, 1);
+          ++pushed;
+        }
+        if (handoff.drain(on_done) == 0) handoff.wait_for_completion();
+      }
+      handoff.close();
     };
     return {master, worker(0), worker(1)};
   }
-
-  exec::TaskHandoff handoff{kTasks, 2};
-  std::array<std::uint32_t, kTasks> claims{};
-  std::array<std::uint32_t, kTasks> drains{};
 };
 
 TEST(SchedExploration, TaskHandoffIsRaceFreeAndLosesNoWakeup) {
@@ -431,6 +481,24 @@ TEST(SchedExploration, TaskHandoffIsRaceFreeAndLosesNoWakeup) {
   }
 }
 
+TEST(SchedExploration, TaskHandoffRingWrapIsRaceFreeAndExact) {
+  for (const auto& policy : sweep_policies(200, 200)) {
+    WrapWorkload workload;
+    RaceChecker checker;
+    {
+      ScheduleController controller(policy);
+      chk::SessionScope scope(&controller, &checker);
+      const auto outcome = controller.run(workload.threads());
+      ASSERT_TRUE(outcome.completed())
+          << controller.seed_banner() << ": " << outcome.diagnosis;
+      EXPECT_TRUE(checker.reports().empty())
+          << controller.seed_banner() << ": "
+          << checker.reports()[0].to_string();
+    }
+    EXPECT_TRUE(workload.exact()) << "seed " << policy.seed;
+  }
+}
+
 // --- The mutant: an early ready-tail publication, found and replayed ---------
 
 struct MutantScope {
@@ -444,10 +512,12 @@ struct Detection {
   std::vector<TraceEntry> trace;
   std::set<std::tuple<int, std::uint32_t, std::uint32_t>> reports;
   ScheduleOutcome::Kind outcome = ScheduleOutcome::Kind::kCompleted;
+  bool exact = true;  ///< every task claimed and drained exactly once
 };
 
+template <class Workload = HandoffWorkload>
 Detection run_mutant_schedule(const SchedulePolicy& policy) {
-  HandoffWorkload workload;
+  Workload workload;
   RaceChecker checker;
   Detection out;
   {
@@ -460,6 +530,7 @@ Detection run_mutant_schedule(const SchedulePolicy& policy) {
     out.reports.emplace(static_cast<int>(report.kind), report.prior.line,
                         report.current.line);
   }
+  out.exact = workload.exact();
   return out;
 }
 
@@ -510,6 +581,49 @@ TEST(SchedExploration, MutantDisabledSameSeedsAreClean) {
     EXPECT_TRUE(result.reports.empty()) << "seed " << seed;
     EXPECT_EQ(result.outcome, ScheduleOutcome::Kind::kCompleted);
   }
+}
+
+// --- The mutant: a ring slot read after its claim, found and replayed --------
+
+struct LateReadScope {
+  LateReadScope() { chk::Faults::set_read_ready_slot_after_claim(true); }
+  ~LateReadScope() { chk::Faults::set_read_ready_slot_after_claim(false); }
+};
+
+/// The bug shows as a claimer reading the next lap's id: a task run twice
+/// and another never (or the racing claims bookkeeping), or a hang.
+[[nodiscard]] bool wrong(const Detection& d) {
+  return !d.reports.empty() || !d.exact ||
+         d.outcome != ScheduleOutcome::Kind::kCompleted;
+}
+
+TEST(SchedExploration, MutantLateSlotReadIsFoundAndReplays) {
+  const LateReadScope mutant;
+  // Bounded PCT budget. Random walks rarely keep a claimer parked between
+  // its CAS and its read long enough for the master to lap the ring; PCT's
+  // priority change points do.
+  constexpr std::uint64_t kBudget = 400;
+  SchedulePolicy found_policy;
+  Detection found;
+  bool detected = false;
+  for (const auto& policy : sweep_policies(0, kBudget)) {
+    found = run_mutant_schedule<WrapWorkload>(policy);
+    if (wrong(found)) {
+      found_policy = policy;
+      detected = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(detected) << "late slot read not found within " << kBudget
+                        << " PCT schedules";
+
+  const auto replay = run_mutant_schedule<WrapWorkload>(found_policy);
+  EXPECT_TRUE(traces_equal(found.trace, replay.trace))
+      << "replay of PCT seed " << found_policy.seed
+      << " diverged from the original failing schedule";
+  EXPECT_EQ(found.reports, replay.reports);
+  EXPECT_EQ(found.outcome, replay.outcome);
+  EXPECT_EQ(found.exact, replay.exact);
 }
 
 }  // namespace

@@ -6,8 +6,8 @@ This linter makes the mechanically checkable subset a CI gate with a
 zero-warning baseline:
 
   atomic-order       Every std::atomic load/store/RMW in src/exec,
-                     src/bank and src/obs must name an explicit
-                     std::memory_order.
+                     src/runtime, src/bank and src/obs must name an
+                     explicit std::memory_order.
                      A defaulted seq_cst hides the author's intent and
                      makes every later reader re-derive the ordering
                      argument from scratch.
@@ -28,8 +28,9 @@ zero-warning baseline:
 
   chk-instrumented-sync
                      No raw std::atomic / std::mutex /
-                     std::condition_variable in src/exec: every
-                     synchronization primitive goes through the chk::
+                     std::condition_variable in src/exec or
+                     src/runtime: every synchronization primitive
+                     goes through the chk::
                      wrappers (src/chk/chk.hpp) so schedule exploration
                      and the happens-before race checker see every
                      operation. With NEXUSPP_SCHEDCHECK off the wrappers
@@ -86,7 +87,7 @@ GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+\w+")
 RULES = {
     "atomic-order":
         "explicit std::memory_order on every atomic op "
-        "(src/exec, src/bank, src/obs)",
+        "(src/exec, src/runtime, src/bank, src/obs)",
     "hot-path-alloc":
         "no allocation inside // NEXUS_HOT_PATH functions",
     "header-hygiene":
@@ -94,13 +95,14 @@ RULES = {
     "obs-hot-path":
         "record-path definitions in src/obs carry // NEXUS_HOT_PATH",
     "chk-instrumented-sync":
-        "src/exec uses chk:: sync wrappers, never raw std::atomic / "
-        "std::mutex / std::condition_variable",
+        "src/exec and src/runtime use chk:: sync wrappers, never raw "
+        "std::atomic / std::mutex / std::condition_variable",
 }
 
 OBS_RECORD_DEF_RE = re.compile(r"\b(record\w*|now_ns)\s*\(")
 
-# Raw synchronization primitives that must be chk:: wrappers in src/exec.
+# Raw synchronization primitives that must be chk:: wrappers in src/exec
+# and src/runtime.
 # std::atomic_signal_fence / _thread_fence are deliberately not matched:
 # fences have no address to race on and stay raw.
 CHK_SYNC_RES = [
@@ -197,7 +199,7 @@ def allowed(comment_lines, idx, rule):
 
 def in_scope_for_atomics(path):
     parts = os.path.normpath(path).split(os.sep)
-    return "exec" in parts or "bank" in parts or "obs" in parts
+    return any(p in parts for p in ("exec", "bank", "obs", "runtime"))
 
 
 def check_atomic_order(path, code_lines, comment_lines, out):
@@ -357,7 +359,7 @@ def check_obs_hot_path(path, code_lines, comment_lines, out):
 
 def in_scope_for_chk(path):
     parts = os.path.normpath(path).split(os.sep)
-    return "exec" in parts
+    return "exec" in parts or "runtime" in parts
 
 
 def check_chk_instrumented_sync(path, code_lines, comment_lines, out):
