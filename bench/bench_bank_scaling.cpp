@@ -9,9 +9,9 @@
 // reads directly as "banked vs monolithic".
 //
 // Three things to read off the table:
-//   parity    — nexus-banked @ 1 bank must match nexus++ exactly (it is
-//               bit-identical; the differential tests enforce it, this
-//               bench shows it in the same row set).
+//   parity    — nexus-banked @ 1 bank must match nexus++ exactly (both
+//               run the same nexus::NexusSystem; CI's bank-parity step
+//               checks these rows in the CSV).
 //   scaling   — conflict wait (cycles operations queued behind a busy
 //               bank) falls as banks grow, and Check Deps / Handle
 //               Finished rounds shorten toward the longest single-bank

@@ -8,7 +8,7 @@
 
 #include <iostream>
 
-#include "nexus/system.hpp"
+#include "engine/registry.hpp"
 #include "trace/io.hpp"
 #include "util/flags.hpp"
 #include "workloads/grid.hpp"
@@ -43,25 +43,35 @@ int main(int argc, char** argv) {
   }
 
   // 3. Configure the system (Table IV defaults + command line overrides).
-  nexus::NexusConfig cfg;
-  cfg.num_workers = cores;
-  cfg.buffering_depth = depth;
-  cfg.memory.contention = contention ? hw::ContentionModel::kPorts
-                                     : hw::ContentionModel::kNone;
-  std::cout << "\n" << cfg.describe().to_string() << "\n";
+  engine::EngineParams params;
+  params.num_workers = cores;
+  params.buffering_depth = depth;
+  params.contention = contention ? hw::ContentionModel::kPorts
+                                 : hw::ContentionModel::kNone;
+  std::cout << "\n"
+            << engine::NexusEngine::apply(nexus::NexusConfig{}, params)
+                   .describe()
+                   .to_string()
+            << "\n";
 
-  // 4. Run and report.
-  auto report = nexus::run_system(cfg, workloads::make_grid_stream(tasks));
+  // 4. Run on the nexus++ engine and report.
+  const auto& registry = engine::EngineRegistry::builtins();
+  const auto report =
+      registry.make("nexus++", params)->run(workloads::make_grid_stream(tasks));
+  if (report.deadlocked) {
+    std::cerr << "deadlock: " << report.diagnosis << "\n";
+    return 1;
+  }
   std::cout << report
                    .to_table("H.264 wavefront on " +
                              std::to_string(cores) + " workers")
                    .to_string();
 
   // 5. A single-core reference for the speedup number.
-  nexus::NexusConfig base = cfg;
-  base.num_workers = 1;
-  auto reference =
-      nexus::run_system(base, workloads::make_grid_stream(tasks));
+  engine::EngineParams single = params;
+  single.num_workers = 1;
+  const auto reference =
+      registry.make("nexus++", single)->run(workloads::make_grid_stream(tasks));
   std::cout << "\nspeedup vs single core: "
             << util::fmt_x(report.speedup_vs(reference)) << "\n";
   return 0;

@@ -13,11 +13,11 @@
 #include <iostream>
 #include <vector>
 
-#include "nexus/system.hpp"
+#include "engine/registry.hpp"
 #include "runtime/runtime.hpp"
+#include "trace/trace.hpp"
 
 namespace starss = nexuspp::starss;
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -65,10 +65,12 @@ void simulator_demo() {
   tasks[2].serial = 2;
   tasks[2].params = {in(0x1000, 8), in(0x2000, 8), out(0x3000, 8)};
 
-  nexuspp::nexus::NexusConfig cfg;  // the paper's Table IV defaults
-  cfg.num_workers = 2;
-  auto report = nexuspp::nexus::run_system(
-      cfg, nexuspp::trace::make_vector_stream(std::move(tasks)));
+  nexuspp::engine::EngineParams params;  // Table IV defaults otherwise
+  params.num_workers = 2;
+  const auto report =
+      nexuspp::engine::EngineRegistry::builtins()
+          .make("nexus++", params)
+          ->run(nexuspp::trace::make_vector_stream(std::move(tasks)));
 
   std::cout << report.to_table("3-task diamond on 2 workers").to_string();
   std::cout << "\nThe two producers overlapped; the consumer waited for "

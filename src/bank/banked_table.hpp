@@ -13,8 +13,7 @@
 //
 // With banks == 1 the single bank is configured exactly like the monolithic
 // table (same capacity, same kick-off bound, same match mode), so every
-// lookup walks identical hash chains and returns identical Cost receipts —
-// the base of the `nexus-banked`-equals-`nexus++` differential guarantee.
+// lookup walks the monolithic hash chains and returns its Cost receipts.
 
 #include <cstdint>
 #include <vector>

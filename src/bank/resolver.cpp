@@ -23,20 +23,29 @@ BankedResolver::BankedResolver(core::TaskPool& pool, BankedTable& table)
   for (std::uint32_t b = 0; b < table_->bank_count(); ++b) {
     per_bank_.emplace_back(pool, table_->bank(b));
   }
+  costs_.reserve(table_->bank_count());
 }
 
 BankedResolver::ParamResult BankedResolver::process_param(TaskId id,
+                                                          const Param& param) {
+  costs_.clear();
+  ParamResult out = resolve_param(id, param);
+  out.costs = costs_;
+  return out;
+}
+
+BankedResolver::ParamResult BankedResolver::resolve_param(TaskId id,
                                                           const Param& param) {
   ParamResult out;
   const auto& part = table_->partition();
 
   if (!part.param_spans_banks(param, table_->match_mode())) {
-    // Single home bank: the monolithic path, verbatim (allocation-free).
+    // Single home bank: the monolithic path, verbatim.
     const auto b = part.bank_of(param.addr);
     auto r = per_bank_[b].process_param(id, param);
     out.outcome = r.outcome;
     out.structural = r.structural;
-    out.costs.push_back({b, r.cost});
+    costs_.push_back({b, r.cost});
     return out;
   }
 
@@ -49,7 +58,7 @@ BankedResolver::ParamResult BankedResolver::process_param(TaskId id,
   for (const auto b : touched) {
     const auto& dt = table_->bank(b);
     auto overlap = dt.overlapping(param.addr, param.size);
-    cost_slot(out.costs, b) += overlap.cost;
+    cost_slot(costs_, b) += overlap.cost;
     std::uint32_t slots_needed = 1;  // this access's own entry
     for (const auto idx : overlap.indices) {
       if (dt.owner_of(idx) == id) continue;
@@ -79,7 +88,7 @@ BankedResolver::ParamResult BankedResolver::process_param(TaskId id,
       throw std::logic_error(
           "BankedResolver: commit failed after two-phase precheck");
     }
-    cost_slot(out.costs, b) += r.cost;
+    cost_slot(costs_, b) += r.cost;
     queued = queued || r.outcome == core::Resolver::ParamOutcome::kQueued;
   }
   out.outcome = queued ? core::Resolver::ParamOutcome::kQueued
@@ -91,19 +100,19 @@ core::Resolver::FinalizeResult BankedResolver::finalize_new_task(TaskId id) {
   return per_bank_.front().finalize_new_task(id);
 }
 
-std::vector<BankedResolver::BankCost> BankedResolver::finish_param(
+std::span<const BankedResolver::BankCost> BankedResolver::finish_param(
     TaskId id, const Param& param, std::vector<TaskId>& now_ready) {
-  std::vector<BankCost> out;
+  costs_.clear();
   const auto& part = table_->partition();
   auto release_in = [&](std::uint32_t b) {
-    out.push_back({b, per_bank_[b].finish_param(id, param, now_ready)});
+    costs_.push_back({b, per_bank_[b].finish_param(id, param, now_ready)});
   };
   if (!part.param_spans_banks(param, table_->match_mode())) {
     release_in(part.bank_of(param.addr));
-    return out;
+  } else {
+    for (const auto b : part.banks_for(param.addr, param.size)) release_in(b);
   }
-  for (const auto b : part.banks_for(param.addr, param.size)) release_in(b);
-  return out;
+  return costs_;
 }
 
 core::Resolver::SubmitResult BankedResolver::submit(TaskId id) {

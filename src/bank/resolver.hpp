@@ -37,6 +37,7 @@
 // returned — the honest hardware price of cross-bank atomicity.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bank/banked_table.hpp"
@@ -65,8 +66,10 @@ class BankedResolver {
         core::Resolver::ParamOutcome::kGranted;
     bool structural = false;
     /// Per touched bank, canonical order. Filled on failures too (the
-    /// probes spent discovering kNeedSpace cost real cycles).
-    std::vector<BankCost> costs;
+    /// probes spent discovering kNeedSpace cost real cycles). A view of
+    /// the resolver's cost buffer, valid until the next process_param or
+    /// finish_param call.
+    std::span<const BankCost> costs;
   };
   /// Listing 2 for one parameter, routed to its home bank(s). kNeedSpace
   /// leaves every bank unchanged (two-phase precheck), so retries are safe.
@@ -77,9 +80,9 @@ class BankedResolver {
 
   /// Releases one parameter of finishing task `id` in every touched bank
   /// (canonical order), appending the waiters it grants to `now_ready` in
-  /// grant order across those banks. Returns the per-bank costs. Never
-  /// needs new table space.
-  [[nodiscard]] std::vector<BankCost> finish_param(
+  /// grant order across those banks. Returns the per-bank costs, a view of
+  /// the same buffer ParamResult::costs views. Never needs new table space.
+  [[nodiscard]] std::span<const BankCost> finish_param(
       TaskId id, const Param& param, std::vector<TaskId>& now_ready);
 
   /// Convenience drivers mirroring core::Resolver::submit / finish with
@@ -104,9 +107,16 @@ class BankedResolver {
   [[nodiscard]] const BankedTable& table() const noexcept { return *table_; }
 
  private:
+  /// process_param's body; fills costs_.
+  [[nodiscard]] ParamResult resolve_param(TaskId id, const Param& param);
+
   core::TaskPool* tp_;
   BankedTable* table_;
   std::vector<core::Resolver> per_bank_;
+  /// Per-bank costs of the latest call, reused so that a parameter's
+  /// resolution allocates nothing: at most one entry per bank, reserved at
+  /// construction.
+  std::vector<BankCost> costs_;
   BankedStats banked_stats_;
 };
 

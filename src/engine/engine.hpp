@@ -13,8 +13,8 @@
 //   classic-nexus — the original Nexus baseline (5-param descriptors, no
 //                   dummy mechanisms, no worker-side buffering)
 //   nexus-banked  — Nexus++ with the Dependence Table split into N
-//                   address-interleaved banks (src/bank/); banks=1 is
-//                   bit-identical to nexus++
+//                   address-interleaved banks (src/bank/); the same
+//                   nexus::NexusSystem as nexus++, so banks=1 is nexus++
 //   software-rts  — the software StarSs runtime the hardware exists to beat
 //   exec-threads  — the real concurrent executor (src/exec/): worker
 //                   threads running spin-calibrated kernels, dependency
@@ -99,12 +99,19 @@ class Engine {
   }
 };
 
-/// Adapter over nexus::NexusSystem. Works for both Nexus++ and classic
-/// Nexus — the difference is entirely in the base NexusConfig.
+/// Adapter over nexus::NexusSystem for all three Nexus engines; they
+/// differ only in their NexusConfig. An unbanked engine (nexus++,
+/// classic-nexus) models the paper's single Dependence Table: it runs one
+/// bank whatever `config.banks` says and reports banks == 0 with no bank
+/// telemetry, like every other unbanked engine. A `banked` one
+/// (nexus-banked) runs `config.banks` banks and reports them.
 class NexusEngine final : public Engine {
  public:
-  NexusEngine(std::string name, nexus::NexusConfig config)
-      : name_(std::move(name)), cfg_(std::move(config)) {}
+  NexusEngine(std::string name, nexus::NexusConfig config,
+              bool banked = false)
+      : name_(std::move(name)), cfg_(std::move(config)), banked_(banked) {
+    if (!banked_) cfg_.banks = 1;
+  }
 
   [[nodiscard]] std::string name() const override { return name_; }
   [[nodiscard]] RunReport run(
@@ -121,25 +128,7 @@ class NexusEngine final : public Engine {
  private:
   std::string name_;
   nexus::NexusConfig cfg_;
-};
-
-/// Adapter over bank::BankedNexusSystem — Nexus++ with N dependence-table
-/// banks. The `banks` / `bank_region_bytes` knobs live on NexusConfig.
-class BankedNexusEngine final : public Engine {
- public:
-  explicit BankedNexusEngine(nexus::NexusConfig config)
-      : cfg_(std::move(config)) {}
-
-  [[nodiscard]] std::string name() const override { return "nexus-banked"; }
-  [[nodiscard]] RunReport run(
-      std::unique_ptr<trace::TaskStream> stream) const override;
-
-  [[nodiscard]] const nexus::NexusConfig& config() const noexcept {
-    return cfg_;
-  }
-
- private:
-  nexus::NexusConfig cfg_;
+  bool banked_;
 };
 
 /// Adapter over exec::ThreadedExecutor — the real concurrent backend. The

@@ -57,8 +57,9 @@ EngineRegistry EngineRegistry::with_builtins() {
           });
   reg.add("nexus-banked",
           [](const EngineParams& p) -> std::unique_ptr<Engine> {
-            return std::make_unique<BankedNexusEngine>(
-                NexusEngine::apply(nexus::NexusConfig{}, p));
+            return std::make_unique<NexusEngine>(
+                "nexus-banked", NexusEngine::apply(nexus::NexusConfig{}, p),
+                /*banked=*/true);
           });
   reg.add("software-rts",
           [](const EngineParams& p) -> std::unique_ptr<Engine> {

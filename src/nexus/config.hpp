@@ -25,12 +25,13 @@ struct NexusConfig {
   core::TaskPoolConfig task_pool{};        ///< 1K descriptors, 8 params
   core::DependenceTableConfig dep_table{}; ///< 4K entries, 8-id kick-off
 
-  // --- Dependence-table banking (bank::BankedNexusSystem only) ---------------
-  /// Number of independent Dependence Table banks. The monolithic
-  /// NexusSystem ignores this; the `nexus-banked` engine splits
-  /// dep_table.capacity evenly across this many banks behind a home-region
-  /// address partition (see src/bank/partition.hpp). 1 = bit-identical to
-  /// the monolithic system.
+  // --- Dependence-table banking ----------------------------------------------
+  /// Number of independent Dependence Table banks: dep_table.capacity is
+  /// split evenly across this many banks behind a home-region address
+  /// partition (see src/bank/partition.hpp), and the bank arbiter times
+  /// Check Deps and Handle Finished per bank. 1 is the paper's monolithic
+  /// table; the nexus++ and classic-nexus engines always run one bank, the
+  /// `nexus-banked` engine sweeps this.
   std::uint32_t banks = 1;
   /// Home-region size of the bank partition (power of two bytes).
   std::uint32_t bank_region_bytes = 256;

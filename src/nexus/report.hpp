@@ -1,10 +1,13 @@
 #pragma once
 // Result of one Nexus++ system simulation: makespan, completion status,
-// per-block utilization and table statistics. Everything a benchmark needs
-// to compute speedups and everything a test needs to assert on behaviour.
+// per-block utilization, table statistics and the Dependence Table's bank
+// telemetry. Everything a benchmark needs to compute speedups and
+// everything a test needs to assert on behaviour. engine::RunReport is
+// the summary table and the CSV/JSON schema built from it.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/dependence_table.hpp"
 #include "core/resolver.hpp"
@@ -13,7 +16,6 @@
 #include "hw/memory.hpp"
 #include "sim/time.hpp"
 #include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace nexuspp::nexus {
 
@@ -56,15 +58,23 @@ struct SystemReport {
   std::uint32_t dt_max_live = 0;  ///< == dt_stats.max_live_slots, convenience
   std::uint64_t sim_events = 0;
 
+  // --- Dependence-table banks (bank::BankUsage, bank::BankedTable) --------
+  std::uint32_t banks = 1;
+  sim::Time bank_conflict_wait = 0;  ///< total wait behind busy banks
+  double bank_busy_imbalance = 0.0;  ///< max/mean per-bank busy time
+  std::vector<sim::Time> per_bank_busy;
+  std::vector<sim::Time> per_bank_conflict;
+  std::vector<std::uint64_t> per_bank_ops;
+  std::uint32_t bank_peak_live = 0;       ///< hottest bank's live highwater
+  double bank_occupancy_imbalance = 0.0;  ///< max/mean live highwater
+  std::vector<std::uint32_t> per_bank_max_live;
+
   /// Wall-clock speedup of this run relative to a baseline makespan.
   [[nodiscard]] double speedup_vs(const SystemReport& single_core) const {
     if (makespan <= 0) return 0.0;
     return static_cast<double>(single_core.makespan) /
            static_cast<double>(makespan);
   }
-
-  /// Human-readable summary table.
-  [[nodiscard]] util::Table to_table(const std::string& title) const;
 };
 
 }  // namespace nexuspp::nexus

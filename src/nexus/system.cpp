@@ -14,6 +14,14 @@ NexusConfig validated(NexusConfig cfg) {
   return cfg;
 }
 
+bank::BankedTableConfig banked_table_config(const NexusConfig& cfg) {
+  bank::BankedTableConfig out;
+  out.table = cfg.dep_table;
+  out.partition.banks = cfg.banks;
+  out.partition.region_bytes = cfg.bank_region_bytes;
+  return out;
+}
+
 /// "C3RdyTasks"-style names. Built with += because GCC 12 emits a bogus
 /// -Wrestrict for `"lit" + std::to_string(x) + "lit"` (gcc PR 105651).
 std::string indexed_name(const char* prefix, std::uint32_t index,
@@ -31,10 +39,13 @@ NexusSystem::NexusSystem(NexusConfig config,
     : cfg_(validated(std::move(config))),
       stream_(std::move(stream)),
       tp_(cfg_.task_pool),
-      dt_(cfg_.dep_table),
+      dt_(banked_table_config(cfg_)),
       resolver_(tp_, dt_),
       memory_(sim_, cfg_.memory),
       master_bus_(sim_, cfg_.master_bus),
+      bank_usage_(cfg_.banks),
+      check_sched_(cfg_.banks),
+      finish_sched_(cfg_.banks),
       tds_buffer_(sim_, cfg_.tds_buffer_capacity, "TDs buffer"),
       new_tasks_(sim_, cfg_.resolved_new_tasks_capacity(), "New Tasks"),
       global_ready_(sim_, cfg_.resolved_global_ready_capacity(),
@@ -186,15 +197,23 @@ sim::Co<void> NexusSystem::check_deps_process() {
       obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start, t,
                  serial);
     }
+    // One arbiter round per task: parameters resolve in parallel across
+    // their home banks, serializing only where they collide on a bank. The
+    // block advances by the round-completion delta each parameter adds.
+    check_sched_.reset();
     for (const auto& param : rp.params) {
       for (;;) {
         auto pr = resolver_.process_param(id, param);
-        const sim::Time t = access_time(pr.cost);
-        check_deps_busy_ += t;
+        sim::Time delta = 0;
+        for (const auto& bc : pr.costs) {
+          delta += check_sched_.charge(bc.bank, access_time(bc.cost),
+                                       bank_usage_);
+        }
+        check_deps_busy_ += delta;
         const sim::Time seg_start = sim_.now();
-        co_await sim_.delay(t);
-        obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start, t,
-                   serial);
+        co_await sim_.delay(delta);
+        obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start,
+                   delta, serial);
         if (pr.outcome != core::Resolver::ParamOutcome::kNeedSpace) break;
         if (pr.structural) {
           fatal("Check Deps: kick-off list overflow without dummy entries "
@@ -289,10 +308,27 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     turnaround_ns_.add(
         sim::to_ns(sim_.now() - timing_by_slot_[id].submitted_at));
 
+    // One arbiter round per finished task: the release walks spread over
+    // their banks, then one delay (descriptor reads plus the round's max
+    // horizon plus the descriptor free). The descriptor is walked in place,
+    // charged one read per slot like read_params.
+    core::Cost read_cost;
+    read_cost.reads = 1 + tp_.dummy_count(id);
+    finish_sched_.reset();
     now_ready.clear();
-    const core::Cost release_cost = resolver_.finish(id, now_ready);
+    sim::Time round = 0;
+    for (TaskId slot = id; slot != core::kInvalidTask;
+         slot = tp_.slot_next_dummy(slot)) {
+      for (const auto& param : tp_.slot_params(slot)) {
+        for (const auto& bc : resolver_.finish_param(id, param, now_ready)) {
+          round += finish_sched_.charge(bc.bank, access_time(bc.cost),
+                                        bank_usage_);
+        }
+      }
+    }
     auto free_cost = tp_.free_task(id);
-    const sim::Time t = access_time(release_cost) + access_time(free_cost) +
+    const sim::Time t = access_time(read_cost) + round +
+                        access_time(free_cost) +
                         cycles(cfg_.block_overhead_cycles);
     handle_finished_busy_ += t;
     const sim::Time seg_start = sim_.now();
@@ -393,8 +429,10 @@ SystemReport NexusSystem::run() {
       os << "no progress possible: submitted " << submitted_ << "/"
          << expected_ << ", completed " << completed_
          << "; TP used " << tp_.used_slot_count() << "/" << tp_.capacity()
-         << ", DT live " << dt_.live_slot_count() << "/" << dt_.capacity()
-         << ", ready queue " << global_ready_.size() << ", new tasks "
+         << ", DT live " << dt_.live_slot_count() << "/"
+         << dt_.bank_count() * dt_.bank(0).capacity();
+      if (dt_.bank_count() > 1) os << " over " << dt_.bank_count() << " banks";
+      os << ", ready queue " << global_ready_.size() << ", new tasks "
          << new_tasks_.size() << ", TDs buffered " << tds_buffer_.size();
     }
     report.diagnosis = os.str();
@@ -420,12 +458,25 @@ SystemReport NexusSystem::run() {
   report.turnaround_ns = turnaround_ns_;
   report.ready_queue_peak = global_ready_.stats().max_occupancy;
   report.tp_stats = tp_.stats();
-  report.dt_stats = dt_.stats();
-  report.resolver_stats = resolver_.stats();
+  report.dt_stats = dt_.aggregated_stats();
+  report.resolver_stats = resolver_.aggregated_stats();
   report.mem_stats = memory_.stats();
   report.bus_stats = master_bus_.stats();
-  report.dt_max_live = dt_.stats().max_live_slots;
+  report.dt_max_live = report.dt_stats.max_live_slots;
   report.sim_events = sim_.events_executed();
+
+  report.banks = cfg_.banks;
+  report.bank_conflict_wait = bank_usage_.total_conflict_wait();
+  report.bank_busy_imbalance = bank_usage_.busy_imbalance();
+  report.per_bank_busy = bank_usage_.busy();
+  report.per_bank_conflict = bank_usage_.conflict();
+  report.per_bank_ops = bank_usage_.ops();
+  report.bank_peak_live = dt_.peak_bank_live();
+  report.bank_occupancy_imbalance = dt_.occupancy_imbalance();
+  report.per_bank_max_live.reserve(dt_.bank_count());
+  for (std::uint32_t b = 0; b < dt_.bank_count(); ++b) {
+    report.per_bank_max_live.push_back(dt_.bank(b).stats().max_live_slots);
+  }
   return report;
 }
 

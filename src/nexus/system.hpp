@@ -10,8 +10,8 @@
 //   Write TP         — allocates Task Pool slots (dummy tasks included),
 //                      stalls while the pool is full.
 //   Check Deps       — Listing 2 per parameter, stalls while the
-//                      Dependence Table is full; ready tasks go to the
-//                      Global Ready list.
+//                      parameter's Dependence Table bank is full; ready
+//                      tasks go to the Global Ready list.
 //   Schedule         — pairs ready tasks with worker-core IDs (round robin
 //                      via the Worker Cores IDs FIFO).
 //   Send TDs         — round-robin arbiter over TC requests; reads the TD
@@ -23,24 +23,30 @@
 //                      finished task's parameters, kicks off dependants,
 //                      frees the descriptor, returns the worker ID.
 //
+// The Dependence Table is NexusConfig::banks address-interleaved banks
+// (bank::BankedTable) resolved through bank::BankedResolver. The bank
+// arbiter (bank::RoundSchedule / bank::BankUsage) times the two blocks
+// that use the table: Check Deps charges each parameter's table work on
+// its home bank's horizon and advances by the round-completion delta it
+// adds, and Handle Finished charges the finished task's release walks the
+// same way, as one delay. Work on different banks overlaps; work on one
+// bank serializes. With one bank, the paper's monolithic table that
+// nexus++ and classic-nexus model, every delta is the operation's own
+// serial cost, so both blocks charge the plain serial sums.
+//
 // The simulation ends when no event remains. If tasks are missing at that
 // point the run is reported as deadlocked, with a diagnosis (which block
 // starved, table occupancies, fatal structural errors such as classic-Nexus
 // kick-off overflow).
-//
-// NOTE: bank::BankedNexusSystem (src/bank/system.cpp) keeps every block
-// except Check Deps and Handle Finished line-for-line identical to this
-// file, and its banks=1 configuration is required to stay *bit-identical*
-// to this system (tests/bank_system_test.cpp). A fix to any block here
-// must be mirrored there.
 
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/dependence_table.hpp"
-#include "core/resolver.hpp"
+#include "bank/arbiter.hpp"
+#include "bank/banked_table.hpp"
+#include "bank/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "hw/bus.hpp"
 #include "hw/memory.hpp"
@@ -114,10 +120,16 @@ class NexusSystem {
 
   sim::Simulator sim_;
   core::TaskPool tp_;
-  core::DependenceTable dt_;
-  core::Resolver resolver_;
+  bank::BankedTable dt_;
+  bank::BankedResolver resolver_;
   hw::Memory memory_;
   hw::Bus master_bus_;
+
+  // Bank arbiter state: one round schedule per requesting block, one shared
+  // usage sink.
+  bank::BankUsage bank_usage_;
+  bank::RoundSchedule check_sched_;
+  bank::RoundSchedule finish_sched_;
 
   // FIFO lists (paper Fig. 2). Unique_ptr: Fifo is pinned (self-referencing
   // waiters) and the per-worker lists are built at run time.

@@ -4,7 +4,10 @@
 //   1. `nexus-banked` with banks=1 is *bit-identical* to `nexus++` — same
 //      makespan, same hazard census, same lookup costs, same event count —
 //      in both address-matching modes, across structured and randomized
-//      workloads.
+//      workloads. Both engines run the one nexus::NexusSystem, so this now
+//      checks the registry wiring; tests/nexus_pinned_report_test.cpp pins
+//      the numbers themselves. nexus++ and classic-nexus ignore the bank
+//      count altogether.
 //   2. Every bank count in {1, 2, 4, 8, 16} completes randomized workloads
 //      (>= 8 seeds) with the full task count — the timed system preserves
 //      the oracle-verified completion semantics of bank::BankedResolver
@@ -17,7 +20,6 @@
 
 #include <string>
 
-#include "bank/system.hpp"
 #include "engine/sweep.hpp"
 #include "nexus/system.hpp"
 #include "workloads/gaussian.hpp"
@@ -130,6 +132,35 @@ INSTANTIATE_TEST_SUITE_P(BothModes, SingleBankBitIdentity,
                                       : "range";
                          });
 
+// --- The monolithic engines ignore the bank count ------------------------------
+
+TEST(MonolithicEngines, IgnoreTheBankCount) {
+  workloads::HaloStencilConfig halo;
+  halo.blocks = 32;
+  halo.steps = 6;
+  const auto tasks = make_halo_stencil_trace(halo);
+  const engine::StreamFactory factory = [tasks] {
+    return std::make_unique<trace::VectorStream>(tasks);
+  };
+  for (const char* name : {"nexus++", "classic-nexus"}) {
+    for (const auto mode :
+         {core::MatchMode::kBaseAddr, core::MatchMode::kRange}) {
+      SCOPED_TRACE(std::string(name) + " " + core::to_string(mode));
+      engine::EngineParams params;
+      params.num_workers = 8;
+      params.match_mode = mode;
+      engine::EngineParams four_banks = params;
+      four_banks.banks = 4;
+      const auto unset = run_engine(name, factory, params);
+      const auto four = run_engine(name, factory, four_banks);
+      EXPECT_TRUE(unset == four);
+      EXPECT_EQ(four.banks, 0u);
+      EXPECT_TRUE(four.per_bank_max_live.empty());
+      EXPECT_EQ(four.bank_conflict_wait, 0);
+    }
+  }
+}
+
 // --- Completion semantics across all bank counts ------------------------------
 
 class BankCountCompletion : public ::testing::TestWithParam<std::uint32_t> {};
@@ -211,8 +242,8 @@ TEST(BankScaling, DirectSystemReportCarriesPerBankTelemetry) {
   ncfg.num_workers = 4;
   ncfg.banks = 4;
   ncfg.dep_table.match_mode = core::MatchMode::kRange;
-  const auto report = bank::run_banked_system(
-      ncfg, workloads::make_random_dag_stream(cfg));
+  const auto report =
+      nexus::run_system(ncfg, workloads::make_random_dag_stream(cfg));
   EXPECT_EQ(report.banks, 4u);
   EXPECT_EQ(report.per_bank_busy.size(), 4u);
   EXPECT_EQ(report.per_bank_conflict.size(), 4u);
@@ -221,7 +252,6 @@ TEST(BankScaling, DirectSystemReportCarriesPerBankTelemetry) {
   std::uint64_t ops = 0;
   for (const auto n : report.per_bank_ops) ops += n;
   EXPECT_GT(ops, 0u);
-  EXPECT_FALSE(report.to_table("banked").to_string().empty());
 }
 
 TEST(BankScaling, SweepGridCarriesBankColumns) {
