@@ -22,6 +22,7 @@
 #include "core/oracle.hpp"
 #include "core/resolver.hpp"
 #include "core/task_pool.hpp"
+#include "exec/executor.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
@@ -29,11 +30,13 @@
 namespace nexuspp {
 namespace {
 
-/// The exec-threads master's table (65 536 entries, 8 ids per kick-off
-/// list): part of the per-run construction cost every Engine::run pays.
+/// The exec-threads master's table at ExecConfig's defaults: part of the
+/// per-run construction cost every Engine::run pays.
 void BM_DependenceTable_Construct(benchmark::State& state) {
+  const exec::ExecConfig defaults;
   for (auto _ : state) {
-    core::DependenceTable dt({65536, 8});
+    core::DependenceTable dt(
+        {defaults.dep_table_capacity, defaults.kick_off_capacity});
     benchmark::DoNotOptimize(dt);
     benchmark::ClobberMemory();
   }
@@ -79,11 +82,12 @@ void BM_DependenceTable_KickoffOverflow(benchmark::State& state) {
 }
 BENCHMARK(BM_DependenceTable_KickoffOverflow)->Arg(8)->Arg(64)->Arg(512);
 
-/// The exec-threads master's pool (16 384 descriptors, 8 parameters
-/// each).
+/// The exec-threads master's pool at ExecConfig's defaults (8 parameters
+/// a descriptor, as exec::MasterResolver builds it).
 void BM_TaskPool_Construct(benchmark::State& state) {
+  const exec::ExecConfig defaults;
   for (auto _ : state) {
-    core::TaskPool tp({16384, 8});
+    core::TaskPool tp({defaults.task_pool_capacity, 8});
     benchmark::DoNotOptimize(tp);
     benchmark::ClobberMemory();
   }

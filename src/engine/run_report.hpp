@@ -60,7 +60,10 @@ struct RunReport {
   std::uint64_t tasks_submitted = 0;
   std::uint64_t tasks_completed = 0;
   bool deadlocked = false;
-  std::string diagnosis;  ///< non-empty when deadlocked
+  /// Non-empty when deadlocked. exec-threads also fills it, without
+  /// deadlocking, when the stream produced a different number of tasks
+  /// than tasks_expected (its total_tasks()).
+  std::string diagnosis;
 
   // --- Per-stage busy/stall breakdown --------------------------------------
   std::vector<StageStat> stages;
@@ -81,6 +84,8 @@ struct RunReport {
   std::size_t ready_queue_peak = 0;
   std::uint32_t tp_max_used = 0;
   std::uint64_t tp_dummy_slots = 0;
+  /// Dependence Table live-entry highwater. At banks > 1 (nexus-banked)
+  /// it is the hottest bank's highwater, not the whole table's.
   std::uint32_t dt_max_live = 0;
   std::uint32_t dt_longest_chain = 0;
   std::uint64_t dt_ko_dummies = 0;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "chk/chk.hpp"
+#include "core/index_fifo.hpp"
 #include "exec/handoff.hpp"
 #include "exec/spin.hpp"
 #include "sim/time.hpp"
@@ -52,17 +53,24 @@ MasterResolverConfig ExecConfig::resolver_config() const {
 struct ThreadedExecutor::Impl {
   std::unique_ptr<MasterResolver> resolver;
   std::unique_ptr<TaskHandoff> handoff;
-  std::uint64_t expected = 0;
   /// threads == 1: no pool; the master runs ready tasks itself wherever it
   /// would otherwise wait for a worker.
   bool inline_mode = false;
 
-  // Per-task bookkeeping, pre-sized before any worker starts. The master
-  // writes a task's entries before making it ready; the ready channel's
-  // publication orders them before the worker's reads.
-  std::vector<std::uint64_t> serials;
-  std::vector<std::uint64_t> exec_ns;
-  std::vector<Clock::time_point> submitted_at;
+  /// What a worker needs of the task named by a slot. The master writes a
+  /// record before making its slot ready and rewrites it only after
+  /// draining the slot's completion, so the ready channel and the
+  /// completion log order every access. One cache line per slot: the
+  /// master filling the next slot does not invalidate the line a worker
+  /// is reading.
+  struct alignas(64) SlotRecord {
+    std::uint64_t serial = 0;
+    std::uint64_t exec_ns = 0;
+    Clock::time_point submitted_at{};
+  };
+  std::vector<SlotRecord> slots;
+  /// Master-owned: slots not naming a task, recycled FIFO.
+  core::IndexFifo free_slots{0};
 
   // Master-owned progress: only the master registers, makes ready and
   // releases tasks, so these are plain counters and every deadlock test
@@ -99,33 +107,35 @@ struct ThreadedExecutor::Impl {
   std::uint32_t master_track = 0;
   std::uint32_t worker_track0 = 0;
 
-  /// Runs task `gid`'s kernel on worker `widx`. The completion event fires
-  /// before the task is posted back, hence before its accesses are
-  /// released, so recorded completion order stays oracle-valid.
+  /// Runs the kernel of the task in `slot` on worker `widx`. The
+  /// completion event fires before the task is posted back, hence before
+  /// its accesses are released, so recorded completion order stays
+  /// oracle-valid.
   // NEXUS_HOT_PATH
-  void run_task(std::uint64_t gid, std::uint32_t widx) {
-    if (observer != nullptr) observer->on_started(serials[gid], widx);
+  void run_task(std::uint64_t slot, std::uint32_t widx) {
+    const SlotRecord& task = slots[slot];
+    if (observer != nullptr) observer->on_started(task.serial, widx);
     WorkerStats& stats = workers[widx];
     double obs_run0 = 0.0;
     if (rec != nullptr) obs_run0 = rec->now_ns();
     const auto t0 = Clock::now();
-    stats.units += kernels[widx].run(exec_ns[gid], serials[gid]);
+    stats.units += kernels[widx].run(task.exec_ns, task.serial);
     const auto t1 = Clock::now();
-    if (observer != nullptr) observer->on_completed(serials[gid], widx);
+    if (observer != nullptr) observer->on_completed(task.serial, widx);
     if (rec != nullptr) {
       rec->record(worker_track0 + widx, obs::EventKind::kRun, obs_run0,
-                  rec->now_ns() - obs_run0, serials[gid], 0);
+                  rec->now_ns() - obs_run0, task.serial, 0);
     }
     stats.busy_ns += elapsed_ns(t0, t1);
-    stats.turnaround.add(elapsed_ns(submitted_at[gid], t1));
+    stats.turnaround.add(elapsed_ns(task.submitted_at, t1));
   }
 
   void worker_loop(std::uint32_t widx) {
     try {
-      std::uint64_t gid = 0;
-      while (handoff->claim(gid)) {
-        run_task(gid, widx);
-        handoff->post(widx, gid);
+      std::uint64_t slot = 0;
+      while (handoff->claim(slot)) {
+        run_task(slot, widx);
+        handoff->post(widx, slot);
       }
     } catch (...) {
       // A throwing kernel or observer callback: keep the first error, stop
@@ -140,9 +150,9 @@ struct ThreadedExecutor::Impl {
 
   /// Pushes newly ready tasks to the workers. Master only.
   // NEXUS_HOT_PATH
-  void make_ready(const std::uint64_t* gids, std::size_t count) {
+  void make_ready(const std::uint64_t* ids, std::size_t count) {
     if (count == 0) return;
-    handoff->push(gids, count);
+    handoff->push(ids, count);
     made_ready += count;
     const std::size_t depth = handoff->ready_depth();
     queue_peak = std::max(queue_peak, depth);
@@ -153,25 +163,27 @@ struct ThreadedExecutor::Impl {
   }
 
   /// The Handle Finished step for one completed task: release its
-  /// accesses and make the dependants it was holding back ready. Master
-  /// only — no worker ever touches the resolver.
+  /// accesses, free its slot and make the dependants it was holding back
+  /// ready. Master only — no worker ever touches the resolver.
   // NEXUS_HOT_PATH
-  void release(std::uint64_t gid) {
+  void release(std::uint64_t slot) {
     const double obs0 = rec != nullptr ? rec->now_ns() : 0.0;
-    resolver->finish(gid, grants);
+    resolver->finish(slot, grants);
+    free_slots.push(static_cast<std::uint32_t>(slot));
     --in_flight;
     ++completed;
     if (rec != nullptr) {
+      const std::uint64_t serial = slots[slot].serial;
       const double obs_end = rec->now_ns();
       rec->record(master_track, obs::EventKind::kRelease, obs0,
-                  obs_end - obs0, serials[gid], 0);
+                  obs_end - obs0, serial, 0);
       rec->record(master_track, obs::EventKind::kFinish, obs_end, 0.0,
-                  serials[gid], 0);
+                  serial, 0);
       // One grant instant per dependant this finish made runnable; the
       // granter's serial is the edge the critical-path analysis walks.
       for (const std::uint64_t granted : grants) {
         rec->record(master_track, obs::EventKind::kReady, obs_end, 0.0,
-                    serials[granted], serials[gid]);
+                    slots[granted].serial, serial);
       }
       rec->record(master_track, obs::EventKind::kInFlight, obs_end, 0.0, 0,
                   in_flight);
@@ -181,7 +193,7 @@ struct ThreadedExecutor::Impl {
 
   /// Releases every completion the workers have posted; returns how many.
   std::size_t drain() {
-    return handoff->drain([this](std::uint64_t gid) { release(gid); });
+    return handoff->drain([this](std::uint64_t slot) { release(slot); });
   }
 
   /// Tasks remain in flight, yet every task ever made ready has been
@@ -199,10 +211,10 @@ struct ThreadedExecutor::Impl {
       handoff->wait_for_completion();
       return;
     }
-    std::uint64_t gid = 0;
-    if (handoff->try_claim(gid)) {
-      run_task(gid, 0);
-      release(gid);
+    std::uint64_t slot = 0;
+    if (handoff->try_claim(slot)) {
+      run_task(slot, 0);
+      release(slot);
     }
   }
 
@@ -229,16 +241,18 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   used_ = true;
 
   Impl& im = *impl_;
-  im.expected = stream->total_tasks();
   im.inline_mode = config_.threads == 1;
   im.observer = config_.observer;
+  // A task is named by a slot, as the Task Maestro names one by its Task
+  // Pool index: the resolver's gid map, the handoff's rings and the slot
+  // records all hold one Task Pool's worth, whatever the stream's length.
+  const std::uint32_t slot_count = config_.task_pool_capacity;
   im.resolver = std::make_unique<MasterResolver>(config_.resolver_config(),
-                                                 im.expected);
+                                                 slot_count);
   im.handoff = std::make_unique<TaskHandoff>(
-      im.expected, im.inline_mode ? 0 : config_.threads);
-  im.serials.resize(im.expected);
-  im.exec_ns.resize(im.expected);
-  im.submitted_at.resize(im.expected);
+      slot_count, im.inline_mode ? 0 : config_.threads);
+  im.slots.resize(slot_count);
+  im.free_slots = core::IndexFifo(slot_count);
   im.workers = std::vector<Impl::WorkerStats>(config_.threads);
   // Kernel state (stream buffers, matmul tiles) is built here, before any
   // worker thread exists: each body is then touched by exactly one worker.
@@ -259,7 +273,7 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   }
 
   ExecReport report;
-  report.tasks_expected = im.expected;
+  report.tasks_expected = stream->total_tasks();
   report.threads = config_.threads;
 
   std::vector<std::thread> pool;
@@ -318,32 +332,73 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
     report.diagnosis = std::move(why);
   };
 
+  // Called when registration cannot go on: no free slot, or no table or
+  // pool space. Only a release frees any, and only this thread releases:
+  // drain what the workers posted, and wait for more only when nothing
+  // was. Adds the time since `since`, when registration stopped, to
+  // `stall_ns` and moves `since` to the stall's end, so back-to-back
+  // stalls read the clock once each: past the pool's capacity, every task
+  // at threads=1 stalls. False when the run must stop.
+  const auto stall = [&](std::uint64_t serial, Clock::time_point& since,
+                         double& stall_ns) {
+    const double obs_stall0 = rec != nullptr ? rec->now_ns() : 0.0;
+    if (im.drain() == 0) {
+      if (im.in_flight == 0) {
+        abort_run("capacity deadlock: task " + std::to_string(serial) +
+                  " cannot be registered (dependence table / task pool "
+                  "too small) and nothing is in flight to free space");
+        return false;
+      }
+      if (im.wedged()) {
+        abort_run(im.wedge_diagnosis());
+        return false;
+      }
+      im.await_progress();
+      if (im.handoff->closed()) return false;
+      (void)im.drain();
+    }
+    const auto now = Clock::now();
+    stall_ns += elapsed_ns(since, now);
+    since = now;
+    if (rec != nullptr) {
+      rec->record(im.master_track, obs::EventKind::kStall, obs_stall0,
+                  rec->now_ns() - obs_stall0, serial, 0);
+    }
+    return true;
+  };
+
   // --- Master: release, pull, register, make ready ---------------------------
-  std::uint64_t gid = 0;
   while (!report.deadlocked) {
     // Completions posted since the last task go first: their releases free
-    // table space and make dependants ready before the next registration.
+    // slots and table space and make dependants ready before the next
+    // registration.
     (void)im.drain();
     if (im.handoff->closed()) break;  // a worker failed
     auto record = stream->next();
     if (!record.has_value()) break;
-    if (gid >= im.expected) {
-      abort_run("malformed stream: produced more tasks than total_tasks()");
-      break;
-    }
     if (im.observer != nullptr) im.observer->on_submitted(record->serial);
-    im.serials[gid] = record->serial;
-    im.exec_ns[gid] = static_cast<std::uint64_t>(
-        sim::to_ns(record->exec_time) * config_.duration_scale);
-    total_exec_ns += static_cast<double>(im.exec_ns[gid]);
-
-    auto session = im.resolver->begin_submit(gid, record->serial, record->fn,
-                                             std::move(record->params));
     const auto submit_start = Clock::now();
+    double task_stall_ns = 0.0;  // time not spent registering this task
+
+    // Every task takes a slot, parameter-less ones too: the tasks in
+    // flight never outnumber the Task Pool's descriptors.
+    auto stalled_at = submit_start;
+    while (im.free_slots.empty()) {
+      if (!stall(record->serial, stalled_at, task_stall_ns)) break;
+    }
+    if (report.deadlocked || im.handoff->closed()) break;
+    const std::uint64_t slot = im.free_slots.pop();
     // Read by the worker that runs the task, after the ready channel
     // publishes it.
-    im.submitted_at[gid] = submit_start;
-    double task_stall_ns = 0.0;  // time not spent registering this task
+    Impl::SlotRecord& task = im.slots[slot];
+    task.serial = record->serial;
+    task.exec_ns = static_cast<std::uint64_t>(
+        sim::to_ns(record->exec_time) * config_.duration_scale);
+    task.submitted_at = submit_start;
+    total_exec_ns += static_cast<double>(task.exec_ns);
+
+    auto session = im.resolver->begin_submit(slot, record->serial, record->fn,
+                                             std::move(record->params));
     for (;;) {
       const double obs_seg0 = rec != nullptr ? rec->now_ns() : 0.0;
       const auto progress = session.advance();
@@ -358,32 +413,8 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
         abort_run("structural deadlock: " + session.failure());
         break;
       }
-      // Stalled on table/pool space. Only a release frees space, and only
-      // this thread releases: drain what the workers posted, and wait for
-      // more only when nothing was.
-      const auto stall_start = Clock::now();
-      const double obs_stall0 = rec != nullptr ? rec->now_ns() : 0.0;
-      if (im.drain() == 0) {
-        if (im.in_flight == 0) {
-          abort_run("capacity deadlock: task " +
-                    std::to_string(record->serial) +
-                    " cannot be registered (dependence table / task pool "
-                    "too small) and nothing is in flight to free space");
-          break;
-        }
-        if (im.wedged()) {
-          abort_run(im.wedge_diagnosis());
-          break;
-        }
-        im.await_progress();
-        if (im.handoff->closed()) break;
-        (void)im.drain();
-      }
-      task_stall_ns += elapsed_ns(stall_start, Clock::now());
-      if (rec != nullptr) {
-        rec->record(im.master_track, obs::EventKind::kStall, obs_stall0,
-                    rec->now_ns() - obs_stall0, record->serial, 0);
-      }
+      stalled_at = Clock::now();
+      if (!stall(record->serial, stalled_at, task_stall_ns)) break;
     }
     if (report.deadlocked || im.handoff->closed()) break;
 
@@ -402,8 +433,7 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
                     record->serial, obs::kNoPred);
       }
     }
-    if (session.ready()) im.make_ready(&gid, 1);
-    ++gid;
+    if (session.ready()) im.make_ready(&slot, 1);
   }
 
   // --- Master: release the rest ----------------------------------------------
@@ -449,11 +479,11 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   report.tables = im.resolver->table_stats();
   report.ready_queue_peak = im.queue_peak;
   report.kernel = config_.kernel.kind;
-  if (!report.deadlocked && report.tasks_completed != report.tasks_expected) {
-    report.deadlocked = true;
-    report.diagnosis = "stream ended after " + std::to_string(submitted) +
-                       " of " + std::to_string(report.tasks_expected) +
-                       " expected tasks";
+  if (!report.deadlocked && submitted != report.tasks_expected) {
+    // Every task ran; only the stream's own count was wrong.
+    report.diagnosis = "stream length mismatch: total_tasks() said " +
+                       std::to_string(report.tasks_expected) +
+                       ", the stream produced " + std::to_string(submitted);
   }
   return report;
 }

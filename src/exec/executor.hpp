@@ -11,10 +11,21 @@
 // honoring the record's exec_time, and post the finished ids back. The
 // master drains those completions — releasing each task's accesses and
 // making its dependants ready, as the Maestro's Handle Finished block does
-// — before every submission, whenever registration stalls on table or
-// pool space, and after the stream ends. A stall that can never resolve
-// (nothing left in flight, or a structural limit) terminates the run with
-// a deadlock diagnosis instead of hanging.
+// — before every submission, whenever registration stalls on a slot or on
+// table or pool space, and after the stream ends. A stall that can never
+// resolve (nothing left in flight, or a structural limit) terminates the
+// run with a deadlock diagnosis instead of hanging.
+//
+// As the Maestro names a task by its Task Pool index, the master names
+// every task, parameter-less ones too, by a slot in [0,
+// task_pool_capacity), recycled FIFO (core::IndexFifo) once the task is
+// released. A task waits for a free slot the way registration waits for
+// pool space, so at most task_pool_capacity tasks are in flight, and
+// nothing the executor holds grows with the stream: the resolver's id
+// map, the handoff's rings and the per-slot records are all sized by the
+// pool. `TaskStream::total_tasks()` only fills ExecReport::tasks_expected;
+// a stream that produces a different number of tasks still runs to its
+// end, and the report's diagnosis names both counts.
 //
 // threads == 1 spawns no worker: the master runs the oldest ready task
 // itself wherever it would otherwise wait. No concurrency, hence a
@@ -35,8 +46,10 @@
 #include <string>
 #include <vector>
 
+#include "core/dependence_table.hpp"
 #include "core/observer.hpp"
 #include "core/resolver.hpp"
+#include "core/task_pool.hpp"
 #include "core/types.hpp"
 #include "exec/kernels.hpp"
 #include "exec/master_resolver.hpp"
@@ -52,11 +65,13 @@ struct ExecConfig {
   /// because perfbench/src/replay.cpp still assigns it.
   std::uint32_t banks = 1;
   core::MatchMode match_mode = core::MatchMode::kBaseAddr;
-  /// Machine totals — same meaning as the simulated engines' capacity
-  /// knobs.
-  std::uint32_t task_pool_capacity = 16384;
-  std::uint32_t dep_table_capacity = 65536;
-  std::uint32_t kick_off_capacity = 8;
+  /// Machine totals — same meaning and defaults as the simulated engines'
+  /// capacity knobs: the paper's Table IV sizes. `task_pool_capacity` also
+  /// bounds the tasks in flight (see above).
+  std::uint32_t task_pool_capacity = core::TaskPoolConfig{}.capacity;
+  std::uint32_t dep_table_capacity = core::DependenceTableConfig{}.capacity;
+  std::uint32_t kick_off_capacity =
+      core::DependenceTableConfig{}.kick_off_capacity;
   bool allow_dummies = true;
   /// Multiplier on trace exec times (1.0 honors them; tests shrink it).
   double duration_scale = 1.0;
@@ -83,10 +98,12 @@ struct ExecConfig {
 };
 
 struct ExecReport {
-  std::uint64_t tasks_expected = 0;
+  std::uint64_t tasks_expected = 0;  ///< the stream's total_tasks()
   std::uint64_t tasks_submitted = 0;
   std::uint64_t tasks_completed = 0;
   bool deadlocked = false;
+  /// Why the run stopped early when deadlocked; otherwise empty, unless
+  /// the stream produced a different number of tasks than tasks_expected.
   std::string diagnosis;
 
   // --- Real wall-clock results ----------------------------------------------

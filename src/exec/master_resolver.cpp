@@ -25,11 +25,11 @@ void MasterResolverConfig::validate() const {
 }
 
 MasterResolver::MasterResolver(const MasterResolverConfig& config,
-                               std::uint64_t expected_tasks)
+                               std::uint64_t gid_bound)
     : pool_(pool_config(config)),
       table_(table_config(config)),
       resolver_(pool_, table_),
-      task_of_(expected_tasks, core::kInvalidTask),
+      task_of_(gid_bound, core::kInvalidTask),
       gid_of_(config.pool_capacity, 0) {
   // One release grants each live task at most once.
   grants_.reserve(config.pool_capacity);
@@ -39,7 +39,7 @@ MasterResolver::SubmitSession MasterResolver::begin_submit(
     GlobalId gid, std::uint64_t serial, std::uint64_t fn,
     std::vector<core::Param> params) {
   if (gid >= task_of_.size()) {
-    throw std::out_of_range("MasterResolver: gid beyond expected_tasks");
+    throw std::out_of_range("MasterResolver: gid beyond gid_bound");
   }
   SubmitSession session(this, gid, serial, fn, std::move(params));
   // A task without parameters has nothing to register: ready at once.

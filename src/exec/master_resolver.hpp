@@ -28,11 +28,16 @@
 
 namespace nexuspp::exec {
 
+/// Defaults to the core's, which are the paper's Table IV sizes.
 struct MasterResolverConfig {
   core::MatchMode match_mode = core::MatchMode::kBaseAddr;
-  std::uint32_t pool_capacity = 16384;   ///< Task Pool descriptor slots
-  std::uint32_t table_capacity = 65536;  ///< Dependence Table entries
-  std::uint32_t kick_off_capacity = 8;   ///< ids per kick-off list
+  /// Task Pool descriptor slots.
+  std::uint32_t pool_capacity = core::TaskPoolConfig{}.capacity;
+  /// Dependence Table entries.
+  std::uint32_t table_capacity = core::DependenceTableConfig{}.capacity;
+  /// Ids per kick-off list.
+  std::uint32_t kick_off_capacity =
+      core::DependenceTableConfig{}.kick_off_capacity;
   bool allow_dummies = true;  ///< dummy tasks + dummy entries
 
   /// Throws std::invalid_argument on zero capacities or a bad table config.
@@ -41,14 +46,13 @@ struct MasterResolverConfig {
 
 class MasterResolver {
  public:
-  /// Caller-assigned task name in [0, expected_tasks): a dense submission
-  /// index (ThreadedExecutor) or a slot recycled once finish() has
-  /// released it (starss::Runtime).
+  /// Caller-assigned task name in [0, gid_bound): a slot recycled once
+  /// finish() has released it (ThreadedExecutor and starss::Runtime, with
+  /// one slot per Task Pool descriptor), or a dense submission index.
   using GlobalId = std::uint64_t;
 
-  /// `expected_tasks` sizes the per-task id map: the bound on gids.
-  MasterResolver(const MasterResolverConfig& config,
-                 std::uint64_t expected_tasks);
+  /// `gid_bound` sizes the per-task id map: the bound on gids.
+  MasterResolver(const MasterResolverConfig& config, std::uint64_t gid_bound);
 
   MasterResolver(const MasterResolver&) = delete;
   MasterResolver& operator=(const MasterResolver&) = delete;
@@ -92,7 +96,7 @@ class MasterResolver {
     bool ready_ = false;
   };
 
-  /// Starts registration of task `gid` (gid < expected_tasks). Takes the
+  /// Starts registration of task `gid` (gid < gid_bound). Takes the
   /// parameter list by value so a caller can move it in: the submit path
   /// allocates nothing. A task without parameters is ready at once and
   /// never occupies a descriptor.

@@ -55,7 +55,10 @@ struct SystemReport {
   core::Resolver::Stats resolver_stats;
   hw::Memory::Stats mem_stats;
   hw::Bus::Stats bus_stats;
-  std::uint32_t dt_max_live = 0;  ///< == dt_stats.max_live_slots, convenience
+  /// == dt_stats.max_live_slots, convenience. At banks > 1 that is the
+  /// hottest bank's live highwater, not the whole table's (see
+  /// per_bank_max_live).
+  std::uint32_t dt_max_live = 0;
   std::uint64_t sim_events = 0;
 
   // --- Dependence-table banks (bank::BankUsage, bank::BankedTable) --------

@@ -21,7 +21,7 @@ namespace {
 using Slot = exec::TaskHandoff::TaskId;
 
 /// The resolver configuration every Runtime uses: MasterResolverConfig's
-/// defaults.
+/// defaults, the paper's Table IV sizes.
 constexpr exec::MasterResolverConfig kConfig{};
 /// Tasks registered and unreleased at most: one per Task Pool descriptor,
 /// so the pool only stalls a registration when tasks spill into dummies.

@@ -29,10 +29,10 @@
 //    is inside submit(), wait_all() or wait_on(). A program that submits
 //    and then waits always completes; between its calls, a task whose
 //    predecessors have finished waits for the next call.
-//  - Back-pressure: at most one Task Pool's worth of tasks (16 384) is
-//    registered and unreleased. At that bound submit() releases posted
-//    completions, waiting for a worker when none is posted, until a slot
-//    frees; it does not grow without limit.
+//  - Back-pressure: at most one Task Pool's worth of tasks (1 024, the
+//    paper's Table IV size) is registered and unreleased. At that bound
+//    submit() releases posted completions, waiting for a worker when none
+//    is posted, until a slot frees; it does not grow without limit.
 //  - A submission that cannot take the Maestro role without waiting goes
 //    into a channel the Maestro drains next to completions: one from a
 //    task body, or from a second thread while another is inside the

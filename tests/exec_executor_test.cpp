@@ -1,7 +1,8 @@
 // The real concurrent executor (`exec-threads`): GraphOracle-validated
 // execution order across thread counts, both match modes and several
 // seeds; single-thread determinism; behaviour under core
-// oversubscription; capacity/structural deadlock diagnosis; master-only
+// oversubscription; streams longer than the Task Pool, whose slots name
+// the tasks in flight; capacity/structural deadlock diagnosis; master-only
 // release; worker exceptions; and the registry/report contract of the
 // engine adapter.
 //
@@ -15,7 +16,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -61,14 +64,19 @@ OracleInput oracle_input(const std::vector<trace::TaskRecord>& tasks) {
 }
 
 /// Runs `tasks` through a ThreadedExecutor and validates the recorded
-/// completion order against the oracle. Returns the report.
-exec::ExecReport run_validated(const std::vector<trace::TaskRecord>& tasks,
-                               exec::ExecConfig cfg) {
+/// completion order against the oracle. Returns the report. `stream`, when
+/// given, is run instead of a vector stream and must produce `tasks`.
+exec::ExecReport run_validated(
+    const std::vector<trace::TaskRecord>& tasks, exec::ExecConfig cfg,
+    std::unique_ptr<trace::TaskStream> stream = nullptr) {
   core::CompletionRecorder recorder;
   cfg.observer = &recorder;
+  if (stream == nullptr) {
+    stream = std::make_unique<trace::VectorStream>(
+        std::make_shared<const std::vector<trace::TaskRecord>>(tasks));
+  }
   exec::ThreadedExecutor executor(cfg);
-  const auto report = executor.run(std::make_unique<trace::VectorStream>(
-      std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+  const auto report = executor.run(std::move(stream));
   EXPECT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.tasks_completed, tasks.size());
 
@@ -280,6 +288,153 @@ TEST(ExecThreads, RunsCapturedTracesFromTheReplayPipeline) {
   cfg.threads = 4;
   cfg.duration_scale = 0.01;
   (void)run_validated(reloaded.tasks, cfg);
+}
+
+// --- Streams longer than the Task Pool ---------------------------------------
+
+/// Runs `tasks` at threads 1 and 4 in both match modes, oracle-validated,
+/// at the default capacities: every task is named by one of the pool's
+/// slots, so slots recycle many times and the pool never holds more than
+/// its capacity. `make_stream`, when given, builds the stream to run
+/// instead of a vector stream over `tasks`.
+void expect_runs_past_the_pool(
+    const std::vector<trace::TaskRecord>& tasks,
+    exec::KernelKind kernel = exec::KernelKind::kSpin,
+    const std::function<std::unique_ptr<trace::TaskStream>()>& make_stream =
+        {}) {
+  const std::uint32_t pool = exec::ExecConfig{}.task_pool_capacity;
+  ASSERT_GT(tasks.size(), pool) << "the stream must outlast the pool";
+  for (const MatchMode mode : {MatchMode::kBaseAddr, MatchMode::kRange}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(threads) + " thread(s), " +
+                   core::to_string(mode));
+      exec::ExecConfig cfg;
+      cfg.threads = threads;
+      cfg.match_mode = mode;
+      cfg.duration_scale = 0.01;
+      cfg.kernel.kind = kernel;
+      const auto report = run_validated(
+          tasks, cfg, make_stream ? make_stream() : nullptr);
+      EXPECT_LE(report.tables.tp_max_used, pool);
+    }
+  }
+}
+
+TEST(ExecCapacity, WideTasksSpillIntoDummyDescriptors) {
+  // 65 parameters a task: each takes a chain of dummy descriptors, so the
+  // pool, not the slots, fills first.
+  const auto tasks = *workloads::WorkloadLibrary::builtins().make_trace(
+      "pattern:kind=all-to-all,width=64,steps=32");
+  expect_runs_past_the_pool(tasks);
+}
+
+TEST(ExecCapacity, WideFftPattern) {
+  const auto tasks = *workloads::WorkloadLibrary::builtins().make_trace(
+      "pattern:kind=fft,width=256,steps=16");
+  expect_runs_past_the_pool(tasks);
+}
+
+TEST(ExecCapacity, LazyGaussianStream) {
+  // Pivot rows fan out to every task of their step; the stream is built
+  // task by task as the master pulls it.
+  const auto& library = workloads::WorkloadLibrary::builtins();
+  const char* spec = "gaussian:n=120";
+  const auto tasks = *library.make_trace(spec);
+  expect_runs_past_the_pool(tasks, exec::KernelKind::kSpin,
+                            [&library, spec] {
+                              return library.make_stream(spec);
+                            });
+}
+
+TEST(ExecCapacity, ParameterlessTasksTakeSlotsToo) {
+  // A task without parameters needs no descriptor, yet it is in flight
+  // until released: it waits for a slot like any other.
+  std::vector<trace::TaskRecord> tasks(3000);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].serial = i;
+    tasks[i].exec_time = sim::ns(200);
+    if (i % 5 == 0) tasks[i].params = {core::inout(0x1000 + 64 * (i % 7))};
+  }
+  expect_runs_past_the_pool(tasks);
+
+  // The tasks in flight never outnumber the slots.
+  engine::EngineParams params;
+  params.threads = 4;
+  params.timeline.enabled = true;
+  params.timeline.events_per_track =
+      static_cast<std::uint32_t>(8 * tasks.size());
+  const auto report =
+      engine::EngineRegistry::builtins().make("exec-threads", params)->run(
+          std::make_unique<trace::VectorStream>(
+              std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+  ASSERT_FALSE(report.deadlocked) << report.diagnosis;
+  ASSERT_NE(report.timeline.data, nullptr);
+  EXPECT_EQ(report.timeline.data->total_dropped(), 0u);
+  std::uint64_t peak_in_flight = 0;
+  for (const auto& track : report.timeline.data->tracks) {
+    for (const auto& event : track.events) {
+      if (event.kind == obs::EventKind::kInFlight) {
+        peak_in_flight = std::max(peak_in_flight, event.arg);
+      }
+    }
+  }
+  EXPECT_GT(peak_in_flight, 0u);
+  EXPECT_LE(peak_in_flight, exec::ExecConfig{}.task_pool_capacity);
+}
+
+TEST(ExecCapacity, ImbalancedKernelsPastThePool) {
+  const auto tasks = *workloads::WorkloadLibrary::builtins().make_trace(
+      "pattern:kind=stencil1d,width=16,steps=96,task-ns=2000");
+  expect_runs_past_the_pool(tasks, exec::KernelKind::kLoadImbalance);
+}
+
+/// Passes another stream's tasks through, but claims `claimed` of them.
+class MiscountedStream final : public trace::TaskStream {
+ public:
+  MiscountedStream(std::unique_ptr<trace::TaskStream> inner,
+                   std::uint64_t claimed)
+      : inner_(std::move(inner)), claimed_(claimed) {}
+
+  std::optional<trace::TaskRecord> next() override { return inner_->next(); }
+  [[nodiscard]] std::uint64_t total_tasks() const override {
+    return claimed_;
+  }
+
+ private:
+  std::unique_ptr<trace::TaskStream> inner_;
+  std::uint64_t claimed_;
+};
+
+TEST(ExecCapacity, MiscountedStreamRunsEveryTaskAndIsDiagnosed) {
+  // total_tasks() is only a hint: a stream that under- or over-states its
+  // length still runs to its end, and the report names both counts.
+  const auto tasks = small_dag(5, 3000);
+  for (const std::uint64_t claimed : {tasks.size() / 2, tasks.size() * 2}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(claimed) + " claimed, " +
+                   std::to_string(threads) + " thread(s)");
+      exec::ExecConfig cfg;
+      cfg.threads = threads;
+      cfg.duration_scale = 0.01;
+      const auto report = run_validated(
+          tasks, cfg,
+          std::make_unique<MiscountedStream>(
+              std::make_unique<trace::VectorStream>(
+                  std::make_shared<const std::vector<trace::TaskRecord>>(
+                      tasks)),
+              claimed));
+      EXPECT_EQ(report.tasks_expected, claimed);
+      EXPECT_EQ(report.tasks_submitted, tasks.size());
+      EXPECT_NE(report.diagnosis.find(std::to_string(claimed)),
+                std::string::npos)
+          << report.diagnosis;
+      EXPECT_NE(report.diagnosis.find(std::to_string(tasks.size())),
+                std::string::npos)
+          << report.diagnosis;
+      EXPECT_EQ(report.diagnosis.find("deadlock"), std::string::npos)
+          << report.diagnosis;
+    }
+  }
 }
 
 // --- Deadlock diagnosis (terminates, never hangs) -----------------------------

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/master_resolver.hpp"
 #include "runtime/runtime.hpp"
 #include "util/rng.hpp"
 
@@ -492,8 +493,8 @@ TEST(Runtime, SubmitAndStatsFromTaskBodyNeverWait) {
 }
 
 TEST(Runtime, RecyclesSlotsPastTheBoundAndMatchesSerialReplay) {
-  // More than three times the 16 384-slot bound, so every slot is reused
-  // and submit() applies back-pressure throughout: a chain, mixing over
+  // Fifty times the 1 024-slot bound, so every slot is reused and
+  // submit() applies back-pressure throughout: a chain, mixing over
   // independent cells, nested submissions, and wait_on mid-stream, checked
   // against a serial replay.
   constexpr int kOps = 52'000;
@@ -651,9 +652,10 @@ TEST(Runtime, SecondThreadWaitsForTheMaestroOnceTheChannelIsFull) {
 }
 
 TEST(Runtime, TaskWithAsManyAccessesAsTheTableHolds) {
-  // 65 536 distinct addresses fill the Dependence Table; one more could
-  // never register, so submit() rejects it up front.
-  constexpr std::size_t kTableEntries = 65'536;
+  // As many distinct addresses as the Dependence Table has entries fill
+  // it; one more could never register, so submit() rejects it up front.
+  constexpr std::size_t kTableEntries =
+      exec::MasterResolverConfig{}.table_capacity;
   std::vector<char> bytes(kTableEntries + 1);
   std::vector<Access> accesses;
   for (std::size_t i = 0; i < kTableEntries; ++i) {
