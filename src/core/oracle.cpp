@@ -64,14 +64,17 @@ void GraphOracle::submit_param_range(Key key, const Param& param) {
   const Addr scan_from =
       param.addr > max_access_size_ ? param.addr - max_access_size_ : 0;
   const Addr query_end = param.addr + param.size;
-  for (auto it = access_by_base_.lower_bound(scan_from);
-       it != access_by_base_.end() && it->first < query_end; ++it) {
+  // A reader conflicts only with writers (read-after-read is no hazard).
+  // Each access queues the task at most once, so the scan order does not
+  // change any waiter list.
+  const BaseIndex& index = writer ? access_by_base_ : writer_by_base_;
+  for (auto it = index.lower_bound(scan_from);
+       it != index.end() && it->first < query_end; ++it) {
     Access& access = *it->second;
     if (access.owner == key) continue;  // own earlier params never conflict
     if (!ranges_overlap(param.addr, param.size, access.addr, access.size)) {
       continue;
     }
-    if (!writer && !access.writes) continue;  // RAR: no hazard
     access.waiting.push_back(key);
     ++task.dep_count;
     if (!writer) {
@@ -84,7 +87,10 @@ void GraphOracle::submit_param_range(Key key, const Param& param) {
   }
   const auto inserted = accesses_.insert(
       accesses_.end(), Access{key, param.addr, param.size, writer, {}});
-  access_by_base_.emplace(param.addr, inserted);
+  inserted->by_base = access_by_base_.emplace(param.addr, inserted);
+  if (writer) {
+    inserted->by_writer = writer_by_base_.emplace(param.addr, inserted);
+  }
   access_by_owner_.emplace(key, inserted);
   max_access_size_ = std::max(max_access_size_, param.size);
 }
@@ -167,13 +173,8 @@ void GraphOracle::release_access(Key key, const Param& param,
     // Every waiter was queued behind exactly this access: drain in FIFO
     // order, mirroring the range-mode Resolver's kick-off pop loop.
     for (const Key waiter : access->waiting) grant(waiter, ready);
-    for (auto [b, be] = access_by_base_.equal_range(access->addr); b != be;
-         ++b) {
-      if (b->second == access) {
-        access_by_base_.erase(b);
-        break;
-      }
-    }
+    access_by_base_.erase(access->by_base);
+    if (access->writes) writer_by_base_.erase(access->by_writer);
     access_by_owner_.erase(it);
     accesses_.erase(access);
     return;

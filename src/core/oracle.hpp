@@ -100,14 +100,18 @@ class GraphOracle {
 
   // --- Range mode -------------------------------------------------------------
   /// One in-flight parameter access (of a running *or* waiting task).
+  struct Access;
+  using AccessList = std::list<Access>;
+  using BaseIndex = std::multimap<Addr, AccessList::iterator>;
   struct Access {
     Key owner = 0;
     Addr addr = 0;
     std::uint32_t size = 0;
     bool writes = false;
     std::deque<Key> waiting;  ///< tasks queued behind this access
+    BaseIndex::iterator by_base{};    ///< its entry in access_by_base_
+    BaseIndex::iterator by_writer{};  ///< in writer_by_base_, if it writes
   };
-  using AccessList = std::list<Access>;
   void submit_param_range(Key key, const Param& param);
   void release_access(Key key, const Param& param, std::vector<Key>& ready);
 
@@ -125,7 +129,10 @@ class GraphOracle {
   /// Range-mode query indexes, mirroring the DependenceTable's interval
   /// index: the oracle doubles as the software RTS's production resolver,
   /// so overlap scans must not be linear in the in-flight window.
-  std::multimap<Addr, AccessList::iterator> access_by_base_;
+  BaseIndex access_by_base_;
+  /// The writers alone: a read conflicts only with them, so a reader's
+  /// scan skips the other readers of its address.
+  BaseIndex writer_by_base_;
   std::unordered_multimap<Key, AccessList::iterator> access_by_owner_;
   std::uint32_t max_access_size_ = 0;
   std::unordered_map<Key, TaskState> tasks_;

@@ -97,7 +97,6 @@ nexus::NexusConfig NexusEngine::apply(nexus::NexusConfig base,
   if (params.banks != 0) {
     base.banks = params.banks;
   }
-  base.timeline = params.timeline;
   return base;
 }
 
@@ -158,9 +157,9 @@ RunReport NexusEngine::run(std::unique_ptr<trace::TaskStream> stream) const {
   // Fresh system per invocation: NexusSystem itself is single-use.
   nexus::NexusConfig cfg = cfg_;
   std::unique_ptr<obs::TimelineRecorder> rec;
-  if (cfg.timeline.enabled) {
+  if (timeline_.enabled) {
     rec = std::make_unique<obs::TimelineRecorder>(
-        name_, "sim", cfg.timeline.events_per_track);
+        name_, "sim", timeline_.events_per_track);
     cfg.timeline_recorder = rec.get();
   }
   const nexus::SystemReport src =
@@ -194,7 +193,6 @@ exec::ExecConfig ThreadedExecEngine::apply(exec::ExecConfig base,
   if (params.kernel.has_value()) {
     base.kernel.kind = *params.kernel;
   }
-  base.timeline = params.timeline;
   return base;
 }
 
@@ -203,9 +201,9 @@ RunReport ThreadedExecEngine::run(
   // Fresh executor per invocation: ThreadedExecutor is single-use.
   exec::ExecConfig cfg = cfg_;
   std::unique_ptr<obs::TimelineRecorder> rec;
-  if (cfg.timeline.enabled) {
+  if (timeline_.enabled) {
     rec = std::make_unique<obs::TimelineRecorder>(
-        name(), "wall", cfg.timeline.events_per_track);
+        name(), "wall", timeline_.events_per_track);
     cfg.timeline_recorder = rec.get();
   }
   exec::ThreadedExecutor executor(cfg);

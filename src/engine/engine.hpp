@@ -108,8 +108,11 @@ class Engine {
 class NexusEngine final : public Engine {
  public:
   NexusEngine(std::string name, nexus::NexusConfig config,
-              bool banked = false)
-      : name_(std::move(name)), cfg_(std::move(config)), banked_(banked) {
+              bool banked = false, obs::TimelineOptions timeline = {})
+      : name_(std::move(name)),
+        cfg_(std::move(config)),
+        banked_(banked),
+        timeline_(timeline) {
     if (!banked_) cfg_.banks = 1;
   }
 
@@ -122,6 +125,7 @@ class NexusEngine final : public Engine {
   }
 
   /// Applies the engine-independent knobs onto a base configuration.
+  /// Tracing is the constructor's `timeline` argument.
   [[nodiscard]] static nexus::NexusConfig apply(nexus::NexusConfig base,
                                                 const EngineParams& params);
 
@@ -129,6 +133,7 @@ class NexusEngine final : public Engine {
   std::string name_;
   nexus::NexusConfig cfg_;
   bool banked_;
+  obs::TimelineOptions timeline_;
 };
 
 /// Adapter over exec::ThreadedExecutor — the real concurrent backend. The
@@ -138,8 +143,9 @@ class NexusEngine final : public Engine {
 /// comparable only.
 class ThreadedExecEngine final : public Engine {
  public:
-  explicit ThreadedExecEngine(exec::ExecConfig config)
-      : cfg_(std::move(config)) {}
+  explicit ThreadedExecEngine(exec::ExecConfig config,
+                              obs::TimelineOptions timeline = {})
+      : cfg_(std::move(config)), timeline_(timeline) {}
 
   [[nodiscard]] std::string name() const override { return "exec-threads"; }
   [[nodiscard]] RunReport run(
@@ -154,11 +160,13 @@ class ThreadedExecEngine final : public Engine {
 
   /// Applies the engine-independent knobs. `threads` falls back to
   /// num_workers so a worker-count sweep exercises the thread pool.
+  /// Tracing is the constructor's `timeline` argument.
   [[nodiscard]] static exec::ExecConfig apply(exec::ExecConfig base,
                                               const EngineParams& params);
 
  private:
   exec::ExecConfig cfg_;
+  obs::TimelineOptions timeline_;
 };
 
 /// Adapter over the software StarSs runtime model.

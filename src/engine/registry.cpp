@@ -47,19 +47,21 @@ EngineRegistry EngineRegistry::with_builtins() {
   EngineRegistry reg;
   reg.add("nexus++", [](const EngineParams& p) -> std::unique_ptr<Engine> {
     return std::make_unique<NexusEngine>(
-        "nexus++", NexusEngine::apply(nexus::NexusConfig{}, p));
+        "nexus++", NexusEngine::apply(nexus::NexusConfig{}, p),
+        /*banked=*/false, p.timeline);
   });
   reg.add("classic-nexus",
           [](const EngineParams& p) -> std::unique_ptr<Engine> {
             return std::make_unique<NexusEngine>(
                 "classic-nexus",
-                NexusEngine::apply(nexus::NexusConfig::classic_nexus(), p));
+                NexusEngine::apply(nexus::NexusConfig::classic_nexus(), p),
+                /*banked=*/false, p.timeline);
           });
   reg.add("nexus-banked",
           [](const EngineParams& p) -> std::unique_ptr<Engine> {
             return std::make_unique<NexusEngine>(
                 "nexus-banked", NexusEngine::apply(nexus::NexusConfig{}, p),
-                /*banked=*/true);
+                /*banked=*/true, p.timeline);
           });
   reg.add("software-rts",
           [](const EngineParams& p) -> std::unique_ptr<Engine> {
@@ -69,7 +71,7 @@ EngineRegistry EngineRegistry::with_builtins() {
   reg.add("exec-threads",
           [](const EngineParams& p) -> std::unique_ptr<Engine> {
             return std::make_unique<ThreadedExecEngine>(
-                ThreadedExecEngine::apply(exec::ExecConfig{}, p));
+                ThreadedExecEngine::apply(exec::ExecConfig{}, p), p.timeline);
           });
   return reg;
 }

@@ -2,30 +2,15 @@
 // ThreadedExecutor: a real concurrent StarSs executor — the first backend
 // that *runs* task graphs on worker threads instead of simulating them.
 //
-// The master (the calling thread) is the Task Maestro of the paper's
-// Fig. 2: it pulls TaskRecords from any trace::TaskStream in submission
-// order, registers them with its exec::MasterResolver (one Task Pool and
-// one Dependence Table under core::Resolver semantics), and is the only
-// thread that ever touches them. Ready tasks go out over a TaskHandoff
-// (exec/handoff.hpp); `threads` workers claim them, execute a kernel
-// honoring the record's exec_time, and post the finished ids back. The
-// master drains those completions — releasing each task's accesses and
-// making its dependants ready, as the Maestro's Handle Finished block does
-// — before every submission, whenever registration stalls on a slot or on
-// table or pool space, and after the stream ends. A stall that can never
-// resolve (nothing left in flight, or a structural limit) terminates the
-// run with a deadlock diagnosis instead of hanging.
-//
-// As the Maestro names a task by its Task Pool index, the master names
-// every task, parameter-less ones too, by a slot in [0,
-// task_pool_capacity), recycled FIFO (core::IndexFifo) once the task is
-// released. A task waits for a free slot the way registration waits for
-// pool space, so at most task_pool_capacity tasks are in flight, and
-// nothing the executor holds grows with the stream: the resolver's id
-// map, the handoff's rings and the per-slot records are all sized by the
-// pool. `TaskStream::total_tasks()` only fills ExecReport::tasks_expected;
-// a stream that produces a different number of tasks still runs to its
-// end, and the report's diagnosis names both counts.
+// The calling thread is the Task Maestro (exec/maestro.hpp, which holds
+// the master/worker design): it pulls TaskRecords from any
+// trace::TaskStream in submission order, registers each in a Task Pool
+// slot, and `threads` workers run a kernel honoring the record's
+// exec_time. A stall that can never resolve (nothing left in flight, or a
+// structural limit) ends the run with a deadlock diagnosis instead of
+// hanging. `TaskStream::total_tasks()` only fills
+// ExecReport::tasks_expected: a stream that produces a different number
+// of tasks still runs to its end, and the diagnosis names both counts.
 //
 // threads == 1 spawns no worker: the master runs the oldest ready task
 // itself wherever it would otherwise wait. No concurrency, hence a
@@ -67,7 +52,7 @@ struct ExecConfig {
   core::MatchMode match_mode = core::MatchMode::kBaseAddr;
   /// Machine totals — same meaning and defaults as the simulated engines'
   /// capacity knobs: the paper's Table IV sizes. `task_pool_capacity` also
-  /// bounds the tasks in flight (see above).
+  /// bounds the tasks in flight: one slot per descriptor.
   std::uint32_t task_pool_capacity = core::TaskPoolConfig{}.capacity;
   std::uint32_t dep_table_capacity = core::DependenceTableConfig{}.capacity;
   std::uint32_t kick_off_capacity =
@@ -83,8 +68,6 @@ struct ExecConfig {
   KernelConfig kernel{};
   /// Optional execution-event sink (not owned; must outlive run()).
   core::ExecutionObserver* observer = nullptr;
-  /// Tracing knobs (carried from EngineParams for the adapter's benefit).
-  obs::TimelineOptions timeline{};
   /// Optional per-run timeline recorder (not owned; must outlive run()).
   /// Null — the default — compiles every hook site down to a pointer test,
   /// keeping the instrumented build within noise of the no-hooks one.
@@ -152,8 +135,7 @@ class ThreadedExecutor {
  private:
   struct Impl;
   ExecConfig config_;
-  std::unique_ptr<Impl> impl_;
-  bool used_ = false;
+  std::unique_ptr<Impl> impl_;  ///< made by run()
 };
 
 }  // namespace nexuspp::exec

@@ -4,8 +4,8 @@
 // worker cores: ready task descriptors out (Send TDs), finished task ids
 // back (Handle Finished). The master is the only thread that touches the
 // resolver; workers only claim ready ids, run them and post them back.
-// Both front ends use it: exec-threads' ThreadedExecutor and
-// starss::Runtime.
+// exec::Maestro (exec/maestro.hpp) owns one for both real-thread front
+// ends.
 //
 // `capacity` bounds the tasks in flight: made ready and not yet drained
 // back by the master. Both channels are rings of that many slots (rounded
@@ -296,14 +296,16 @@ class TaskHandoff {
     }
   }
 
+  // Read on every claim and post; written only at construction.
   const std::uint64_t mask_;  ///< ring size - 1 (a power of two)
   std::unique_ptr<chk::Atomic<TaskId>[]> ready_;
-  std::uint64_t tail_ = 0;  ///< master-owned copy of published_
+  std::vector<Log> logs_;
+  std::vector<std::uint64_t> heads_;  ///< master-owned drain cursors
+  // Written on every push, so off the lines the workers read.
+  alignas(64) std::uint64_t tail_ = 0;  ///< master-owned copy of published_
   std::uint64_t claimed_seen_ = 0;  ///< master-owned, stale claimed_
   alignas(64) chk::Atomic<std::uint64_t> published_{0};
   alignas(64) chk::Atomic<std::uint64_t> claimed_{0};
-  std::vector<Log> logs_;
-  std::vector<std::uint64_t> heads_;  ///< master-owned drain cursors
   alignas(64) chk::Atomic<std::uint32_t> idle_workers_{0};
   chk::Atomic<std::uint32_t> master_parked_{0};
   chk::Atomic<bool> closed_{false};

@@ -57,13 +57,10 @@ struct NexusConfig {
   std::uint32_t global_ready_capacity = 0;   ///< auto: task-pool capacity
 
   // --- Observability ----------------------------------------------------------
-  /// Tracing knobs carried from EngineParams; the system only records when
-  /// `timeline_recorder` is set. Purely observational — recording changes
-  /// no simulated timing, so a traced run stays bit-identical to an
-  /// untraced one in everything but its timeline.
-  obs::TimelineOptions timeline{};
   /// Per-run recorder, owned by the caller (the engine adapter). Non-null
-  /// only while a traced run is in flight.
+  /// only while a traced run is in flight. Purely observational —
+  /// recording changes no simulated timing, so a traced run stays
+  /// bit-identical to an untraced one in everything but its timeline.
   obs::TimelineRecorder* timeline_recorder = nullptr;
 
   void validate() const;

@@ -6,19 +6,16 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "chk/chk.hpp"
-#include "core/index_fifo.hpp"
-#include "exec/handoff.hpp"
-#include "exec/master_resolver.hpp"
+#include "exec/maestro.hpp"
 
 namespace nexuspp::starss {
 
 namespace {
 
-using Slot = exec::TaskHandoff::TaskId;
+using Slot = std::uint64_t;
 
 /// The resolver configuration every Runtime uses: MasterResolverConfig's
 /// defaults, the paper's Table IV sizes.
@@ -92,56 +89,25 @@ struct Runtime::Impl {
     std::vector<core::Param> params;
   };
 
-  explicit Impl(unsigned threads)
-      : resolver(kConfig, kSlots),
-        handoff(kSlots, threads),
-        bodies(kSlots),
-        links(threads) {
-    // One release grants each live task at most once.
-    grants.reserve(kSlots);
-    ready.reserve(kSlots);
-    to_release.reserve(kSlots);
-    workers.reserve(threads);
-    try {
-      for (std::uint32_t w = 0; w < threads; ++w) {
-        workers.emplace_back([this, w] {
-          links[w].child_begin();
-          worker_loop(w);
-          links[w].child_end();
-        });
-      }
-    } catch (...) {
-      shutdown();
-      throw;
+  /// The Maestro's calls into this front end.
+  struct Front {
+    using Payload = TaskFn;
+    Impl* im;
+    void run(std::uint64_t /*serial*/, TaskFn& body, std::uint32_t) const {
+      im->run(body);
     }
-  }
+    void released(Slot slot) const { im->released(slot); }
+  };
 
-  /// Stops and joins the workers; tasks still ready are dropped.
-  void shutdown() {
-    handoff.close();
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      workers[w].join();
-      links[w].parent_join();
-    }
-    workers.clear();
+  explicit Impl(unsigned workers)
+      : threads(workers), core(kConfig, workers, Front{this}) {
+    core.start();
   }
 
   // --- Workers ---------------------------------------------------------------
 
-  void worker_loop(std::uint32_t w) {
+  void run(TaskFn& body) {
     tls_worker_of = this;
-    Slot slot = 0;
-    while (handoff.claim(slot)) {
-      run(slot);
-      handoff.post(w, slot);
-    }
-  }
-
-  void run(Slot slot) {
-    // The Maestro wrote the body before making the slot ready, and reuses
-    // the slot only after draining this worker's post.
-    TaskFn& body = bodies[slot];
-    chk::plain_write(&body);
     // Relaxed: statistics; the peak is a max over the running count.
     const unsigned now = running.fetch_add(1, std::memory_order_relaxed) + 1;
     unsigned peak_seen = peak.load(std::memory_order_relaxed);
@@ -172,54 +138,30 @@ struct Runtime::Impl {
 
   // --- The Maestro: only the thread holding `maestro` ------------------------
 
-  /// Registers one task in a free slot. Returns the slot when the task is
-  /// ready at once, for the caller to make ready, else kNoSlot. A sentinel
-  /// (wait_on's) has no body and is released here as soon as it is ready.
-  [[nodiscard]] Slot add(TaskFn fn, std::vector<core::Param> params,
-                         bool is_sentinel) {
-    const Slot slot = take_slot();
-    if (is_sentinel) {
-      sentinel = slot;
-    } else {
-      chk::plain_write(&bodies[slot]);
-      bodies[slot] = std::move(fn);
+  /// Registers one task, named in `slot`. True when it is ready at once,
+  /// for the caller to make ready. wait_on's sentinel is not `counted`.
+  bool add(TaskFn fn, std::vector<core::Param> params, Slot& slot,
+           bool counted) {
+    const core::Resolver::Stats before = core.resolver().resolver_stats();
+    const auto outcome = core.submit(serial++, 0, std::move(params),
+                                     std::move(fn), slot, [](bool) {});
+    if (outcome == Core::Outcome::kStructural) {
+      throw std::invalid_argument("Runtime::submit: " + core.failure());
     }
-    const core::Resolver::Stats before = resolver.resolver_stats();
-    auto session = resolver.begin_submit(slot, serial++, 0, std::move(params));
-    for (;;) {
-      const auto progress = session.advance();
-      if (progress == exec::MasterResolver::Progress::kDone) break;
-      if (progress == exec::MasterResolver::Progress::kStructural) {
-        // Reported before anything was registered: the slot is unused.
-        bodies[slot] = nullptr;
-        if (is_sentinel) sentinel = kNoSlot;
-        free_slots.push(static_cast<std::uint32_t>(slot));
-        throw std::invalid_argument("Runtime::submit: " + session.failure());
-      }
-      // Stalled on pool or table space; only a release frees some.
-      if (!release_posted()) await_completion();
-    }
-    ++in_flight;
-    publish_hazards(before, is_sentinel);
-    if (!session.ready()) return kNoSlot;
-    if (!is_sentinel) return slot;
-    release(slot);
-    flush_ready();
-    return kNoSlot;
+    if (outcome == Core::Outcome::kStopped) stopped();
+    publish_hazards(before, counted);
+    return outcome == Core::Outcome::kReady;
   }
 
-  Slot take_slot() {
-    while (free_slots.empty()) {
-      if (!release_posted()) await_completion();
-    }
-    return free_slots.pop();
+  [[noreturn]] void stopped() const {
+    throw std::logic_error("starss::Runtime: " + core.failure());
   }
 
   /// Republishes the hazard counts for stats(), leaving out a sentinel's.
-  void publish_hazards(const core::Resolver::Stats& before, bool is_sentinel) {
-    const core::Resolver::Stats& now = resolver.resolver_stats();
+  void publish_hazards(const core::Resolver::Stats& before, bool counted) {
+    const core::Resolver::Stats& now = core.resolver().resolver_stats();
     core::Resolver::Stats& left_out = sentinel_hazards;
-    if (is_sentinel) {
+    if (!counted) {
       left_out.queued += now.queued - before.queued;
       left_out.raw_hazards += now.raw_hazards - before.raw_hazards;
       left_out.war_hazards += now.war_hazards - before.war_hazards;
@@ -235,62 +177,21 @@ struct Runtime::Impl {
               std::memory_order_relaxed);
   }
 
-  void make_ready(const Slot* slots, std::size_t count) {
-    handoff.push(slots, count);
-    pushed += count;
-  }
-
-  /// Handle Finished for `first`: releases its accesses, frees its slot and
-  /// queues the dependants for flush_ready(). A granted sentinel is
-  /// released at once.
-  void release(Slot first) {
-    to_release.push_back(first);
-    while (!to_release.empty()) {
-      const Slot slot = to_release.back();
-      to_release.pop_back();
-      resolver.finish(slot, grants);
-      free_slots.push(static_cast<std::uint32_t>(slot));
-      --in_flight;
-      if (slot == sentinel) {
-        sentinel = kNoSlot;
-      } else {
-        ++executed;
-      }
-      for (const Slot granted : grants) {
-        (granted == sentinel ? to_release : ready).push_back(granted);
-      }
+  /// The core's release hook.
+  void released(Slot slot) {
+    if (slot == sentinel) {
+      sentinel = kNoSlot;
+      return;
     }
     // Relaxed: a statistic.
-    executed_count.store(executed, std::memory_order_relaxed);
+    executed.store(executed.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_relaxed);
   }
 
-  /// Makes the queued dependants ready, in grant order.
-  void flush_ready() {
-    make_ready(ready.data(), ready.size());
-    ready.clear();
-  }
-
-  /// Releases every completion the workers have posted; false if none was.
-  /// The dependants go out after the whole drain, so none of them can be
-  /// run and released within it.
-  bool release_posted() {
-    const std::size_t drained =
-        handoff.drain([this](Slot slot) { release(slot); });
-    returned += drained;
-    flush_ready();
-    return drained != 0;
-  }
-
-  /// Waits for a worker to post a completion. Only a release makes a task
-  /// ready, and only the Maestro releases: once every task it made ready
-  /// is back, nothing can ever be posted.
-  void await_completion() {
-    if (pushed == returned) {
-      throw std::logic_error(
-          "starss::Runtime: internal deadlock: " + std::to_string(in_flight) +
-          " task(s) in flight but none ready or running");
-    }
-    handoff.wait_for_completion();
+  /// Releases posted completions, or waits for one; throws when none
+  /// can ever come.
+  void progress() {
+    if (!core.progress()) stopped();
   }
 
   /// Registers what the channel holds, in submission order.
@@ -303,37 +204,21 @@ struct Runtime::Impl {
       channel_size.store(0, std::memory_order_relaxed);
     }
     for (Submission& s : incoming) {
-      const Slot ready_now = add(std::move(s.fn), std::move(s.params), false);
-      if (ready_now != kNoSlot) make_ready(&ready_now, 1);
+      Slot slot = 0;
+      if (add(std::move(s.fn), std::move(s.params), slot, true)) {
+        core.make_ready(&slot, 1);
+      }
     }
     incoming.clear();
   }
 
-  /// One Maestro round for a waiting caller.
-  void service() {
-    register_channel();
-    (void)release_posted();
-  }
+  const unsigned threads;
 
   // Maestro-owned: touched only under `maestro`.
-  exec::MasterResolver resolver;
-  core::IndexFifo free_slots{kSlots};
   std::uint64_t serial = 0;
-  std::uint64_t in_flight = 0;  ///< registered, not yet released
-  std::uint64_t pushed = 0;     ///< made ready to the workers
-  std::uint64_t returned = 0;   ///< completions drained back
-  std::uint64_t executed = 0;   ///< released user tasks
-  Slot sentinel = kNoSlot;      ///< wait_on's task while it is registered
+  Slot sentinel = kNoSlot;  ///< wait_on's task while it is registered
   core::Resolver::Stats sentinel_hazards;  ///< left out of stats()
-  std::vector<Slot> grants;
-  std::vector<Slot> ready;  ///< granted, waiting for flush_ready()
-  std::vector<Slot> to_release;
   std::vector<Submission> incoming;  ///< the channel batch being registered
-
-  exec::TaskHandoff handoff;
-  /// Slot -> its callable: written by the Maestro before the slot is made
-  /// ready, run and cleared by the worker that claims it.
-  std::vector<TaskFn> bodies;
   chk::Mutex maestro;  ///< held by the thread acting as the Maestro
 
   // The submission channel: any thread -> the Maestro.
@@ -343,7 +228,7 @@ struct Runtime::Impl {
 
   // Statistics, readable from any thread.
   chk::Atomic<std::uint64_t> submitted{0};
-  chk::Atomic<std::uint64_t> executed_count{0};
+  chk::Atomic<std::uint64_t> executed{0};  ///< written by the Maestro
   chk::Atomic<std::uint64_t> edges{0};
   chk::Atomic<std::uint64_t> raw{0};
   chk::Atomic<std::uint64_t> war{0};
@@ -354,15 +239,14 @@ struct Runtime::Impl {
   chk::Mutex error_mu;
   std::exception_ptr first_error;  ///< guarded by error_mu
 
-  std::vector<std::thread> workers;
-  /// Fork/join happens-before edges for the race checker (inert when
-  /// schedcheck is off).
-  std::vector<chk::ThreadLink> links;
+  /// Last: its workers start once everything they touch exists.
+  using Core = exec::Maestro<Front>;
+  Core core;
 };
 
 Runtime::Runtime(unsigned num_threads) {
   if (num_threads == 0) {
-    num_threads = std::max(1u, std::thread::hardware_concurrency());
+    num_threads = exec::hardware_threads();
   }
   impl_ = std::make_unique<Impl>(num_threads);
 }
@@ -374,12 +258,10 @@ Runtime::~Runtime() {
     // Destructor must not throw; wait_all() rethrows task exceptions when
     // called explicitly.
   }
-  impl_->shutdown();
+  (void)impl_->core.join();
 }
 
-unsigned Runtime::thread_count() const noexcept {
-  return static_cast<unsigned>(impl_->workers.size());
-}
+unsigned Runtime::thread_count() const noexcept { return impl_->threads; }
 
 void Runtime::submit(TaskFn fn, std::vector<Access> accesses) {
   if (!fn) throw std::invalid_argument("Runtime::submit: empty task");
@@ -404,9 +286,10 @@ void Runtime::submit(TaskFn fn, std::vector<Access> accesses) {
   // Then this task, then the releases; the task goes to the workers last,
   // so it cannot be released before the next submit() registers its task.
   im.register_channel();
-  const Slot ready_now = im.add(std::move(fn), std::move(params), false);
-  (void)im.release_posted();
-  if (ready_now != kNoSlot) im.make_ready(&ready_now, 1);
+  Slot slot = 0;
+  const bool ready = im.add(std::move(fn), std::move(params), slot, true);
+  (void)im.core.release_posted();
+  if (ready) im.core.make_ready(&slot, 1);
 }
 
 void Runtime::wait_all() {
@@ -415,9 +298,9 @@ void Runtime::wait_all() {
   {
     const std::lock_guard<chk::Mutex> maestro(im.maestro);
     for (;;) {
-      im.service();
-      if (im.in_flight > 0) {
-        im.await_completion();
+      im.register_channel();
+      if (im.core.in_flight() > 0) {
+        im.progress();
       } else if (im.channel_size.load(std::memory_order_relaxed) == 0) {
         // Relaxed: a task body's enqueue happens before its completion,
         // which the Maestro has drained.
@@ -438,14 +321,18 @@ void Runtime::wait_on(const void* ptr) {
   refuse_task_body(&im, "wait_on");
   if (ptr == nullptr) return;  // no task can access it
   const std::lock_guard<chk::Mutex> maestro(im.maestro);
-  // Register everything submitted so far, then a sentinel inout(ptr) task
-  // queued behind every one of them that touches ptr.
-  im.service();
-  (void)im.add(nullptr, {core::inout(reinterpret_cast<core::Addr>(ptr), 1)},
-               true);
+  // Register everything submitted so far, then a no-op sentinel
+  // inout(ptr) task queued behind every one of them that touches ptr.
+  im.register_channel();
+  Slot slot = 0;
+  if (im.add([] {}, {core::inout(reinterpret_cast<core::Addr>(ptr), 1)},
+             slot, false)) {
+    im.core.make_ready(&slot, 1);
+  }
+  im.sentinel = slot;
   while (im.sentinel != kNoSlot) {
-    im.await_completion();
-    im.service();
+    im.progress();
+    im.register_channel();
   }
 }
 
@@ -454,7 +341,7 @@ Runtime::Stats Runtime::stats() const {
   Stats s;
   // Relaxed: statistics.
   s.submitted = im.submitted.load(std::memory_order_relaxed);
-  s.executed = im.executed_count.load(std::memory_order_relaxed);
+  s.executed = im.executed.load(std::memory_order_relaxed);
   s.dependency_edges = im.edges.load(std::memory_order_relaxed);
   s.raw_hazards = im.raw.load(std::memory_order_relaxed);
   s.war_hazards = im.war.load(std::memory_order_relaxed);

@@ -11,17 +11,14 @@
 //               {starss::in(&a), starss::in(&b), starss::out(&c)});
 //     rt.wait_all();
 //
-// It is a thin front end over the exec Task Maestro core that
-// exec-threads runs on: one exec::MasterResolver (the paper's Task Pool
-// and Dependence Table with Listing-2 semantics, so readers of an address
-// run concurrently and RAW / WAR / WAW order execution, as
-// core::GraphOracle checks) and one exec::TaskHandoff to the worker
-// threads. A task is named by a slot recycled FIFO from [0, the Task
-// Pool's descriptor count). Workers only claim a slot, run its callable
-// and post the slot back. The thread inside submit(), wait_all() or
-// wait_on() acts as the Maestro: it registers tasks, releases posted
-// completions and makes dependants ready. Accesses one task declares on
-// the same base address are merged into one (in + out gives inout).
+// It is a thin front end over exec::Maestro (exec/maestro.hpp), the Task
+// Maestro core exec-threads runs on: the paper's Task Pool and Dependence
+// Table with Listing-2 semantics, so readers of an address run
+// concurrently and RAW / WAR / WAW order execution, as core::GraphOracle
+// checks. Each task's callable is its slot's payload. The thread inside
+// submit(), wait_all() or wait_on() acts as the Maestro. Accesses one task
+// declares on the same base address are merged into one (in + out gives
+// inout).
 //
 // Progress contract:
 //  - Ready tasks run on the workers at any time, but dependants are
@@ -42,8 +39,8 @@
 //    by the next thread inside the runtime; it waits for the Maestro role
 //    only when the channel already holds a Task Pool's worth of tasks.
 //
-// Stats count the tasks passed to submit(); the sentinel task wait_on()
-// registers is not counted anywhere. The hazard and edge counts are
+// Stats count the tasks passed to submit(); the no-op sentinel task
+// wait_on() registers is not counted anywhere. The hazard and edge counts are
 // core::Resolver's, one per access that had to queue (an access granted
 // at once counts nothing).
 

@@ -14,7 +14,9 @@
 //   * Workload sweeps run TaskHandoff over a seed set, once with room to
 //     spare and once at its in-flight bound so both rings wrap, and demand
 //     completion, every task claimed and drained exactly once, and zero
-//     race reports.
+//     race reports. A third runs the exec::Maestro core through its own
+//     worker loop at two slots, forcing slot and table stalls, and checks
+//     each task runs and is released once, in an oracle-valid order.
 //   * The mutant tests flip one chk::Faults toggle each, prove a bounded
 //     schedule budget finds the bug it opens in TaskHandoff, and replay the
 //     found seed to the bit-identical trace and report signature:
@@ -70,7 +72,9 @@ TEST(SchedCheck, RequiresSchedcheckBuild) {
 #include "chk/controller.hpp"
 #include "chk/race_checker.hpp"
 #include "chk/session.hpp"
+#include "core/oracle.hpp"
 #include "exec/handoff.hpp"
+#include "exec/maestro.hpp"
 
 namespace nexuspp {
 namespace {
@@ -496,6 +500,111 @@ TEST(SchedExploration, TaskHandoffRingWrapIsRaceFreeAndExact) {
           << checker.reports()[0].to_string();
     }
     EXPECT_TRUE(workload.exact()) << "seed " << policy.seed;
+  }
+}
+
+// --- Workload: the Maestro core itself --------------------------------------
+
+/// exec::Maestro at 2 slots, a 2-entry Dependence Table and 2 workers,
+/// driven through its own worker loop. The master registers a
+/// chain-plus-fan-in stream without draining between tasks, so every
+/// release happens in a stall step or in the final drain-out:
+///   t0 inout(A)   t1 in(A) out(B)   t2 out(C)   t3 inout(C)
+///   t4 in(C) inout(B)   t5 inout(A) in(B)
+/// t2 waits for a slot (t0 and t1 hold both), and then for table space:
+/// t1 is granted by t0's release but goes to the workers only after that
+/// drain, so it still holds A and B. Six tasks through two slots wrap
+/// both handoff rings.
+struct MaestroWorkload {
+  static constexpr std::size_t kTasks = 6;
+
+  struct Front {
+    using Payload = char;
+    MaestroWorkload* w;
+    void run(std::uint64_t serial, char& /*payload*/, std::uint32_t) const {
+      chk::plain_write(&w->runs[serial]);
+      ++w->runs[serial];
+    }
+    void released(std::uint64_t slot) const {
+      w->order.push_back(w->serial_of[slot]);
+    }
+  };
+
+  [[nodiscard]] static exec::MasterResolverConfig config() {
+    exec::MasterResolverConfig cfg;
+    cfg.pool_capacity = 2;
+    cfg.table_capacity = 2;
+    return cfg;
+  }
+
+  [[nodiscard]] std::vector<std::function<void()>> threads() {
+    const auto master = [this] {
+      for (std::uint64_t k = 0; k < kTasks; ++k) {
+        std::uint64_t slot = 0;
+        const auto outcome = core.submit(
+            k, 0, tasks[k], 0, slot, [this](bool begin) {
+              ++(begin ? table_stalls : stall_steps);
+            });
+        serial_of[slot] = k;
+        if (outcome == exec::Maestro<Front>::Outcome::kReady) {
+          core.make_ready(&slot, 1);
+        } else if (outcome != exec::Maestro<Front>::Outcome::kWaiting) {
+          failure = core.failure();
+          break;
+        }
+      }
+      while (failure.empty() && core.in_flight() > 0) {
+        if (!core.progress()) failure = core.failure();
+      }
+      (void)core.join();
+    };
+    return {master, [this] { core.serve(0); }, [this] { core.serve(1); }};
+  }
+
+  std::vector<std::vector<core::Param>> tasks = {
+      {core::inout(0xA0)},
+      {core::in(0xA0), core::out(0xB0)},
+      {core::out(0xC0)},
+      {core::inout(0xC0)},
+      {core::in(0xC0), core::inout(0xB0)},
+      {core::inout(0xA0), core::in(0xB0)},
+  };
+  std::array<std::uint32_t, kTasks> runs{};
+  std::array<std::uint64_t, 2> serial_of{};  ///< master-owned
+  std::vector<std::uint64_t> order;           ///< release order
+  std::uint32_t stall_steps = 0;
+  std::uint32_t table_stalls = 0;
+  std::string failure;
+  exec::Maestro<Front> core{config(), 2, Front{this}};
+};
+
+TEST(SchedExploration, MaestroCoreIsRaceFreeAndReleasesInOracleOrder) {
+  for (const auto& policy : sweep_policies(100, 100)) {
+    MaestroWorkload workload;
+    RaceChecker checker;
+    {
+      ScheduleController controller(policy);
+      chk::SessionScope scope(&controller, &checker);
+      const auto outcome = controller.run(workload.threads());
+      ASSERT_TRUE(outcome.completed())
+          << controller.seed_banner() << ": " << outcome.diagnosis;
+      EXPECT_TRUE(checker.reports().empty())
+          << controller.seed_banner() << ": "
+          << checker.reports()[0].to_string();
+    }
+    ASSERT_TRUE(workload.failure.empty()) << workload.failure;
+    for (const std::uint32_t runs : workload.runs) {
+      EXPECT_EQ(runs, 1u) << "seed " << policy.seed;
+    }
+    EXPECT_EQ(core::GraphOracle::validate_completion_order(
+                  core::MatchMode::kBaseAddr, workload.tasks, workload.order),
+              "")
+        << "seed " << policy.seed;
+    // Slot stalls (steps not preceded by a table stall) and the table
+    // stall both happened.
+    EXPECT_GE(workload.table_stalls, 1u) << "seed " << policy.seed;
+    EXPECT_GT(workload.stall_steps, workload.table_stalls)
+        << "seed " << policy.seed;
   }
 }
 
