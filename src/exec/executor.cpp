@@ -45,22 +45,14 @@ MasterResolverConfig ExecConfig::resolver_config() const {
   return cfg;
 }
 
+/// The front end the Maestro core calls.
 struct ThreadedExecutor::Impl {
-  /// What a worker needs of a task besides its serial.
+  /// What a worker needs of a task besides its serial: a slot's payload.
   struct Task {
     std::uint64_t exec_ns = 0;
     Clock::time_point submitted_at{};
   };
-
-  /// The Maestro's calls into this front end.
-  struct Front {
-    using Payload = Task;
-    Impl* im;
-    void run(std::uint64_t serial, const Task& task, std::uint32_t w) const {
-      im->run_task(serial, task, w);
-    }
-    void released(std::uint64_t /*slot*/) const noexcept {}
-  };
+  using Payload = Task;
 
   explicit Impl(const ExecConfig& config)
       : observer(config.observer),
@@ -68,7 +60,7 @@ struct ThreadedExecutor::Impl {
         workers(config.threads),
         // threads == 1: no pool; the master runs ready tasks itself.
         core(config.resolver_config(), config.threads == 1 ? 0 : config.threads,
-             Front{this}, config.timeline_recorder) {
+             *this, config.timeline_recorder) {
     // Kernel state (stream buffers, matmul tiles) and tracks are made
     // here, before any worker exists: each body is touched by one worker,
     // and the rings are single-writer. The core added the master track.
@@ -85,7 +77,7 @@ struct ThreadedExecutor::Impl {
   /// event fires before the task is posted back, hence before its accesses
   /// are released, so recorded completion order stays oracle-valid.
   // NEXUS_HOT_PATH
-  void run_task(std::uint64_t serial, const Task& task, std::uint32_t widx) {
+  void run(std::uint64_t serial, const Task& task, std::uint32_t widx) {
     if (observer != nullptr) observer->on_started(serial, widx);
     WorkerStats& stats = workers[widx];
     double obs_run0 = 0.0;
@@ -100,6 +92,11 @@ struct ThreadedExecutor::Impl {
     }
     stats.busy_ns += elapsed_ns(t0, t1);
     stats.turnaround.add(elapsed_ns(task.submitted_at, t1));
+  }
+
+  void released(std::uint64_t /*slot*/) const noexcept {}
+  static constexpr bool release_inline(std::uint64_t /*slot*/) {
+    return false;
   }
 
   /// One worker's accounting (written only by that worker — by the master
@@ -118,7 +115,7 @@ struct ThreadedExecutor::Impl {
   std::vector<WorkerStats> workers;
   /// Per-worker kernel bodies (the master at threads=1 uses slot 0).
   std::vector<KernelBody> kernels;
-  using Core = Maestro<Front>;
+  using Core = Maestro<Impl>;
   Core core;
 };
 
@@ -127,17 +124,18 @@ ThreadedExecutor::ThreadedExecutor(ExecConfig config)
   config_.validate();
 }
 
-ThreadedExecutor::~ThreadedExecutor() = default;
-
 ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   if (stream == nullptr) {
     throw std::invalid_argument("ThreadedExecutor: null task stream");
   }
-  if (impl_ != nullptr) {
+  if (ran_) {
     throw std::logic_error("ThreadedExecutor is single-use; make a new one");
   }
-  impl_ = std::make_unique<Impl>(config_);
-  Impl& im = *impl_;
+  ran_ = true;
+  // Owned by this call: an exception leaving run() destroys the core, its
+  // last member, which joins the workers before anything they use goes.
+  const auto owner = std::make_unique<Impl>(config_);
+  Impl& im = *owner;
   Impl::Core& core = im.core;
   using Outcome = Impl::Core::Outcome;
 

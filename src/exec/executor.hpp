@@ -24,7 +24,9 @@
 // through core::ExecutionObserver (on_completed fires before accesses are
 // released, so recorded completion order is always oracle-checkable). An
 // exception thrown by a kernel or an observer callback on a worker stops
-// the run and is rethrown from run() once the pool is joined.
+// the run and is rethrown from run() once the pool is joined; one thrown
+// on the master (by the stream or on_submitted) leaves run() only after
+// that join too.
 
 #include <cstdint>
 #include <memory>
@@ -123,7 +125,6 @@ class ThreadedExecutor {
 
   ThreadedExecutor(const ThreadedExecutor&) = delete;
   ThreadedExecutor& operator=(const ThreadedExecutor&) = delete;
-  ~ThreadedExecutor();
 
   /// Executes the whole stream; returns when every task has completed or a
   /// deadlock was diagnosed. Throws std::logic_error on reuse, and
@@ -135,7 +136,7 @@ class ThreadedExecutor {
  private:
   struct Impl;
   ExecConfig config_;
-  std::unique_ptr<Impl> impl_;  ///< made by run()
+  bool ran_ = false;
 };
 
 }  // namespace nexuspp::exec

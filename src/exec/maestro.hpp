@@ -26,12 +26,17 @@
 // the whole drain, so no task is made ready, run and released inside the
 // call that granted it.
 //
-// `Front` is the front end's policy, called without indirection:
+// `Front` is the front end, which owns the core and which the core calls
+// directly (no virtual call):
 //   using Payload = ...;                  // per-slot task data
 //   void run(std::uint64_t serial, Payload&, std::uint32_t worker);
 //   void released(Slot slot);             // master, after each release
+//   bool release_inline(Slot slot);       // master: release when granted?
 // run() is called on a worker (on the master with zero workers); an
-// exception escaping it stops the pool and is returned by join().
+// exception escaping it stops the pool and is returned by join(). A task
+// release_inline() names never runs: it is released on the master as soon
+// as it is granted, without waiting for a worker (starss::Runtime's
+// wait_on sentinel).
 
 #include <algorithm>
 #include <cstddef>
@@ -52,11 +57,6 @@
 
 namespace nexuspp::exec {
 
-/// The machine's hardware threads, at least one.
-[[nodiscard]] inline unsigned hardware_threads() {
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 template <class Front>
 class Maestro {
  public:
@@ -64,7 +64,8 @@ class Maestro {
   using Payload = typename Front::Payload;
 
   enum class Outcome : std::uint8_t {
-    kReady,       ///< registered and runnable: make_ready() it
+    kReady,       ///< registered and runnable: make_ready() it, or
+                  ///< release_inline() it if Front::release_inline holds
     kWaiting,     ///< registered; a later release makes it ready
     kStructural,  ///< can never register; failure() says why
     kStopped,     ///< deadlock (failure() says why) or the pool closed
@@ -73,13 +74,14 @@ class Maestro {
   /// `workers` threads run tasks once start() is called; 0 runs them on
   /// the master. A non-null `rec` gets a "master" track for the hooks.
   Maestro(const MasterResolverConfig& config, std::uint32_t workers,
-          Front front, obs::TimelineRecorder* rec = nullptr)
-      : front_(front),
+          Front& front, obs::TimelineRecorder* rec = nullptr)
+      : front_(&front),
         cells_(std::make_unique<Cell[]>(config.pool_capacity)),
         handoff_(config.pool_capacity, workers),
         resolver_(config, config.pool_capacity),
         free_(config.pool_capacity),
         ready_(config.pool_capacity),
+        unrun_(config.pool_capacity),
         workers_(workers),
         rec_(rec),
         links_(workers) {
@@ -114,7 +116,7 @@ class Maestro {
       while (handoff_.claim(slot)) {
         Cell& cell = cells_[slot];
         chk::plain_write(&cell);
-        front_.run(cell.serial, cell.payload, w);
+        front_->run(cell.serial, cell.payload, w);
         handoff_.post(w, slot);
       }
     } catch (...) {
@@ -217,8 +219,17 @@ class Maestro {
   bool release_posted() {
     const std::size_t drained =
         handoff_.drain([this](Slot slot) { release(slot); });
+    at_workers_ -= drained;
     flush();
     return drained != 0;
+  }
+
+  /// Releases a task release_inline() names that registered ready (one
+  /// granted later is released by the release that grants it), then makes
+  /// the tasks it granted ready.
+  void release_inline(Slot slot) {
+    release(slot);
+    flush();
   }
 
   /// One step towards releasing the tasks in flight (call with some): a
@@ -247,35 +258,44 @@ class Maestro {
   };
 
   /// Handle Finished for one completed task: releases its accesses, frees
-  /// its slot and queues the dependants it was holding back for flush().
+  /// its slot and queues the dependants it was holding back for flush(),
+  /// releasing at once those that release_inline() names.
   // NEXUS_HOT_PATH
   void release(Slot slot) {
-    const double obs0 = rec_ != nullptr ? rec_->now_ns() : 0.0;
-    resolver_.finish(slot, grants_);
-    free_.push(static_cast<std::uint32_t>(slot));
-    --in_flight_;
-    --at_workers_;
-    front_.released(slot);
-    if (rec_ != nullptr) {
-      const std::uint64_t serial = cells_[slot].serial;
-      const double obs_end = rec_->now_ns();
-      rec_->record(master_track_, obs::EventKind::kRelease, obs0,
-                   obs_end - obs0, serial, 0);
-      rec_->record(master_track_, obs::EventKind::kFinish, obs_end, 0.0,
-                   serial, 0);
-      // One grant instant per dependant this finish made runnable; the
-      // granter's serial is the edge the critical-path analysis walks.
-      for (const Slot granted : grants_) {
-        rec_->record(master_track_, obs::EventKind::kReady, obs_end, 0.0,
-                     cells_[granted].serial, serial);
+    for (;;) {
+      const double obs0 = rec_ != nullptr ? rec_->now_ns() : 0.0;
+      resolver_.finish(slot, grants_);
+      free_.push(static_cast<std::uint32_t>(slot));
+      --in_flight_;
+      front_->released(slot);
+      if (rec_ != nullptr) {
+        const std::uint64_t serial = cells_[slot].serial;
+        const double obs_end = rec_->now_ns();
+        rec_->record(master_track_, obs::EventKind::kRelease, obs0,
+                     obs_end - obs0, serial, 0);
+        rec_->record(master_track_, obs::EventKind::kFinish, obs_end, 0.0,
+                     serial, 0);
+        // One grant instant per dependant this finish made runnable; the
+        // granter's serial is the edge the critical-path analysis walks.
+        for (const Slot granted : grants_) {
+          rec_->record(master_track_, obs::EventKind::kReady, obs_end, 0.0,
+                       cells_[granted].serial, serial);
+        }
+        rec_->record(master_track_, obs::EventKind::kInFlight, obs_end, 0.0,
+                     0, in_flight_);
       }
-      rec_->record(master_track_, obs::EventKind::kInFlight, obs_end, 0.0, 0,
-                   in_flight_);
+      // Each live task is granted at most once, so neither queue ever
+      // holds more than the slots.
+      for (const Slot granted : grants_) {
+        if (front_->release_inline(granted)) {
+          unrun_[unrun_count_++] = granted;
+        } else {
+          ready_[queued_++] = granted;
+        }
+      }
+      if (unrun_count_ == 0) return;
+      slot = unrun_[--unrun_count_];
     }
-    // Each live task is granted at most once, so the queue never holds
-    // more than the slots.
-    std::copy(grants_.begin(), grants_.end(), ready_.begin() + queued_);
-    queued_ += grants_.size();
   }
 
   void flush() {
@@ -315,7 +335,8 @@ class Maestro {
       Slot slot = 0;
       if (handoff_.try_claim(slot)) {
         Cell& cell = cells_[slot];
-        front_.run(cell.serial, cell.payload, 0);
+        front_->run(cell.serial, cell.payload, 0);
+        --at_workers_;
         release(slot);
         flush();
       }
@@ -328,7 +349,7 @@ class Maestro {
   }
 
   // Read by the workers on every task, written before they start.
-  Front front_;
+  Front* const front_;
   std::unique_ptr<Cell[]> cells_;
   TaskHandoff handoff_;
 
@@ -339,8 +360,10 @@ class Maestro {
   std::uint64_t at_workers_ = 0;  ///< made ready, not yet released
   std::size_t ready_peak_ = 0;
   std::vector<Slot> grants_;  ///< one release's grants
-  std::vector<Slot> ready_;   ///< a drain's grants, queued for flush()
+  std::vector<Slot> ready_;  ///< a drain's grants, queued for flush()
   std::size_t queued_ = 0;
+  std::vector<Slot> unrun_;  ///< granted, to release without a run
+  std::size_t unrun_count_ = 0;
   std::string failure_;
   const std::uint32_t workers_;
   obs::TimelineRecorder* const rec_;  ///< null: every hook is one test

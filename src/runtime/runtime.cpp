@@ -6,6 +6,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "chk/chk.hpp"
@@ -27,6 +28,13 @@ constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
 
 /// The Runtime whose worker the calling thread is, if any.
 thread_local const void* tls_worker_of = nullptr;
+
+/// Adds to a statistic only the Maestro writes. Relaxed: stats() reads it
+/// on any thread and orders nothing by it.
+void bump(chk::Atomic<std::uint64_t>& counter, std::uint64_t by) {
+  counter.store(counter.load(std::memory_order_relaxed) + by,
+                std::memory_order_relaxed);
+}
 
 /// A wait from a task body could never return: its own task is in flight.
 void refuse_task_body(const void* runtime, const char* call) {
@@ -82,31 +90,25 @@ std::vector<core::Param> to_params(const std::vector<Access>& accesses) {
 
 }  // namespace
 
+/// The front end the Maestro core calls: a slot's payload is its task's
+/// callable.
 struct Runtime::Impl {
+  using Payload = TaskFn;
+
   /// A task waiting in the channel for the Maestro to register it.
   struct Submission {
     TaskFn fn;
     std::vector<core::Param> params;
   };
 
-  /// The Maestro's calls into this front end.
-  struct Front {
-    using Payload = TaskFn;
-    Impl* im;
-    void run(std::uint64_t /*serial*/, TaskFn& body, std::uint32_t) const {
-      im->run(body);
-    }
-    void released(Slot slot) const { im->released(slot); }
-  };
-
   explicit Impl(unsigned workers)
-      : threads(workers), core(kConfig, workers, Front{this}) {
+      : threads(workers), core(kConfig, workers, *this) {
     core.start();
   }
 
   // --- Workers ---------------------------------------------------------------
 
-  void run(TaskFn& body) {
+  void run(std::uint64_t /*serial*/, TaskFn& body, std::uint32_t /*worker*/) {
     tls_worker_of = this;
     // Relaxed: statistics; the peak is a max over the running count.
     const unsigned now = running.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -149,7 +151,15 @@ struct Runtime::Impl {
       throw std::invalid_argument("Runtime::submit: " + core.failure());
     }
     if (outcome == Core::Outcome::kStopped) stopped();
-    publish_hazards(before, counted);
+    if (counted) {
+      // Only registration counts hazards, so the difference is this
+      // task's.
+      const core::Resolver::Stats& now = core.resolver().resolver_stats();
+      bump(edges, now.queued - before.queued);
+      bump(raw, now.raw_hazards - before.raw_hazards);
+      bump(war, now.war_hazards - before.war_hazards);
+      bump(waw, now.waw_hazards - before.waw_hazards);
+    }
     return outcome == Core::Outcome::kReady;
   }
 
@@ -157,36 +167,15 @@ struct Runtime::Impl {
     throw std::logic_error("starss::Runtime: " + core.failure());
   }
 
-  /// Republishes the hazard counts for stats(), leaving out a sentinel's.
-  void publish_hazards(const core::Resolver::Stats& before, bool counted) {
-    const core::Resolver::Stats& now = core.resolver().resolver_stats();
-    core::Resolver::Stats& left_out = sentinel_hazards;
-    if (!counted) {
-      left_out.queued += now.queued - before.queued;
-      left_out.raw_hazards += now.raw_hazards - before.raw_hazards;
-      left_out.war_hazards += now.war_hazards - before.war_hazards;
-      left_out.waw_hazards += now.waw_hazards - before.waw_hazards;
-    }
-    // Relaxed: statistics, read by stats() on any thread.
-    edges.store(now.queued - left_out.queued, std::memory_order_relaxed);
-    raw.store(now.raw_hazards - left_out.raw_hazards,
-              std::memory_order_relaxed);
-    war.store(now.war_hazards - left_out.war_hazards,
-              std::memory_order_relaxed);
-    waw.store(now.waw_hazards - left_out.waw_hazards,
-              std::memory_order_relaxed);
-  }
-
-  /// The core's release hook.
   void released(Slot slot) {
     if (slot == sentinel) {
       sentinel = kNoSlot;
-      return;
+    } else {
+      bump(executed, 1);
     }
-    // Relaxed: a statistic.
-    executed.store(executed.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
   }
+
+  bool release_inline(Slot slot) const { return slot == sentinel; }
 
   /// Releases posted completions, or waits for one; throws when none
   /// can ever come.
@@ -217,7 +206,6 @@ struct Runtime::Impl {
   // Maestro-owned: touched only under `maestro`.
   std::uint64_t serial = 0;
   Slot sentinel = kNoSlot;  ///< wait_on's task while it is registered
-  core::Resolver::Stats sentinel_hazards;  ///< left out of stats()
   std::vector<Submission> incoming;  ///< the channel batch being registered
   chk::Mutex maestro;  ///< held by the thread acting as the Maestro
 
@@ -240,13 +228,13 @@ struct Runtime::Impl {
   std::exception_ptr first_error;  ///< guarded by error_mu
 
   /// Last: its workers start once everything they touch exists.
-  using Core = exec::Maestro<Front>;
+  using Core = exec::Maestro<Impl>;
   Core core;
 };
 
 Runtime::Runtime(unsigned num_threads) {
   if (num_threads == 0) {
-    num_threads = exec::hardware_threads();
+    num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   impl_ = std::make_unique<Impl>(num_threads);
 }
@@ -321,15 +309,16 @@ void Runtime::wait_on(const void* ptr) {
   refuse_task_body(&im, "wait_on");
   if (ptr == nullptr) return;  // no task can access it
   const std::lock_guard<chk::Mutex> maestro(im.maestro);
-  // Register everything submitted so far, then a no-op sentinel
-  // inout(ptr) task queued behind every one of them that touches ptr.
+  // Register everything submitted so far, then a sentinel inout(ptr) task
+  // queued behind every one of them that touches ptr. No worker runs it:
+  // the core releases it on this thread as soon as it is ready.
   im.register_channel();
   Slot slot = 0;
-  if (im.add([] {}, {core::inout(reinterpret_cast<core::Addr>(ptr), 1)},
-             slot, false)) {
-    im.core.make_ready(&slot, 1);
-  }
+  const bool ready =
+      im.add(nullptr, {core::inout(reinterpret_cast<core::Addr>(ptr), 1)},
+             slot, false);
   im.sentinel = slot;
+  if (ready) im.core.release_inline(slot);
   while (im.sentinel != kNoSlot) {
     im.progress();
     im.register_channel();

@@ -39,10 +39,11 @@
 //    by the next thread inside the runtime; it waits for the Maestro role
 //    only when the channel already holds a Task Pool's worth of tasks.
 //
-// Stats count the tasks passed to submit(); the no-op sentinel task
-// wait_on() registers is not counted anywhere. The hazard and edge counts are
-// core::Resolver's, one per access that had to queue (an access granted
-// at once counts nothing).
+// Stats count the tasks passed to submit(); the sentinel task wait_on()
+// registers is released by the Maestro as soon as it is ready, never
+// runs on a worker, and is not counted anywhere. The hazard and edge
+// counts are core::Resolver's, one per access that had to queue (an
+// access granted at once counts nothing).
 
 #include <cstdint>
 #include <functional>

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -564,6 +565,48 @@ TEST(ExecThreads, WorkerExceptionIsRethrown) {
           << e.what();
     }
   }
+}
+
+/// Throws from on_submitted, on the master, for one task, and counts the
+/// kernels the workers start and complete.
+class SubmitThrowingObserver final : public core::ExecutionObserver {
+ public:
+  explicit SubmitThrowingObserver(std::uint64_t serial) : serial_(serial) {}
+
+  void on_submitted(std::uint64_t serial) override {
+    if (serial == serial_) throw std::runtime_error("master-side failure");
+  }
+  void on_started(std::uint64_t, std::uint32_t) override { ++started; }
+  void on_completed(std::uint64_t, std::uint32_t) override { ++completed; }
+
+  std::atomic<std::uint64_t> started{0};
+  std::atomic<std::uint64_t> completed{0};
+
+ private:
+  std::uint64_t serial_;
+};
+
+TEST(ExecThreads, MasterExceptionJoinsTheWorkers) {
+  // An exception on the master leaves run() only once the workers are
+  // joined: no callback fires after it, although ready tasks were queued.
+  std::vector<trace::TaskRecord> tasks(400);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    tasks[i].serial = i;
+    tasks[i].exec_time = sim::us(200);
+  }
+  SubmitThrowingObserver observer(300);
+  exec::ExecConfig cfg;
+  cfg.threads = 2;
+  cfg.observer = &observer;
+  exec::ThreadedExecutor executor(cfg);
+  EXPECT_THROW((void)executor.run(std::make_unique<trace::VectorStream>(
+                   std::make_shared<const std::vector<trace::TaskRecord>>(
+                       tasks))),
+               std::runtime_error);
+  const std::uint64_t started = observer.started.load();
+  EXPECT_EQ(observer.completed.load(), started);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(observer.started.load(), started);
 }
 
 // --- Engine adapter / registry contract ---------------------------------------

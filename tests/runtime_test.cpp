@@ -397,6 +397,63 @@ TEST(Runtime, WaitOnUntrackedAddressReturnsImmediately) {
   EXPECT_EQ(x, 1);
 }
 
+/// A task body that holds its worker until open(), or until a 10-s
+/// deadline passes, so a wait that wrongly needs the worker fails the test
+/// (expired) instead of hanging it.
+struct Gate {
+  void hold() {
+    holding.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!opened.load()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        expired.store(true);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  }
+  void open() { opened.store(true); }
+
+  std::atomic<int> holding{0};
+  std::atomic<bool> opened{false};
+  std::atomic<bool> expired{false};
+};
+
+TEST(Runtime, WaitOnReturnsWhileTheOnlyWorkerIsBusy) {
+  // wait_on's sentinel never needs a worker: once x's writer is released,
+  // wait_on returns although the only worker holds an unrelated task that
+  // waits for exactly that.
+  Runtime rt(1);
+  int x = 0;
+  Gate gate;
+  rt.submit([&x] { x = 1; }, {starss::out(&x)});
+  rt.submit([&gate] { gate.hold(); }, {});
+  rt.wait_on(&x);
+  EXPECT_FALSE(gate.expired.load());
+  const int seen = x;
+  EXPECT_EQ(seen, 1);
+  gate.open();
+  rt.wait_all();
+  EXPECT_FALSE(gate.expired.load());
+  const auto stats = rt.stats();
+  EXPECT_EQ(stats.executed, 2u);
+  EXPECT_EQ(stats.max_concurrency, 1u);
+}
+
+TEST(Runtime, WaitOnUntrackedAddressReturnsWhileWorkersAreBusy) {
+  Runtime rt(2);
+  Gate gate;
+  for (int i = 0; i < 2; ++i) rt.submit([&gate] { gate.hold(); }, {});
+  while (gate.holding.load() < 2) std::this_thread::yield();
+  int y = 0;
+  rt.wait_on(&y);  // no task accesses y
+  EXPECT_FALSE(gate.expired.load());
+  gate.open();
+  rt.wait_all();
+  EXPECT_EQ(rt.stats().executed, 2u);
+}
+
 TEST(Runtime, WaitOnDoesNotWaitForLaterTasks) {
   Runtime rt(2);
   int x = 0;

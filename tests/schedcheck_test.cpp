@@ -514,21 +514,23 @@ TEST(SchedExploration, TaskHandoffRingWrapIsRaceFreeAndExact) {
 /// t2 waits for a slot (t0 and t1 hold both), and then for table space:
 /// t1 is granted by t0's release but goes to the workers only after that
 /// drain, so it still holds A and B. Six tasks through two slots wrap
-/// both handoff rings.
+/// both handoff rings. t5 is released inline, like starss::Runtime's
+/// wait_on sentinel: on the master, as soon as it is ready, never run.
 struct MaestroWorkload {
   static constexpr std::size_t kTasks = 6;
+  static constexpr std::uint64_t kInline = 5;
 
-  struct Front {
-    using Payload = char;
-    MaestroWorkload* w;
-    void run(std::uint64_t serial, char& /*payload*/, std::uint32_t) const {
-      chk::plain_write(&w->runs[serial]);
-      ++w->runs[serial];
-    }
-    void released(std::uint64_t slot) const {
-      w->order.push_back(w->serial_of[slot]);
-    }
-  };
+  // The core's front end.
+  using Core = exec::Maestro<MaestroWorkload>;
+  using Payload = char;
+  void run(std::uint64_t serial, char& /*payload*/, std::uint32_t) {
+    chk::plain_write(&runs[serial]);
+    ++runs[serial];
+  }
+  void released(std::uint64_t slot) { order.push_back(serial_of[slot]); }
+  bool release_inline(std::uint64_t slot) const {
+    return serial_of[slot] == kInline;
+  }
 
   [[nodiscard]] static exec::MasterResolverConfig config() {
     exec::MasterResolverConfig cfg;
@@ -546,9 +548,13 @@ struct MaestroWorkload {
               ++(begin ? table_stalls : stall_steps);
             });
         serial_of[slot] = k;
-        if (outcome == exec::Maestro<Front>::Outcome::kReady) {
-          core.make_ready(&slot, 1);
-        } else if (outcome != exec::Maestro<Front>::Outcome::kWaiting) {
+        if (outcome == Core::Outcome::kReady) {
+          if (k == kInline) {
+            core.release_inline(slot);
+          } else {
+            core.make_ready(&slot, 1);
+          }
+        } else if (outcome != Core::Outcome::kWaiting) {
           failure = core.failure();
           break;
         }
@@ -575,7 +581,7 @@ struct MaestroWorkload {
   std::uint32_t stall_steps = 0;
   std::uint32_t table_stalls = 0;
   std::string failure;
-  exec::Maestro<Front> core{config(), 2, Front{this}};
+  Core core{config(), 2, *this};
 };
 
 TEST(SchedExploration, MaestroCoreIsRaceFreeAndReleasesInOracleOrder) {
@@ -593,8 +599,9 @@ TEST(SchedExploration, MaestroCoreIsRaceFreeAndReleasesInOracleOrder) {
           << checker.reports()[0].to_string();
     }
     ASSERT_TRUE(workload.failure.empty()) << workload.failure;
-    for (const std::uint32_t runs : workload.runs) {
-      EXPECT_EQ(runs, 1u) << "seed " << policy.seed;
+    for (std::uint64_t k = 0; k < MaestroWorkload::kTasks; ++k) {
+      EXPECT_EQ(workload.runs[k], k == MaestroWorkload::kInline ? 0u : 1u)
+          << "seed " << policy.seed << ", t" << k;
     }
     EXPECT_EQ(core::GraphOracle::validate_completion_order(
                   core::MatchMode::kBaseAddr, workload.tasks, workload.order),
