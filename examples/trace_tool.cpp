@@ -35,7 +35,7 @@
 
 #include "engine/capture.hpp"
 #include "engine/registry.hpp"
-#include "obs/metrics.hpp"
+#include "engine/sweep.hpp"
 #include "obs/trace_export.hpp"
 #include "trace/io.hpp"
 #include "util/flags.hpp"
@@ -150,9 +150,13 @@ engine::EngineParams params_for_run(const util::Flags& flags,
   return params;
 }
 
-/// Saves the run's timeline (with the report's metrics snapshot embedded)
-/// when --timeline was given; returns false on write failure.
+/// Saves the run's timeline when --timeline was given, with the JSON
+/// object a sweep writes for the run embedded; returns false on write
+/// failure.
 bool maybe_export_timeline(const engine::RunReport& report,
+                           const std::string& engine_name,
+                           const std::string& workload,
+                           const engine::EngineParams& params,
                            const util::Flags& flags) {
   const auto path = flags.get("timeline");
   if (!path.has_value()) return true;
@@ -160,10 +164,13 @@ bool maybe_export_timeline(const engine::RunReport& report,
     std::cerr << "[timeline] nothing recorded (run failed before start?)\n";
     return false;
   }
-  obs::MetricsRegistry metrics;
-  report.register_metrics(metrics);
+  engine::SweepResult run;
+  run.spec.engine = engine_name;
+  run.spec.workload = workload;
+  run.spec.params = params;
+  run.report = report;
   obs::TraceExportOptions options;
-  options.metrics = &metrics;
+  options.report_json = engine::SweepDriver::to_json(run);
   if (!obs::save_chrome_trace(*report.timeline.data, *path, options)) {
     std::cerr << "error: cannot write timeline to " << *path << "\n";
     return false;
@@ -226,7 +233,10 @@ int main(int argc, char** argv) {
                        .to_table("capture run: " + spec + " on " +
                                  engine_name)
                        .to_string();
-      if (!maybe_export_timeline(captured.report, flags)) return 1;
+      if (!maybe_export_timeline(captured.report, engine_name, spec, params,
+                                 flags)) {
+        return 1;
+      }
       return captured.report.deadlocked ? 1 : 0;
     }
     if ((command == "replay" || command == "simulate") && args.size() == 2) {
@@ -245,7 +255,10 @@ int main(int argc, char** argv) {
                        .to_table("replay of " + args[1] + " on " +
                                  engine_name)
                        .to_string();
-      if (!maybe_export_timeline(report, flags)) return 1;
+      if (!maybe_export_timeline(report, engine_name, args[1], params,
+                                 flags)) {
+        return 1;
+      }
       return report.deadlocked ? 1 : 0;
     }
   } catch (const std::exception& e) {

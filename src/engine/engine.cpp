@@ -109,6 +109,7 @@ RunReport from_system_report(const nexus::SystemReport& src,
                              const nexus::NexusConfig& cfg, bool banked) {
   RunReport r;
   r.engine = std::move(engine_name);
+  r.measures = RunReport::kMemory | RunReport::kTables | RunReport::kSimEvents;
   r.makespan = src.makespan;
   r.tasks_expected = src.tasks_expected;
   r.tasks_submitted = src.tasks_submitted;
@@ -211,6 +212,7 @@ RunReport ThreadedExecEngine::run(
 
   RunReport r;
   r.engine = name();
+  r.measures = RunReport::kTables | RunReport::kWallClock;
   // Real wall-clock time in the makespan slot: speedup-vs-baseline and the
   // table/CSV paths work unchanged, now over measured time.
   r.makespan = sim::ns_f(src.wall_ns);
@@ -265,6 +267,7 @@ RunReport SoftwareRtsEngine::run(
 
   RunReport r;
   r.engine = name();
+  r.measures = RunReport::kMemory;
   r.makespan = src.makespan;
   r.tasks_expected = src.tasks_expected;
   r.tasks_submitted = src.tasks_submitted;

@@ -4,8 +4,17 @@
 // driver and tests all consume this one struct, so adding a backend never
 // means new comparison glue: an Engine adapter fills a RunReport and the
 // whole reporting path (tables, CSV, JSON, speedups) works unchanged.
+//
+// The schema is declared once, as the column table in run_report.cpp: each
+// column has a name, a unit, a group that says when it applies, a one-line
+// meaning and an accessor. The CSV, the JSON object, the summary table and
+// the report a Chrome trace embeds all render that table, so adding a
+// column is one entry. A column whose group the report does not cover
+// (see RunReport::Measure) renders empty in CSV, null in JSON and not at
+// all in the table: "not measured" never reads as a measured zero.
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -18,7 +27,6 @@
 
 namespace nexuspp::obs {
 struct Timeline;
-class MetricsRegistry;
 }  // namespace nexuspp::obs
 
 namespace nexuspp::engine {
@@ -51,106 +59,85 @@ struct TimelinePayload {
 };
 
 struct RunReport {
-  // --- Identity -------------------------------------------------------------
-  std::string engine;  ///< registry name of the engine that produced this
+  /// What the producing engine measures, as bits OR-ed into `measures` by
+  /// its Engine adapter. A column of a group the engine does not measure
+  /// renders empty, not as a zero nobody measured.
+  enum Measure : std::uint8_t {
+    kMemory = 1U << 0,     ///< modelled memory traffic (mem_* columns)
+    kTables = 1U << 1,     ///< Task Pool, Dependence Table, ready queue
+    kSimEvents = 1U << 2,  ///< a discrete-event simulator (sim_events)
+    kWallClock = 1U << 3,  ///< real threads on the host clock (exec_*)
+  };
 
-  // --- Outcome --------------------------------------------------------------
+  std::string engine;
+  std::uint8_t measures = 0;  ///< Measure bits
+
   sim::Time makespan = 0;
   std::uint64_t tasks_expected = 0;
   std::uint64_t tasks_submitted = 0;
   std::uint64_t tasks_completed = 0;
   bool deadlocked = false;
-  /// Non-empty when deadlocked. exec-threads also fills it, without
-  /// deadlocking, when the stream produced a different number of tasks
-  /// than tasks_expected (its total_tasks()).
   std::string diagnosis;
 
-  // --- Per-stage busy/stall breakdown --------------------------------------
+  /// Per-stage busy/stall breakdown.
   std::vector<StageStat> stages;
 
-  // --- Workers --------------------------------------------------------------
   std::uint32_t num_workers = 0;
-  sim::Time total_exec_time = 0;      ///< sum of task execution times
-  double avg_core_utilization = 0.0;  ///< exec time / (makespan * workers)
-
-  /// Per-task turnaround (submission to completion handling), nanoseconds.
-  /// Carries mean/min/max and p50/p95/p99 percentiles.
+  sim::Time total_exec_time = 0;
+  double avg_core_utilization = 0.0;
   util::RunningStats turnaround_ns;
 
-  // --- Memory ---------------------------------------------------------------
   hw::Memory::Stats mem_stats;
 
-  // --- Structure extrema (zero where a model has no such structure) ---------
   std::size_t ready_queue_peak = 0;
   std::uint32_t tp_max_used = 0;
   std::uint64_t tp_dummy_slots = 0;
-  /// Dependence Table live-entry highwater. At banks > 1 (nexus-banked)
-  /// it is the hottest bank's highwater, not the whole table's.
   std::uint32_t dt_max_live = 0;
   std::uint32_t dt_longest_chain = 0;
   std::uint64_t dt_ko_dummies = 0;
   std::uint64_t sim_events = 0;
 
-  // --- Dependency-resolution fidelity & cost --------------------------------
   /// Hazards the resolver recorded (per queued overlap in range mode, per
-  /// queued address in base mode) — how base-address vs range matching
+  /// queued address in base mode), so base-address and range matching
   /// compare in detected dependencies on the same workload.
   std::uint64_t raw_hazards = 0;
   std::uint64_t war_hazards = 0;
   std::uint64_t waw_hazards = 0;
-  /// Dependence Table lookup census (hardware engines only): mean entries
-  /// visited per lookup = dt_lookup_probes / dt_lookups.
+  /// Dependence Table lookup census: dt_avg_lookup_probes() is their ratio.
   std::uint64_t dt_lookups = 0;
   std::uint64_t dt_lookup_probes = 0;
 
-  // --- Real execution (exec-threads only; zeros/empty elsewhere) -------------
-  /// Measured wall-clock throughput: completed tasks per second.
   double exec_tasks_per_sec = 0.0;
-  /// Kernel body that ran the tasks ("spin" / "compute" / "memory" /
-  /// "imbalance" / "dgemm"; empty for simulated engines) and the total
-  /// calibrated work units executed (0 under spin — its model is time).
   std::string exec_kernel;
   std::uint64_t exec_kernel_work_units = 0;
-  /// Per-worker busy/wall fraction. The CSV cell is the average (a single
-  /// numeric column, so spreadsheets and the CI gate parse it); the JSON
-  /// report additionally carries the per-worker values plus min/max.
+  /// Per-worker busy/wall fraction. The CSV cell is the average; the JSON
+  /// object also carries the per-worker values and their min and max.
   std::vector<double> exec_worker_utilization;
 
-  // --- Observability (timeline-enabled runs only; zeros elsewhere) ----------
-  /// Heaviest grant-chain kernel time and how many tasks sit on that chain
-  /// (see obs/critical_path.hpp for the model).
+  /// Critical-path analysis of the recorded timeline (see
+  /// obs/critical_path.hpp); the obs_* columns apply only when `timeline`
+  /// holds one.
   double obs_critical_path_ns = 0.0;
   std::uint64_t obs_critical_path_tasks = 0;
   double obs_slack_mean_ns = 0.0;
   double obs_slack_max_ns = 0.0;
-  /// Fraction of recorded busy time spent in dependence resolution
-  /// (submit + stall + release spans) rather than running kernels.
   double obs_resolution_overhead_frac = 0.0;
   std::uint64_t obs_timeline_events = 0;
   std::uint64_t obs_timeline_dropped = 0;
   TimelinePayload timeline;
 
-  // --- METG (set only by SweepDriver::run_metg; 0 = not measured) ------------
-  /// Minimum effective task granularity: the smallest per-task duration at
-  /// which this engine still sustained the efficiency floor on the swept
-  /// workload (task-bench's headline metric). Stamped onto the crossing
-  /// row of a METG ladder; plain runs leave it 0. Never feeds speedup
-  /// math — speedup_vs() compares makespans only.
+  /// Set only by SweepDriver::run_metg, on a ladder's crossing rung; 0
+  /// means not measured. Never feeds speedup_vs(), which compares
+  /// makespans only.
   double metg_ns = 0.0;
 
-  // --- Dependence-table banking (nexus-banked only; banks == 0 elsewhere) ---
+  /// Dependence Table banking (nexus-banked only; 0 elsewhere, and then
+  /// no bank column applies).
   std::uint32_t banks = 0;
-  /// Cycles table operations spent queued behind a busy bank (the arbiter's
-  /// conflict stall total).
   sim::Time bank_conflict_wait = 0;
-  /// Max/mean per-bank busy time (1.0 = perfectly balanced; 0 = no ops).
   double bank_busy_imbalance = 0.0;
-  /// Max/mean per-bank live-entry highwater.
   double bank_occupancy_imbalance = 0.0;
-  /// The hottest bank's live-entry highwater.
   std::uint32_t bank_peak_live = 0;
-  /// Per-bank live highwaters (rendered as a ';'-packed CSV cell so the
-  /// flat schema stays fixed across bank counts).
   std::vector<std::uint32_t> per_bank_max_live;
 
   [[nodiscard]] std::uint64_t total_hazards() const noexcept {
@@ -178,18 +165,21 @@ struct RunReport {
   /// Mean of exec_worker_utilization (0 when empty) — the CSV cell value.
   [[nodiscard]] double exec_worker_utilization_avg() const noexcept;
 
-  /// Registers this report's telemetry — stage busy/stall, hazard counts,
-  /// sync/lock stats, bank usage, turnaround distribution, obs_* summary —
-  /// into a unified metrics registry under stable dotted names.
-  void register_metrics(obs::MetricsRegistry& registry) const;
-
-  /// Human-readable summary table.
+  /// Summary table: one row per column that applies (name, value, unit,
+  /// meaning), then each stage's busy/stall share of the makespan.
   [[nodiscard]] util::Table to_table(const std::string& title) const;
 
-  /// Flat serialization: a fixed column set shared by CSV and JSON so
-  /// sweep output from any mix of engines lines up row by row.
+  /// The column names, in order. Every engine's rows share them, so sweep
+  /// output from any mix of engines lines up row by row.
   [[nodiscard]] static std::vector<std::string> csv_header();
+  /// One cell per column; empty where the column does not apply.
   [[nodiscard]] std::vector<std::string> csv_row() const;
+
+  /// Writes the report's JSON object members, without the braces: every
+  /// column (numbers bare, text quoted, null where it does not apply), then
+  /// the structured values the CSV flattens: the per-worker utilization
+  /// with its min and max, and each stage's busy and stall time.
+  void write_json_members(std::ostream& os) const;
 
   /// Field-for-field equality. Every field of a simulation's RunReport is
   /// deterministic in (engine, config, record stream), so this is the

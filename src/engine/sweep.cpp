@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cctype>
 #include <cmath>
 #include <numeric>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace_export.hpp"
 #include "trace/io.hpp"
 
@@ -292,53 +291,33 @@ std::vector<std::size_t> sorted_order(const std::vector<SweepResult>& results) {
   return order;
 }
 
-std::vector<std::string> point_header() {
-  return {"series", "label", "workload", "speedup", "wall_seconds", "error"};
-}
+/// The point columns that precede the report's in every CSV and JSON row.
+struct PointColumn {
+  const char* name;
+  bool text;  ///< quoted in JSON; else a bare number
+  std::string (*cell)(const SweepResult&);
+};
 
-std::vector<std::string> point_row(const SweepResult& r) {
-  // A failed point must carry its failure into the machine-readable
-  // outputs — an empty row would silently hide it from CSV/JSON consumers.
-  // Exceptions land in the error column with `deadlocked` left 0; genuine
-  // deadlock diagnoses keep `deadlocked`=1 and also surface here, so the
-  // two remain distinguishable row by row.
-  return {r.spec.resolved_series(),   r.spec.resolved_label(),
-          r.spec.workload,            util::fmt_f(r.speedup, 3),
-          util::fmt_f(r.wall_seconds, 4),
-          !r.error.empty()
-              ? r.error
-              : (r.report.deadlocked ? r.report.diagnosis : std::string())};
-}
-
-bool looks_numeric(const std::string& s) {
-  if (s.empty()) return false;
-  std::size_t i = s[0] == '-' ? 1 : 0;
-  if (i == s.size()) return false;
-  bool dot = false;
-  for (; i < s.size(); ++i) {
-    if (s[i] == '.') {
-      if (dot) return false;
-      dot = true;
-    } else if (std::isdigit(static_cast<unsigned char>(s[i])) == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void json_escape(const std::string& s, std::ostream& os) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
+const PointColumn kPointColumns[] = {
+    {"series", true,
+     [](const SweepResult& r) { return r.spec.resolved_series(); }},
+    {"label", true,
+     [](const SweepResult& r) { return r.spec.resolved_label(); }},
+    {"workload", true, [](const SweepResult& r) { return r.spec.workload; }},
+    {"speedup", false,
+     [](const SweepResult& r) { return util::fmt_f(r.speedup, 3); }},
+    {"wall_seconds", false,
+     [](const SweepResult& r) { return util::fmt_f(r.wall_seconds, 4); }},
+    // A failed point carries its failure into the machine-readable
+    // outputs: an exception here with `deadlocked` left 0, or a diagnosed
+    // deadlock (`deadlocked`=1), so the two stay distinguishable row by row.
+    {"error", true,
+     [](const SweepResult& r) {
+       return !r.error.empty()
+                  ? r.error
+                  : (r.report.deadlocked ? r.report.diagnosis : std::string());
+     }},
+};
 
 }  // namespace
 
@@ -373,12 +352,14 @@ util::Table SweepDriver::to_table(const std::string& title,
 void SweepDriver::write_csv(const std::vector<SweepResult>& results,
                             std::ostream& os) {
   util::Table t("sweep");
-  auto header = point_header();
+  std::vector<std::string> header;
+  for (const auto& c : kPointColumns) header.emplace_back(c.name);
   const auto report_header = RunReport::csv_header();
   header.insert(header.end(), report_header.begin(), report_header.end());
   t.header(header);
   for (const std::size_t i : sorted_order(results)) {
-    auto row = point_row(results[i]);
+    std::vector<std::string> row;
+    for (const auto& c : kPointColumns) row.push_back(c.cell(results[i]));
     const auto report_row = results[i].report.csv_row();
     row.insert(row.end(), report_row.begin(), report_row.end());
     t.row(row);
@@ -386,50 +367,31 @@ void SweepDriver::write_csv(const std::vector<SweepResult>& results,
   os << t.to_csv();
 }
 
+std::string SweepDriver::to_json(const SweepResult& result) {
+  std::ostringstream os;
+  os << "{";
+  for (const auto& c : kPointColumns) {
+    obs::write_json_string(os, c.name);
+    os << ": ";
+    if (c.text) {
+      obs::write_json_string(os, c.cell(result));
+    } else {
+      os << c.cell(result);
+    }
+    os << ", ";
+  }
+  result.report.write_json_members(os);
+  os << "}";
+  return os.str();
+}
+
 void SweepDriver::write_json(const std::vector<SweepResult>& results,
                              std::ostream& os) {
-  auto header = point_header();
-  const auto report_header = RunReport::csv_header();
-  header.insert(header.end(), report_header.begin(), report_header.end());
-
   os << "[";
-  bool first_row = true;
+  const char* sep = "\n  ";
   for (const std::size_t i : sorted_order(results)) {
-    auto row = point_row(results[i]);
-    const auto report_row = results[i].report.csv_row();
-    row.insert(row.end(), report_row.begin(), report_row.end());
-
-    os << (first_row ? "\n" : ",\n") << "  {";
-    first_row = false;
-    for (std::size_t c = 0; c < header.size(); ++c) {
-      if (c != 0) os << ", ";
-      json_escape(header[c], os);
-      os << ": ";
-      if (looks_numeric(row[c])) {
-        os << row[c];
-      } else {
-        json_escape(row[c], os);
-      }
-    }
-    // Structured extras the CSV flattens away: the full per-worker
-    // utilization vector (the CSV carries only the average) and its spread.
-    const RunReport& rep = results[i].report;
-    os << ", \"exec_worker_utilization_per_worker\": [";
-    double umin = 0.0;
-    double umax = 0.0;
-    for (std::size_t w = 0; w < rep.exec_worker_utilization.size(); ++w) {
-      const double u = rep.exec_worker_utilization[w];
-      if (w == 0) {
-        umin = umax = u;
-      } else {
-        umin = std::min(umin, u);
-        umax = std::max(umax, u);
-      }
-      os << (w == 0 ? "" : ", ") << util::fmt_f(u, 4);
-    }
-    os << "], \"exec_worker_utilization_min\": " << util::fmt_f(umin, 4)
-       << ", \"exec_worker_utilization_max\": " << util::fmt_f(umax, 4);
-    os << "}";
+    os << sep << to_json(results[i]);
+    sep = ",\n  ";
   }
   os << "\n]\n";
 }
@@ -454,11 +416,9 @@ std::vector<std::string> SweepDriver::export_timelines(
         with_timeline.size() == 1
             ? path
             : stem + ".p" + std::to_string(i) + ext;
-    obs::MetricsRegistry metrics;
-    results[i].report.register_metrics(metrics);
     obs::TraceExportOptions options;
     options.pid = static_cast<std::uint32_t>(i + 1);
-    options.metrics = &metrics;
+    options.report_json = to_json(results[i]);
     if (obs::save_chrome_trace(*results[i].report.timeline.data, out_path,
                                options)) {
       written.push_back(out_path);

@@ -168,16 +168,19 @@ class SweepDriver {
   static void write_csv(const std::vector<SweepResult>& results,
                         std::ostream& os);
 
-  /// Same content as the CSV, as a JSON array of objects (numeric fields
-  /// unquoted) — plus the structured extras that do not flatten into CSV
-  /// cells: the per-worker utilization vector and its min/max.
+  /// The CSV's rows as a JSON array of to_json() objects, in CSV order.
   static void write_json(const std::vector<SweepResult>& results,
                          std::ostream& os);
+
+  /// One result as a JSON object: the point columns, then the report's
+  /// (RunReport::write_json_members: typed by the schema, null where a
+  /// column does not apply, plus the values the CSV flattens).
+  [[nodiscard]] static std::string to_json(const SweepResult& result);
 
   /// Writes the Chrome-trace timeline of every result that recorded one
   /// (EngineParams::timeline.enabled) to `path`. A single timeline lands at
   /// `path` exactly; with several, each point i writes `stem.p<i>.ext`. The
-  /// point's metrics snapshot rides along under the "metrics" key. Returns
+  /// point's to_json() object rides along under the "report" key. Returns
   /// the paths written, in results order.
   static std::vector<std::string> export_timelines(
       const std::vector<SweepResult>& results, const std::string& path);

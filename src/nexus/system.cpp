@@ -462,7 +462,6 @@ SystemReport NexusSystem::run() {
   report.resolver_stats = resolver_.aggregated_stats();
   report.mem_stats = memory_.stats();
   report.bus_stats = master_bus_.stats();
-  report.dt_max_live = report.dt_stats.max_live_slots;
   report.sim_events = sim_.events_executed();
 
   report.banks = cfg_.banks;

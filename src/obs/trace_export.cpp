@@ -8,25 +8,6 @@ namespace nexuspp::obs {
 
 namespace {
 
-void write_escaped(std::ostream& out, const std::string& text) {
-  out << '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 /// Doubles rounded to 6 decimals of a microsecond (picosecond resolution)
 /// so integer simulator timestamps round-trip exactly — coarser rounding
 /// makes back-to-back spans look partially overlapped to schema checkers.
@@ -50,46 +31,35 @@ void write_metadata(std::ostream& out, bool& first, const char* name,
   write_event_prefix(out, first);
   out << "{\"ph\":\"M\",\"ts\":0,\"pid\":" << pid << ",\"tid\":" << tid
       << ",\"name\":\"" << name << "\",\"args\":{\"name\":";
-  write_escaped(out, value);
+  write_json_string(out, value);
   out << "}}";
 }
 
-void write_metric(std::ostream& out, const Metric& metric) {
-  out << "{\"name\":";
-  write_escaped(out, metric.name);
-  out << ",\"kind\":\"" << to_string(metric.kind) << "\"";
-  if (metric.kind == MetricKind::kHistogram) {
-    out << ",\"count\":" << metric.count << ",\"sum\":" << metric.sum
-        << ",\"quantiles\":{";
-    bool first = true;
-    for (const auto& [q, v] : metric.quantiles) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"p" << static_cast<int>(q * 100.0 + 0.5) << "\":" << v;
-    }
-    out << "}";
-  } else {
-    out << ",\"value\":" << metric.value;
-  }
-  out << "}";
-}
-
 }  // namespace
+
+void write_json_string(std::ostream& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out << '"';
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out << '\\' << c;
+    } else if (byte < 0x20) {
+      out << "\\u00" << kHex[byte >> 4] << kHex[byte & 0xF];
+    } else {
+      out << c;
+    }
+  }
+  out << '"';
+}
 
 void write_chrome_trace(const Timeline& timeline, std::ostream& out,
                         const TraceExportOptions& options) {
   const std::uint32_t pid = options.pid;
   out << "{\n  \"displayTimeUnit\": \"ns\",\n";
   out << "  \"otherData\": {\"clock\": \"" << timeline.clock << "\"},\n";
-  if (options.metrics != nullptr) {
-    out << "  \"metrics\": [";
-    bool first = true;
-    for (const Metric& metric : options.metrics->snapshot()) {
-      if (!first) out << ", ";
-      first = false;
-      write_metric(out, metric);
-    }
-    out << "],\n";
+  if (!options.report_json.empty()) {
+    out << "  \"report\": " << options.report_json << ",\n";
   }
   out << "  \"traceEvents\": [\n";
 

@@ -8,22 +8,29 @@
 // samples. Both clock domains export identically — a simulated nexus++ run
 // and a real exec-threads run open side by side in the same viewer.
 //
-// When a MetricsRegistry snapshot is supplied it is embedded under the
-// top-level "metrics" key (ignored by viewers, consumed by tooling).
+// The run's report, rendered by the caller as a JSON object, is embedded
+// under the top-level "report" key (ignored by viewers, read by tooling), so
+// a trace file carries the numbers of the run it shows. This layer only
+// copies it through and stays free of the engine's types.
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
-#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 
 namespace nexuspp::obs {
 
 struct TraceExportOptions {
   std::uint32_t pid = 1;  ///< process id stamped on every event
-  const MetricsRegistry* metrics = nullptr;  ///< optional embedded snapshot
+  /// A JSON object written verbatim under "report"; omitted when empty.
+  std::string report_json;
 };
+
+/// Writes `text` as a quoted JSON string: quote and backslash escaped, and
+/// every byte below 0x20 written as a six-character u00XX escape.
+void write_json_string(std::ostream& out, std::string_view text);
 
 /// Writes the full trace-event JSON document to `out`.
 void write_chrome_trace(const Timeline& timeline, std::ostream& out,

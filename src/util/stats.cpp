@@ -40,36 +40,20 @@ void RunningStats::add(double x) {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-namespace {
-
-/// Shared interpolation over an already-sorted reservoir.
-double sorted_quantile(const std::vector<double>& sorted, double q) {
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
-}  // namespace
-
 double RunningStats::percentile(double q) const {
   if (reservoir_.empty()) return 0.0;
-  std::vector<double> sorted(reservoir_);
-  std::sort(sorted.begin(), sorted.end());
-  return sorted_quantile(sorted, q);
-}
-
-std::vector<double> RunningStats::percentiles(
-    const std::vector<double>& qs) const {
-  if (reservoir_.empty()) return std::vector<double>(qs.size(), 0.0);
-  std::vector<double> sorted(reservoir_);
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (const double q : qs) out.push_back(sorted_quantile(sorted, q));
-  return out;
+  // Interpolates between the two order statistics around q; selecting them
+  // costs linear time, where sorting the reservoir would not.
+  std::vector<double> values(reservoir_);
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const auto at = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), at, values.end());
+  const double low = *at;
+  const double high =
+      lo + 1 < values.size() ? *std::min_element(at + 1, values.end()) : low;
+  return low + (pos - static_cast<double>(lo)) * (high - low);
 }
 
 void RunningStats::merge(const RunningStats& other) {

@@ -44,13 +44,6 @@ class RunningStats {
   [[nodiscard]] double p95() const { return percentile(0.95); }
   [[nodiscard]] double p99() const { return percentile(0.99); }
 
-  /// Batch form of percentile(): one reservoir copy + sort shared by every
-  /// requested quantile, element-for-element equal to calling percentile()
-  /// per entry. Report rows asking for p50/p95/p99 pay one sort instead of
-  /// three.
-  [[nodiscard]] std::vector<double> percentiles(
-      const std::vector<double>& qs) const;
-
   /// Merges another accumulator into this one (parallel reduction).
   /// Moments merge exactly; reservoirs combine with slots weighted by each
   /// side's true sample count (exact while all samples fit, a

@@ -18,6 +18,7 @@
 #include "sim/event.hpp"
 #include "sim/fifo.hpp"
 #include "util/stats.hpp"
+#include "workloads/library.hpp"
 #include "workloads/pattern.hpp"
 #include "workloads/random_dag.hpp"
 
@@ -275,7 +276,7 @@ TEST(SweepDriver, ExceptionInOnePointIsContained) {
   engine::EngineRegistry reg = engine::EngineRegistry::with_builtins();
   reg.add("explosive", [](const engine::EngineParams&)
               -> std::unique_ptr<engine::Engine> {
-    throw std::runtime_error("boom at construction");
+    throw std::runtime_error("boom at construction\r\x01");
   });
 
   workloads::RandomDagConfig cfg;
@@ -318,8 +319,17 @@ TEST(SweepDriver, ExceptionInOnePointIsContained) {
 
   std::ostringstream json;
   engine::SweepDriver::write_json(results, json);
-  EXPECT_NE(json.str().find("\"error\": \"exception: boom at construction\""),
-            std::string::npos);
+  // Control bytes in the text are escaped; none survives raw, so the only
+  // one left is the row separator.
+  EXPECT_NE(json.str().find("\"error\": \"exception: boom at construction"
+                            "\\u000d\\u0001\""),
+            std::string::npos)
+      << json.str();
+  for (const char c : json.str()) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      EXPECT_EQ(c, '\n');
+    }
+  }
   EXPECT_EQ(json.str().find("\"deadlocked\": 1"), std::string::npos);
   // Healthy points carry an empty error cell.
   EXPECT_NE(json.str().find("\"error\": \"\""), std::string::npos);
@@ -641,9 +651,9 @@ TEST(RunReport, MetgAndKernelColumnsRideTheSchemaAndStayOutOfSpeedup) {
         << col;
   }
 
-  // Plain runs emit metg_ns as 0.000 — "not measured", never a fake zero
-  // METG — and the cell is excluded from speedup math by construction:
-  // speedup_vs compares makespans only.
+  // Plain runs leave metg_ns empty (null in JSON) — "not measured", never a
+  // fake zero METG — and the cell is excluded from speedup math by
+  // construction: speedup_vs compares makespans only.
   const auto results =
       engine::run_sweep(small_spec(60), engine::SweepOptions{.threads = 2});
   std::size_t metg_col = header.size();
@@ -654,8 +664,12 @@ TEST(RunReport, MetgAndKernelColumnsRideTheSchemaAndStayOutOfSpeedup) {
   for (const auto& r : results) {
     const auto row = r.report.csv_row();
     ASSERT_EQ(row.size(), header.size());
-    EXPECT_EQ(row[metg_col], "0.000");
+    EXPECT_EQ(row[metg_col], "");
   }
+  std::ostringstream json;
+  engine::SweepDriver::write_json(results, json);
+  EXPECT_NE(json.str().find("\"metg_ns\": null"), std::string::npos);
+  EXPECT_EQ(json.str().find("\"metg_ns\": 0"), std::string::npos);
 
   engine::RunReport fast;
   fast.makespan = sim::ns(500);
@@ -665,11 +679,176 @@ TEST(RunReport, MetgAndKernelColumnsRideTheSchemaAndStayOutOfSpeedup) {
   EXPECT_DOUBLE_EQ(fast.speedup_vs(slow), 2.0);
   EXPECT_DOUBLE_EQ(slow.speedup_vs(slow), 1.0);
 
-  // A stamped METG surfaces in the CSV cell and the metrics registry.
+  // A stamped METG surfaces in the CSV cell.
   engine::RunReport stamped;
   stamped.metg_ns = 2048.0;
   const auto row = stamped.csv_row();
   EXPECT_EQ(row[metg_col], "2048.000");
+}
+
+// --- The report schema -------------------------------------------------------
+
+TEST(RunReport, CsvHeaderIsPinned) {
+  const std::vector<std::string> expected = {
+      "engine", "workers", "makespan_ns", "tasks_expected", "tasks_completed",
+      "deadlocked", "avg_core_utilization", "total_exec_ns", "total_stall_ns",
+      "turnaround_mean_ns", "turnaround_p50_ns", "turnaround_p95_ns",
+      "turnaround_p99_ns", "mem_transfers", "mem_contention_wait_ns",
+      "ready_queue_peak", "tp_max_used", "dt_max_live", "dt_longest_chain",
+      "dt_ko_dummies", "raw_hazards", "war_hazards", "waw_hazards",
+      "dt_avg_lookup_probes", "sim_events", "banks", "bank_conflict_ns",
+      "bank_busy_imbalance", "bank_occupancy_imbalance", "bank_peak_live",
+      "bank_max_live_per_bank", "exec_tasks_per_sec", "exec_kernel",
+      "exec_kernel_work_units", "exec_worker_utilization",
+      "obs_critical_path_ns", "obs_critical_path_tasks", "obs_slack_mean_ns",
+      "obs_slack_max_ns", "obs_resolution_overhead_frac",
+      "obs_timeline_events", "obs_timeline_dropped", "metg_ns", "diagnosis"};
+  EXPECT_EQ(engine::RunReport::csv_header(), expected);
+}
+
+TEST(RunReport, CellsThatDoNotApplyAreEmptyAndMeasuredZerosStay) {
+  using Names = std::vector<std::string>;
+  const Names mem = {"mem_transfers", "mem_contention_wait_ns"};
+  const Names tables = {"ready_queue_peak", "tp_max_used", "dt_max_live",
+                        "dt_longest_chain", "dt_ko_dummies",
+                        "dt_avg_lookup_probes"};
+  const Names bank = {"banks", "bank_conflict_ns", "bank_busy_imbalance",
+                      "bank_occupancy_imbalance", "bank_peak_live",
+                      "bank_max_live_per_bank"};
+  const Names exec = {"exec_tasks_per_sec", "exec_kernel",
+                      "exec_kernel_work_units", "exec_worker_utilization"};
+  const Names obs = {"obs_critical_path_ns", "obs_critical_path_tasks",
+                     "obs_slack_mean_ns", "obs_slack_max_ns",
+                     "obs_resolution_overhead_frac", "obs_timeline_events",
+                     "obs_timeline_dropped"};
+  auto join = [](std::initializer_list<Names> parts) {
+    Names all;
+    for (const auto& p : parts) all.insert(all.end(), p.begin(), p.end());
+    return all;
+  };
+  struct Case {
+    std::string engine;
+    std::uint32_t banks;
+    bool traced;
+    Names empty;
+  };
+  const std::vector<Case> cases = {
+      {"nexus++", 0, false, join({bank, exec, obs, {"metg_ns"}})},
+      {"nexus++", 0, true, join({bank, exec, {"metg_ns"}})},
+      {"nexus-banked", 4, false,
+       join({exec, obs, {"metg_ns", "dt_max_live"}})},
+      {"software-rts", 0, false,
+       join({tables, bank, exec, obs, {"sim_events", "metg_ns"}})},
+      {"exec-threads", 0, false,
+       join({mem, bank, obs, {"sim_events", "metg_ns"}})},
+  };
+  const auto header = engine::RunReport::csv_header();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.engine + (c.traced ? " traced" : ""));
+    engine::SweepSpec spec;
+    spec.workload("gaussian", [] {
+      return workloads::WorkloadLibrary::builtins().make_stream(
+          "gaussian:n=24");
+    });
+    engine::PointSpec point;
+    point.engine = c.engine;
+    point.workload = "gaussian";
+    point.params.num_workers = 8;
+    point.params.threads = 2;
+    point.params.banks = c.banks;
+    point.params.timeline.enabled = c.traced;
+    spec.point(point);
+    const auto results =
+        engine::run_sweep(spec, engine::SweepOptions{.threads = 1});
+    ASSERT_EQ(results.size(), 1u);
+    ASSERT_FALSE(results[0].failed()) << results[0].error;
+    const auto row = results[0].report.csv_row();
+    const std::string json = engine::SweepDriver::to_json(results[0]);
+    ASSERT_EQ(row.size(), header.size());
+    for (std::size_t i = 0; i < header.size(); ++i) {
+      const bool applies = std::find(c.empty.begin(), c.empty.end(),
+                                     header[i]) == c.empty.end();
+      const bool null_in_json =
+          json.find("\"" + header[i] + "\": null") != std::string::npos;
+      EXPECT_EQ(null_in_json, !applies) << header[i];
+      if (!applies) {
+        EXPECT_EQ(row[i], "") << header[i];
+      } else if (header[i] != "diagnosis") {
+        EXPECT_NE(row[i], "") << header[i];
+      }
+    }
+  }
+
+  // Measured zeros that apply keep their zero.
+  const auto eng = engine::EngineRegistry::builtins().make("nexus++", {});
+  const auto report = eng->run(
+      workloads::WorkloadLibrary::builtins().make_stream("gaussian:n=24"));
+  const auto row = report.csv_row();
+  auto cell = [&](const std::string& name) {
+    return row[static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), name) - header.begin())];
+  };
+  EXPECT_EQ(report.dt_ko_dummies, 0u);
+  EXPECT_EQ(cell("dt_ko_dummies"), "0");
+  EXPECT_EQ(cell("waw_hazards"), "0");
+  EXPECT_EQ(cell("mem_contention_wait_ns"), "0.000");
+}
+
+/// Passes a trace's tasks through, but claims `claimed` of them.
+class MiscountedStream final : public trace::TaskStream {
+ public:
+  MiscountedStream(std::shared_ptr<const std::vector<trace::TaskRecord>> tasks,
+                   std::uint64_t claimed)
+      : inner_(std::move(tasks)), claimed_(claimed) {}
+
+  std::optional<trace::TaskRecord> next() override { return inner_.next(); }
+  [[nodiscard]] std::uint64_t total_tasks() const override {
+    return claimed_;
+  }
+
+ private:
+  trace::VectorStream inner_;
+  std::uint64_t claimed_;
+};
+
+TEST(SweepDriver, MiscountedStreamDiagnosisReachesEveryOutput) {
+  workloads::RandomDagConfig cfg;
+  cfg.num_tasks = 40;
+  const auto trace = make_random_dag_trace(cfg);
+  engine::SweepSpec spec;
+  spec.workload("dag", [trace] {
+    return std::make_unique<MiscountedStream>(trace, 25);
+  });
+  engine::PointSpec point;
+  point.engine = "exec-threads";
+  point.workload = "dag";
+  point.params.threads = 2;
+  spec.point(point);
+  const auto results =
+      engine::run_sweep(spec, engine::SweepOptions{.threads = 1});
+  ASSERT_EQ(results.size(), 1u);
+  const auto& report = results[0].report;
+  EXPECT_FALSE(report.deadlocked);
+  EXPECT_TRUE(results[0].error.empty());
+  const std::string& why = report.diagnosis;
+  EXPECT_NE(why.find("said 25"), std::string::npos) << why;
+  EXPECT_NE(why.find("produced 40"), std::string::npos) << why;
+
+  const auto header = engine::RunReport::csv_header();
+  const auto row = report.csv_row();
+  ASSERT_EQ(header.back(), "diagnosis");
+  EXPECT_EQ(row.back(), why);
+  std::ostringstream csv;
+  engine::SweepDriver::write_csv(results, csv);
+  EXPECT_NE(csv.str().find("\"" + why + "\""), std::string::npos)
+      << csv.str();
+  std::ostringstream json;
+  engine::SweepDriver::write_json(results, json);
+  EXPECT_NE(json.str().find("\"diagnosis\": \"" + why + "\""),
+            std::string::npos);
+  EXPECT_NE(json.str().find("\"deadlocked\": 0"), std::string::npos);
+  EXPECT_NE(json.str().find("\"error\": \"\""), std::string::npos);
+  EXPECT_NE(report.to_table("t").to_string().find(why), std::string::npos);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -18,8 +19,8 @@
 
 #include "engine/registry.hpp"
 #include "engine/run_report.hpp"
+#include "engine/sweep.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_export.hpp"
 #include "util/invariant.hpp"
@@ -239,12 +240,7 @@ TEST(TraceExport, SimAndExecExportsValidateIdentically) {
   const std::string sim_path = dir + "obs_timeline_sim.json";
   const std::string exec_path = dir + "obs_timeline_exec.json";
 
-  obs::MetricsRegistry metrics;
-  r_sim.register_metrics(metrics);
-  obs::TraceExportOptions options;
-  options.metrics = &metrics;
-  ASSERT_TRUE(obs::save_chrome_trace(*r_sim.timeline.data, sim_path,
-                                     options));
+  ASSERT_TRUE(obs::save_chrome_trace(*r_sim.timeline.data, sim_path));
   ASSERT_TRUE(obs::save_chrome_trace(*r_exec.timeline.data, exec_path));
 
   // Well-formedness floor without Python: both documents open with the
@@ -277,21 +273,52 @@ TEST(TraceExport, SaveFailsCleanlyOnBadPath) {
                                       "/nonexistent-dir/out.json"));
 }
 
-// --- Metrics registry ---------------------------------------------------------
+// --- The embedded report -----------------------------------------------------
 
-TEST(MetricsRegistry, ReportRegistersStableNames) {
-  const auto report = run_engine("nexus++", traced_params(2));
-  obs::MetricsRegistry metrics;
-  report.register_metrics(metrics);
-  EXPECT_TRUE(metrics.has("run.makespan_ns"));
-  EXPECT_TRUE(metrics.has("run.tasks_completed"));
-  EXPECT_TRUE(metrics.has("obs.critical_path_ns"));
-  EXPECT_GT(metrics.value_or("run.tasks_completed", 0.0), 0.0);
-  // Snapshot is name-sorted for deterministic emission.
-  const auto snapshot = metrics.snapshot();
-  for (std::size_t i = 1; i < snapshot.size(); ++i) {
-    EXPECT_LT(snapshot[i - 1].name, snapshot[i].name);
+TEST(TraceExport, EmbedsTheSweepReportOfItsRun) {
+  engine::SweepSpec spec;
+  spec.workload(kWorkload, [] {
+    return workloads::WorkloadLibrary::builtins().make_stream(kWorkload);
+  });
+  engine::PointSpec point;
+  point.engine = "nexus++";
+  point.workload = kWorkload;
+  point.params = traced_params(2);
+  spec.point(point);
+  const auto results = engine::run_sweep(spec);
+  ASSERT_EQ(results.size(), 1u);
+  const std::string path = ::testing::TempDir() + "obs_timeline_report.json";
+  ASSERT_EQ(engine::SweepDriver::export_timelines(results, path),
+            std::vector<std::string>{path});
+
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string doc = ss.str();
+  const std::size_t report = doc.find("\"report\": {");
+  ASSERT_NE(report, std::string::npos);
+  const std::size_t events = doc.find("\"traceEvents\"");
+  ASSERT_LT(report, events);
+  const std::string embedded = doc.substr(report, events - report);
+  const auto header = engine::RunReport::csv_header();
+  for (const auto& name : header) {
+    EXPECT_NE(embedded.find("\"" + name + "\": "), std::string::npos)
+        << name;
   }
+  const auto row = results[0].report.csv_row();
+  const auto col = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), "tasks_completed") -
+      header.begin());
+  ASSERT_LT(col, row.size());
+  EXPECT_NE(row[col], "");
+  EXPECT_NE(embedded.find("\"tasks_completed\": " + row[col] + ","),
+            std::string::npos);
+  EXPECT_NE(embedded.find("\"stages\": [{\"name\": \"master\""),
+            std::string::npos);
+
+  const int ok = run_validator(path);
+  if (ok == -1) GTEST_SKIP() << "no python3 found at configure time";
+  EXPECT_EQ(ok, 0) << "export with an embedded report failed validation";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <set>
@@ -200,24 +201,27 @@ TEST(RunningStats, MergePercentilesExactWhileReservoirsFit) {
   EXPECT_DOUBLE_EQ(left.percentile(1.0), direct.percentile(1.0));
 }
 
-TEST(RunningStats, BatchPercentilesEqualPerCallResults) {
-  // percentiles({...}) is the single-sort batch form the report paths use
-  // for p50/p95/p99; it must agree with percentile(q) per entry exactly,
-  // including out-of-order and duplicate quantiles.
+TEST(RunningStats, PercentileEqualsInterpolationOverTheSortedReservoir) {
+  // percentile(q) selects order statistics instead of sorting; it must
+  // equal linear interpolation over the fully sorted reservoir exactly,
+  // at the ends and with many duplicate values too.
   RunningStats s;
-  EXPECT_EQ(s.percentiles({0.5, 0.95}), (std::vector<double>{0.0, 0.0}));
-
   Rng rng(17);
-  for (int i = 0; i < 10'000; ++i) s.add(rng.gamma(2.0, 100.0));
-  const std::vector<double> qs{0.99, 0.0, 0.5, 0.95, 0.5, 1.0};
-  const auto batch = s.percentiles(qs);
-  ASSERT_EQ(batch.size(), qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], s.percentile(qs[i])) << "q=" << qs[i];
+  std::vector<double> values;
+  for (int i = 0; i < 3'000; ++i) {
+    const double x = i % 3 == 0 ? 42.0 : rng.gamma(2.0, 100.0);
+    s.add(x);
+    values.push_back(x);
   }
-  EXPECT_DOUBLE_EQ(batch[0], s.p99());
-  EXPECT_DOUBLE_EQ(batch[2], s.p50());
-  EXPECT_DOUBLE_EQ(batch[3], s.p95());
+  std::sort(values.begin(), values.end());
+  for (const double q : {0.0, 0.5, 0.95, 0.99, 1.0, 0.3337}) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    const double want = values[lo] + (pos - static_cast<double>(lo)) *
+                                         (values[hi] - values[lo]);
+    EXPECT_EQ(s.percentile(q), want) << "q=" << q;
+  }
 }
 
 TEST(RunningStats, MergedReservoirIsDeterministic) {
