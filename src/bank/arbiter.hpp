@@ -20,8 +20,8 @@
 // telemetry falls — the two curves the bank-scaling bench plots.
 //
 // BankUsage is the run-global accounting sink shared by all blocks: busy
-// cycles, conflict waits and operation counts per bank, from which the
-// report derives utilization imbalance.
+// cycles per bank, from which the report derives utilization imbalance,
+// and the total conflict wait.
 
 #include <algorithm>
 #include <cstdint>
@@ -34,32 +34,15 @@ namespace nexuspp::bank {
 /// Run-global per-bank accounting (shared across blocks and rounds).
 class BankUsage {
  public:
-  explicit BankUsage(std::uint32_t banks)
-      : busy_(banks, 0), conflict_(banks, 0), ops_(banks, 0) {}
+  explicit BankUsage(std::uint32_t banks) : busy_(banks, 0) {}
 
   void record(std::uint32_t bank, sim::Time duration, sim::Time waited) {
     busy_[bank] += duration;
-    conflict_[bank] += waited;
-    ++ops_[bank];
-  }
-
-  [[nodiscard]] std::uint32_t banks() const noexcept {
-    return static_cast<std::uint32_t>(busy_.size());
-  }
-  [[nodiscard]] const std::vector<sim::Time>& busy() const noexcept {
-    return busy_;
-  }
-  [[nodiscard]] const std::vector<sim::Time>& conflict() const noexcept {
-    return conflict_;
-  }
-  [[nodiscard]] const std::vector<std::uint64_t>& ops() const noexcept {
-    return ops_;
+    conflict_wait_ += waited;
   }
 
   [[nodiscard]] sim::Time total_conflict_wait() const noexcept {
-    sim::Time total = 0;
-    for (const sim::Time t : conflict_) total += t;
-    return total;
+    return conflict_wait_;
   }
 
   /// Max over banks of busy time divided by the mean (1.0 = perfectly
@@ -79,8 +62,7 @@ class BankUsage {
 
  private:
   std::vector<sim::Time> busy_;
-  std::vector<sim::Time> conflict_;
-  std::vector<std::uint64_t> ops_;
+  sim::Time conflict_wait_ = 0;
 };
 
 /// Per-block round scheduler. One instance per Maestro block (blocks pace

@@ -100,60 +100,6 @@ nexus::NexusConfig NexusEngine::apply(nexus::NexusConfig base,
   return base;
 }
 
-namespace {
-
-/// SystemReport -> RunReport mapping. Bank telemetry is copied for banked
-/// engines only; the others keep RunReport's banks == 0.
-RunReport from_system_report(const nexus::SystemReport& src,
-                             std::string engine_name,
-                             const nexus::NexusConfig& cfg, bool banked) {
-  RunReport r;
-  r.engine = std::move(engine_name);
-  r.measures = RunReport::kMemory | RunReport::kTables | RunReport::kSimEvents;
-  r.makespan = src.makespan;
-  r.tasks_expected = src.tasks_expected;
-  r.tasks_submitted = src.tasks_submitted;
-  r.tasks_completed = src.tasks_completed;
-  r.deadlocked = src.deadlocked;
-  r.diagnosis = src.diagnosis;
-  r.stages = {
-      {"master", src.master_active, src.master_stall},
-      {"write-tp", src.write_tp_busy, src.write_tp_stall},
-      {"check-deps", src.check_deps_busy, src.check_deps_stall},
-      {"schedule", src.schedule_busy, 0},
-      {"send-tds", src.send_tds_busy, 0},
-      {"handle-finished", src.handle_finished_busy, 0},
-  };
-  r.num_workers = cfg.num_workers;
-  r.total_exec_time = src.total_exec_time;
-  r.avg_core_utilization = src.avg_core_utilization;
-  r.turnaround_ns = src.turnaround_ns;
-  r.mem_stats = src.mem_stats;
-  r.ready_queue_peak = src.ready_queue_peak;
-  r.tp_max_used = src.tp_stats.max_used_slots;
-  r.tp_dummy_slots = src.tp_stats.dummy_slots_allocated;
-  r.dt_max_live = src.dt_stats.max_live_slots;
-  r.dt_longest_chain = src.dt_stats.longest_hash_chain;
-  r.dt_ko_dummies = src.dt_stats.ko_dummy_allocations;
-  r.raw_hazards = src.resolver_stats.raw_hazards;
-  r.war_hazards = src.resolver_stats.war_hazards;
-  r.waw_hazards = src.resolver_stats.waw_hazards;
-  r.dt_lookups = src.dt_stats.lookups;
-  r.dt_lookup_probes = src.dt_stats.lookup_probes;
-  r.sim_events = src.sim_events;
-  if (banked) {
-    r.banks = src.banks;
-    r.bank_conflict_wait = src.bank_conflict_wait;
-    r.bank_busy_imbalance = src.bank_busy_imbalance;
-    r.bank_occupancy_imbalance = src.bank_occupancy_imbalance;
-    r.bank_peak_live = src.bank_peak_live;
-    r.per_bank_max_live = src.per_bank_max_live;
-  }
-  return r;
-}
-
-}  // namespace
-
 RunReport NexusEngine::run(std::unique_ptr<trace::TaskStream> stream) const {
   // Fresh system per invocation: NexusSystem itself is single-use.
   nexus::NexusConfig cfg = cfg_;
@@ -163,9 +109,18 @@ RunReport NexusEngine::run(std::unique_ptr<trace::TaskStream> stream) const {
         name_, "sim", timeline_.events_per_track);
     cfg.timeline_recorder = rec.get();
   }
-  const nexus::SystemReport src =
+  RunReport r =
       nexus::run_system(cfg, std::move(stream), /*require_success=*/false);
-  RunReport r = from_system_report(src, name_, cfg, banked_);
+  r.engine = name_;
+  if (!banked_) {
+    // The paper's single table: no bank column applies.
+    r.banks = 0;
+    r.bank_conflict_wait = 0;
+    r.bank_busy_imbalance = 0.0;
+    r.bank_occupancy_imbalance = 0.0;
+    r.bank_peak_live = 0;
+    r.per_bank_max_live.clear();
+  }
   if (rec != nullptr) attach_timeline(r, std::move(*rec));
   return r;
 }
@@ -208,40 +163,8 @@ RunReport ThreadedExecEngine::run(
     cfg.timeline_recorder = rec.get();
   }
   exec::ThreadedExecutor executor(cfg);
-  const exec::ExecReport src = executor.run(std::move(stream));
-
-  RunReport r;
+  RunReport r = executor.run(std::move(stream));
   r.engine = name();
-  r.measures = RunReport::kTables | RunReport::kWallClock;
-  // Real wall-clock time in the makespan slot: speedup-vs-baseline and the
-  // table/CSV paths work unchanged, now over measured time.
-  r.makespan = sim::ns_f(src.wall_ns);
-  r.tasks_expected = src.tasks_expected;
-  r.tasks_submitted = src.tasks_submitted;
-  r.tasks_completed = src.tasks_completed;
-  r.deadlocked = src.deadlocked;
-  r.diagnosis = src.diagnosis;
-  r.stages = {{"submit", sim::ns_f(src.submit_busy_ns),
-               sim::ns_f(src.submit_stall_ns)}};
-  r.num_workers = src.threads;
-  r.total_exec_time = sim::ns_f(src.total_exec_ns);
-  r.avg_core_utilization = src.avg_utilization;
-  r.turnaround_ns = src.turnaround_ns;
-  r.ready_queue_peak = src.ready_queue_peak;
-  r.tp_max_used = src.tables.tp_max_used;
-  r.tp_dummy_slots = src.tables.tp_dummy_slots;
-  r.dt_max_live = src.tables.max_live_slots;
-  r.dt_longest_chain = src.tables.longest_hash_chain;
-  r.dt_ko_dummies = src.tables.ko_dummy_allocations;
-  r.raw_hazards = src.resolver.raw_hazards;
-  r.war_hazards = src.resolver.war_hazards;
-  r.waw_hazards = src.resolver.waw_hazards;
-  r.dt_lookups = src.tables.lookups;
-  r.dt_lookup_probes = src.tables.lookup_probes;
-  r.exec_tasks_per_sec = src.tasks_per_sec;
-  r.exec_kernel = exec::to_string(src.kernel);
-  r.exec_kernel_work_units = src.kernel_work_units;
-  r.exec_worker_utilization = src.worker_utilization;
   if (rec != nullptr) attach_timeline(r, std::move(*rec));
   return r;
 }
@@ -262,29 +185,8 @@ rts::SoftwareRtsConfig SoftwareRtsEngine::apply(rts::SoftwareRtsConfig base,
 
 RunReport SoftwareRtsEngine::run(
     std::unique_ptr<trace::TaskStream> stream) const {
-  const rts::SoftwareRtsReport src =
-      rts::run_software_rts(cfg_, std::move(stream));
-
-  RunReport r;
+  RunReport r = rts::run_software_rts(cfg_, std::move(stream));
   r.engine = name();
-  r.measures = RunReport::kMemory;
-  r.makespan = src.makespan;
-  r.tasks_expected = src.tasks_expected;
-  r.tasks_submitted = src.tasks_submitted;
-  r.tasks_completed = src.tasks_completed;
-  r.deadlocked = src.deadlocked;
-  r.diagnosis = src.diagnosis;
-  // Everything the Task Maestro splits over six blocks runs on the one
-  // master thread here; its stall time is implicit in the busy gap.
-  r.stages = {{"master", src.master_busy, 0}};
-  r.num_workers = cfg_.num_workers;
-  r.total_exec_time = src.total_exec_time;
-  r.avg_core_utilization = src.avg_core_utilization;
-  r.turnaround_ns = src.turnaround_ns;
-  r.mem_stats = src.mem_stats;
-  r.raw_hazards = src.dep_stats.raw_hazards;
-  r.war_hazards = src.dep_stats.war_hazards;
-  r.waw_hazards = src.dep_stats.waw_hazards;
   return r;
 }
 

@@ -4,8 +4,9 @@
 // An Engine is a reusable, thread-compatible runner: `run()` is const and
 // builds a fresh simulation per invocation, so one Engine instance can be
 // driven concurrently from sweep threads and can never trip the underlying
-// systems' single-use semantics. Adapters translate their model's native
-// report into the unified engine::RunReport.
+// systems' single-use semantics. Each model fills the engine::RunReport
+// itself; an adapter adds only the engine name and a recorded timeline
+// (and NexusEngine clears the bank cells when it is unbanked).
 //
 // Shipping engines:
 //   nexus++       — the paper's hardware task manager (dummy tasks, dummy

@@ -1,9 +1,12 @@
 #pragma once
-// Unified result schema for every runtime model (Nexus++, classic Nexus,
-// software StarSs RTS, and whatever comes next). Benchmarks, the sweep
-// driver and tests all consume this one struct, so adding a backend never
-// means new comparison glue: an Engine adapter fills a RunReport and the
-// whole reporting path (tables, CSV, JSON, speedups) works unchanged.
+// The one result type of every runtime model: Nexus++ and classic Nexus
+// (nexus::NexusSystem), the software StarSs RTS (rts::run_software_rts)
+// and the real executor (exec::ThreadedExecutor) each fill a RunReport
+// where they measure its values; the Engine adapters add only the engine
+// name and a recorded timeline, and clear the bank cells of the unbanked
+// Nexus engines. Benchmarks, the sweep driver and tests all consume this
+// one struct, so adding a backend never means new comparison glue, and a
+// new measured value is one field plus one column.
 //
 // The schema is declared once, as the column table in run_report.cpp: each
 // column has a name, a unit, a group that says when it applies, a one-line
@@ -12,6 +15,9 @@
 // column is one entry. A column whose group the report does not cover
 // (see RunReport::Measure) renders empty in CSV, null in JSON and not at
 // all in the table: "not measured" never reads as a measured zero.
+//
+// This header includes only util/, sim/ and hw/, so the models below the
+// engine layer can fill the struct without depending on the engines.
 
 #include <cstdint>
 #include <iosfwd>
@@ -59,9 +65,9 @@ struct TimelinePayload {
 };
 
 struct RunReport {
-  /// What the producing engine measures, as bits OR-ed into `measures` by
-  /// its Engine adapter. A column of a group the engine does not measure
-  /// renders empty, not as a zero nobody measured.
+  /// What the producing model measures, as bits it OR-s into `measures`.
+  /// A column of a group the model does not measure renders empty, not as
+  /// a zero nobody measured.
   enum Measure : std::uint8_t {
     kMemory = 1U << 0,     ///< modelled memory traffic (mem_* columns)
     kTables = 1U << 1,     ///< Task Pool, Dependence Table, ready queue
@@ -73,10 +79,13 @@ struct RunReport {
   std::uint8_t measures = 0;  ///< Measure bits
 
   sim::Time makespan = 0;
-  std::uint64_t tasks_expected = 0;
+  std::uint64_t tasks_expected = 0;  ///< the stream's total_tasks()
   std::uint64_t tasks_submitted = 0;
   std::uint64_t tasks_completed = 0;
   bool deadlocked = false;
+  /// Why the run failed when deadlocked; otherwise empty, unless
+  /// exec-threads' stream produced a different number of tasks than
+  /// tasks_expected (it runs them all and names both counts).
   std::string diagnosis;
 
   /// Per-stage busy/stall breakdown.

@@ -319,6 +319,16 @@ const PointColumn kPointColumns[] = {
      }},
 };
 
+/// The table's status cell: "ok", or the first 48 characters of why a
+/// point failed; a completed run that carries a diagnosis (a miscounted
+/// stream) reads "ok: " and the diagnosis, not as a failure.
+std::string status(const SweepResult& r) {
+  if (!r.error.empty()) return "ERROR: " + r.error.substr(0, 48);
+  const std::string& why = r.report.diagnosis;
+  if (r.report.deadlocked) return "FAIL: " + why.substr(0, 48);
+  return why.empty() ? "ok" : "ok: " + why.substr(0, 48);
+}
+
 }  // namespace
 
 util::Table SweepDriver::to_table(const std::string& title,
@@ -338,11 +348,7 @@ util::Table SweepDriver::to_table(const std::string& title,
         util::fmt_ns(sim::to_ns(r.report.makespan)),
         r.speedup > 0.0 ? util::fmt_x(r.speedup) : "-",
         util::fmt_f(100.0 * r.report.avg_core_utilization, 1) + "%",
-        !r.error.empty()
-            ? "ERROR: " + r.error.substr(0, 48)
-            : (r.report.deadlocked
-                   ? "FAIL: " + r.report.diagnosis.substr(0, 48)
-                   : "ok")};
+        status(r)};
     for (const auto& col : extra) row.push_back(col.cell(r));
     t.row(row);
   }

@@ -124,7 +124,8 @@ ThreadedExecutor::ThreadedExecutor(ExecConfig config)
   config_.validate();
 }
 
-ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
+engine::RunReport ThreadedExecutor::run(
+    std::unique_ptr<trace::TaskStream> stream) {
   if (stream == nullptr) {
     throw std::invalid_argument("ThreadedExecutor: null task stream");
   }
@@ -139,9 +140,10 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   Impl::Core& core = im.core;
   using Outcome = Impl::Core::Outcome;
 
-  ExecReport report;
+  engine::RunReport report;
+  report.measures = engine::RunReport::kTables | engine::RunReport::kWallClock;
   report.tasks_expected = stream->total_tasks();
-  report.threads = config_.threads;
+  report.num_workers = config_.threads;
   core.start();
 
   // Force the one-time spin calibration (>= 1 ms) before the clock starts:
@@ -155,6 +157,8 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   const auto run_start = Clock::now();
   std::uint64_t submitted = 0;
   double total_exec_ns = 0.0;
+  double submit_busy_ns = 0.0;   // master time registering tasks
+  double submit_stall_ns = 0.0;  // master time stalled on table space
   // A stop with no diagnosis is a worker's failure, rethrown below.
   const auto stop = [&report](std::string why) {
     report.deadlocked = !why.empty();
@@ -198,8 +202,8 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
       break;
     }
     const auto now = Clock::now();
-    report.submit_stall_ns += task_stall_ns;
-    report.submit_busy_ns += elapsed_ns(submit_start, now) - task_stall_ns;
+    submit_stall_ns += task_stall_ns;
+    submit_busy_ns += elapsed_ns(submit_start, now) - task_stall_ns;
     total_exec_ns += static_cast<double>(task.exec_ns);
     ++submitted;
     if (outcome == Outcome::kReady) {
@@ -218,33 +222,46 @@ ExecReport ThreadedExecutor::run(std::unique_ptr<trace::TaskStream> stream) {
   const double wall_ns = elapsed_ns(run_start, Clock::now());
 
   // --- Report -----------------------------------------------------------------
+  // Real wall-clock time in the makespan slot: speedup-vs-baseline and the
+  // table/CSV paths work unchanged, now over measured time.
+  report.makespan = sim::ns_f(wall_ns);
   report.tasks_submitted = submitted;
   report.tasks_completed = submitted - core.in_flight();
-  report.wall_ns = wall_ns;
-  report.total_exec_ns = total_exec_ns;
-  report.tasks_per_sec =
+  report.stages = {{"submit", sim::ns_f(submit_busy_ns),
+                    sim::ns_f(submit_stall_ns)}};
+  report.total_exec_time = sim::ns_f(total_exec_ns);
+  report.exec_tasks_per_sec =
       wall_ns > 0.0
           ? static_cast<double>(report.tasks_completed) * 1e9 / wall_ns
           : 0.0;
-  report.worker_busy_ns.reserve(im.workers.size());
-  report.worker_utilization.reserve(im.workers.size());
+  report.exec_worker_utilization.reserve(im.workers.size());
   double busy_total = 0.0;
   for (const auto& stats : im.workers) {
-    report.worker_busy_ns.push_back(stats.busy_ns);
-    report.worker_utilization.push_back(
+    report.exec_worker_utilization.push_back(
         wall_ns > 0.0 ? stats.busy_ns / wall_ns : 0.0);
     busy_total += stats.busy_ns;
     report.turnaround_ns.merge(stats.turnaround);
-    report.kernel_work_units += stats.units;
+    report.exec_kernel_work_units += stats.units;
   }
-  report.avg_utilization =
+  report.avg_core_utilization =
       wall_ns > 0.0
           ? busy_total / (wall_ns * static_cast<double>(config_.threads))
           : 0.0;
-  report.resolver = core.resolver().resolver_stats();
-  report.tables = core.resolver().table_stats();
+  report.exec_kernel = to_string(config_.kernel.kind);
   report.ready_queue_peak = core.ready_peak();
-  report.kernel = config_.kernel.kind;
+  const core::Resolver::Stats& hazards = core.resolver().resolver_stats();
+  report.raw_hazards = hazards.raw_hazards;
+  report.war_hazards = hazards.war_hazards;
+  report.waw_hazards = hazards.waw_hazards;
+  const core::TaskPool::Stats& tp = core.resolver().pool_stats();
+  report.tp_max_used = tp.max_used_slots;
+  report.tp_dummy_slots = tp.dummy_slots_allocated;
+  const core::DependenceTable::Stats& dt = core.resolver().table_stats();
+  report.dt_max_live = dt.max_live_slots;
+  report.dt_longest_chain = dt.longest_hash_chain;
+  report.dt_ko_dummies = dt.ko_dummy_allocations;
+  report.dt_lookups = dt.lookups;
+  report.dt_lookup_probes = dt.lookup_probes;
   if (!report.deadlocked && submitted != report.tasks_expected) {
     // Every task ran; only the stream's own count was wrong.
     report.diagnosis = "stream length mismatch: total_tasks() said " +

@@ -9,7 +9,7 @@
 // exec_time. A stall that can never resolve (nothing left in flight, or a
 // structural limit) ends the run with a deadlock diagnosis instead of
 // hanging. `TaskStream::total_tasks()` only fills
-// ExecReport::tasks_expected: a stream that produces a different number
+// RunReport::tasks_expected: a stream that produces a different number
 // of tasks still runs to its end, and the diagnosis names both counts.
 //
 // threads == 1 spawns no worker: the master runs the oldest ready task
@@ -18,31 +18,31 @@
 // multi-threaded runs are differentially tested against (same
 // GraphOracle-validated partial order, arbitrary interleaving).
 //
-// The report carries real wall-clock results (tasks/sec, per-worker
-// utilization, turnaround) next to the structural/hazard
-// telemetry shared with the simulated engines; ordering evidence flows
-// through core::ExecutionObserver (on_completed fires before accesses are
-// released, so recorded completion order is always oracle-checkable). An
-// exception thrown by a kernel or an observer callback on a worker stops
-// the run and is rethrown from run() once the pool is joined; one thrown
-// on the master (by the stream or on_submitted) leaves run() only after
-// that join too.
+// run() fills an engine::RunReport after the timed loop: the wall clock
+// in the makespan slot, the master's one "submit" stage (registration
+// busy time; stall time releasing posted completions and waiting for
+// more, at threads=1 running tasks itself), tasks/sec, per-worker kernel
+// utilization and turnaround (registration to kernel completion), next to
+// the table and hazard telemetry shared with the simulated engines.
+// Ordering evidence flows through core::ExecutionObserver (on_completed
+// fires before accesses are released, so recorded completion order is
+// always oracle-checkable). An exception thrown by a kernel or an
+// observer callback on a worker stops the run and is rethrown from run()
+// once the pool is joined; one thrown on the master (by the stream or
+// on_submitted) leaves run() only after that join too.
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "core/dependence_table.hpp"
 #include "core/observer.hpp"
-#include "core/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "core/types.hpp"
+#include "engine/run_report.hpp"
 #include "exec/kernels.hpp"
 #include "exec/master_resolver.hpp"
 #include "obs/timeline.hpp"
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
 
 namespace nexuspp::exec {
 
@@ -82,42 +82,6 @@ struct ExecConfig {
   [[nodiscard]] MasterResolverConfig resolver_config() const;
 };
 
-struct ExecReport {
-  std::uint64_t tasks_expected = 0;  ///< the stream's total_tasks()
-  std::uint64_t tasks_submitted = 0;
-  std::uint64_t tasks_completed = 0;
-  bool deadlocked = false;
-  /// Why the run stopped early when deadlocked; otherwise empty, unless
-  /// the stream produced a different number of tasks than tasks_expected.
-  std::string diagnosis;
-
-  // --- Real wall-clock results ----------------------------------------------
-  double wall_ns = 0.0;        ///< run start to last completion
-  double tasks_per_sec = 0.0;  ///< completed / wall seconds
-  double total_exec_ns = 0.0;  ///< sum of kernel spin budgets (scaled)
-  /// Per worker: time inside task kernels. Releases run on the master
-  /// and are not part of it.
-  std::vector<double> worker_busy_ns;
-  std::vector<double> worker_utilization;  ///< per worker: kernel / wall
-  double avg_utilization = 0.0;
-  /// Per-task turnaround (registration to kernel completion), wall ns.
-  util::RunningStats turnaround_ns;
-  double submit_busy_ns = 0.0;   ///< master time registering tasks
-  /// Master time stalled on table space: releasing posted completions
-  /// and waiting for more (at threads=1, running tasks itself).
-  double submit_stall_ns = 0.0;
-
-  // --- Resolution telemetry (same meaning as the simulated engines') --------
-  core::Resolver::Stats resolver;
-  MasterResolver::TableStats tables;
-  std::size_t ready_queue_peak = 0;
-  std::uint32_t threads = 0;
-  /// Kernel body that ran the tasks, and total calibrated work units it
-  /// executed across all workers (0 under kSpin, whose model is time).
-  KernelKind kernel = KernelKind::kSpin;
-  std::uint64_t kernel_work_units = 0;
-};
-
 /// Single-use, like the simulated systems: construct, run once.
 class ThreadedExecutor {
  public:
@@ -129,7 +93,8 @@ class ThreadedExecutor {
   /// Executes the whole stream; returns when every task has completed or a
   /// deadlock was diagnosed. Throws std::logic_error on reuse, and
   /// rethrows the first exception a worker raised.
-  [[nodiscard]] ExecReport run(std::unique_ptr<trace::TaskStream> stream);
+  [[nodiscard]] engine::RunReport run(
+      std::unique_ptr<trace::TaskStream> stream);
 
   [[nodiscard]] const ExecConfig& config() const noexcept { return config_; }
 

@@ -113,18 +113,4 @@ void MasterResolver::finish(GlobalId gid, std::vector<GlobalId>& now_ready) {
   }
 }
 
-MasterResolver::TableStats MasterResolver::table_stats() const {
-  const auto& dt = table_.stats();
-  const auto& tp = pool_.stats();
-  TableStats out;
-  out.lookups = dt.lookups;
-  out.lookup_probes = dt.lookup_probes;
-  out.max_live_slots = dt.max_live_slots;
-  out.longest_hash_chain = dt.longest_hash_chain;
-  out.ko_dummy_allocations = dt.ko_dummy_allocations;
-  out.tp_dummy_slots = tp.dummy_slots_allocated;
-  out.tp_max_used = tp.max_used_slots;
-  return out;
-}
-
 }  // namespace nexuspp::exec

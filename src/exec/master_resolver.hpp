@@ -115,16 +115,13 @@ class MasterResolver {
     return resolver_.stats();
   }
 
-  struct TableStats {
-    std::uint64_t lookups = 0;
-    std::uint64_t lookup_probes = 0;
-    std::uint32_t max_live_slots = 0;  ///< Dependence Table highwater
-    std::uint32_t longest_hash_chain = 0;
-    std::uint64_t ko_dummy_allocations = 0;
-    std::uint64_t tp_dummy_slots = 0;
-    std::uint32_t tp_max_used = 0;  ///< Task Pool highwater
-  };
-  [[nodiscard]] TableStats table_stats() const;
+  [[nodiscard]] const core::TaskPool::Stats& pool_stats() const noexcept {
+    return pool_.stats();
+  }
+  [[nodiscard]] const core::DependenceTable::Stats& table_stats()
+      const noexcept {
+    return table_.stats();
+  }
 
  private:
   core::TaskPool pool_;

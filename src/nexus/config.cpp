@@ -90,9 +90,8 @@ util::Table NexusConfig::describe() const {
                        util::fmt_ns(sim::to_ns(memory.chunk_latency)) +
                        ", " + contention});
   t.row({"TDs buffer", std::to_string(tds_buffer_capacity)});
-  t.row({"New Tasks list", std::to_string(resolved_new_tasks_capacity())});
-  t.row({"Global Ready list",
-         std::to_string(resolved_global_ready_capacity())});
+  t.row({"New Tasks list", std::to_string(task_pool.capacity)});
+  t.row({"Global Ready list", std::to_string(task_pool.capacity)});
   return t;
 }
 

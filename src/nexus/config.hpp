@@ -51,10 +51,10 @@ struct NexusConfig {
   // --- Memory ----------------------------------------------------------------
   hw::MemoryConfig memory{};  ///< 32 banks x 128 B / 12 ns, port contention
 
-  // --- FIFO list capacities (0 = auto-size) -----------------------------------
-  std::uint32_t tds_buffer_capacity = 1024;  ///< the "TDs Sizes" bound
-  std::uint32_t new_tasks_capacity = 0;      ///< auto: task-pool capacity
-  std::uint32_t global_ready_capacity = 0;   ///< auto: task-pool capacity
+  // --- FIFO list capacities ---------------------------------------------------
+  /// The "TDs Sizes" bound. The New Tasks and Global Ready lists hold one
+  /// id per Task Pool descriptor, so task_pool.capacity sizes them.
+  std::uint32_t tds_buffer_capacity = 1024;
 
   // --- Observability ----------------------------------------------------------
   /// Per-run recorder, owned by the caller (the engine adapter). Non-null
@@ -64,16 +64,6 @@ struct NexusConfig {
   obs::TimelineRecorder* timeline_recorder = nullptr;
 
   void validate() const;
-
-  /// Resolved capacity helpers.
-  [[nodiscard]] std::uint32_t resolved_new_tasks_capacity() const noexcept {
-    return new_tasks_capacity != 0 ? new_tasks_capacity : task_pool.capacity;
-  }
-  [[nodiscard]] std::uint32_t resolved_global_ready_capacity()
-      const noexcept {
-    return global_ready_capacity != 0 ? global_ready_capacity
-                                      : task_pool.capacity;
-  }
 
   /// The paper's Table IV defaults (identical to value-initialization; this
   /// spelling exists so call sites can say what they mean).

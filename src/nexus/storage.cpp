@@ -38,13 +38,11 @@ StorageBudget storage_budget(const NexusConfig& cfg) {
           dependence_entry_bytes(cfg));
   add("TDs Sizes list", cfg.tds_buffer_capacity * kSizeByteEntry);
   add("New Tasks list",
-      static_cast<std::uint64_t>(cfg.resolved_new_tasks_capacity()) *
-          kTaskIdBytes);
+      static_cast<std::uint64_t>(cfg.task_pool.capacity) * kTaskIdBytes);
   add("TP Free Indices list",
       static_cast<std::uint64_t>(cfg.task_pool.capacity) * kTaskIdBytes);
   add("Global Ready Tasks list",
-      static_cast<std::uint64_t>(cfg.resolved_global_ready_capacity()) *
-          kTaskIdBytes);
+      static_cast<std::uint64_t>(cfg.task_pool.capacity) * kTaskIdBytes);
   add("Worker Cores IDs list",
       static_cast<std::uint64_t>(cfg.num_workers) * cfg.buffering_depth *
           kTaskIdBytes);

@@ -47,9 +47,8 @@ NexusSystem::NexusSystem(NexusConfig config,
       check_sched_(cfg_.banks),
       finish_sched_(cfg_.banks),
       tds_buffer_(sim_, cfg_.tds_buffer_capacity, "TDs buffer"),
-      new_tasks_(sim_, cfg_.resolved_new_tasks_capacity(), "New Tasks"),
-      global_ready_(sim_, cfg_.resolved_global_ready_capacity(),
-                    "Global Ready Tasks"),
+      new_tasks_(sim_, cfg_.task_pool.capacity, "New Tasks"),
+      global_ready_(sim_, cfg_.task_pool.capacity, "Global Ready Tasks"),
       worker_ids_(sim_,
                   static_cast<std::size_t>(cfg_.num_workers) *
                       cfg_.buffering_depth,
@@ -58,10 +57,14 @@ NexusSystem::NexusSystem(NexusConfig config,
       finish_signals_(sim_, cfg_.num_workers),
       tp_space_freed_(sim_),
       dt_space_freed_(sim_),
-      timing_by_slot_(cfg_.task_pool.capacity),
-      worker_exec_(cfg_.num_workers, 0) {
+      timing_by_slot_(cfg_.task_pool.capacity) {
   if (!stream_) throw std::invalid_argument("NexusSystem: null task stream");
-  expected_ = stream_->total_tasks();
+  report_.measures = engine::RunReport::kMemory | engine::RunReport::kTables |
+                     engine::RunReport::kSimEvents;
+  report_.tasks_expected = stream_->total_tasks();
+  report_.num_workers = cfg_.num_workers;
+  report_.stages = {{"master"},   {"write-tp"}, {"check-deps"},
+                    {"schedule"}, {"send-tds"}, {"handle-finished"}};
 
   rdy_.reserve(cfg_.num_workers);
   fin_.reserve(cfg_.num_workers);
@@ -118,21 +121,21 @@ sim::Co<void> NexusSystem::master_process() {
     }
     // Handshaking word + (1 + P) descriptor words over the on-chip bus.
     co_await master_bus_.send(1 + rec->params.size());
-    master_active_ += sim_.now() - active_start;
+    stage(kMaster).busy += sim_.now() - active_start;
     obs_record(obs_trk_master_, obs::EventKind::kSubmit, active_start,
                sim_.now() - active_start, serial);
 
     const sim::Time stall_start = sim_.now();
     co_await tds_buffer_.put(std::move(*rec));
     const sim::Time stall = sim_.now() - stall_start;
-    master_stall_ += stall;
+    stage(kMaster).stall += stall;
     if (stall > 0) {
       obs_record(obs_trk_master_, obs::EventKind::kStall, stall_start, stall,
                  serial);
     }
-    ++submitted_;
+    ++report_.tasks_submitted;
     obs_record(obs_trk_master_, obs::EventKind::kInFlight, sim_.now(), 0, 0,
-               submitted_ - completed_);
+               report_.tasks_submitted - report_.tasks_completed);
   }
 }
 
@@ -157,7 +160,7 @@ sim::Co<void> NexusSystem::write_tp_process() {
       if (ins.has_value()) {
         const sim::Time t =
             access_time(ins->cost) + cycles(cfg_.block_overhead_cycles);
-        write_tp_busy_ += t;
+        stage(kWriteTp).busy += t;
         const sim::Time seg_start = sim_.now();
         co_await sim_.delay(t);
         obs_record(obs_trk_write_tp_, obs::EventKind::kSubmit, seg_start, t,
@@ -172,7 +175,7 @@ sim::Co<void> NexusSystem::write_tp_process() {
       const sim::Time stall_start = sim_.now();
       co_await tp_space_freed_.wait();
       const sim::Time stall = sim_.now() - stall_start;
-      write_tp_stall_ += stall;
+      stage(kWriteTp).stall += stall;
       obs_record(obs_trk_write_tp_, obs::EventKind::kStall, stall_start,
                  stall, rec.serial);
     }
@@ -191,7 +194,7 @@ sim::Co<void> NexusSystem::check_deps_process() {
     {
       const sim::Time t =
           access_time(rp.cost) + cycles(cfg_.block_overhead_cycles);
-      check_deps_busy_ += t;
+      stage(kCheckDeps).busy += t;
       const sim::Time seg_start = sim_.now();
       co_await sim_.delay(t);
       obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start, t,
@@ -209,7 +212,7 @@ sim::Co<void> NexusSystem::check_deps_process() {
           delta += check_sched_.charge(bc.bank, access_time(bc.cost),
                                        bank_usage_);
         }
-        check_deps_busy_ += delta;
+        stage(kCheckDeps).busy += delta;
         const sim::Time seg_start = sim_.now();
         co_await sim_.delay(delta);
         obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start,
@@ -224,7 +227,7 @@ sim::Co<void> NexusSystem::check_deps_process() {
         const sim::Time stall_start = sim_.now();
         co_await dt_space_freed_.wait();
         const sim::Time stall = sim_.now() - stall_start;
-        check_deps_stall_ += stall;
+        stage(kCheckDeps).stall += stall;
         obs_record(obs_trk_check_deps_, obs::EventKind::kStall, stall_start,
                    stall, serial);
       }
@@ -236,7 +239,7 @@ sim::Co<void> NexusSystem::check_deps_process() {
     tp_.set_busy(id, false);
     {
       const sim::Time t = access_time(fin.cost);
-      check_deps_busy_ += t;
+      stage(kCheckDeps).busy += t;
       const sim::Time seg_start = sim_.now();
       co_await sim_.delay(t);
       obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start, t,
@@ -258,7 +261,7 @@ sim::Co<void> NexusSystem::schedule_process() {
     const TaskId id = co_await global_ready_.get();
     const std::uint32_t worker = co_await worker_ids_.get();
     const sim::Time t = cycles(cfg_.schedule_cycles);
-    schedule_busy_ += t;
+    stage(kSchedule).busy += t;
     co_await sim_.delay(t);
     if (!rdy_[worker]->try_put(id)) {
       throw std::logic_error("RdyTasks overflow: token protocol violated");
@@ -284,7 +287,7 @@ sim::Co<void> NexusSystem::send_tds_process() {
         cycles(slot_reads * cfg_.onchip_access_cycles +
                words * cfg_.td_send_cycles_per_word +
                cfg_.block_overhead_cycles);
-    send_tds_busy_ += t;
+    stage(kSendTds).busy += t;
     co_await sim_.delay(t);
     if (!fin_[worker]->try_put(id) || !tc_in_[worker]->try_put(id)) {
       throw std::logic_error("TC buffer overflow: token protocol violated");
@@ -305,7 +308,7 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     const TaskId id = *id_opt;
     // Serial must be read before free_task below invalidates the slot.
     const std::uint64_t serial = tp_.serial(id);
-    turnaround_ns_.add(
+    report_.turnaround_ns.add(
         sim::to_ns(sim_.now() - timing_by_slot_[id].submitted_at));
 
     // One arbiter round per finished task: the release walks spread over
@@ -330,7 +333,7 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     const sim::Time t = access_time(read_cost) + round +
                         access_time(free_cost) +
                         cycles(cfg_.block_overhead_cycles);
-    handle_finished_busy_ += t;
+    stage(kHandleFinished).busy += t;
     const sim::Time seg_start = sim_.now();
     co_await sim_.delay(t);
     obs_record(obs_trk_handle_fin_, obs::EventKind::kRelease, seg_start, t,
@@ -338,9 +341,9 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     obs_record(obs_trk_handle_fin_, obs::EventKind::kFinish, sim_.now(), 0,
                serial);
 
-    ++completed_;
+    ++report_.tasks_completed;
     obs_record(obs_trk_handle_fin_, obs::EventKind::kInFlight, sim_.now(), 0,
-               0, submitted_ - completed_);
+               0, report_.tasks_submitted - report_.tasks_completed);
     tp_space_freed_.notify_all();
     dt_space_freed_.notify_all();
     // Return the worker token before publishing ready tasks so Schedule can
@@ -376,7 +379,7 @@ sim::Co<void> NexusSystem::tc_run_process(std::uint32_t worker) {
     const SlotTiming timing = timing_by_slot_[id];
     const sim::Time run_start = sim_.now();
     co_await sim_.delay(timing.exec);
-    worker_exec_[worker] += timing.exec;
+    report_.total_exec_time += timing.exec;
     obs_record(obs_trk_worker0_ + worker, obs::EventKind::kRun, run_start,
                timing.exec, tp_.serial(id));
     co_await tc_out_[worker]->put(id);
@@ -396,7 +399,7 @@ sim::Co<void> NexusSystem::tc_put_outputs_process(std::uint32_t worker) {
 
 // --- Orchestration ---------------------------------------------------------------
 
-SystemReport NexusSystem::run() {
+engine::RunReport NexusSystem::run() {
   if (ran_) throw std::logic_error("NexusSystem::run() is single-use");
   ran_ = true;
 
@@ -415,19 +418,16 @@ SystemReport NexusSystem::run() {
 
   const sim::Time end = sim_.run();
 
-  SystemReport report;
-  report.makespan = end;
-  report.tasks_expected = expected_;
-  report.tasks_submitted = submitted_;
-  report.tasks_completed = completed_;
-  report.deadlocked = completed_ != expected_;
-  if (report.deadlocked) {
+  engine::RunReport& r = report_;
+  r.makespan = end;
+  r.deadlocked = r.tasks_completed != r.tasks_expected;
+  if (r.deadlocked) {
     std::ostringstream os;
     if (!fatal_error_.empty()) {
       os << fatal_error_;
     } else {
-      os << "no progress possible: submitted " << submitted_ << "/"
-         << expected_ << ", completed " << completed_
+      os << "no progress possible: submitted " << r.tasks_submitted << "/"
+         << r.tasks_expected << ", completed " << r.tasks_completed
          << "; TP used " << tp_.used_slot_count() << "/" << tp_.capacity()
          << ", DT live " << dt_.live_slot_count() << "/"
          << dt_.bank_count() * dt_.bank(0).capacity();
@@ -435,55 +435,53 @@ SystemReport NexusSystem::run() {
       os << ", ready queue " << global_ready_.size() << ", new tasks "
          << new_tasks_.size() << ", TDs buffered " << tds_buffer_.size();
     }
-    report.diagnosis = os.str();
+    r.diagnosis = os.str();
+  } else if (tp_.used_slot_count() != 0 || !dt_.empty()) {
+    // Every task finished, so every descriptor and entry must be free.
+    r.deadlocked = true;
+    r.diagnosis = "tables not drained after the last task: TP used " +
+                  std::to_string(tp_.used_slot_count()) + ", DT live " +
+                  std::to_string(dt_.live_slot_count());
   }
 
-  report.master_active = master_active_;
-  report.master_stall = master_stall_;
-  report.write_tp_busy = write_tp_busy_;
-  report.write_tp_stall = write_tp_stall_;
-  report.check_deps_busy = check_deps_busy_;
-  report.check_deps_stall = check_deps_stall_;
-  report.schedule_busy = schedule_busy_;
-  report.send_tds_busy = send_tds_busy_;
-  report.handle_finished_busy = handle_finished_busy_;
-
-  for (const sim::Time t : worker_exec_) report.total_exec_time += t;
   if (end > 0) {
-    report.avg_core_utilization =
-        static_cast<double>(report.total_exec_time) /
-        (static_cast<double>(end) * cfg_.num_workers);
+    r.avg_core_utilization = static_cast<double>(r.total_exec_time) /
+                             (static_cast<double>(end) * cfg_.num_workers);
   }
+  r.ready_queue_peak = global_ready_.stats().max_occupancy;
+  const core::TaskPool::Stats& tp = tp_.stats();
+  r.tp_max_used = tp.max_used_slots;
+  r.tp_dummy_slots = tp.dummy_slots_allocated;
+  const core::DependenceTable::Stats dt = dt_.aggregated_stats();
+  r.dt_max_live = dt.max_live_slots;
+  r.dt_longest_chain = dt.longest_hash_chain;
+  r.dt_ko_dummies = dt.ko_dummy_allocations;
+  r.dt_lookups = dt.lookups;
+  r.dt_lookup_probes = dt.lookup_probes;
+  const core::Resolver::Stats hazards = resolver_.aggregated_stats();
+  r.raw_hazards = hazards.raw_hazards;
+  r.war_hazards = hazards.war_hazards;
+  r.waw_hazards = hazards.waw_hazards;
+  r.mem_stats = memory_.stats();
+  r.sim_events = sim_.events_executed();
 
-  report.turnaround_ns = turnaround_ns_;
-  report.ready_queue_peak = global_ready_.stats().max_occupancy;
-  report.tp_stats = tp_.stats();
-  report.dt_stats = dt_.aggregated_stats();
-  report.resolver_stats = resolver_.aggregated_stats();
-  report.mem_stats = memory_.stats();
-  report.bus_stats = master_bus_.stats();
-  report.sim_events = sim_.events_executed();
-
-  report.banks = cfg_.banks;
-  report.bank_conflict_wait = bank_usage_.total_conflict_wait();
-  report.bank_busy_imbalance = bank_usage_.busy_imbalance();
-  report.per_bank_busy = bank_usage_.busy();
-  report.per_bank_conflict = bank_usage_.conflict();
-  report.per_bank_ops = bank_usage_.ops();
-  report.bank_peak_live = dt_.peak_bank_live();
-  report.bank_occupancy_imbalance = dt_.occupancy_imbalance();
-  report.per_bank_max_live.reserve(dt_.bank_count());
+  r.banks = cfg_.banks;
+  r.bank_conflict_wait = bank_usage_.total_conflict_wait();
+  r.bank_busy_imbalance = bank_usage_.busy_imbalance();
+  r.bank_peak_live = dt_.peak_bank_live();
+  r.bank_occupancy_imbalance = dt_.occupancy_imbalance();
+  r.per_bank_max_live.reserve(dt_.bank_count());
   for (std::uint32_t b = 0; b < dt_.bank_count(); ++b) {
-    report.per_bank_max_live.push_back(dt_.bank(b).stats().max_live_slots);
+    r.per_bank_max_live.push_back(dt_.bank(b).stats().max_live_slots);
   }
-  return report;
+  return std::move(report_);
 }
 
-SystemReport run_system(const NexusConfig& config,
-                        std::unique_ptr<trace::TaskStream> stream,
-                        bool require_success) {
+engine::RunReport run_system(const NexusConfig& config,
+                             std::unique_ptr<trace::TaskStream> stream,
+                             bool require_success) {
   NexusSystem system(config, std::move(stream));
-  SystemReport report = system.run();
+  engine::RunReport report = system.run();
   if (require_success && report.deadlocked) {
     throw std::runtime_error("Nexus++ simulation deadlocked: " +
                              report.diagnosis);

@@ -37,7 +37,13 @@
 // The simulation ends when no event remains. If tasks are missing at that
 // point the run is reported as deadlocked, with a diagnosis (which block
 // starved, table occupancies, fatal structural errors such as classic-Nexus
-// kick-off overflow).
+// kick-off overflow). So is a run that completed every task but left Task
+// Pool descriptors or Dependence Table entries behind: the tables must
+// drain.
+//
+// The system fills an engine::RunReport where it measures each value: the
+// six blocks' busy/stall stages, the workers' execution time, the table
+// and hazard statistics and the per-bank telemetry.
 
 #include <cstdint>
 #include <memory>
@@ -48,10 +54,10 @@
 #include "bank/banked_table.hpp"
 #include "bank/resolver.hpp"
 #include "core/task_pool.hpp"
+#include "engine/run_report.hpp"
 #include "hw/bus.hpp"
 #include "hw/memory.hpp"
 #include "nexus/config.hpp"
-#include "nexus/report.hpp"
 #include "obs/timeline.hpp"
 #include "sim/arbiter.hpp"
 #include "sim/event.hpp"
@@ -66,10 +72,23 @@ class NexusSystem {
   NexusSystem(NexusConfig config, std::unique_ptr<trace::TaskStream> stream);
 
   /// Runs the simulation to completion (single use).
-  SystemReport run();
+  engine::RunReport run();
 
  private:
   using TaskId = core::TaskId;
+
+  /// The Task Maestro's stages, in report_.stages order.
+  enum Stage : std::uint8_t {
+    kMaster,
+    kWriteTp,
+    kCheckDeps,
+    kSchedule,
+    kSendTds,
+    kHandleFinished,
+  };
+  [[nodiscard]] engine::StageStat& stage(Stage s) noexcept {
+    return report_.stages[s];
+  }
 
   /// Per-Task-Pool-slot simulation payload (not hardware state): the
   /// trace-recorded durations the worker model replays.
@@ -149,24 +168,11 @@ class NexusSystem {
   sim::Event dt_space_freed_;
 
   std::vector<SlotTiming> timing_by_slot_;
-  std::vector<sim::Time> worker_exec_;
 
-  // Progress & accounting.
-  std::uint64_t expected_ = 0;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
+  // Progress & accounting: the report is filled as the run measures it.
+  engine::RunReport report_;
   bool ran_ = false;
   std::string fatal_error_;
-  sim::Time master_active_ = 0;
-  sim::Time master_stall_ = 0;
-  sim::Time write_tp_busy_ = 0;
-  sim::Time write_tp_stall_ = 0;
-  sim::Time check_deps_busy_ = 0;
-  sim::Time check_deps_stall_ = 0;
-  sim::Time schedule_busy_ = 0;
-  sim::Time send_tds_busy_ = 0;
-  sim::Time handle_finished_busy_ = 0;
-  util::RunningStats turnaround_ns_;
 
   // Timeline tracing (sim clock domain); null recorder = hooks inert.
   obs::TimelineRecorder* obs_rec_ = nullptr;
@@ -178,10 +184,10 @@ class NexusSystem {
 };
 
 /// Convenience harness used by benchmarks and tests: builds a system from
-/// `config` and the stream produced by `factory`, runs it, returns the
-/// report. Throws std::runtime_error on deadlock if `require_success`.
-SystemReport run_system(const NexusConfig& config,
-                        std::unique_ptr<trace::TaskStream> stream,
-                        bool require_success = true);
+/// `config` and `stream`, runs it, returns the report. Throws
+/// std::runtime_error on deadlock if `require_success`.
+engine::RunReport run_system(const NexusConfig& config,
+                             std::unique_ptr<trace::TaskStream> stream,
+                             bool require_success = true);
 
 }  // namespace nexuspp::nexus

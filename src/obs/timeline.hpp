@@ -97,10 +97,6 @@ class TimelineRecorder {
   /// Registers a track and preallocates its ring. Setup phase only.
   [[nodiscard]] std::uint32_t add_track(std::string name);
 
-  [[nodiscard]] std::uint32_t track_count() const noexcept {
-    return static_cast<std::uint32_t>(rings_.size());
-  }
-
   /// Appends one event to `track`'s ring, or bumps the drop counter when
   /// full. Single store, no allocation, no synchronisation.
   // NEXUS_HOT_PATH

@@ -33,53 +33,46 @@ class SoftwareRtsSystem {
         graph_(cfg.match_mode),
         ready_(sim_, std::max<std::uint64_t>(stream_->total_tasks(), 1),
                "ready"),
-        completions_(sim_,
-                     cfg.completion_queue_capacity != 0
-                         ? cfg.completion_queue_capacity
-                         : cfg.num_workers * 4,
-                     "completions") {
+        completions_(sim_, cfg.num_workers * 4, "completions") {
     cfg_.validate();
-    expected_ = stream_->total_tasks();
+    report_.measures = engine::RunReport::kMemory;
+    report_.tasks_expected = stream_->total_tasks();
+    report_.num_workers = cfg_.num_workers;
+    report_.stages = {{"master"}};
   }
 
-  SoftwareRtsReport run() {
+  engine::RunReport run() {
     sim_.spawn(master_process(), "sw-master");
     for (std::uint32_t w = 0; w < cfg_.num_workers; ++w) {
       sim_.spawn(worker_process(w), "sw-worker-" + std::to_string(w));
     }
     const sim::Time end = sim_.run();
 
-    SoftwareRtsReport report;
-    report.makespan = end;
-    report.tasks_expected = expected_;
-    report.tasks_submitted = submitted_;
-    report.tasks_completed = completed_;
-    report.deadlocked = completed_ != expected_;
-    if (report.deadlocked) {
-      report.diagnosis = "software RTS: completed " +
-                         std::to_string(completed_) + "/" +
-                         std::to_string(expected_);
+    engine::RunReport& r = report_;
+    r.makespan = end;
+    r.deadlocked = r.tasks_completed != r.tasks_expected;
+    if (r.deadlocked) {
+      r.diagnosis = "software RTS: completed " +
+                    std::to_string(r.tasks_completed) + "/" +
+                    std::to_string(r.tasks_expected);
     }
-    report.master_busy = master_busy_;
-    report.total_exec_time = total_exec_;
     if (end > 0) {
-      report.master_utilization =
-          static_cast<double>(master_busy_) / static_cast<double>(end);
-      report.avg_core_utilization =
-          static_cast<double>(total_exec_) /
-          (static_cast<double>(end) * cfg_.num_workers);
+      r.avg_core_utilization = static_cast<double>(r.total_exec_time) /
+                               (static_cast<double>(end) * cfg_.num_workers);
     }
-    report.turnaround_ns = turnaround_ns_;
-    report.mem_stats = memory_.stats();
-    report.dep_stats = graph_.stats();
-    return report;
+    r.mem_stats = memory_.stats();
+    const core::GraphOracle::Stats& hazards = graph_.stats();
+    r.raw_hazards = hazards.raw_hazards;
+    r.war_hazards = hazards.war_hazards;
+    r.waw_hazards = hazards.waw_hazards;
+    return std::move(report_);
   }
 
  private:
   sim::Co<void> master_process() {
     bool stream_done = false;
     std::uint64_t handled_completions = 0;
-    while (!stream_done || handled_completions < expected_) {
+    while (!stream_done || handled_completions < report_.tasks_expected) {
       // Completions first: a real RTS answers worker signals before
       // creating new tasks (workers are the scarce resource).
       if (auto done = completions_.try_get()) {
@@ -103,7 +96,7 @@ class SoftwareRtsSystem {
   }
 
   sim::Co<void> busy(sim::Time t) {
-    master_busy_ += t;
+    report_.stages.front().busy += t;
     co_await sim_.delay(t);
   }
 
@@ -115,7 +108,7 @@ class SoftwareRtsSystem {
     const bool ready = graph_.submit(key, rec.params);
     in_flight_.emplace(key, std::move(rec));
     submitted_at_[key] = sim_.now();
-    ++submitted_;
+    ++report_.tasks_submitted;
     if (ready) co_await push_ready(key);
   }
 
@@ -133,13 +126,13 @@ class SoftwareRtsSystem {
     co_await busy(static_cast<sim::Time>(params) * cfg_.finish_per_param);
     in_flight_.erase(it);
     if (auto sub = submitted_at_.find(key); sub != submitted_at_.end()) {
-      turnaround_ns_.add(sim::to_ns(sim_.now() - sub->second));
+      report_.turnaround_ns.add(sim::to_ns(sim_.now() - sub->second));
       submitted_at_.erase(sub);
     }
     for (const std::uint64_t next : graph_.finish(key)) {
       co_await push_ready(next);
     }
-    ++completed_;
+    ++report_.tasks_completed;
   }
 
   sim::Co<void> worker_process(std::uint32_t worker) {
@@ -156,7 +149,7 @@ class SoftwareRtsSystem {
       // No Task Controller: fetch, run, write back serially.
       co_await memory_.transfer(addr, rd);
       co_await sim_.delay(exec);
-      total_exec_ += exec;
+      report_.total_exec_time += exec;
       co_await memory_.transfer(addr + 0x8000'0000ull, wr);
       co_await completions_.put(key);
     }
@@ -171,17 +164,12 @@ class SoftwareRtsSystem {
   sim::Fifo<std::uint64_t> completions_;
   std::unordered_map<std::uint64_t, trace::TaskRecord> in_flight_;
   std::unordered_map<std::uint64_t, sim::Time> submitted_at_;
-  std::uint64_t expected_ = 0;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  sim::Time master_busy_ = 0;
-  sim::Time total_exec_ = 0;
-  util::RunningStats turnaround_ns_;
+  engine::RunReport report_;  ///< filled as the run measures it
 };
 
 }  // namespace
 
-SoftwareRtsReport run_software_rts(const SoftwareRtsConfig& config,
+engine::RunReport run_software_rts(const SoftwareRtsConfig& config,
                                    std::unique_ptr<trace::TaskStream> stream) {
   if (!stream) throw std::invalid_argument("run_software_rts: null stream");
   config.validate();  // before any internal structure is sized from it

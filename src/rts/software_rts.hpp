@@ -19,14 +19,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
-#include "core/oracle.hpp"
+#include "core/types.hpp"
+#include "engine/run_report.hpp"
 #include "hw/memory.hpp"
 #include "sim/time.hpp"
 #include "trace/trace.hpp"
-#include "util/stats.hpp"
-#include "util/table.hpp"
 
 namespace nexuspp::rts {
 
@@ -37,7 +35,6 @@ struct SoftwareRtsConfig {
   sim::Time finish_per_param = sim::ns(250);       ///< release + wakeups
   sim::Time schedule_overhead = sim::ns(200);      ///< ready-queue push
   sim::Time dequeue_overhead = sim::ns(200);       ///< worker pop + sync
-  std::uint32_t completion_queue_capacity = 0;     ///< 0 = auto (4/worker)
   hw::MemoryConfig memory{};                       ///< same memory system
   /// Address-matching semantics of the software dependency resolver.
   core::MatchMode match_mode = core::MatchMode::kBaseAddr;
@@ -45,31 +42,11 @@ struct SoftwareRtsConfig {
   void validate() const;
 };
 
-struct SoftwareRtsReport {
-  sim::Time makespan = 0;
-  std::uint64_t tasks_expected = 0;
-  std::uint64_t tasks_submitted = 0;
-  std::uint64_t tasks_completed = 0;
-  bool deadlocked = false;
-  std::string diagnosis;
-  sim::Time master_busy = 0;        ///< create+resolve+finish+schedule time
-  double master_utilization = 0.0;  ///< busy / makespan
-  sim::Time total_exec_time = 0;
-  double avg_core_utilization = 0.0;
-  /// Per-task turnaround (master submission to completion handling), ns.
-  util::RunningStats turnaround_ns;
-  hw::Memory::Stats mem_stats;
-  core::GraphOracle::Stats dep_stats;  ///< hazards seen by the resolver
-
-  [[nodiscard]] double speedup_vs(const SoftwareRtsReport& base) const {
-    if (makespan <= 0) return 0.0;
-    return static_cast<double>(base.makespan) /
-           static_cast<double>(makespan);
-  }
-};
-
-/// Runs the software-RTS model over a workload stream.
-[[nodiscard]] SoftwareRtsReport run_software_rts(
+/// Runs the software-RTS model over a workload stream. Everything the
+/// Task Maestro splits over six blocks runs on the one master thread, so
+/// the report has one "master" stage, whose stall time is implicit in its
+/// busy gap; the completion queue holds 4 signals per worker.
+[[nodiscard]] engine::RunReport run_software_rts(
     const SoftwareRtsConfig& config,
     std::unique_ptr<trace::TaskStream> stream);
 

@@ -66,7 +66,6 @@ class RoundRobinArbiter {
     }
   }
 
-  [[nodiscard]] std::size_t line_count() const noexcept { return lines_; }
   [[nodiscard]] std::uint64_t grant_count() const noexcept { return grants_; }
 
  private:

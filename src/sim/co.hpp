@@ -102,13 +102,16 @@ class [[nodiscard]] Co {
   handle_type handle_{};
 };
 
-/// void specialization: identical shape, no stored value.
+/// void specialization: identical shape, no stored value. A top-level
+/// process has no parent to rethrow into, so the Simulator that spawns it
+/// points `escaped` at its pending-exception slot, which keeps the first.
 template <>
 class [[nodiscard]] Co<void> {
  public:
   struct promise_type {
     std::coroutine_handle<> continuation{};
     std::exception_ptr exception{};
+    std::exception_ptr* escaped = nullptr;
 
     Co get_return_object() {
       return Co(std::coroutine_handle<promise_type>::from_promise(*this));
@@ -116,7 +119,10 @@ class [[nodiscard]] Co<void> {
     std::suspend_always initial_suspend() noexcept { return {}; }
     detail::FinalAwaiter<promise_type> final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
-    void unhandled_exception() { exception = std::current_exception(); }
+    void unhandled_exception() {
+      exception = std::current_exception();
+      if (escaped != nullptr && !*escaped) *escaped = exception;
+    }
   };
 
   using handle_type = std::coroutine_handle<promise_type>;

@@ -13,6 +13,7 @@ Simulator::~Simulator() {
 void Simulator::spawn(Co<void> process, std::string name) {
   if (!process.valid()) throw SimError("spawn: invalid process");
   auto handle = process.release();
+  handle.promise().escaped = &pending_exception_;
   processes_.push_back(NamedProcess{handle, std::move(name)});
   schedule_now(handle);
 }
@@ -26,20 +27,9 @@ void Simulator::schedule_in(Time delay, std::coroutine_handle<> h) {
 void Simulator::step(const Scheduled& item) {
   now_ = item.at;
   ++events_executed_;
+  // A top-level process's exception lands in pending_exception_ (see
+  // spawn), so run() stops on it after this step.
   item.handle.resume();
-  // Exceptions from top-level processes are captured in their promises;
-  // surface the first one found after each step so failures stop the run.
-  if (!pending_exception_) {
-    for (const auto& p : processes_) {
-      if (p.handle && p.handle.done()) {
-        auto& promise = p.handle.promise();
-        if (promise.exception) {
-          pending_exception_ = promise.exception;
-          break;
-        }
-      }
-    }
-  }
 }
 
 Time Simulator::run() {

@@ -6,7 +6,7 @@
 // are broken by insertion order, which makes every run fully deterministic.
 // The simulation ends when the queue drains: blocks suspended forever on
 // events (hardware "servers") are normal, so higher layers decide whether a
-// drained queue means completion or deadlock (see nexus::SystemReport).
+// drained queue means completion or deadlock (see nexus::NexusSystem::run).
 
 #include <coroutine>
 #include <cstdint>
@@ -79,7 +79,6 @@ class Simulator {
   }
   [[nodiscard]] std::size_t live_process_count() const;
   [[nodiscard]] std::vector<std::string> live_process_names() const;
-  [[nodiscard]] bool queue_empty() const noexcept { return queue_.empty(); }
 
  private:
   struct Scheduled {
@@ -106,6 +105,8 @@ class Simulator {
   std::uint64_t events_executed_ = 0;
   std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
   std::vector<NamedProcess> processes_;
+  /// The first exception a top-level process let escape; each spawned
+  /// promise points here, so finding it costs nothing per event.
   std::exception_ptr pending_exception_;
 };
 

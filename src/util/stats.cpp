@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-#include <stdexcept>
 
 namespace nexuspp::util {
 
@@ -105,65 +103,6 @@ void RunningStats::merge(const RunningStats& other) {
   take_even(reservoir_, want_self, merged);
   take_even(other.reservoir_, want_other, merged);
   reservoir_ = std::move(merged);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  if (buckets == 0) throw std::invalid_argument("Histogram: zero buckets");
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must be > lo");
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / width_);
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<double>(total_) * q;
-  double seen = static_cast<double>(underflow_);
-  if (seen >= target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (seen + c >= target && c > 0) {
-      const double frac = (target - seen) / c;
-      return bucket_lo(i) + frac * width_;
-    }
-    seen += c;
-  }
-  return hi_;
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    os << "[" << bucket_lo(i) << ", " << bucket_hi(i) << ") " << counts_[i]
-       << "\n";
-  }
-  if (underflow_ > 0) os << "underflow " << underflow_ << "\n";
-  if (overflow_ > 0) os << "overflow " << overflow_ << "\n";
-  return os.str();
 }
 
 }  // namespace nexuspp::util

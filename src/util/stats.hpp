@@ -1,11 +1,10 @@
 #pragma once
-// Streaming statistics and histograms used by simulation reports and the
-// benchmark harnesses.
+// Streaming statistics: the per-task turnaround every engine records
+// (RunReport::turnaround_ns and its turnaround_* columns).
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace nexuspp::util {
@@ -66,43 +65,6 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   std::vector<double> reservoir_;
-};
-
-/// Fixed-width linear histogram; samples outside the range land in
-/// saturating under/overflow buckets. Used e.g. for kick-off chain lengths
-/// and per-task latency distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return counts_.size();
-  }
-  [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return counts_.at(i);
-  }
-  [[nodiscard]] std::uint64_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::uint64_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bucket_hi(std::size_t i) const noexcept;
-
-  /// Approximate quantile (linear interpolation inside the bucket).
-  [[nodiscard]] double quantile(double q) const noexcept;
-
-  /// Multi-line ASCII rendering, one row per non-empty bucket.
-  [[nodiscard]] std::string to_string() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace nexuspp::util

@@ -19,8 +19,6 @@ class Table {
   Table& header(std::vector<std::string> cells);
   Table& row(std::vector<std::string> cells);
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Renders with column alignment and a rule under the header.
   [[nodiscard]] std::string to_string() const;
 

@@ -109,11 +109,6 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_cholesky_trace(
   return tasks;
 }
 
-std::unique_ptr<trace::TaskStream> make_cholesky_stream(
-    const FactorizationConfig& cfg) {
-  return std::make_unique<trace::VectorStream>(make_cholesky_trace(cfg));
-}
-
 std::shared_ptr<const std::vector<trace::TaskRecord>> make_lu_trace(
     const FactorizationConfig& cfg) {
   cfg.validate();
@@ -144,11 +139,6 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_lu_trace(
     }
   }
   return tasks;
-}
-
-std::unique_ptr<trace::TaskStream> make_lu_stream(
-    const FactorizationConfig& cfg) {
-  return std::make_unique<trace::VectorStream>(make_lu_trace(cfg));
 }
 
 }  // namespace nexuspp::workloads

@@ -74,12 +74,8 @@ struct FactorizationConfig {
 
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_cholesky_trace(const FactorizationConfig& cfg);
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_cholesky_stream(
-    const FactorizationConfig& cfg);
 
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_lu_trace(const FactorizationConfig& cfg);
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_lu_stream(
-    const FactorizationConfig& cfg);
 
 }  // namespace nexuspp::workloads

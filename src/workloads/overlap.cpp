@@ -67,11 +67,6 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_halo_stencil_trace(
   return tasks;
 }
 
-std::unique_ptr<trace::TaskStream> make_halo_stencil_stream(
-    const HaloStencilConfig& cfg) {
-  return std::make_unique<trace::VectorStream>(make_halo_stencil_trace(cfg));
-}
-
 void MixedTilesConfig::validate() const {
   if (tiles == 0 || rounds == 0) {
     throw std::invalid_argument("mixed tiles: empty workload");
@@ -115,11 +110,6 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_mixed_tiles_trace(
     }
   }
   return tasks;
-}
-
-std::unique_ptr<trace::TaskStream> make_mixed_tiles_stream(
-    const MixedTilesConfig& cfg) {
-  return std::make_unique<trace::VectorStream>(make_mixed_tiles_trace(cfg));
 }
 
 }  // namespace nexuspp::workloads

@@ -54,9 +54,6 @@ struct HaloStencilConfig {
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_halo_stencil_trace(const HaloStencilConfig& cfg);
 
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_halo_stencil_stream(
-    const HaloStencilConfig& cfg);
-
 struct MixedTilesConfig {
   std::uint32_t tiles = 32;          ///< tiles per round
   std::uint32_t rounds = 4;          ///< producer/consumer rounds
@@ -79,8 +76,5 @@ struct MixedTilesConfig {
 /// sub-block consumers.
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_mixed_tiles_trace(const MixedTilesConfig& cfg);
-
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_mixed_tiles_stream(
-    const MixedTilesConfig& cfg);
 
 }  // namespace nexuspp::workloads

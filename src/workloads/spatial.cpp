@@ -114,9 +114,4 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_spatial_trace(
   return tasks;
 }
 
-std::unique_ptr<trace::TaskStream> make_spatial_stream(
-    const SpatialConfig& cfg) {
-  return std::make_unique<trace::VectorStream>(make_spatial_trace(cfg));
-}
-
 }  // namespace nexuspp::workloads

@@ -51,7 +51,4 @@ struct SpatialConfig {
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_spatial_trace(const SpatialConfig& cfg);
 
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_spatial_stream(
-    const SpatialConfig& cfg);
-
 }  // namespace nexuspp::workloads

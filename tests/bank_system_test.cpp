@@ -235,7 +235,7 @@ TEST(BankScaling, ConflictWaitFallsAsBanksGrow) {
   EXPECT_GE(r16.bank_peak_live, 1u);
 }
 
-TEST(BankScaling, DirectSystemReportCarriesPerBankTelemetry) {
+TEST(BankScaling, DirectSystemRunCarriesPerBankTelemetry) {
   workloads::RandomDagConfig cfg;
   cfg.num_tasks = 150;
   nexus::NexusConfig ncfg;
@@ -245,13 +245,9 @@ TEST(BankScaling, DirectSystemReportCarriesPerBankTelemetry) {
   const auto report =
       nexus::run_system(ncfg, workloads::make_random_dag_stream(cfg));
   EXPECT_EQ(report.banks, 4u);
-  EXPECT_EQ(report.per_bank_busy.size(), 4u);
-  EXPECT_EQ(report.per_bank_conflict.size(), 4u);
-  EXPECT_EQ(report.per_bank_ops.size(), 4u);
   EXPECT_EQ(report.per_bank_max_live.size(), 4u);
-  std::uint64_t ops = 0;
-  for (const auto n : report.per_bank_ops) ops += n;
-  EXPECT_GT(ops, 0u);
+  // Some bank was busy: max over mean busy time is only defined then.
+  EXPECT_GT(report.bank_busy_imbalance, 0.0);
 }
 
 TEST(BankScaling, SweepGridCarriesBankColumns) {

@@ -175,7 +175,7 @@ TEST(CheckedInvariants, MasterRegistrationIsAllocationFree) {
   EXPECT_EQ(finished, kTasks);
   // The run exercised stalls and both dummy mechanisms.
   EXPECT_GT(stalls, 0u);
-  EXPECT_GT(resolver.table_stats().tp_dummy_slots, 0u);
+  EXPECT_GT(resolver.pool_stats().dummy_slots_allocated, 0u);
   EXPECT_GT(resolver.table_stats().ko_dummy_allocations, 0u);
 }
 

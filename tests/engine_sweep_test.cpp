@@ -849,6 +849,13 @@ TEST(SweepDriver, MiscountedStreamDiagnosisReachesEveryOutput) {
   EXPECT_NE(json.str().find("\"deadlocked\": 0"), std::string::npos);
   EXPECT_NE(json.str().find("\"error\": \"\""), std::string::npos);
   EXPECT_NE(report.to_table("t").to_string().find(why), std::string::npos);
+  // The bench tables name it too, truncated like a FAIL, as a completed run.
+  const std::string table =
+      engine::SweepDriver::to_table("t", results).to_string();
+  EXPECT_NE(table.find("ok: stream length mismatch: total_tasks() said 25"),
+            std::string::npos)
+      << table;
+  EXPECT_EQ(table.find("FAIL"), std::string::npos) << table;
 }
 
 }  // namespace

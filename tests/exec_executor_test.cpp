@@ -67,7 +67,7 @@ OracleInput oracle_input(const std::vector<trace::TaskRecord>& tasks) {
 /// Runs `tasks` through a ThreadedExecutor and validates the recorded
 /// completion order against the oracle. Returns the report. `stream`, when
 /// given, is run instead of a vector stream and must produce `tasks`.
-exec::ExecReport run_validated(
+engine::RunReport run_validated(
     const std::vector<trace::TaskRecord>& tasks, exec::ExecConfig cfg,
     std::unique_ptr<trace::TaskStream> stream = nullptr) {
   core::CompletionRecorder recorder;
@@ -123,9 +123,9 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
   cfg.match_mode = param.mode;
   cfg.duration_scale = 0.05;  // keep kernels short; order is what matters
   const auto report = run_validated(small_dag(param.seed), cfg);
-  EXPECT_EQ(report.threads, param.threads);
-  EXPECT_GT(report.wall_ns, 0.0);
-  EXPECT_GT(report.tasks_per_sec, 0.0);
+  EXPECT_EQ(report.num_workers, param.threads);
+  EXPECT_GT(report.makespan, 0);
+  EXPECT_GT(report.exec_tasks_per_sec, 0.0);
   EXPECT_EQ(report.turnaround_ns.count(), report.tasks_completed);
 }
 
@@ -216,8 +216,7 @@ TEST(ExecThreads, OversubscribedWorkersStayOracleValid) {
   cfg.threads = std::max(16u, 2 * cores);
   cfg.duration_scale = 0.02;
   const auto report = run_validated(small_dag(4242, 400), cfg);
-  EXPECT_EQ(report.worker_busy_ns.size(), cfg.threads);
-  EXPECT_EQ(report.worker_utilization.size(), cfg.threads);
+  EXPECT_EQ(report.exec_worker_utilization.size(), cfg.threads);
 }
 
 // --- Workload library DAGs and captured traces --------------------------------
@@ -316,7 +315,7 @@ void expect_runs_past_the_pool(
       cfg.kernel.kind = kernel;
       const auto report = run_validated(
           tasks, cfg, make_stream ? make_stream() : nullptr);
-      EXPECT_LE(report.tables.tp_max_used, pool);
+      EXPECT_LE(report.tp_max_used, pool);
     }
   }
 }

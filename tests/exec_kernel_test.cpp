@@ -256,12 +256,12 @@ TEST(ExecKernels, OracleValidatedExecutionPerKind) {
         std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
     ASSERT_FALSE(report.deadlocked) << report.diagnosis;
     EXPECT_EQ(report.tasks_completed, tasks.size());
-    EXPECT_EQ(report.kernel, kind);
+    EXPECT_EQ(report.exec_kernel, exec::to_string(kind));
     if (kind == KernelKind::kSpin) {
-      EXPECT_EQ(report.kernel_work_units, 0u);
+      EXPECT_EQ(report.exec_kernel_work_units, 0u);
     } else {
       // Every task with a nonzero duration executes at least one unit.
-      EXPECT_GT(report.kernel_work_units, 0u);
+      EXPECT_GT(report.exec_kernel_work_units, 0u);
     }
 
     std::vector<std::uint64_t> order;

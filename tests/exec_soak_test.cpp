@@ -83,8 +83,8 @@ exec::ExecConfig soak_config() {
   return cfg;
 }
 
-exec::ExecReport run(std::uint64_t tasks, std::uint64_t seed,
-                     core::ExecutionObserver* observer = nullptr) {
+engine::RunReport run(std::uint64_t tasks, std::uint64_t seed,
+                      core::ExecutionObserver* observer = nullptr) {
   exec::ExecConfig cfg = soak_config();
   cfg.observer = observer;
   exec::ThreadedExecutor executor(cfg);
@@ -100,12 +100,12 @@ long peak_rss_kib() {
 
 TEST(ExecSoak, PeakMemoryDoesNotGrowWithTheStream) {
   // Runs first in this binary: the oracle run below holds more memory.
-  const exec::ExecReport small = run(100'000, 1);
+  const engine::RunReport small = run(100'000, 1);
   ASSERT_FALSE(small.deadlocked) << small.diagnosis;
   ASSERT_EQ(small.tasks_completed, 100'000u);
   const long after_small = peak_rss_kib();
 
-  const exec::ExecReport large = run(10'000'000, 2);
+  const engine::RunReport large = run(10'000'000, 2);
   ASSERT_FALSE(large.deadlocked) << large.diagnosis;
   EXPECT_EQ(large.tasks_completed, 10'000'000u);
   EXPECT_TRUE(large.diagnosis.empty()) << large.diagnosis;
@@ -122,7 +122,7 @@ TEST(ExecSoak, MillionTaskCompletionOrderIsOracleValid) {
   constexpr std::uint64_t kTasks = 1'000'000;
   constexpr std::uint64_t kSeed = 3;
   core::CompletionRecorder recorder;
-  const exec::ExecReport report = run(kTasks, kSeed, &recorder);
+  const engine::RunReport report = run(kTasks, kSeed, &recorder);
   ASSERT_FALSE(report.deadlocked) << report.diagnosis;
   ASSERT_EQ(report.tasks_completed, kTasks);
   const std::vector<std::uint64_t> order = recorder.order();

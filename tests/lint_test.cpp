@@ -68,7 +68,7 @@ class LintTest : public ::testing::Test {
 TEST_F(LintTest, EachViolationFixtureExitsNonZero) {
   for (const char* fixture :
        {"exec/bad_atomic_order.cpp", "exec/hot_path_alloc.cpp",
-        "exec/bad_header.hpp", "exec/raw_sync.cpp",
+        "exec/bad_header.hpp", "exec/raw_sync.cpp", "exec/bad_layering.cpp",
         "obs/missing_hot_path.cpp"}) {
     const auto result = run_lint(fixture, fixtures_);
     EXPECT_EQ(result.exit_code, 1) << fixture << " should trip its rule";

@@ -21,7 +21,6 @@ namespace {
 
 using nexus::NexusConfig;
 using nexus::NexusSystem;
-using nexus::SystemReport;
 using trace::TaskRecord;
 
 /// Builds a record with given params and timing.
@@ -38,8 +37,8 @@ TaskRecord rec(std::uint64_t serial, std::vector<core::Param> params,
   return r;
 }
 
-SystemReport run_tasks(NexusConfig cfg, std::vector<TaskRecord> tasks,
-                       bool require_success = true) {
+engine::RunReport run_tasks(NexusConfig cfg, std::vector<TaskRecord> tasks,
+                            bool require_success = true) {
   return nexus::run_system(cfg, trace::make_vector_stream(std::move(tasks)),
                            require_success);
 }
@@ -166,8 +165,8 @@ TEST(NexusSystem, TinyTaskPoolStallsAndRecovers) {
   }
   auto report = run_tasks(cfg, std::move(tasks));
   EXPECT_EQ(report.tasks_completed, 100u);
-  EXPECT_GT(report.write_tp_stall, 0);          // pool filled up
-  EXPECT_LE(report.tp_stats.max_used_slots, 4u);
+  EXPECT_GT(report.stage("write-tp")->stall, 0);  // pool filled up
+  EXPECT_LE(report.tp_max_used, 4u);
 }
 
 TEST(NexusSystem, TinyDependenceTableStallsAndRecovers) {
@@ -182,8 +181,8 @@ TEST(NexusSystem, TinyDependenceTableStallsAndRecovers) {
   }
   auto report = run_tasks(cfg, std::move(tasks));
   EXPECT_EQ(report.tasks_completed, 100u);
-  EXPECT_GT(report.check_deps_stall, 0);
-  EXPECT_LE(report.dt_stats.max_live_slots, 4u);
+  EXPECT_GT(report.stage("check-deps")->stall, 0);
+  EXPECT_LE(report.dt_max_live, 4u);
 }
 
 TEST(NexusSystem, WideTasksNeedDummyTasks) {
@@ -196,7 +195,7 @@ TEST(NexusSystem, WideTasksNeedDummyTasks) {
   auto report =
       nexus::run_system(cfg, workloads::make_wide_stream(wide));
   EXPECT_EQ(report.tasks_completed, wide.total_tasks());
-  EXPECT_GT(report.tp_stats.dummy_slots_allocated, 0u);
+  EXPECT_GT(report.tp_dummy_slots, 0u);
 }
 
 TEST(NexusSystem, ClassicNexusRejectsWideTasks) {
@@ -237,7 +236,7 @@ TEST(NexusSystem, NexusPlusPlusHandlesSameOverflow) {
   }
   auto report = run_tasks(cfg, std::move(tasks));
   EXPECT_EQ(report.tasks_completed, 31u);
-  EXPECT_GT(report.dt_stats.ko_dummy_allocations, 0u);
+  EXPECT_GT(report.dt_ko_dummies, 0u);
 }
 
 TEST(NexusSystem, ImpossiblyWideTaskDiagnosed) {
@@ -298,20 +297,30 @@ TEST(NexusSystem, ReportAccountingIsConsistent) {
   grid.pattern = workloads::GridPattern::kIndependent;
   NexusConfig cfg;
   cfg.num_workers = 4;
-  auto report = nexus::run_system(
-      cfg, workloads::make_grid_stream(workloads::make_grid_trace(grid)));
+  const auto trace = workloads::make_grid_trace(grid);
+  auto report = nexus::run_system(cfg, workloads::make_grid_stream(trace));
+  // Tables fully drained after the run, or it would read as deadlocked.
+  EXPECT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.tasks_completed, 100u);
   EXPECT_EQ(report.tasks_submitted, 100u);
   EXPECT_GT(report.total_exec_time, 0);
   EXPECT_GT(report.avg_core_utilization, 0.0);
   EXPECT_LE(report.avg_core_utilization, 1.0);
-  EXPECT_EQ(report.bus_stats.transfers, 100u);
+  // The master's busy time is each task's preparation plus one bus
+  // transfer of its 1 + P descriptor words, and nothing else.
+  const hw::BusConfig& bus = cfg.master_bus;
+  sim::Time master_busy = 0;
+  for (const TaskRecord& task : *trace) {
+    const std::uint64_t words = 1 + task.params.size();
+    master_busy += cfg.task_prep_time +
+                   static_cast<sim::Time>(bus.handshake_cycles +
+                                          words * bus.cycles_per_word) *
+                       bus.cycle;
+  }
+  EXPECT_EQ(report.stage("master")->busy, master_busy);
   EXPECT_EQ(report.mem_stats.transfers, 200u);  // one read + one write each
-  EXPECT_GT(report.check_deps_busy, 0);
-  EXPECT_GT(report.handle_finished_busy, 0);
-  // Tables fully drained after the run.
-  EXPECT_EQ(report.tp_stats.inserts, report.tp_stats.frees);
-  EXPECT_EQ(report.dt_stats.inserts, report.dt_stats.erases);
+  EXPECT_GT(report.stage("check-deps")->busy, 0);
+  EXPECT_GT(report.stage("handle-finished")->busy, 0);
 }
 
 TEST(NexusSystem, MoreWorkersNeverSlower) {
@@ -343,7 +352,7 @@ TEST(NexusSystem, GaussianSmallMatrixCompletes) {
   cfg.num_workers = 4;
   auto report = nexus::run_system(cfg, workloads::make_gaussian_stream(g));
   EXPECT_EQ(report.tasks_completed, workloads::gaussian_task_count(24));
-  EXPECT_GT(report.resolver_stats.raw_hazards, 0u);
+  EXPECT_GT(report.raw_hazards, 0u);
 }
 
 TEST(NexusSystem, GaussianOverflowsKickoffListsWhenExecutionLags) {
@@ -359,12 +368,12 @@ TEST(NexusSystem, GaussianOverflowsKickoffListsWhenExecutionLags) {
   cfg.num_workers = 1;
   auto report = nexus::run_system(cfg, workloads::make_gaussian_stream(g));
   EXPECT_EQ(report.tasks_completed, workloads::gaussian_task_count(200));
-  EXPECT_GT(report.dt_stats.ko_dummy_allocations, 0u);
-  EXPECT_GT(report.resolver_stats.waw_hazards, 0u);
-  EXPECT_GT(report.resolver_stats.raw_hazards, 0u);
-  // All dummy entries were drained and recycled.
-  EXPECT_EQ(report.dt_stats.inserts + report.dt_stats.ko_dummy_allocations,
-            report.dt_stats.erases + report.dt_stats.promotions);
+  EXPECT_GT(report.dt_ko_dummies, 0u);
+  EXPECT_GT(report.waw_hazards, 0u);
+  EXPECT_GT(report.raw_hazards, 0u);
+  // All dummy entries were drained and recycled, or the run would read as
+  // deadlocked.
+  EXPECT_FALSE(report.deadlocked) << report.diagnosis;
 }
 
 TEST(NexusSystem, DisablingTaskPrepSpeedsUpSubmission) {

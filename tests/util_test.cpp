@@ -1,5 +1,5 @@
 // Tests for the util library: RNG determinism and distributions, streaming
-// statistics, histograms, table rendering, and flag parsing.
+// statistics, table rendering, and flag parsing.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@ namespace nexuspp {
 namespace {
 
 using util::Flags;
-using util::Histogram;
 using util::Rng;
 using util::RunningStats;
 using util::Table;
@@ -264,33 +263,6 @@ TEST(RunningStats, MergeWithEmpty) {
   b.merge(a);
   EXPECT_EQ(b.count(), 1u);
   EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
-TEST(Histogram, BucketsAndEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.0);   // bucket 0
-  h.add(9.99);  // bucket 9
-  h.add(5.0);   // bucket 5
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (hi is exclusive)
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.bucket(5), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, QuantileApproximation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
 }
 
 TEST(Table, AlignsColumns) {

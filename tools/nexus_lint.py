@@ -37,6 +37,12 @@ zero-warning baseline:
                      ARE the std types (aliases), so the rule costs
                      nothing at runtime.
 
+  layering           A file under src/<dir>/ includes only from <dir> and
+                     the directories the layer map (LAYERS) allows it;
+                     the one downward edge is engine/run_report.hpp, the
+                     result type nexus/, exec/ and rts/ fill, which itself
+                     includes only util/, sim/ and hw/.
+
 Escape hatch: a site that has been audited and is deliberately exempt
 carries `// nexus-lint: allow(<rule>)` on the offending line or the line
 directly above it. The comment is the audit record; unexplained allows
@@ -81,6 +87,7 @@ ALLOC_RES = [
 HOT_PATH_RE = re.compile(r"^[\s/*]*NEXUS_HOT_PATH\b")
 
 USING_NAMESPACE_RE = re.compile(r"^\s*using\s+namespace\b")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+\w+")
 
@@ -97,6 +104,33 @@ RULES = {
     "chk-instrumented-sync":
         "src/exec and src/runtime use chk:: sync wrappers, never raw "
         "std::atomic / std::mutex / std::condition_variable",
+    "layering":
+        "src/<dir>/ includes only what the layer map allows",
+}
+
+# The layer map: the src/ directories a file under src/<dir>/ may include
+# from, besides <dir> itself.
+LAYERS = {
+    "util": set(),
+    "sim": set(),
+    "core": set(),
+    "obs": set(),
+    "chk": {"util"},
+    "hw": {"sim"},
+    "bank": {"core", "sim"},
+    "trace": {"core", "sim", "util"},
+    "workloads": {"core", "sim", "trace", "util"},
+    "exec": {"chk", "core", "obs", "sim", "trace", "util"},
+    "runtime": {"chk", "core", "exec"},
+    "rts": {"core", "hw", "sim", "trace", "util"},
+    "nexus": {"bank", "core", "hw", "obs", "sim", "trace", "util"},
+    "engine": {"exec", "hw", "nexus", "obs", "rts", "sim", "trace", "util"},
+}
+# Headers a lower layer may include from a higher one: the layers allowed,
+# and what the header itself may include, so it adds no hidden edge.
+DOWNWARD_EDGES = {
+    "engine/run_report.hpp": ({"nexus", "exec", "rts"},
+                              {"hw", "sim", "util"}),
 }
 
 OBS_RECORD_DEF_RE = re.compile(r"\b(record\w*|now_ns)\s*\(")
@@ -377,6 +411,35 @@ def check_chk_instrumented_sync(path, code_lines, comment_lines, out):
                 f"explorer / race checker; use {wrapper}"))
 
 
+# --- layering -----------------------------------------------------------------
+
+def check_layering(path, lines, code_lines, comment_lines, out):
+    layer = os.path.basename(os.path.dirname(os.path.normpath(path)))
+    if layer not in LAYERS:
+        return
+    own = f"{layer}/{os.path.basename(path)}"
+    if own in DOWNWARD_EDGES:
+        allowed_dirs = DOWNWARD_EDGES[own][1]  # not even its own layer
+    else:
+        allowed_dirs = LAYERS[layer] | {layer}
+    for idx, code in enumerate(code_lines):
+        if not INCLUDE_RE.match(code):
+            continue  # not an include, or one inside a comment
+        target = INCLUDE_RE.match(lines[idx]).group(1)
+        if "/" not in target:
+            continue
+        if target.split("/", 1)[0] in allowed_dirs:
+            continue
+        if layer in DOWNWARD_EDGES.get(target, ((), ()))[0]:
+            continue
+        if allowed(comment_lines, idx, "layering"):
+            continue
+        out.append(Violation(
+            path, idx + 1, "layering",
+            f"{own} may not include {target}: the layer map allows "
+            f"{', '.join(sorted(allowed_dirs))}"))
+
+
 # --- header-hygiene -----------------------------------------------------------
 
 def check_header_hygiene(path, code_lines, comment_lines, out):
@@ -424,6 +487,8 @@ def lint_file(path, selected):
         check_obs_hot_path(path, code_lines, comment_lines, out)
     if "chk-instrumented-sync" in selected:
         check_chk_instrumented_sync(path, code_lines, comment_lines, out)
+    if "layering" in selected:
+        check_layering(path, lines, code_lines, comment_lines, out)
     return out
 
 
