@@ -188,7 +188,7 @@ void BM_SimKernel_FifoHandoff(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator s;
-    sim::Fifo<int> f(s, 8, "bench");
+    sim::Fifo<int> f(s, 8);
     s.spawn(fifo_producer(f, n));
     s.spawn(fifo_consumer(f, n));
     s.run();

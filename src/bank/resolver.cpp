@@ -52,29 +52,15 @@ BankedResolver::ParamResult BankedResolver::resolve_param(TaskId id,
   // Spanning registration (range mode): two-phase, canonical bank order.
   const auto touched = part.banks_for(param.addr, param.size);
   ++banked_stats_.two_phase_registrations;
-  const bool is_writer = core::writes(param.mode);
 
   // Phase one — precheck slot demand and structural failures per bank.
   for (const auto b : touched) {
-    const auto& dt = table_->bank(b);
-    auto overlap = dt.overlapping(param.addr, param.size);
-    cost_slot(costs_, b) += overlap.cost;
-    std::uint32_t slots_needed = 1;  // this access's own entry
-    for (const auto idx : overlap.indices) {
-      if (dt.owner_of(idx) == id) continue;
-      if (!is_writer && !dt.is_out(idx)) continue;
-      const auto need = dt.kickoff_append_need(idx);
-      if (need.structural_fail) {
-        ++banked_stats_.precheck_stalls;
-        out.outcome = core::Resolver::ParamOutcome::kNeedSpace;
-        out.structural = true;
-        return out;
-      }
-      if (need.needs_slot) ++slots_needed;
-    }
-    if (dt.free_slot_count() < slots_needed) {
+    const auto pre = per_bank_[b].precheck_range(id, param);
+    cost_slot(costs_, b) += pre.cost;
+    if (!pre.fits) {
       ++banked_stats_.precheck_stalls;
       out.outcome = core::Resolver::ParamOutcome::kNeedSpace;
+      out.structural = pre.structural;
       return out;
     }
   }
@@ -117,16 +103,18 @@ std::span<const BankedResolver::BankCost> BankedResolver::finish_param(
 
 core::Resolver::SubmitResult BankedResolver::submit(TaskId id) {
   core::Resolver::SubmitResult out;
-  auto rp = tp_->read_params(id);
-  out.cost += rp.cost;
-  for (const auto& param : rp.params) {
-    auto pr = process_param(id, param);
-    for (const auto& bc : pr.costs) out.cost += bc.cost;
-    if (pr.outcome == core::Resolver::ParamOutcome::kNeedSpace) {
-      out.stalled = true;
-      return out;
+  out.cost.reads += 1 + tp_->dummy_count(id);  // the descriptor's slots
+  for (TaskId slot = id; slot != core::kInvalidTask;
+       slot = tp_->slot_next_dummy(slot)) {
+    for (const auto& param : tp_->slot_params(slot)) {
+      auto pr = process_param(id, param);
+      for (const auto& bc : pr.costs) out.cost += bc.cost;
+      if (pr.outcome == core::Resolver::ParamOutcome::kNeedSpace) {
+        out.stalled = true;
+        return out;
+      }
+      ++out.params_done;
     }
-    ++out.params_done;
   }
   auto fin = finalize_new_task(id);
   out.cost += fin.cost;
@@ -136,11 +124,13 @@ core::Resolver::SubmitResult BankedResolver::submit(TaskId id) {
 
 core::Resolver::FinishResult BankedResolver::finish(TaskId id) {
   core::Resolver::FinishResult out;
-  auto rp = tp_->read_params(id);
-  out.cost += rp.cost;
-  for (const auto& param : rp.params) {
-    for (const auto& bc : finish_param(id, param, out.now_ready)) {
-      out.cost += bc.cost;
+  out.cost.reads += 1 + tp_->dummy_count(id);  // the descriptor's slots
+  for (TaskId slot = id; slot != core::kInvalidTask;
+       slot = tp_->slot_next_dummy(slot)) {
+    for (const auto& param : tp_->slot_params(slot)) {
+      for (const auto& bc : finish_param(id, param, out.now_ready)) {
+        out.cost += bc.cost;
+      }
     }
   }
   return out;

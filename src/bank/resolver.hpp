@@ -27,12 +27,13 @@
 //
 // Two-phase registration (deadlock freedom + atomicity): a spanning
 // registration first *prechecks* every touched bank in canonical (ascending
-// bank id) order — overlap scan, kick-off append dry-runs, free-slot demand
-// — and only then *commits*, again in canonical order. Banks share no
-// slots, so a passed precheck cannot be invalidated by commits to other
-// banks: a kNeedSpace result always leaves every bank untouched, making
-// stall-and-retry safe, and the fixed canonical order means concurrent
-// multi-bank rounds can never wait on each other in a cycle. The precheck
+// bank id) order — the bank resolver's own precheck_range: overlap scan,
+// kick-off append dry-runs, free-slot demand — and only then *commits*,
+// again in canonical order. Banks share no slots, so a passed precheck
+// cannot be invalidated by commits to other banks: a kNeedSpace result
+// always leaves every bank untouched, making stall-and-retry safe, and the
+// fixed canonical order means concurrent multi-bank rounds can never wait
+// on each other in a cycle. The precheck
 // pass re-reads what the commit pass reads, and both Cost receipts are
 // returned — the honest hardware price of cross-bank atomicity.
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace nexuspp::core {
 
@@ -83,38 +85,45 @@ Resolver::ParamResult Resolver::process_param_base(TaskId id,
   return out;
 }
 
-Resolver::ParamResult Resolver::process_param_range(TaskId id,
-                                                    const Param& param) {
-  ParamResult out;
-  const bool is_writer = writes(param.mode);
-
+Resolver::RangePrecheck Resolver::precheck_range(TaskId id,
+                                                 const Param& param) const {
   auto overlap = dt_->overlapping(param.addr, param.size);
-  out.cost += overlap.cost;
-
+  RangePrecheck out;
+  out.conflicts = std::move(overlap.indices);
+  out.cost = overlap.cost;
   // Conflicting predecessors: overlapping accesses where either side
   // writes. This task's own earlier parameters never conflict with it.
-  std::vector<DependenceTable::Index> conflicts;
-  for (const auto idx : overlap.indices) {
-    if (dt_->owner_of(idx) == id) continue;
-    if (is_writer || dt_->is_out(idx)) conflicts.push_back(idx);
-  }
-
-  // Precheck so the multi-append below cannot fail halfway: one slot for
-  // this access's own entry, plus at most one dummy per full kick-off list.
+  const bool is_writer = writes(param.mode);
+  std::erase_if(out.conflicts, [&](DependenceTable::Index idx) {
+    return dt_->owner_of(idx) == id || (!is_writer && !dt_->is_out(idx));
+  });
+  // One slot for this access's own entry, plus at most one dummy per full
+  // kick-off list.
   std::uint32_t slots_needed = 1;
-  for (const auto idx : conflicts) {
+  for (const auto idx : out.conflicts) {
     const auto need = dt_->kickoff_append_need(idx);
     if (need.structural_fail) {
-      ++stats_.stalls;
-      out.outcome = ParamOutcome::kNeedSpace;
       out.structural = true;
       return out;
     }
     if (need.needs_slot) ++slots_needed;
   }
-  if (dt_->free_slot_count() < slots_needed) {
+  out.fits = dt_->free_slot_count() >= slots_needed;
+  return out;
+}
+
+Resolver::ParamResult Resolver::process_param_range(TaskId id,
+                                                    const Param& param) {
+  ParamResult out;
+  const bool is_writer = writes(param.mode);
+
+  // Precheck so the multi-append below cannot fail halfway.
+  const auto pre = precheck_range(id, param);
+  out.cost += pre.cost;
+  if (!pre.fits) {
     ++stats_.stalls;
     out.outcome = ParamOutcome::kNeedSpace;
+    out.structural = pre.structural;
     return out;
   }
 
@@ -125,7 +134,7 @@ Resolver::ParamResult Resolver::process_param_range(TaskId id,
         "Resolver: insert failed after range-mode slot precheck");
   }
 
-  for (const auto idx : conflicts) {
+  for (const auto idx : pre.conflicts) {
     auto app = dt_->kickoff_append(idx, id);
     out.cost += app.cost;
     if (!app.ok) {
@@ -142,7 +151,7 @@ Resolver::ParamResult Resolver::process_param_range(TaskId id,
     }
   }
 
-  if (conflicts.empty()) {
+  if (pre.conflicts.empty()) {
     ++stats_.granted;
     out.outcome = ParamOutcome::kGranted;
   } else {

@@ -73,18 +73,17 @@ class Resolver {
     Cost cost;
   };
   /// Convenience: runs process_param over the task's parameters, walked in
-  /// place in the Task Pool (charged one read per descriptor slot, like
-  /// read_params). Does not retry on kNeedSpace — the timed Maestro owns
-  /// that policy.
+  /// place in the Task Pool (charged one read per descriptor slot). Does
+  /// not retry on kNeedSpace — the timed Maestro owns that policy.
   [[nodiscard]] SubmitResult submit(TaskId id);
 
   /// Handle Finished: releases the finished task's accesses, grants
   /// waiting tasks, erases drained entries. Never needs new table space.
   /// Walks the descriptor's parameters in place (charged one read per
-  /// descriptor slot, like read_params) and appends the tasks it kicks off
-  /// to `now_ready` in grant order, keeping what the buffer already holds:
-  /// a caller that reuses one buffer makes the release path allocation-free.
-  /// Returns the table-access receipt.
+  /// descriptor slot) and appends the tasks it kicks off to `now_ready` in
+  /// grant order, keeping what the buffer already holds: a caller that
+  /// reuses one buffer makes the release path allocation-free. Returns the
+  /// table-access receipt.
   Cost finish(TaskId id, std::vector<TaskId>& now_ready);
 
   struct FinishResult {
@@ -102,6 +101,26 @@ class Resolver {
   /// and costs.
   Cost finish_param(TaskId id, const Param& param,
                     std::vector<TaskId>& now_ready);
+
+  struct RangePrecheck {
+    /// The entries this access queues behind: overlapping entries of
+    /// other tasks where either side writes, in ascending base order.
+    std::vector<DependenceTable::Index> conflicts;
+    Cost cost;  ///< the overlap scan
+    /// The table has room for this access's entry and every kick-off
+    /// append it needs.
+    bool fits = false;
+    /// A conflicting kick-off list is full and dummy entries are off:
+    /// waiting can never help.
+    bool structural = false;
+  };
+  /// Range mode, before registering `param` of task `id`: the overlap
+  /// scan, the conflict filter, the kick-off append dry-runs and the
+  /// free-slot count. Changes no entry, so a caller that registers one
+  /// access in several tables (bank::BankedResolver) prechecks them all
+  /// before committing to any.
+  [[nodiscard]] RangePrecheck precheck_range(TaskId id,
+                                             const Param& param) const;
 
   struct Stats {
     std::uint64_t granted = 0;

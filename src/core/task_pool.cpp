@@ -181,17 +181,6 @@ TaskPool::DecrementResult TaskPool::decrement_dc(TaskId id) {
 void TaskPool::set_busy(TaskId id, bool busy) { primary(id).busy = busy; }
 bool TaskPool::busy(TaskId id) const { return primary(id).busy; }
 
-TaskPool::ReadParams TaskPool::read_params(TaskId id) const {
-  ReadParams out;
-  out.params.reserve(primary(id).total_params);  // also the liveness check
-  for (TaskId cur = id; cur != kInvalidTask; cur = slots_[cur].next_dummy) {
-    out.cost.reads += 1;
-    const auto own = slot_params(cur);
-    out.params.insert(out.params.end(), own.begin(), own.end());
-  }
-  return out;
-}
-
 std::span<const Param> TaskPool::slot_params(std::uint32_t index) const {
   if (index >= slots_.size()) return {};
   return {params_.data() + std::size_t{index} * config_.max_params,

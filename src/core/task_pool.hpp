@@ -105,17 +105,11 @@ class TaskPool {
 
   // --- Parameter access ----------------------------------------------------
 
-  struct ReadParams {
-    std::vector<Param> params;  ///< full list, walked across dummy tasks
-    Cost cost;                  ///< one read per slot visited
-  };
-  /// Copies the full parameter list out — for callers that hold it across
-  /// a suspension. Walking in place is slot_params() + slot_next_dummy().
-  [[nodiscard]] ReadParams read_params(TaskId id) const;
-
   /// The parameters stored in slot `index` itself (a primary slot or one
   /// dummy task), in order: a view into the flat parameter table, valid
-  /// until the slot is freed. Empty for an unused slot.
+  /// until the slot is freed. Empty for an unused slot. A task's full list
+  /// is walked in place from its primary slot along slot_next_dummy(), at
+  /// one slot read per descriptor slot (1 + dummy_count()).
   [[nodiscard]] std::span<const Param> slot_params(std::uint32_t index) const;
 
   struct ModeLookup {

@@ -169,6 +169,21 @@ const Column kColumns[] = {
 
 }  // namespace
 
+void RunReport::set_table_stats(const core::TaskPool::Stats& tp,
+                                const core::DependenceTable::Stats& dt,
+                                const core::Resolver::Stats& hazards) noexcept {
+  tp_max_used = tp.max_used_slots;
+  tp_dummy_slots = tp.dummy_slots_allocated;
+  dt_max_live = dt.max_live_slots;
+  dt_longest_chain = dt.longest_hash_chain;
+  dt_ko_dummies = dt.ko_dummy_allocations;
+  dt_lookups = dt.lookups;
+  dt_lookup_probes = dt.lookup_probes;
+  raw_hazards = hazards.raw_hazards;
+  war_hazards = hazards.war_hazards;
+  waw_hazards = hazards.waw_hazards;
+}
+
 const StageStat* RunReport::stage(std::string_view name) const noexcept {
   for (const auto& s : stages) {
     if (s.name == name) return &s;

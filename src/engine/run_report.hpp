@@ -16,8 +16,9 @@
 // (see RunReport::Measure) renders empty in CSV, null in JSON and not at
 // all in the table: "not measured" never reads as a measured zero.
 //
-// This header includes only util/, sim/ and hw/, so the models below the
-// engine layer can fill the struct without depending on the engines.
+// This header includes only util/, sim/, hw/ and core/, so the models
+// below the engine layer can fill the struct without depending on the
+// engines.
 
 #include <cstdint>
 #include <iosfwd>
@@ -26,6 +27,9 @@
 #include <string_view>
 #include <vector>
 
+#include "core/dependence_table.hpp"
+#include "core/resolver.hpp"
+#include "core/task_pool.hpp"
 #include "hw/memory.hpp"
 #include "sim/time.hpp"
 #include "util/stats.hpp"
@@ -157,6 +161,12 @@ struct RunReport {
                            : static_cast<double>(dt_lookup_probes) /
                                  static_cast<double>(dt_lookups);
   }
+
+  /// Fills the Task Pool, Dependence Table and hazard cells from the
+  /// statistics of the tables and the resolver the model ran.
+  void set_table_stats(const core::TaskPool::Stats& tp,
+                       const core::DependenceTable::Stats& dt,
+                       const core::Resolver::Stats& hazards) noexcept;
 
   /// Busy/stall for stage `name`; nullptr when the engine has no such stage.
   [[nodiscard]] const StageStat* stage(std::string_view name) const noexcept;

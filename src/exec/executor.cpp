@@ -249,19 +249,9 @@ engine::RunReport ThreadedExecutor::run(
           : 0.0;
   report.exec_kernel = to_string(config_.kernel.kind);
   report.ready_queue_peak = core.ready_peak();
-  const core::Resolver::Stats& hazards = core.resolver().resolver_stats();
-  report.raw_hazards = hazards.raw_hazards;
-  report.war_hazards = hazards.war_hazards;
-  report.waw_hazards = hazards.waw_hazards;
-  const core::TaskPool::Stats& tp = core.resolver().pool_stats();
-  report.tp_max_used = tp.max_used_slots;
-  report.tp_dummy_slots = tp.dummy_slots_allocated;
-  const core::DependenceTable::Stats& dt = core.resolver().table_stats();
-  report.dt_max_live = dt.max_live_slots;
-  report.dt_longest_chain = dt.longest_hash_chain;
-  report.dt_ko_dummies = dt.ko_dummy_allocations;
-  report.dt_lookups = dt.lookups;
-  report.dt_lookup_probes = dt.lookup_probes;
+  report.set_table_stats(core.resolver().pool_stats(),
+                         core.resolver().table_stats(),
+                         core.resolver().resolver_stats());
   if (!report.deadlocked && submitted != report.tasks_expected) {
     // Every task ran; only the stream's own count was wrong.
     report.diagnosis = "stream length mismatch: total_tasks() said " +

@@ -14,21 +14,4 @@ void BusConfig::validate() const {
   }
 }
 
-Bus::Bus(sim::Simulator& sim, BusConfig config)
-    : sim_(&sim), config_(config), lock_(sim, 1) {
-  config_.validate();
-}
-
-sim::Co<void> Bus::send(std::size_t words) {
-  const sim::Time started = sim_->now();
-  co_await lock_.acquire();
-  stats_.queue_wait += sim_->now() - started;
-  const sim::Time duration = transfer_time(words);
-  co_await sim_->delay(duration);
-  lock_.release();
-  ++stats_.transfers;
-  stats_.words += words;
-  stats_.busy_time += duration;
-}
-
 }  // namespace nexuspp::hw

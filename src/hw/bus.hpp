@@ -8,17 +8,15 @@
 // cycles (2 GB/s bus bandwidth)" while its own worked examples
 // (4 parameters -> 10 cycles, 8 parameters -> 14 cycles) only work out as
 // 5 + (1+P) x 1 cycles. The default follows the *stated bandwidth*
-// (2 cycles/word at 500 MHz x 8 B = 2 GB/s); both knobs are configurable
-// (see DESIGN.md "Paper discrepancy").
+// (2 cycles/word at 500 MHz x 8 B = 2 GB/s); both knobs are configurable.
 //
-// The bus is a shared serial resource: concurrent senders queue in FIFO
-// order.
+// The master core is the bus's only sender and sends one descriptor at a
+// time, so a transfer never queues: the bus is its timing alone, and the
+// master waits transfer_time(1 + P) per descriptor.
 
+#include <cstddef>
 #include <cstdint>
 
-#include "sim/co.hpp"
-#include "sim/semaphore.hpp"
-#include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace nexuspp::hw {
@@ -30,42 +28,18 @@ struct BusConfig {
   sim::Time cycle = sim::ns(2);  ///< Nexus++ clock: 500 MHz
 
   void validate() const;
-};
-
-class Bus {
- public:
-  Bus(sim::Simulator& sim, BusConfig config);
 
   /// Cycles a transfer of `words` words occupies the bus.
   [[nodiscard]] std::uint64_t transfer_cycles(
       std::size_t words) const noexcept {
-    return config_.handshake_cycles +
-           static_cast<std::uint64_t>(words) * config_.cycles_per_word;
+    return handshake_cycles +
+           static_cast<std::uint64_t>(words) * cycles_per_word;
   }
 
-  /// Raw duration of a transfer of `words` words.
+  /// Duration of a transfer of `words` words.
   [[nodiscard]] sim::Time transfer_time(std::size_t words) const noexcept {
-    return static_cast<sim::Time>(transfer_cycles(words)) * config_.cycle;
+    return static_cast<sim::Time>(transfer_cycles(words)) * cycle;
   }
-
-  /// Occupies the bus for the transfer duration (queueing behind other
-  /// senders if busy).
-  [[nodiscard]] sim::Co<void> send(std::size_t words);
-
-  struct Stats {
-    std::uint64_t transfers = 0;
-    std::uint64_t words = 0;
-    sim::Time busy_time = 0;
-    sim::Time queue_wait = 0;
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const BusConfig& config() const noexcept { return config_; }
-
- private:
-  sim::Simulator* sim_;
-  BusConfig config_;
-  sim::Semaphore lock_;
-  Stats stats_;
 };
 
 }  // namespace nexuspp::hw

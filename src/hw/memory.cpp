@@ -37,49 +37,43 @@ sim::Time Memory::transfer_time(std::uint64_t bytes) const noexcept {
 
 sim::Co<void> Memory::transfer(std::uint64_t addr, std::uint64_t bytes) {
   if (bytes == 0) co_return;
+  const sim::Time raw = transfer_time(bytes);
   ++stats_.transfers;
   stats_.bytes += bytes;
-  stats_.busy_time += transfer_time(bytes);
+  stats_.busy_time += raw;
   ++in_flight_;
   stats_.max_concurrency = std::max(stats_.max_concurrency, in_flight_);
 
   switch (config_.contention) {
     case ContentionModel::kNone:
-      co_await sim_->delay(transfer_time(bytes));
+      co_await sim_->delay(raw);
       break;
-    case ContentionModel::kPorts:
-      co_await transfer_ports(bytes);
+    case ContentionModel::kPorts: {
+      const sim::Time started = sim_->now();
+      co_await ports_->acquire();
+      stats_.contention_wait += sim_->now() - started;
+      co_await sim_->delay(raw);
+      ports_->release();
       break;
-    case ContentionModel::kBanked:
-      co_await transfer_banked(addr, bytes);
+    }
+    case ContentionModel::kBanked: {
+      // Chunks are striped across banks starting at the chunk the address
+      // maps to; each bank serializes its own accesses.
+      const std::uint64_t first = addr / config_.chunk_bytes;
+      const std::uint64_t end =
+          first + (bytes + config_.chunk_bytes - 1) / config_.chunk_bytes;
+      for (std::uint64_t chunk = first; chunk < end; ++chunk) {
+        auto& bank = *banks_[chunk % config_.banks];
+        const sim::Time started = sim_->now();
+        co_await bank.acquire();
+        stats_.contention_wait += sim_->now() - started;
+        co_await sim_->delay(config_.chunk_latency);
+        bank.release();
+      }
       break;
+    }
   }
   --in_flight_;
-}
-
-sim::Co<void> Memory::transfer_ports(std::uint64_t bytes) {
-  const sim::Time started = sim_->now();
-  co_await ports_->acquire();
-  stats_.contention_wait += sim_->now() - started;
-  co_await sim_->delay(transfer_time(bytes));
-  ports_->release();
-}
-
-sim::Co<void> Memory::transfer_banked(std::uint64_t addr,
-                                      std::uint64_t bytes) {
-  // Chunks are striped across banks starting at the chunk the address maps
-  // to; each bank serializes its own accesses.
-  const std::uint64_t chunks =
-      (bytes + config_.chunk_bytes - 1) / config_.chunk_bytes;
-  std::uint64_t chunk_index = addr / config_.chunk_bytes;
-  for (std::uint64_t c = 0; c < chunks; ++c, ++chunk_index) {
-    auto& bank = *banks_[chunk_index % config_.banks];
-    const sim::Time started = sim_->now();
-    co_await bank.acquire();
-    stats_.contention_wait += sim_->now() - started;
-    co_await sim_->delay(config_.chunk_latency);
-    bank.release();
-  }
 }
 
 }  // namespace nexuspp::hw

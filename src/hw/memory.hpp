@@ -62,10 +62,6 @@ class Memory {
   }
 
  private:
-  [[nodiscard]] sim::Co<void> transfer_ports(std::uint64_t bytes);
-  [[nodiscard]] sim::Co<void> transfer_banked(std::uint64_t addr,
-                                              std::uint64_t bytes);
-
   sim::Simulator* sim_;
   MemoryConfig config_;
   std::unique_ptr<sim::Semaphore> ports_;  ///< kPorts mode

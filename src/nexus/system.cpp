@@ -22,16 +22,6 @@ bank::BankedTableConfig banked_table_config(const NexusConfig& cfg) {
   return out;
 }
 
-/// "C3RdyTasks"-style names. Built with += because GCC 12 emits a bogus
-/// -Wrestrict for `"lit" + std::to_string(x) + "lit"` (gcc PR 105651).
-std::string indexed_name(const char* prefix, std::uint32_t index,
-                         const char* suffix) {
-  std::string out(prefix);
-  out += std::to_string(index);
-  out += suffix;
-  return out;
-}
-
 }  // namespace
 
 NexusSystem::NexusSystem(NexusConfig config,
@@ -42,17 +32,14 @@ NexusSystem::NexusSystem(NexusConfig config,
       dt_(banked_table_config(cfg_)),
       resolver_(tp_, dt_),
       memory_(sim_, cfg_.memory),
-      master_bus_(sim_, cfg_.master_bus),
       bank_usage_(cfg_.banks),
       check_sched_(cfg_.banks),
       finish_sched_(cfg_.banks),
-      tds_buffer_(sim_, cfg_.tds_buffer_capacity, "TDs buffer"),
-      new_tasks_(sim_, cfg_.task_pool.capacity, "New Tasks"),
-      global_ready_(sim_, cfg_.task_pool.capacity, "Global Ready Tasks"),
-      worker_ids_(sim_,
-                  static_cast<std::size_t>(cfg_.num_workers) *
-                      cfg_.buffering_depth,
-                  "Worker Cores IDs"),
+      tds_buffer_(sim_, cfg_.tds_buffer_capacity),
+      new_tasks_(sim_, cfg_.task_pool.capacity),
+      global_ready_(sim_, cfg_.task_pool.capacity),
+      worker_ids_(sim_, static_cast<std::size_t>(cfg_.num_workers) *
+                            cfg_.buffering_depth),
       send_requests_(sim_, cfg_.num_workers),
       finish_signals_(sim_, cfg_.num_workers),
       tp_space_freed_(sim_),
@@ -73,16 +60,11 @@ NexusSystem::NexusSystem(NexusConfig config,
   tc_out_.reserve(cfg_.num_workers);
   for (std::uint32_t w = 0; w < cfg_.num_workers; ++w) {
     const auto depth = static_cast<std::size_t>(cfg_.buffering_depth);
-    rdy_.push_back(std::make_unique<sim::Fifo<TaskId>>(
-        sim_, depth, indexed_name("C", w, "RdyTasks")));
-    fin_.push_back(std::make_unique<sim::Fifo<TaskId>>(
-        sim_, depth, indexed_name("C", w, "FinTasks")));
-    tc_in_.push_back(std::make_unique<sim::Fifo<TaskId>>(
-        sim_, depth, indexed_name("TC", w, " in")));
-    tc_mid_.push_back(std::make_unique<sim::Fifo<TaskId>>(
-        sim_, depth, indexed_name("TC", w, " fetched")));
-    tc_out_.push_back(std::make_unique<sim::Fifo<TaskId>>(
-        sim_, depth, indexed_name("TC", w, " done")));
+    rdy_.push_back(std::make_unique<sim::Fifo<TaskId>>(sim_, depth));
+    fin_.push_back(std::make_unique<sim::Fifo<TaskId>>(sim_, depth));
+    tc_in_.push_back(std::make_unique<sim::Fifo<TaskId>>(sim_, depth));
+    tc_mid_.push_back(std::make_unique<sim::Fifo<TaskId>>(sim_, depth));
+    tc_out_.push_back(std::make_unique<sim::Fifo<TaskId>>(sim_, depth));
     // "Worker Cores IDs list contains initially all worker core IDs
     // (repeated 'buffering depth' times)."
     for (std::uint32_t d = 0; d < cfg_.buffering_depth; ++d) {
@@ -106,7 +88,7 @@ void NexusSystem::obs_setup_tracks() {
   obs_trk_handle_fin_ = obs_rec_->add_track("handle-finished");
   obs_trk_worker0_ = obs_rec_->add_track("worker-0");
   for (std::uint32_t w = 1; w < cfg_.num_workers; ++w) {
-    (void)obs_rec_->add_track(indexed_name("worker-", w, ""));
+    (void)obs_rec_->add_track("worker-" + std::to_string(w));
   }
 }
 
@@ -120,7 +102,7 @@ sim::Co<void> NexusSystem::master_process() {
       co_await sim_.delay(cfg_.task_prep_time);
     }
     // Handshaking word + (1 + P) descriptor words over the on-chip bus.
-    co_await master_bus_.send(1 + rec->params.size());
+    co_await sim_.delay(cfg_.master_bus.transfer_time(1 + rec->params.size()));
     stage(kMaster).busy += sim_.now() - active_start;
     obs_record(obs_trk_master_, obs::EventKind::kSubmit, active_start,
                sim_.now() - active_start, serial);
@@ -190,10 +172,12 @@ sim::Co<void> NexusSystem::check_deps_process() {
     // decision to this block (the paper's `busy` flag).
     tp_.set_busy(id, true);
     const std::uint64_t serial = tp_.serial(id);
-    auto rp = tp_.read_params(id);
     {
+      // Read the descriptor: one slot read per primary and dummy slot.
+      core::Cost read_cost;
+      read_cost.reads = 1 + tp_.dummy_count(id);
       const sim::Time t =
-          access_time(rp.cost) + cycles(cfg_.block_overhead_cycles);
+          access_time(read_cost) + cycles(cfg_.block_overhead_cycles);
       stage(kCheckDeps).busy += t;
       const sim::Time seg_start = sim_.now();
       co_await sim_.delay(t);
@@ -203,33 +187,38 @@ sim::Co<void> NexusSystem::check_deps_process() {
     // One arbiter round per task: parameters resolve in parallel across
     // their home banks, serializing only where they collide on a bank. The
     // block advances by the round-completion delta each parameter adds.
+    // The parameters are walked in place: the descriptor stays `busy`, so
+    // it cannot be scheduled, finished and freed before finalize below.
     check_sched_.reset();
-    for (const auto& param : rp.params) {
-      for (;;) {
-        auto pr = resolver_.process_param(id, param);
-        sim::Time delta = 0;
-        for (const auto& bc : pr.costs) {
-          delta += check_sched_.charge(bc.bank, access_time(bc.cost),
-                                       bank_usage_);
+    for (TaskId slot = id; slot != core::kInvalidTask;
+         slot = tp_.slot_next_dummy(slot)) {
+      for (const auto& param : tp_.slot_params(slot)) {
+        for (;;) {
+          auto pr = resolver_.process_param(id, param);
+          sim::Time delta = 0;
+          for (const auto& bc : pr.costs) {
+            delta += check_sched_.charge(bc.bank, access_time(bc.cost),
+                                         bank_usage_);
+          }
+          stage(kCheckDeps).busy += delta;
+          const sim::Time seg_start = sim_.now();
+          co_await sim_.delay(delta);
+          obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start,
+                     delta, serial);
+          if (pr.outcome != core::Resolver::ParamOutcome::kNeedSpace) break;
+          if (pr.structural) {
+            fatal("Check Deps: kick-off list overflow without dummy entries "
+                  "(classic Nexus limit) while queueing task " +
+                  std::to_string(serial));
+            co_return;
+          }
+          const sim::Time stall_start = sim_.now();
+          co_await dt_space_freed_.wait();
+          const sim::Time stall = sim_.now() - stall_start;
+          stage(kCheckDeps).stall += stall;
+          obs_record(obs_trk_check_deps_, obs::EventKind::kStall,
+                     stall_start, stall, serial);
         }
-        stage(kCheckDeps).busy += delta;
-        const sim::Time seg_start = sim_.now();
-        co_await sim_.delay(delta);
-        obs_record(obs_trk_check_deps_, obs::EventKind::kSubmit, seg_start,
-                   delta, serial);
-        if (pr.outcome != core::Resolver::ParamOutcome::kNeedSpace) break;
-        if (pr.structural) {
-          fatal("Check Deps: kick-off list overflow without dummy entries "
-                "(classic Nexus limit) while queueing task " +
-                std::to_string(tp_.serial(id)));
-          co_return;
-        }
-        const sim::Time stall_start = sim_.now();
-        co_await dt_space_freed_.wait();
-        const sim::Time stall = sim_.now() - stall_start;
-        stage(kCheckDeps).stall += stall;
-        obs_record(obs_trk_check_deps_, obs::EventKind::kStall, stall_start,
-                   stall, serial);
       }
     }
     // Readiness check and busy-clear happen in one event-loop slice (no
@@ -314,7 +303,7 @@ sim::Co<void> NexusSystem::handle_finished_process() {
     // One arbiter round per finished task: the release walks spread over
     // their banks, then one delay (descriptor reads plus the round's max
     // horizon plus the descriptor free). The descriptor is walked in place,
-    // charged one read per slot like read_params.
+    // charged one read per slot as Check Deps charges it.
     core::Cost read_cost;
     read_cost.reads = 1 + tp_.dummy_count(id);
     finish_sched_.reset();
@@ -404,16 +393,16 @@ engine::RunReport NexusSystem::run() {
   ran_ = true;
 
   obs_setup_tracks();
-  sim_.spawn(master_process(), "master");
-  sim_.spawn(write_tp_process(), "write-tp");
-  sim_.spawn(check_deps_process(), "check-deps");
-  sim_.spawn(schedule_process(), "schedule");
-  sim_.spawn(send_tds_process(), "send-tds");
-  sim_.spawn(handle_finished_process(), "handle-finished");
+  sim_.spawn(master_process());
+  sim_.spawn(write_tp_process());
+  sim_.spawn(check_deps_process());
+  sim_.spawn(schedule_process());
+  sim_.spawn(send_tds_process());
+  sim_.spawn(handle_finished_process());
   for (std::uint32_t w = 0; w < cfg_.num_workers; ++w) {
-    sim_.spawn(tc_get_inputs_process(w), indexed_name("tc-fetch-", w, ""));
-    sim_.spawn(tc_run_process(w), indexed_name("tc-run-", w, ""));
-    sim_.spawn(tc_put_outputs_process(w), indexed_name("tc-put-", w, ""));
+    sim_.spawn(tc_get_inputs_process(w));
+    sim_.spawn(tc_run_process(w));
+    sim_.spawn(tc_put_outputs_process(w));
   }
 
   const sim::Time end = sim_.run();
@@ -448,20 +437,9 @@ engine::RunReport NexusSystem::run() {
     r.avg_core_utilization = static_cast<double>(r.total_exec_time) /
                              (static_cast<double>(end) * cfg_.num_workers);
   }
-  r.ready_queue_peak = global_ready_.stats().max_occupancy;
-  const core::TaskPool::Stats& tp = tp_.stats();
-  r.tp_max_used = tp.max_used_slots;
-  r.tp_dummy_slots = tp.dummy_slots_allocated;
-  const core::DependenceTable::Stats dt = dt_.aggregated_stats();
-  r.dt_max_live = dt.max_live_slots;
-  r.dt_longest_chain = dt.longest_hash_chain;
-  r.dt_ko_dummies = dt.ko_dummy_allocations;
-  r.dt_lookups = dt.lookups;
-  r.dt_lookup_probes = dt.lookup_probes;
-  const core::Resolver::Stats hazards = resolver_.aggregated_stats();
-  r.raw_hazards = hazards.raw_hazards;
-  r.war_hazards = hazards.war_hazards;
-  r.waw_hazards = hazards.waw_hazards;
+  r.ready_queue_peak = global_ready_.max_occupancy();
+  r.set_table_stats(tp_.stats(), dt_.aggregated_stats(),
+                    resolver_.aggregated_stats());
   r.mem_stats = memory_.stats();
   r.sim_events = sim_.events_executed();
 

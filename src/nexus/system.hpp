@@ -55,7 +55,6 @@
 #include "bank/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "engine/run_report.hpp"
-#include "hw/bus.hpp"
 #include "hw/memory.hpp"
 #include "nexus/config.hpp"
 #include "obs/timeline.hpp"
@@ -142,7 +141,6 @@ class NexusSystem {
   bank::BankedTable dt_;
   bank::BankedResolver resolver_;
   hw::Memory memory_;
-  hw::Bus master_bus_;
 
   // Bank arbiter state: one round schedule per requesting block, one shared
   // usage sink.

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "core/oracle.hpp"
-#include "sim/event.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
 
@@ -31,9 +30,8 @@ class SoftwareRtsSystem {
         stream_(std::move(stream)),
         memory_(sim_, cfg.memory),
         graph_(cfg.match_mode),
-        ready_(sim_, std::max<std::uint64_t>(stream_->total_tasks(), 1),
-               "ready"),
-        completions_(sim_, cfg.num_workers * 4, "completions") {
+        ready_(sim_, std::max<std::uint64_t>(stream_->total_tasks(), 1)),
+        completions_(sim_, cfg.num_workers * 4) {
     cfg_.validate();
     report_.measures = engine::RunReport::kMemory;
     report_.tasks_expected = stream_->total_tasks();
@@ -42,9 +40,9 @@ class SoftwareRtsSystem {
   }
 
   engine::RunReport run() {
-    sim_.spawn(master_process(), "sw-master");
+    sim_.spawn(master_process());
     for (std::uint32_t w = 0; w < cfg_.num_workers; ++w) {
-      sim_.spawn(worker_process(w), "sw-worker-" + std::to_string(w));
+      sim_.spawn(worker_process());
     }
     const sim::Time end = sim_.run();
 
@@ -106,8 +104,7 @@ class SoftwareRtsSystem {
                       cfg_.resolve_per_param);
     const std::uint64_t key = rec.serial;
     const bool ready = graph_.submit(key, rec.params);
-    in_flight_.emplace(key, std::move(rec));
-    submitted_at_[key] = sim_.now();
+    in_flight_.emplace(key, InFlight{std::move(rec), sim_.now()});
     ++report_.tasks_submitted;
     if (ready) co_await push_ready(key);
   }
@@ -122,26 +119,23 @@ class SoftwareRtsSystem {
     if (it == in_flight_.end()) {
       throw std::logic_error("software RTS: unknown completion");
     }
-    const auto params = it->second.params.size();
+    const auto params = it->second.record.params.size();
+    const sim::Time submitted_at = it->second.submitted_at;
     co_await busy(static_cast<sim::Time>(params) * cfg_.finish_per_param);
     in_flight_.erase(it);
-    if (auto sub = submitted_at_.find(key); sub != submitted_at_.end()) {
-      report_.turnaround_ns.add(sim::to_ns(sim_.now() - sub->second));
-      submitted_at_.erase(sub);
-    }
+    report_.turnaround_ns.add(sim::to_ns(sim_.now() - submitted_at));
     for (const std::uint64_t next : graph_.finish(key)) {
       co_await push_ready(next);
     }
     ++report_.tasks_completed;
   }
 
-  sim::Co<void> worker_process(std::uint32_t worker) {
-    (void)worker;
+  sim::Co<void> worker_process() {
     for (;;) {
       const std::uint64_t key = co_await ready_.get();
       co_await sim_.delay(cfg_.dequeue_overhead);
       // Look up timing; the record stays alive until completion handling.
-      const auto& rec = in_flight_.at(key);
+      const auto& rec = in_flight_.at(key).record;
       const sim::Time exec = rec.exec_time;
       const std::uint64_t rd = rec.read_bytes;
       const std::uint64_t wr = rec.write_bytes;
@@ -162,8 +156,12 @@ class SoftwareRtsSystem {
   core::GraphOracle graph_;
   sim::Fifo<std::uint64_t> ready_;
   sim::Fifo<std::uint64_t> completions_;
-  std::unordered_map<std::uint64_t, trace::TaskRecord> in_flight_;
-  std::unordered_map<std::uint64_t, sim::Time> submitted_at_;
+  /// A submitted task until its completion is handled.
+  struct InFlight {
+    trace::TaskRecord record;
+    sim::Time submitted_at = 0;  ///< for turnaround accounting
+  };
+  std::unordered_map<std::uint64_t, InFlight> in_flight_;
   engine::RunReport report_;  ///< filled as the run measures it
 };
 

@@ -40,11 +40,6 @@ class RoundRobinArbiter {
     any_raised_.notify_all();
   }
 
-  [[nodiscard]] bool is_raised(std::size_t i) const {
-    if (i >= lines_) throw SimError("RoundRobinArbiter: bad line");
-    return pending_[i] > 0;
-  }
-
   /// Suspends until a line is active; grants lines in round-robin order
   /// starting after the previously granted line; consumes one raise of the
   /// granted line.
@@ -57,7 +52,6 @@ class RoundRobinArbiter {
             --pending_[idx];
             --raised_total_;
             last_grant_ = idx;
-            ++grants_;
             co_return idx;
           }
         }
@@ -66,14 +60,11 @@ class RoundRobinArbiter {
     }
   }
 
-  [[nodiscard]] std::uint64_t grant_count() const noexcept { return grants_; }
-
  private:
   std::size_t lines_;
   std::vector<std::uint32_t> pending_;
   std::size_t raised_total_ = 0;
   std::size_t last_grant_ = 0;
-  std::uint64_t grants_ = 0;
   Event any_raised_;
 };
 

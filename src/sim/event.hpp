@@ -1,11 +1,10 @@
 #pragma once
-// Condition-style event: processes co_await event.wait(); notify_all /
-// notify_one schedule the waiters at the current time. Waiters must re-check
-// their condition in a loop (condition-variable discipline) because another
+// Condition-style event: processes co_await event.wait(); notify_all
+// schedules the waiters at the current time. Waiters must re-check their
+// condition in a loop (condition-variable discipline) because another
 // process may run first at the same timestamp.
 
 #include <coroutine>
-#include <cstddef>
 #include <deque>
 
 #include "sim/simulator.hpp"
@@ -39,17 +38,6 @@ class Event {
       sim_->schedule_now(waiters_.front());
       waiters_.pop_front();
     }
-  }
-
-  /// Wakes the earliest waiter, if any.
-  void notify_one() {
-    if (waiters_.empty()) return;
-    sim_->schedule_now(waiters_.front());
-    waiters_.pop_front();
-  }
-
-  [[nodiscard]] std::size_t waiter_count() const noexcept {
-    return waiters_.size();
   }
 
  private:

@@ -11,12 +11,11 @@
 // getter receives its item the moment one arrives. Waiters are served in
 // arrival order, keeping runs deterministic.
 
+#include <algorithm>
 #include <cassert>
 #include <coroutine>
-#include <cstdint>
 #include <deque>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "sim/simulator.hpp"
@@ -26,8 +25,8 @@ namespace nexuspp::sim {
 template <typename T>
 class Fifo {
  public:
-  Fifo(Simulator& sim, std::size_t capacity, std::string name = {})
-      : sim_(&sim), capacity_(capacity), name_(std::move(name)) {
+  Fifo(Simulator& sim, std::size_t capacity)
+      : sim_(&sim), capacity_(capacity) {
     if (capacity_ == 0) throw SimError("Fifo capacity must be >= 1");
   }
   // Pinned: waiter lists hold coroutine handles that point back into this
@@ -47,12 +46,10 @@ class Fifo {
         return fifo->try_put_internal(value);
       }
       void await_suspend(std::coroutine_handle<> h) {
-        ++fifo->stats_.put_blocks;
         fifo->putters_.push_back(WaitingPut{h, std::move(value)});
       }
       void await_resume() const noexcept {}
     };
-    ++stats_.puts;
     return Awaiter{this, std::move(value)};
   }
 
@@ -63,11 +60,10 @@ class Fifo {
       Fifo* fifo;
       std::optional<T> result;
       [[nodiscard]] bool await_ready() {
-        result = fifo->try_get_internal();
+        result = fifo->try_get();
         return result.has_value();
       }
       void await_suspend(std::coroutine_handle<> h) {
-        ++fifo->stats_.get_blocks;
         fifo->getters_.push_back(WaitingGet{h, this});
       }
       T await_resume() {
@@ -75,38 +71,31 @@ class Fifo {
         return std::move(*result);
       }
     };
-    ++stats_.gets;
     return Awaiter{this, std::nullopt};
   }
 
-  /// Non-blocking variants for test instrumentation and drain logic.
-  [[nodiscard]] bool try_put(T value) {
-    const bool ok = try_put_internal(value);
-    if (ok) ++stats_.puts;
-    return ok;
-  }
+  /// Non-blocking variants for the token-protocol lists and drain logic.
+  [[nodiscard]] bool try_put(T value) { return try_put_internal(value); }
   [[nodiscard]] std::optional<T> try_get() {
-    auto v = try_get_internal();
-    if (v) ++stats_.gets;
-    return v;
+    if (items_.empty()) return std::nullopt;
+    T front = std::move(items_.front());
+    items_.pop_front();
+    // A freed slot immediately admits the earliest blocked putter.
+    if (!putters_.empty()) {
+      auto waiter = std::move(putters_.front());
+      putters_.pop_front();
+      items_.push_back(std::move(waiter.value));
+      max_occupancy_ = std::max(max_occupancy_, items_.size());
+      sim_->schedule_now(waiter.handle);
+    }
+    return front;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-  [[nodiscard]] bool full() const noexcept {
-    return items_.size() >= capacity_;
+  /// Most items the list has held at once.
+  [[nodiscard]] std::size_t max_occupancy() const noexcept {
+    return max_occupancy_;
   }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
-  struct Stats {
-    std::uint64_t puts = 0;
-    std::uint64_t gets = 0;
-    std::uint64_t put_blocks = 0;  ///< puts that had to stall
-    std::uint64_t get_blocks = 0;  ///< gets that had to stall
-    std::size_t max_occupancy = 0;
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
   struct WaitingPut {
@@ -132,23 +121,8 @@ class Fifo {
     }
     if (items_.size() >= capacity_) return false;
     items_.push_back(std::move(value));
-    stats_.max_occupancy = std::max(stats_.max_occupancy, items_.size());
+    max_occupancy_ = std::max(max_occupancy_, items_.size());
     return true;
-  }
-
-  std::optional<T> try_get_internal() {
-    if (items_.empty()) return std::nullopt;
-    T front = std::move(items_.front());
-    items_.pop_front();
-    // A freed slot immediately admits the earliest blocked putter.
-    if (!putters_.empty()) {
-      auto waiter = std::move(putters_.front());
-      putters_.pop_front();
-      items_.push_back(std::move(waiter.value));
-      stats_.max_occupancy = std::max(stats_.max_occupancy, items_.size());
-      sim_->schedule_now(waiter.handle);
-    }
-    return front;
   }
 
   void deliver_to_getter(const WaitingGet& waiter, T value) {
@@ -162,11 +136,10 @@ class Fifo {
 
   Simulator* sim_;
   std::size_t capacity_;
-  std::string name_;
+  std::size_t max_occupancy_ = 0;
   std::deque<T> items_;
   std::deque<WaitingPut> putters_;
   std::deque<WaitingGet> getters_;
-  Stats stats_;
 };
 
 }  // namespace nexuspp::sim

@@ -1,8 +1,8 @@
 #pragma once
 // Counting semaphore for modeling limited hardware resources (e.g. the
 // paper's "no more than 32 tasks can access the memory at a given time").
-// Exact handoff: release() grants permits to the earliest waiters whose
-// request fits, preserving arrival order and determinism.
+// Exact handoff: release() passes its permit straight to the earliest
+// blocked acquirer, preserving arrival order and determinism.
 
 #include <coroutine>
 #include <cstdint>
@@ -21,78 +21,42 @@ class Semaphore {
   Semaphore(const Semaphore&) = delete;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  /// Awaitable acquire of `n` permits (FIFO order among blocked acquirers).
-  [[nodiscard]] auto acquire(std::int64_t n = 1) {
+  /// Awaitable acquire of one permit (FIFO order among blocked acquirers:
+  /// a permit is free only while nobody waits).
+  [[nodiscard]] auto acquire() {
     struct Awaiter {
       Semaphore* sem;
-      std::int64_t n;
       [[nodiscard]] bool await_ready() {
-        // FIFO fairness: cannot overtake already-blocked acquirers.
-        if (sem->waiters_.empty() && sem->permits_ >= n) {
-          sem->permits_ -= n;
-          sem->note_in_use();
-          return true;
-        }
-        return false;
+        if (sem->permits_ == 0) return false;
+        --sem->permits_;
+        return true;
       }
       void await_suspend(std::coroutine_handle<> h) {
-        ++sem->stats_.blocks;
-        sem->waiters_.push_back(Waiter{h, n});
+        sem->waiters_.push_back(h);
       }
       void await_resume() const noexcept {}
     };
-    if (n <= 0 || n > capacity_) {
-      throw SimError("Semaphore::acquire: bad permit count");
-    }
-    ++stats_.acquires;
-    return Awaiter{this, n};
+    return Awaiter{this};
   }
 
-  /// Returns `n` permits and admits as many blocked acquirers as now fit.
-  void release(std::int64_t n = 1) {
-    if (n <= 0) throw SimError("Semaphore::release: bad permit count");
-    permits_ += n;
-    if (permits_ > capacity_) {
+  /// Returns a permit, admitting the earliest blocked acquirer if any.
+  void release() {
+    if (!waiters_.empty()) {
+      sim_->schedule_now(waiters_.front());
+      waiters_.pop_front();
+      return;
+    }
+    if (permits_ == capacity_) {
       throw SimError("Semaphore::release: exceeded capacity");
     }
-    while (!waiters_.empty() && waiters_.front().n <= permits_) {
-      const Waiter w = waiters_.front();
-      waiters_.pop_front();
-      permits_ -= w.n;
-      note_in_use();
-      sim_->schedule_now(w.handle);
-    }
+    ++permits_;
   }
-
-  [[nodiscard]] std::int64_t available() const noexcept { return permits_; }
-  [[nodiscard]] std::int64_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t waiter_count() const noexcept {
-    return waiters_.size();
-  }
-
-  struct Stats {
-    std::uint64_t acquires = 0;
-    std::uint64_t blocks = 0;
-    std::int64_t max_in_use = 0;
-  };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::int64_t n;
-  };
-
-  void note_in_use() noexcept {
-    const std::int64_t in_use = capacity_ - permits_;
-    if (in_use > stats_.max_in_use) stats_.max_in_use = in_use;
-  }
-
   Simulator* sim_;
   std::int64_t permits_;
   std::int64_t capacity_;
-  std::deque<Waiter> waiters_;
-  Stats stats_;
+  std::deque<std::coroutine_handle<>> waiters_;
 };
 
 }  // namespace nexuspp::sim

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <queue>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sim/co.hpp"
@@ -39,7 +38,7 @@ class Simulator {
 
   /// Registers a top-level process and schedules its first resumption at
   /// the current time. The simulator owns the coroutine frame afterwards.
-  void spawn(Co<void> process, std::string name = {});
+  void spawn(Co<void> process);
 
   /// Awaitable: suspends the current process for `delay` picoseconds.
   /// A zero delay still yields (delta-cycle semantics).
@@ -67,18 +66,10 @@ class Simulator {
   /// Rethrows the first exception that escaped any process.
   Time run();
 
-  /// Runs until the queue is empty or the next event is past `deadline`.
-  Time run_until(Time deadline);
-
-  /// Kernel statistics.
+  /// Resumptions executed so far.
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
     return events_executed_;
   }
-  [[nodiscard]] std::size_t spawned_process_count() const noexcept {
-    return processes_.size();
-  }
-  [[nodiscard]] std::size_t live_process_count() const;
-  [[nodiscard]] std::vector<std::string> live_process_names() const;
 
  private:
   struct Scheduled {
@@ -93,18 +84,12 @@ class Simulator {
       return a.seq > b.seq;
     }
   };
-  struct NamedProcess {
-    Co<void>::handle_type handle;
-    std::string name;
-  };
-
-  void step(const Scheduled& item);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
   std::priority_queue<Scheduled, std::vector<Scheduled>, Later> queue_;
-  std::vector<NamedProcess> processes_;
+  std::vector<Co<void>::handle_type> processes_;
   /// The first exception a top-level process let escape; each spawned
   /// promise points here, so finding it costs nothing per event.
   std::exception_ptr pending_exception_;

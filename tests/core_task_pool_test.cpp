@@ -29,6 +29,23 @@ TaskDescriptor make_task(std::size_t n_params, std::uint64_t fn = 0xABCD,
   return td;
 }
 
+/// A task's parameters walked in place from its primary slot along the
+/// dummy chain, and the number of descriptor slots visited.
+struct Walked {
+  std::vector<Param> params;
+  std::size_t slots = 0;
+};
+Walked walk_params(const TaskPool& pool, TaskId id) {
+  Walked out;
+  for (TaskId slot = id; slot != core::kInvalidTask;
+       slot = pool.slot_next_dummy(slot)) {
+    const auto own = pool.slot_params(slot);
+    out.params.insert(out.params.end(), own.begin(), own.end());
+    ++out.slots;
+  }
+  return out;
+}
+
 TEST(TaskPoolConfig, Validation) {
   EXPECT_THROW((TaskPoolConfig{0, 8}.validate()), std::invalid_argument);
   EXPECT_THROW((TaskPoolConfig{16, 1}.validate()), std::invalid_argument);
@@ -87,9 +104,9 @@ TEST(TaskPool, InsertAndReadBackSimple) {
   EXPECT_EQ(pool.serial(ins->id), 77u);
   EXPECT_EQ(pool.param_count(ins->id), 3u);
   EXPECT_EQ(pool.dummy_count(ins->id), 0u);
-  auto rp = pool.read_params(ins->id);
-  EXPECT_EQ(rp.params, td.params);
-  EXPECT_EQ(rp.cost.reads, 1u);  // one slot visited
+  const auto walked = walk_params(pool, ins->id);
+  EXPECT_EQ(walked.params, td.params);
+  EXPECT_EQ(walked.slots, 1u);  // one slot visited
   EXPECT_EQ(pool.used_slot_count(), 1u);
 }
 
@@ -107,14 +124,14 @@ TEST(TaskPool, InsertWideTaskBuildsDummyChain) {
   EXPECT_TRUE(pool.slot_is_dummy(dummy));
   EXPECT_FALSE(pool.slot_is_dummy(ins->id));
 
-  auto rp = pool.read_params(ins->id);
-  EXPECT_EQ(rp.params, td.params);   // order preserved across the chain
-  EXPECT_EQ(rp.cost.reads, 2u);      // two slots visited
+  const auto walked = walk_params(pool, ins->id);
+  EXPECT_EQ(walked.params, td.params);  // order preserved across the chain
+  EXPECT_EQ(walked.slots, 2u);          // two slots visited
 }
 
 TEST(TaskPool, SlotParamsWalkTheChainInPlace) {
   // Inserted from a span; walking slot_params along the dummy chain gives
-  // back the list in order, split exactly as read_params reports it.
+  // back the list in order, one row per slot the descriptor owns.
   TaskPool pool({16, 4});
   const auto td = make_task(10, 0xF00D);
   auto ins = pool.insert(td.fn, 42, td.params);
@@ -130,7 +147,7 @@ TEST(TaskPool, SlotParamsWalkTheChainInPlace) {
   }
   EXPECT_EQ(walked, td.params);
   EXPECT_EQ(per_slot, (std::vector<std::size_t>{3, 3, 4}));
-  EXPECT_EQ(pool.read_params(ins->id).cost.reads, per_slot.size());
+  EXPECT_EQ(per_slot.size(), 1u + pool.dummy_count(ins->id));
   const TaskId dummy = pool.slot_next_dummy(ins->id);
   pool.free_task(ins->id);
   EXPECT_TRUE(pool.slot_params(ins->id).empty());
@@ -145,9 +162,9 @@ TEST(TaskPool, VeryWideTaskMultiDummyChain) {
   // 40 params: primary 7, dummies 7+7+7+7+5 -> slots_needed = 1+5.
   EXPECT_EQ(pool.slots_needed(40), 6u);
   EXPECT_EQ(pool.used_slot_count(), 6u);
-  auto rp = pool.read_params(ins->id);
-  EXPECT_EQ(rp.params, td.params);
-  EXPECT_EQ(rp.cost.reads, 6u);
+  const auto walked = walk_params(pool, ins->id);
+  EXPECT_EQ(walked.params, td.params);
+  EXPECT_EQ(walked.slots, 6u);
 }
 
 TEST(TaskPool, FreeReleasesWholeChain) {

@@ -40,9 +40,28 @@ Co<void> consume_n(Simulator& s, Fifo<int>& f, int n, Time gap,
   }
 }
 
+/// Records the time each put (`puts`) or get (`gets`) completes: a stall
+/// shows up as a completion later than the process asked.
+Co<void> produce_timed(Simulator& s, Fifo<int>& f, int n, Time gap,
+                       std::vector<Time>& puts) {
+  for (int i = 0; i < n; ++i) {
+    co_await f.put(i);
+    puts.push_back(s.now());
+    if (gap > 0) co_await s.delay(gap);
+  }
+}
+
+Co<void> consume_timed(Simulator& s, Fifo<int>& f, int n,
+                       std::vector<Time>& gets) {
+  for (int i = 0; i < n; ++i) {
+    (void)co_await f.get();
+    gets.push_back(s.now());
+  }
+}
+
 TEST(Fifo, PreservesOrderFastProducer) {
   Simulator s;
-  Fifo<int> f(s, 4, "f");
+  Fifo<int> f(s, 4);
   std::vector<int> out;
   s.spawn(produce_n(s, f, 20, 0));
   s.spawn(consume_n(s, f, 20, sim::ns(3), out));
@@ -53,7 +72,7 @@ TEST(Fifo, PreservesOrderFastProducer) {
 
 TEST(Fifo, PreservesOrderFastConsumer) {
   Simulator s;
-  Fifo<int> f(s, 4, "f");
+  Fifo<int> f(s, 4);
   std::vector<int> out;
   s.spawn(produce_n(s, f, 20, sim::ns(3)));
   s.spawn(consume_n(s, f, 20, 0, out));
@@ -64,44 +83,48 @@ TEST(Fifo, PreservesOrderFastConsumer) {
 
 TEST(Fifo, ProducerStallsWhenFull) {
   Simulator s;
-  Fifo<int> f(s, 2, "f");
+  Fifo<int> f(s, 2);
   std::vector<int> out;
+  std::vector<Time> puts;
   // Producer emits 5 items instantly; consumer drains one every 10 ns.
-  s.spawn(produce_n(s, f, 5, 0));
+  // Two fit, the third enters when the consumer's first get frees a slot;
+  // the last two wait for the consumer's gets at 10 and 20 ns.
+  s.spawn(produce_timed(s, f, 5, 0, puts));
   s.spawn(consume_n(s, f, 5, sim::ns(10), out));
   s.run();
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
-  EXPECT_GT(f.stats().put_blocks, 0u);
-  EXPECT_EQ(f.stats().puts, 5u);
-  EXPECT_EQ(f.stats().gets, 5u);
+  EXPECT_EQ(puts, (std::vector<Time>{0, 0, 0, sim::ns(10), sim::ns(20)}));
+  EXPECT_EQ(f.max_occupancy(), 2u);
 }
 
 TEST(Fifo, ConsumerStallsWhenEmpty) {
   Simulator s;
-  Fifo<int> f(s, 8, "f");
-  std::vector<int> out;
-  s.spawn(consume_n(s, f, 3, 0, out));
-  s.spawn(produce_n(s, f, 3, sim::ns(10)));
+  Fifo<int> f(s, 8);
+  std::vector<Time> gets;
+  std::vector<Time> puts;
+  s.spawn(consume_timed(s, f, 3, gets));
+  s.spawn(produce_timed(s, f, 3, sim::ns(10), puts));
   s.run();
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  EXPECT_GT(f.stats().get_blocks, 0u);
+  // Each get waits for the put that hands it its item.
+  EXPECT_EQ(gets, (std::vector<Time>{0, sim::ns(10), sim::ns(20)}));
+  EXPECT_EQ(gets, puts);
 }
 
 TEST(Fifo, CapacityOneBehavesLikeRendezvousBuffer) {
   Simulator s;
-  Fifo<int> f(s, 1, "f");
+  Fifo<int> f(s, 1);
   std::vector<int> out;
   s.spawn(produce_n(s, f, 10, 0));
   s.spawn(consume_n(s, f, 10, sim::ns(1), out));
   s.run();
   ASSERT_EQ(out.size(), 10u);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(out[i], i);
-  EXPECT_LE(f.stats().max_occupancy, 1u);
+  EXPECT_EQ(f.max_occupancy(), 1u);
 }
 
 TEST(Fifo, TryVariantsDoNotBlock) {
   Simulator s;
-  Fifo<int> f(s, 2, "f");
+  Fifo<int> f(s, 2);
   EXPECT_FALSE(f.try_get().has_value());
   EXPECT_TRUE(f.try_put(1));
   EXPECT_TRUE(f.try_put(2));
@@ -114,7 +137,7 @@ TEST(Fifo, TryVariantsDoNotBlock) {
 
 TEST(Fifo, ZeroCapacityRejected) {
   Simulator s;
-  EXPECT_THROW(Fifo<int>(s, 0, "bad"), sim::SimError);
+  EXPECT_THROW(Fifo<int>(s, 0), sim::SimError);
 }
 
 // Note: `tag` is taken by value — a coroutine must not hold references to
@@ -135,7 +158,7 @@ Co<void> late_putter(Simulator& s, Fifo<int>& f) {
 
 TEST(Fifo, BlockedGettersServedInArrivalOrder) {
   Simulator s;
-  Fifo<int> f(s, 4, "f");
+  Fifo<int> f(s, 4);
   std::vector<std::string> log;
   s.spawn(two_getters_one_put(s, f, log, "first"));
   s.spawn(two_getters_one_put(s, f, log, "second"));
@@ -170,28 +193,8 @@ TEST(Semaphore, LimitsConcurrency) {
   EXPECT_EQ(times[3], sim::ns(10));
   EXPECT_EQ(times[4], sim::ns(20));
   EXPECT_EQ(times[5], sim::ns(20));
-  EXPECT_EQ(sem.stats().max_in_use, 2);
-  EXPECT_EQ(sem.available(), 2);
-}
-
-Co<void> acquire_many(Simulator& s, Semaphore& sem, std::int64_t n,
-                      Time hold) {
-  co_await sem.acquire(n);
-  co_await s.delay(hold);
-  sem.release(n);
-}
-
-TEST(Semaphore, MultiPermitAcquireIsFifoFair) {
-  Simulator s;
-  Semaphore sem(s, 4);
-  std::vector<Time> times;
-  // First grab all 4, then a big request (3) must not be starved by the
-  // small one (1) behind it.
-  s.spawn(acquire_many(s, sem, 4, sim::ns(10)));
-  s.spawn(hold_semaphore(s, sem, sim::ns(1), times));   // wants 1
-  s.run();
-  ASSERT_EQ(times.size(), 1u);
-  EXPECT_EQ(times[0], sim::ns(10));
+  // Every permit came back: one more release exceeds the capacity.
+  EXPECT_THROW(sem.release(), sim::SimError);
 }
 
 TEST(Semaphore, ReleaseOverCapacityThrows) {
@@ -200,12 +203,9 @@ TEST(Semaphore, ReleaseOverCapacityThrows) {
   EXPECT_THROW(sem.release(), sim::SimError);
 }
 
-TEST(Semaphore, BadConstructionAndArgs) {
+TEST(Semaphore, ZeroPermitsRejected) {
   Simulator s;
   EXPECT_THROW(Semaphore(s, 0), sim::SimError);
-  Semaphore sem(s, 2);
-  EXPECT_THROW((void)sem.acquire(0), sim::SimError);
-  EXPECT_THROW((void)sem.acquire(3), sim::SimError);
 }
 
 Co<void> event_waiter(Simulator& s, Event& e, std::vector<Time>& log) {
@@ -229,27 +229,6 @@ TEST(Event, NotifyAllWakesEveryWaiter) {
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0], sim::ns(20));
   EXPECT_EQ(log[1], sim::ns(20));
-}
-
-Co<void> event_notifier_one(Simulator& s, Event& e) {
-  co_await s.delay(sim::ns(20));
-  e.notify_one();
-  co_await s.delay(sim::ns(20));
-  e.notify_one();
-}
-
-TEST(Event, NotifyOneWakesInArrivalOrder) {
-  Simulator s;
-  Event e(s);
-  std::vector<Time> log;
-  s.spawn(event_waiter(s, e, log));
-  s.spawn(event_waiter(s, e, log));
-  s.spawn(event_notifier_one(s, e));
-  s.run();
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], sim::ns(20));
-  EXPECT_EQ(log[1], sim::ns(40));
-  EXPECT_EQ(e.waiter_count(), 0u);
 }
 
 Co<void> arbiter_server(Simulator& s, RoundRobinArbiter& arb, int grants,
@@ -289,29 +268,26 @@ TEST(Arbiter, WaitsForRequestsAndServesLateOnes) {
   s.spawn(arbiter_riser(s, arb, sim::ns(30), 0));
   s.run();
   EXPECT_EQ(order, (std::vector<std::size_t>{2, 0}));
-  EXPECT_EQ(arb.grant_count(), 2u);
 }
 
 TEST(Arbiter, RaisesAreCountedNotCoalesced) {
   // A Task Controller finishing two buffered tasks back-to-back must get
-  // two grants, not one.
+  // two grants, not one, and each grant consumes one raise: a server
+  // asking for a third waits forever.
   Simulator s;
   RoundRobinArbiter arb(s, 2);
   std::vector<std::size_t> order;
   arb.raise(1);
   arb.raise(1);
-  EXPECT_TRUE(arb.is_raised(1));
-  s.spawn(arbiter_server(s, arb, 2, order));
+  s.spawn(arbiter_server(s, arb, 3, order));
   s.run();
   EXPECT_EQ(order, (std::vector<std::size_t>{1, 1}));
-  EXPECT_FALSE(arb.is_raised(1));
 }
 
 TEST(Arbiter, BadLineRejected) {
   Simulator s;
   RoundRobinArbiter arb(s, 2);
   EXPECT_THROW(arb.raise(2), sim::SimError);
-  EXPECT_THROW((void)arb.is_raised(5), sim::SimError);
   EXPECT_THROW(RoundRobinArbiter(s, 0), sim::SimError);
 }
 

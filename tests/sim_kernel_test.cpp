@@ -1,9 +1,8 @@
 // Tests for the discrete-event kernel: time arithmetic, event ordering,
-// determinism, nested coroutines, exceptions, and run_until semantics.
+// determinism, nested coroutines and exceptions.
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "sim/co.hpp"
@@ -126,7 +125,7 @@ Co<void> thrower(Simulator& s) {
 
 TEST(SimKernel, ProcessExceptionPropagatesFromRun) {
   Simulator s;
-  s.spawn(thrower(s), "thrower");
+  s.spawn(thrower(s));
   EXPECT_THROW(s.run(), std::runtime_error);
 }
 
@@ -151,38 +150,6 @@ TEST(SimKernel, NegativeDelayRejected) {
   std::vector<int> log;
   s.spawn(record_at(s, -1, 0, log));
   EXPECT_THROW(s.run(), sim::SimError);
-}
-
-TEST(SimKernel, RunUntilStopsAtDeadline) {
-  Simulator s;
-  std::vector<int> log;
-  s.spawn(record_at(s, sim::ns(10), 1, log));
-  s.spawn(record_at(s, sim::ns(100), 2, log));
-  s.run_until(sim::ns(50));
-  EXPECT_EQ(log, (std::vector<int>{1}));
-  EXPECT_EQ(s.now(), sim::ns(10));
-  s.run();
-  EXPECT_EQ(log, (std::vector<int>{1, 2}));
-}
-
-TEST(SimKernel, RunUntilAdvancesToDeadlineWhenIdle) {
-  Simulator s;
-  s.run_until(sim::ns(42));
-  EXPECT_EQ(s.now(), sim::ns(42));
-}
-
-TEST(SimKernel, LiveProcessAccounting) {
-  Simulator s;
-  std::vector<int> log;
-  s.spawn(record_at(s, sim::ns(1), 1, log), "fast");
-  s.spawn(record_at(s, sim::ns(100), 2, log), "slow");
-  EXPECT_EQ(s.spawned_process_count(), 2u);
-  s.run_until(sim::ns(10));
-  EXPECT_EQ(s.live_process_count(), 1u);
-  ASSERT_EQ(s.live_process_names().size(), 1u);
-  EXPECT_EQ(s.live_process_names()[0], "slow");
-  s.run();
-  EXPECT_EQ(s.live_process_count(), 0u);
 }
 
 TEST(SimKernel, EventsExecutedCounter) {
