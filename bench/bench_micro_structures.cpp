@@ -8,6 +8,8 @@
 //   * Resolver: full submit+finish cycles (hardware structures) vs the
 //     unbounded GraphOracle (software structures) — the "fewer resources
 //     and computations" claim in host-time terms
+//   * MasterResolver: the exec-threads master's Listing 2 without threads,
+//     over fine-stream's input with a bounded window of tasks in flight
 //   * Simulation kernel: event throughput, FIFO handoff
 //   * Real runtime: end-to-end task throughput
 //
@@ -23,9 +25,11 @@
 #include "core/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "exec/executor.hpp"
+#include "exec/master_resolver.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/fifo.hpp"
 #include "sim/simulator.hpp"
+#include "workloads/random_dag.hpp"
 
 namespace nexuspp {
 namespace {
@@ -138,6 +142,78 @@ void BM_Resolver_SubmitFinishPair(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2);
 }
 BENCHMARK(BM_Resolver_SubmitFinishPair);
+
+/// Listing 2 as the exec-threads master runs it, without threads:
+/// perfbench fine-stream's input (30 000 tasks, 48 addresses, <= 6
+/// parameters, write probability 0.5, seed 7) through one
+/// exec::MasterResolver at the executor's default sizes, at most 16 tasks
+/// in flight, the oldest ready task finished first. Items are tasks. Unlike
+/// BM_Resolver_SubmitFinishPair's pair, which never queues, tasks here
+/// wait in kick-off lists and are granted by releases.
+void BM_MasterResolver_FineStreamWindow(benchmark::State& state) {
+  constexpr std::uint64_t kWindow = 16;
+  workloads::RandomDagConfig cfg;
+  cfg.num_tasks = 30'000;
+  cfg.addr_space = 48;
+  cfg.max_params = 6;
+  cfg.write_prob = 0.5;
+  cfg.seed = 7;
+  const auto tasks = workloads::make_random_dag_trace(cfg);
+  // The tables drain after every pass, so one resolver serves them all.
+  exec::MasterResolver resolver(exec::MasterResolverConfig{}, kWindow);
+  std::vector<std::vector<core::Param>> params(tasks->size());
+  std::vector<std::uint64_t> free_gids;
+  std::vector<std::uint64_t> ready(tasks->size());  // FIFO, never wraps
+  std::vector<std::uint64_t> granted;
+  granted.reserve(kWindow);
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::size_t k = 0; k < tasks->size(); ++k) {
+      params[k] = (*tasks)[k].params;  // begin_submit takes the list
+    }
+    free_gids.clear();
+    for (std::uint64_t g = 0; g < kWindow; ++g) free_gids.push_back(g);
+    std::size_t ready_head = 0;
+    std::size_t ready_tail = 0;
+    std::uint64_t in_flight = 0;
+    state.ResumeTiming();
+
+    // The oldest in-flight task is always ready: its predecessors are
+    // older, so finished.
+    const auto finish_oldest_ready = [&] {
+      const std::uint64_t gid = ready[ready_head++];
+      resolver.finish(gid, granted);
+      for (const std::uint64_t g : granted) ready[ready_tail++] = g;
+      free_gids.push_back(gid);
+      --in_flight;
+    };
+    for (std::size_t k = 0; k < tasks->size(); ++k) {
+      if (in_flight == kWindow) finish_oldest_ready();
+      const std::uint64_t gid = free_gids.back();
+      free_gids.pop_back();
+      const auto& rec = (*tasks)[k];
+      auto session =
+          resolver.begin_submit(gid, rec.serial, rec.fn, std::move(params[k]));
+      auto progress = session.advance();
+      while (progress == exec::MasterResolver::Progress::kStalled) {
+        finish_oldest_ready();
+        progress = session.advance();
+      }
+      if (progress == exec::MasterResolver::Progress::kStructural) {
+        state.SkipWithError(session.failure().c_str());
+        return;
+      }
+      ++in_flight;
+      if (session.ready()) ready[ready_tail++] = gid;
+    }
+    while (in_flight > 0) finish_oldest_ready();
+    benchmark::DoNotOptimize(ready.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(tasks->size()));
+}
+BENCHMARK(BM_MasterResolver_FineStreamWindow)->Unit(benchmark::kMillisecond);
 
 /// Same logical work through the unbounded software oracle.
 void BM_Oracle_SubmitFinishPair(benchmark::State& state) {

@@ -404,6 +404,10 @@ struct Faults {
   /// has since written there for the ring's next lap.
   [[nodiscard]] static bool read_ready_slot_after_claim() noexcept;
   static void set_read_ready_slot_after_claim(bool on) noexcept;
+  /// TaskHandoff::post stores a completion entry's stamp before its id, so
+  /// the master can drain an entry whose id is not written yet.
+  [[nodiscard]] static bool publish_completion_stamp_early() noexcept;
+  static void set_publish_completion_stamp_early(bool on) noexcept;
 };
 
 }  // namespace nexuspp::chk
@@ -438,6 +442,10 @@ struct Faults {
     return false;
   }
   [[nodiscard]] static constexpr bool read_ready_slot_after_claim() noexcept {
+    return false;
+  }
+  [[nodiscard]] static constexpr bool
+  publish_completion_stamp_early() noexcept {
     return false;
   }
 };

@@ -103,6 +103,7 @@ EnvAutoInstall g_env_autoinstall;
 
 std::atomic<bool> g_fault_publish_early{false};
 std::atomic<bool> g_fault_read_after_claim{false};
+std::atomic<bool> g_fault_stamp_early{false};
 
 }  // namespace
 
@@ -144,6 +145,14 @@ bool Faults::read_ready_slot_after_claim() noexcept {
 
 void Faults::set_read_ready_slot_after_claim(bool on) noexcept {
   g_fault_read_after_claim.store(on, std::memory_order_relaxed);
+}
+
+bool Faults::publish_completion_stamp_early() noexcept {
+  return g_fault_stamp_early.load(std::memory_order_relaxed);
+}
+
+void Faults::set_publish_completion_stamp_early(bool on) noexcept {
+  g_fault_stamp_early.store(on, std::memory_order_relaxed);
 }
 
 namespace detail {

@@ -53,10 +53,13 @@
 //   `lookup`/`insert` keep working (inserts register in the interval
 //   index); resolution logic lives in core::Resolver's range paths.
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/index_fifo.hpp"
@@ -239,16 +242,34 @@ class DependenceTable {
     bool ww = false;
     bool has_dummy = false;
   };
+  /// What a free slot holds. Slots are reset by copying it: `s = Slot{}`
+  /// builds the temporary on the stack, and reloading it straddles the
+  /// stores that just built it, which stalls until they reach the cache.
+  static const Slot kEmptySlot;
+
+  /// Throws std::out_of_range: `index` names no parent entry. Out of line
+  /// like the other rare paths below: the dummy-entry allocation,
+  /// promotion and the range-mode interval index.
+  [[noreturn]] static void bad_parent(Index index);
 
   [[nodiscard]] std::size_t bucket_of(Addr addr) const noexcept;
   [[nodiscard]] const Slot& parent_slot(Index index) const;
   [[nodiscard]] Slot& parent_slot(Index index);
   [[nodiscard]] std::optional<Index> alloc_slot();
   void free_slot(Index index);
+  /// Range mode: registers a new entry in the interval index and the
+  /// live-size census.
+  void index_insert(Addr addr, std::uint32_t size, Index index);
+  /// Range mode: retires an erased entry from the index and the census.
+  void index_retire(Addr addr, std::uint32_t size, Index index);
   /// Range mode: retarget (erase or re-point) the interval-index entry for
   /// `(addr, index)`. No-op in base-address mode.
   void index_erase(Addr addr, Index index);
   void index_replace(Addr addr, Index old_index, Index new_index);
+  /// kickoff_append when the chain's tail list is full: the dummy entry
+  /// (or the failure), charged with the caller's read of the tail.
+  [[nodiscard]] AppendResult kickoff_append_full(Index parent, Index tail_idx,
+                                                 TaskId task);
   /// Copies parent data into its first extension slot and frees the parent.
   Index promote(Index parent, Cost& cost);
 
@@ -278,5 +299,280 @@ class DependenceTable {
   /// without pretending the table changed.
   mutable Stats stats_;
 };
+
+// --- Inline fast paths -------------------------------------------------------
+//
+// Everything a base-address lookup, insert, erase and kick-off walk runs is
+// defined here and forced inline, so the resolvers compile it into their
+// own code: the exec-threads master runs Listing 2 for every parameter of
+// every task, and an out-of-line call per accessor, its result returned
+// through the stack, cost more than the table work. GCC's default limits
+// at -O3 leave the larger bodies (Resolver::release_as_writer) out of line,
+// hence the attribute. The rare paths stay in dependence_table.cpp.
+
+inline constexpr DependenceTable::Slot DependenceTable::kEmptySlot{};
+
+[[gnu::always_inline]]
+inline std::size_t DependenceTable::bucket_of(Addr addr) const noexcept {
+  // Fibonacci (multiplicative) hashing; bucket count equals table capacity.
+  const std::uint64_t h = addr * 0x9E3779B97F4A7C15ULL;
+  return static_cast<std::size_t>((h >> 17) % bucket_heads_.size());
+}
+
+[[gnu::always_inline]]
+inline const DependenceTable::Slot& DependenceTable::parent_slot(
+    Index index) const {
+  if (index >= slots_.size() || !slots_[index].valid ||
+      slots_[index].is_ko_dummy) [[unlikely]] {
+    bad_parent(index);
+  }
+  return slots_[index];
+}
+
+[[gnu::always_inline]]
+inline DependenceTable::Slot& DependenceTable::parent_slot(Index index) {
+  return const_cast<Slot&>(std::as_const(*this).parent_slot(index));
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline std::optional<DependenceTable::Index> DependenceTable::alloc_slot() {
+  if (free_.empty()) return std::nullopt;
+  const Index i = free_.pop();
+  slots_[i] = kEmptySlot;
+  slots_[i].valid = true;
+  stats_.max_live_slots = std::max(stats_.max_live_slots, live_slot_count());
+  return i;
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline void DependenceTable::free_slot(Index index) {
+  slots_[index] = kEmptySlot;
+  free_.push(index);
+}
+
+[[gnu::always_inline]]
+inline std::size_t DependenceTable::ko_pos(Index index,
+                                           std::uint32_t offset) const {
+  const std::uint32_t width = config_.kick_off_capacity;
+  // head < width and offset <= width: one subtraction wraps the sum.
+  std::uint64_t pos = std::uint64_t{slots_[index].ko_head} + offset;
+  if (pos >= width) pos -= width;
+  return std::size_t{index} * width + static_cast<std::size_t>(pos);
+}
+
+[[gnu::always_inline]]
+inline void DependenceTable::ko_push_back(Index index, TaskId task) {
+  Slot& s = slots_[index];
+  assert(s.ko_count < config_.kick_off_capacity);
+  ko_ids_[ko_pos(index, s.ko_count)] = task;
+  ++s.ko_count;
+}
+
+[[gnu::always_inline]]
+inline TaskId DependenceTable::ko_pop_front(Index index) {
+  Slot& s = slots_[index];
+  assert(s.ko_count > 0);
+  const TaskId task = ko_ids_[ko_pos(index, 0)];
+  s.ko_head = s.ko_head + 1 == config_.kick_off_capacity ? 0 : s.ko_head + 1;
+  --s.ko_count;
+  return task;
+}
+
+[[gnu::always_inline]]
+inline TaskId DependenceTable::ko_pop_back(Index index) {
+  Slot& s = slots_[index];
+  assert(s.ko_count > 0);
+  --s.ko_count;
+  return ko_ids_[ko_pos(index, s.ko_count)];
+}
+
+[[gnu::always_inline]]
+inline DependenceTable::LookupResult DependenceTable::lookup(Addr addr) const {
+  LookupResult out;
+  std::uint32_t probes = 0;
+  for (Index cur = bucket_heads_[bucket_of(addr)]; cur != kInvalidIndex;
+       cur = slots_[cur].next) {
+    ++probes;
+    if (slots_[cur].addr == addr) {
+      out.index = cur;
+      break;
+    }
+  }
+  // An empty bucket still costs one access to discover it is empty.
+  out.cost.reads = std::max<std::uint32_t>(probes, 1);
+  stats_.longest_hash_chain = std::max(stats_.longest_hash_chain, probes);
+  ++stats_.lookups;
+  stats_.lookup_probes += out.cost.reads;
+  return out;
+}
+
+[[gnu::always_inline]]
+inline DependenceTable::InsertResult DependenceTable::insert(
+    Addr addr, std::uint32_t size, bool is_out, TaskId owner) {
+  InsertResult out;
+  const auto slot = alloc_slot();
+  if (!slot) {
+    ++stats_.insert_failures;
+    return out;
+  }
+  Slot& s = slots_[*slot];
+  s.addr = addr;
+  s.size = size;
+  s.out = is_out;
+  s.owner = owner;
+  out.cost.writes += 1;
+  if (config_.match_mode == MatchMode::kRange) index_insert(addr, size, *slot);
+
+  // Link at the head of the hash chain (one write to the head pointer,
+  // one to the old head's prev link if present).
+  const std::size_t bucket = bucket_of(addr);
+  const Index old_head = bucket_heads_[bucket];
+  s.next = old_head;
+  if (old_head != kInvalidIndex) {
+    slots_[old_head].prev = *slot;
+    out.cost.writes += 1;
+  }
+  bucket_heads_[bucket] = *slot;
+  out.cost.writes += 1;
+
+  ++stats_.inserts;
+  out.index = *slot;
+  return out;
+}
+
+[[gnu::always_inline]]
+inline Cost DependenceTable::erase(Index index) {
+  Slot& s = parent_slot(index);
+  if (s.ko_count != 0 || s.has_dummy) [[unlikely]] {
+    throw_logic_error("DependenceTable::erase: kick-off list not empty");
+  }
+  Cost cost;
+  // Unlink from the hash chain.
+  if (s.prev != kInvalidIndex) {
+    slots_[s.prev].next = s.next;
+    cost.writes += 1;
+  } else {
+    bucket_heads_[bucket_of(s.addr)] = s.next;
+    cost.writes += 1;
+  }
+  if (s.next != kInvalidIndex) {
+    slots_[s.next].prev = s.prev;
+    cost.writes += 1;
+  }
+  if (config_.match_mode == MatchMode::kRange) {
+    index_retire(s.addr, s.size, index);
+  }
+  free_slot(index);
+  ++stats_.erases;
+  return cost;
+}
+
+[[gnu::always_inline]]
+inline Addr DependenceTable::addr_of(Index index) const {
+  return parent_slot(index).addr;
+}
+[[gnu::always_inline]]
+inline std::uint32_t DependenceTable::size_of(Index index) const {
+  return parent_slot(index).size;
+}
+[[gnu::always_inline]]
+inline bool DependenceTable::is_out(Index index) const {
+  return parent_slot(index).out;
+}
+[[gnu::always_inline]]
+inline std::uint32_t DependenceTable::readers(Index index) const {
+  return parent_slot(index).rdrs;
+}
+[[gnu::always_inline]]
+inline bool DependenceTable::writer_waits(Index index) const {
+  return parent_slot(index).ww;
+}
+[[gnu::always_inline]]
+inline TaskId DependenceTable::owner_of(Index index) const {
+  return parent_slot(index).owner;
+}
+
+[[gnu::always_inline]]
+inline Cost DependenceTable::set_is_out(Index index, bool value) {
+  parent_slot(index).out = value;
+  return Cost{0, 1};
+}
+[[gnu::always_inline]]
+inline Cost DependenceTable::set_writer_waits(Index index, bool value) {
+  parent_slot(index).ww = value;
+  return Cost{0, 1};
+}
+[[gnu::always_inline]]
+inline Cost DependenceTable::add_reader(Index index) {
+  ++parent_slot(index).rdrs;
+  return Cost{1, 1};
+}
+[[gnu::always_inline]]
+inline Cost DependenceTable::remove_reader(Index index) {
+  Slot& s = parent_slot(index);
+  if (s.rdrs == 0) [[unlikely]] {
+    throw_logic_error("DependenceTable: readers counter underflow");
+  }
+  --s.rdrs;
+  return Cost{1, 1};
+}
+[[gnu::always_inline]]
+inline Cost DependenceTable::set_readers(Index index, std::uint32_t value) {
+  parent_slot(index).rdrs = value;
+  return Cost{0, 1};
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline DependenceTable::AppendResult DependenceTable::kickoff_append(
+    Index parent, TaskId task) {
+  const Slot& p = parent_slot(parent);
+  const Index tail_idx = p.has_dummy ? p.last_dummy : parent;
+  if (slots_[tail_idx].ko_count < config_.kick_off_capacity) [[likely]] {
+    ko_push_back(tail_idx, task);
+    return {true, false, Cost{1, 1}};
+  }
+  return kickoff_append_full(parent, tail_idx, task);
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline DependenceTable::PopResult DependenceTable::kickoff_pop(Index parent) {
+  PopResult out{std::nullopt, parent, {}};
+  const Slot& p = parent_slot(parent);
+  out.cost.reads += 1;
+  if (p.ko_count == 0) {
+    assert(!p.has_dummy);
+    return out;
+  }
+  out.task = ko_pop_front(parent);
+  out.cost.writes += 1;
+  if (p.ko_count == 0 && p.has_dummy) [[unlikely]] {
+    Cost promotion;
+    out.parent = promote(parent, promotion);
+    out.cost += promotion;
+  }
+  return out;
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline DependenceTable::PeekResult DependenceTable::kickoff_front(
+    Index parent) const {
+  PeekResult out;
+  const Slot& p = parent_slot(parent);
+  out.cost.reads += 1;
+  if (p.ko_count != 0) out.task = ko_ids_[ko_pos(parent, 0)];
+  return out;
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline bool DependenceTable::kickoff_empty(Index parent) const {
+  const Slot& p = parent_slot(parent);
+  return p.ko_count == 0 && !p.has_dummy;
+}
 
 }  // namespace nexuspp::core

@@ -29,6 +29,7 @@
 // atomic: slot demand is prechecked, so a kNeedSpace result still leaves
 // all state unchanged and retries stay safe.
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -153,5 +154,237 @@ class Resolver {
   DependenceTable* dt_;
   Stats stats_;
 };
+
+// --- Inline fast paths -------------------------------------------------------
+//
+// Listing 2 and Handle Finished in base-address mode, defined here with the
+// table accessors they call (dependence_table.hpp, task_pool.hpp), so a
+// caller such as exec::MasterResolver compiles one parameter's whole
+// registration or release into straight-line code. The range-mode paths
+// stay out of line in resolver.cpp.
+
+[[gnu::always_inline]]
+inline Resolver::ParamResult Resolver::process_param(TaskId id,
+                                                     const Param& param) {
+  return dt_->match_mode() == MatchMode::kRange
+             ? process_param_range(id, param)
+             : process_param_base(id, param);
+}
+
+[[gnu::always_inline]]
+inline Resolver::ParamResult Resolver::process_param_base(TaskId id,
+                                                          const Param& param) {
+  ParamResult out;
+  const bool is_reader_only = param.mode == AccessMode::kIn;
+
+  auto lookup = dt_->lookup(param.addr);
+  out.cost += lookup.cost;
+
+  if (!lookup.index.has_value()) {
+    // (1) Address not tracked: insert and grant.
+    auto ins = dt_->insert(param.addr, param.size, !is_reader_only);
+    out.cost += ins.cost;
+    if (!ins.index.has_value()) {
+      ++stats_.stalls;
+      out.outcome = ParamOutcome::kNeedSpace;
+      return out;
+    }
+    if (is_reader_only) {
+      out.cost += dt_->set_readers(*ins.index, 1);  // (2)
+    }
+    ++stats_.granted;
+    out.outcome = ParamOutcome::kGranted;
+    return out;
+  }
+
+  const auto idx = *lookup.index;
+  if (is_reader_only) {
+    // (3) New task only reads the address.
+    if (!dt_->is_out(idx) && !dt_->writer_waits(idx)) {
+      out.cost += dt_->add_reader(idx);  // (4) RAR: share the address
+      ++stats_.granted;
+      out.outcome = ParamOutcome::kGranted;
+      return out;
+    }
+    // (4') RAW (writer active) or a writer already waits (cannot overtake).
+    auto app = dt_->kickoff_append(idx, id);
+    out.cost += app.cost;
+    if (!app.ok) {
+      ++stats_.stalls;
+      out.outcome = ParamOutcome::kNeedSpace;
+      out.structural = app.structural;
+      return out;
+    }
+    out.cost += tp_->increment_dc(id);
+    ++stats_.queued;
+    ++stats_.raw_hazards;
+    out.outcome = ParamOutcome::kQueued;
+    return out;
+  }
+
+  // (3') New task writes the address: always queues behind current users.
+  auto app = dt_->kickoff_append(idx, id);
+  out.cost += app.cost;
+  if (!app.ok) {
+    ++stats_.stalls;
+    out.outcome = ParamOutcome::kNeedSpace;
+    out.structural = app.structural;
+    return out;
+  }
+  out.cost += tp_->increment_dc(id);
+  if (!dt_->is_out(idx)) {
+    // WAR: readers are active; flag that a writer waits behind them.
+    out.cost += dt_->set_writer_waits(idx, true);
+    ++stats_.war_hazards;
+  } else {
+    ++stats_.waw_hazards;
+  }
+  ++stats_.queued;
+  out.outcome = ParamOutcome::kQueued;
+  return out;
+}
+
+[[gnu::always_inline]]
+inline Resolver::FinalizeResult Resolver::finalize_new_task(TaskId id) {
+  FinalizeResult out;
+  out.cost.reads += 1;  // read the task's DC
+  out.ready = tp_->dependence_count(id) == 0;
+  return out;
+}
+
+[[gnu::always_inline]]
+inline void Resolver::grant_waiter(TaskId task, Cost& cost,
+                                   std::vector<TaskId>& now_ready) {
+  const auto dec = tp_->decrement_dc(task);
+  cost += dec.cost;
+  // The paper's `busy` flag: while Check Deps still processes this task's
+  // remaining parameters, Handle Finished must not declare it ready — the
+  // counter could transiently hit zero before later parameters add new
+  // dependencies. Check Deps emits readiness itself when it finalizes.
+  if (dec.remaining == 0 && !tp_->busy(task)) now_ready.push_back(task);
+}
+
+[[gnu::always_inline]]
+inline void Resolver::release_as_reader(Addr addr, Cost& cost,
+                                        std::vector<TaskId>& now_ready) {
+  auto lookup = dt_->lookup(addr);
+  cost += lookup.cost;
+  if (!lookup.index.has_value()) [[unlikely]] {
+    throw_logic_error("Resolver::finish: reader address not tracked");
+  }
+  auto idx = *lookup.index;
+  cost += dt_->remove_reader(idx);
+  if (dt_->readers(idx) != 0) return;
+
+  if (!dt_->writer_waits(idx)) {
+    // Last reader gone and nobody waits: the address leaves the table.
+    assert(dt_->kickoff_empty(idx));
+    cost += dt_->erase(idx);
+    return;
+  }
+  // A writer waits (WAR). It is the oldest kick-off entry; grant it.
+  auto pop = dt_->kickoff_pop(idx);
+  cost += pop.cost;
+  idx = pop.parent;
+  if (!pop.task.has_value()) [[unlikely]] {
+    throw_logic_error("Resolver::finish: ww set but kick-off empty");
+  }
+  cost += dt_->set_is_out(idx, true);
+  cost += dt_->set_writer_waits(idx, false);
+  grant_waiter(*pop.task, cost, now_ready);
+}
+
+[[gnu::always_inline]]
+inline void Resolver::release_as_writer(Addr addr, Cost& cost,
+                                        std::vector<TaskId>& now_ready) {
+  auto lookup = dt_->lookup(addr);
+  cost += lookup.cost;
+  if (!lookup.index.has_value()) [[unlikely]] {
+    throw_logic_error("Resolver::finish: writer address not tracked");
+  }
+  auto idx = *lookup.index;
+  assert(dt_->is_out(idx));
+
+  if (dt_->kickoff_empty(idx)) {
+    cost += dt_->erase(idx);
+    return;
+  }
+
+  // Grant waiting readers until a writer (or the end of the list).
+  std::uint32_t granted_readers = 0;
+  for (;;) {
+    auto peek = dt_->kickoff_front(idx);
+    cost += peek.cost;
+    if (!peek.task.has_value()) break;  // list drained
+
+    auto mode = tp_->mode_for(*peek.task, addr);
+    cost += mode.cost;
+    if (!mode.mode.has_value()) [[unlikely]] {
+      throw_logic_error(
+          "Resolver::finish: kick-off task has no parameter for address");
+    }
+
+    if (*mode.mode == AccessMode::kIn) {
+      auto pop = dt_->kickoff_pop(idx);
+      cost += pop.cost;
+      idx = pop.parent;
+      ++granted_readers;
+      grant_waiter(*pop.task, cost, now_ready);
+      continue;
+    }
+
+    // Front task wants to write.
+    if (granted_readers == 0) {
+      // WAW: no readers in between — the writer takes over directly.
+      auto pop = dt_->kickoff_pop(idx);
+      cost += pop.cost;
+      idx = pop.parent;
+      grant_waiter(*pop.task, cost, now_ready);
+      // is_out stays true for the new writer.
+      return;
+    }
+    // WAR: the writer must wait for the readers just granted.
+    cost += dt_->set_writer_waits(idx, true);
+    break;
+  }
+
+  cost += dt_->set_is_out(idx, false);
+  cost += dt_->set_readers(idx, granted_readers);
+  if (granted_readers == 0 && dt_->kickoff_empty(idx) &&
+      !dt_->writer_waits(idx)) {
+    // Defensive: an empty drain (cannot normally happen — the list was
+    // non-empty and only readers/writers leave it above).
+    ++stats_.defensive_drains;
+    cost += dt_->erase(idx);
+  }
+}
+
+[[gnu::always_inline]]
+inline Cost Resolver::finish_param(TaskId id, const Param& param,
+                                   std::vector<TaskId>& now_ready) {
+  Cost cost;
+  if (dt_->match_mode() == MatchMode::kRange) {
+    release_owned(id, param, cost, now_ready);
+  } else if (param.mode == AccessMode::kIn) {
+    release_as_reader(param.addr, cost, now_ready);
+  } else {
+    release_as_writer(param.addr, cost, now_ready);
+  }
+  return cost;
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline Cost Resolver::finish(TaskId id, std::vector<TaskId>& now_ready) {
+  Cost cost;
+  cost.reads += 1 + tp_->dummy_count(id);  // the descriptor's slots
+  for (TaskId slot = id; slot != kInvalidTask;
+       slot = tp_->slot_next_dummy(slot)) {
+    for (const auto& param : tp_->slot_params(slot)) {
+      cost += finish_param(id, param, now_ready);
+    }
+  }
+  return cost;
+}
 
 }  // namespace nexuspp::core

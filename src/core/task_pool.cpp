@@ -1,11 +1,9 @@
 #include "core/task_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace nexuspp::core {
 
@@ -43,9 +41,12 @@ TaskPool::TaskPool(TaskPoolConfig config)
       params_(std::size_t{config_.capacity} * config_.max_params),
       free_(config_.capacity) {}
 
-std::uint32_t TaskPool::slots_needed(std::size_t param_count) const {
+void TaskPool::bad_task(TaskId id) {
+  throw std::out_of_range("TaskPool: bad task id " + std::to_string(id));
+}
+
+std::uint32_t TaskPool::spilled_slots(std::size_t param_count) const {
   const std::size_t m = config_.max_params;
-  if (param_count <= m) return 1;
   if (!config_.allow_dummy_tasks) {
     // Classic Nexus: a wide task can never be stored. Report a demand that
     // exceeds any pool so can_insert/can_ever_insert are always false.
@@ -63,7 +64,7 @@ std::uint32_t TaskPool::slots_needed(std::size_t param_count) const {
 }
 
 // NEXUS_HOT_PATH
-std::optional<TaskPool::Inserted> TaskPool::insert(
+std::optional<TaskPool::Inserted> TaskPool::insert_spilled(
     std::uint64_t fn, std::uint64_t serial, std::span<const Param> params) {
   const std::uint32_t needed = slots_needed(params.size());
   if (needed > free_.size()) {
@@ -78,7 +79,7 @@ std::optional<TaskPool::Inserted> TaskPool::insert(
   // Allocate the primary slot.
   const TaskId id = free_.pop();
   Slot& head = slots_[id];
-  head = Slot{};
+  head = kEmptySlot;
   head.used = true;
   head.fn = fn;
   head.serial = serial;
@@ -87,7 +88,7 @@ std::optional<TaskPool::Inserted> TaskPool::insert(
   cost.writes += 1;
 
   // Distribute parameters over the primary slot and the dummy chain.
-  std::size_t next_param = (total <= m) ? total : (m - 1);
+  std::size_t next_param = m - 1;
   store_params(id, params.first(next_param));
 
   TaskId chain_tail = id;
@@ -96,7 +97,7 @@ std::optional<TaskPool::Inserted> TaskPool::insert(
     const TaskId dummy_id = free_.pop();
     ++stats_.dummy_slots_allocated;
     Slot& dummy = slots_[dummy_id];
-    dummy = Slot{};
+    dummy = kEmptySlot;
     dummy.used = true;
     dummy.is_dummy = true;
     const std::size_t take = (remaining <= m) ? remaining : (m - 1);
@@ -110,108 +111,6 @@ std::optional<TaskPool::Inserted> TaskPool::insert(
   ++stats_.inserts;
   stats_.max_used_slots = std::max(stats_.max_used_slots, used_slot_count());
   return Inserted{id, cost};
-}
-
-void TaskPool::store_params(TaskId index, std::span<const Param> params) {
-  std::copy(params.begin(), params.end(),
-            params_.begin() + static_cast<std::ptrdiff_t>(
-                                  std::size_t{index} * config_.max_params));
-  slots_[index].own_params = static_cast<std::uint32_t>(params.size());
-}
-
-// NEXUS_HOT_PATH
-Cost TaskPool::free_task(TaskId id) {
-  Cost cost;
-  const Slot& head = primary(id);
-  if (head.is_dummy) {
-    throw std::logic_error("TaskPool::free_task on a dummy slot");
-  }
-  TaskId cur = id;
-  while (cur != kInvalidTask) {
-    Slot& slot = slots_[cur];
-    assert(slot.used);
-    const TaskId next = slot.next_dummy;
-    slot = Slot{};
-    free_.push(cur);
-    cost.writes += 1;
-    cur = next;
-  }
-  ++stats_.frees;
-  return cost;
-}
-
-const TaskPool::Slot& TaskPool::primary(TaskId id) const {
-  if (id >= slots_.size() || !slots_[id].used) {
-    throw std::out_of_range("TaskPool: bad task id " + std::to_string(id));
-  }
-  return slots_[id];
-}
-
-TaskPool::Slot& TaskPool::primary(TaskId id) {
-  return const_cast<Slot&>(std::as_const(*this).primary(id));
-}
-
-std::uint64_t TaskPool::fn(TaskId id) const { return primary(id).fn; }
-std::uint64_t TaskPool::serial(TaskId id) const { return primary(id).serial; }
-std::uint32_t TaskPool::param_count(TaskId id) const {
-  return primary(id).total_params;
-}
-std::uint32_t TaskPool::dummy_count(TaskId id) const {
-  return primary(id).n_dummies;
-}
-
-std::uint16_t TaskPool::dependence_count(TaskId id) const {
-  return primary(id).dc;
-}
-
-Cost TaskPool::increment_dc(TaskId id) {
-  ++primary(id).dc;
-  return Cost{1, 1};
-}
-
-TaskPool::DecrementResult TaskPool::decrement_dc(TaskId id) {
-  Slot& slot = primary(id);
-  if (slot.dc == 0) {
-    throw std::logic_error("TaskPool: dependence counter underflow");
-  }
-  --slot.dc;
-  return DecrementResult{slot.dc, Cost{1, 1}};
-}
-
-void TaskPool::set_busy(TaskId id, bool busy) { primary(id).busy = busy; }
-bool TaskPool::busy(TaskId id) const { return primary(id).busy; }
-
-std::span<const Param> TaskPool::slot_params(std::uint32_t index) const {
-  if (index >= slots_.size()) return {};
-  return {params_.data() + std::size_t{index} * config_.max_params,
-          slots_[index].own_params};
-}
-
-TaskPool::ModeLookup TaskPool::mode_for(TaskId id, Addr addr) const {
-  ModeLookup out;
-  (void)primary(id);
-  for (TaskId cur = id; cur != kInvalidTask; cur = slots_[cur].next_dummy) {
-    out.cost.reads += 1;
-    for (const auto& p : slot_params(cur)) {
-      if (p.addr == addr) {
-        out.mode = p.mode;
-        return out;
-      }
-    }
-  }
-  return out;
-}
-
-bool TaskPool::slot_used(std::uint32_t index) const {
-  return index < slots_.size() && slots_[index].used;
-}
-bool TaskPool::slot_is_dummy(std::uint32_t index) const {
-  return index < slots_.size() && slots_[index].used &&
-         slots_[index].is_dummy;
-}
-TaskId TaskPool::slot_next_dummy(std::uint32_t index) const {
-  if (index >= slots_.size() || !slots_[index].used) return kInvalidTask;
-  return slots_[index].next_dummy;
 }
 
 }  // namespace nexuspp::core

@@ -21,9 +21,13 @@
 // writes performed, which the timed layer converts into on-chip access
 // cycles.
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/index_fifo.hpp"
@@ -51,7 +55,9 @@ class TaskPool {
 
   /// Number of slots a descriptor with `param_count` parameters occupies
   /// (primary + dummy tasks).
-  [[nodiscard]] std::uint32_t slots_needed(std::size_t param_count) const;
+  [[nodiscard]] std::uint32_t slots_needed(std::size_t param_count) const {
+    return param_count <= config_.max_params ? 1 : spilled_slots(param_count);
+  }
 
   /// True if a descriptor with `param_count` parameters can be stored now.
   [[nodiscard]] bool can_insert(std::size_t param_count) const {
@@ -168,6 +174,19 @@ class TaskPool {
     bool busy = false;
     bool is_dummy = false;
   };
+  /// What a free slot holds. Slots are reset by copying it: `s = Slot{}`
+  /// builds the temporary on the stack, and reloading it straddles the
+  /// stores that just built it, which stalls until they reach the cache.
+  static const Slot kEmptySlot;
+
+  /// Throws std::out_of_range: `id` names no used slot. Out of line like
+  /// the spill into dummy tasks below.
+  [[noreturn]] static void bad_task(TaskId id);
+  /// slots_needed() for more than max_params parameters.
+  [[nodiscard]] std::uint32_t spilled_slots(std::size_t param_count) const;
+  /// insert() for a descriptor that spills into dummy tasks.
+  [[nodiscard]] std::optional<Inserted> insert_spilled(
+      std::uint64_t fn, std::uint64_t serial, std::span<const Param> params);
 
   [[nodiscard]] const Slot& primary(TaskId id) const;
   [[nodiscard]] Slot& primary(TaskId id);
@@ -181,5 +200,161 @@ class TaskPool {
   IndexFifo free_;  ///< the "TP Free indices" FIFO list
   Stats stats_;
 };
+
+// --- Inline fast paths -------------------------------------------------------
+//
+// Inserting and freeing a one-descriptor task, the DC and busy flags and
+// the in-place parameter walk are defined here and forced inline, so the
+// resolvers compile them into their own code (see dependence_table.hpp).
+// A descriptor that spills into dummy tasks is stored out of line.
+
+inline constexpr TaskPool::Slot TaskPool::kEmptySlot{};
+
+[[gnu::always_inline]]
+inline const TaskPool::Slot& TaskPool::primary(TaskId id) const {
+  if (id >= slots_.size() || !slots_[id].used) [[unlikely]] bad_task(id);
+  return slots_[id];
+}
+
+[[gnu::always_inline]]
+inline TaskPool::Slot& TaskPool::primary(TaskId id) {
+  return const_cast<Slot&>(std::as_const(*this).primary(id));
+}
+
+[[gnu::always_inline]]
+inline void TaskPool::store_params(TaskId index,
+                                   std::span<const Param> params) {
+  std::copy(params.begin(), params.end(),
+            params_.begin() + static_cast<std::ptrdiff_t>(
+                                  std::size_t{index} * config_.max_params));
+  slots_[index].own_params = static_cast<std::uint32_t>(params.size());
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline std::optional<TaskPool::Inserted> TaskPool::insert(
+    std::uint64_t fn, std::uint64_t serial, std::span<const Param> params) {
+  if (params.size() > config_.max_params) [[unlikely]] {
+    return insert_spilled(fn, serial, params);
+  }
+  if (free_.empty()) {
+    ++stats_.insert_failures;
+    return std::nullopt;
+  }
+  const TaskId id = free_.pop();
+  Slot& head = slots_[id];
+  head = kEmptySlot;
+  head.used = true;
+  head.fn = fn;
+  head.serial = serial;
+  head.total_params = static_cast<std::uint32_t>(params.size());
+  store_params(id, params);
+  ++stats_.inserts;
+  stats_.max_used_slots = std::max(stats_.max_used_slots, used_slot_count());
+  return Inserted{id, Cost{0, 1}};
+}
+
+// NEXUS_HOT_PATH
+[[gnu::always_inline]]
+inline Cost TaskPool::free_task(TaskId id) {
+  Cost cost;
+  if (primary(id).is_dummy) [[unlikely]] {
+    throw_logic_error("TaskPool::free_task on a dummy slot");
+  }
+  TaskId cur = id;
+  while (cur != kInvalidTask) {
+    Slot& slot = slots_[cur];
+    assert(slot.used);
+    const TaskId next = slot.next_dummy;
+    slot = kEmptySlot;
+    free_.push(cur);
+    cost.writes += 1;
+    cur = next;
+  }
+  ++stats_.frees;
+  return cost;
+}
+
+[[gnu::always_inline]]
+inline std::uint64_t TaskPool::fn(TaskId id) const { return primary(id).fn; }
+[[gnu::always_inline]]
+inline std::uint64_t TaskPool::serial(TaskId id) const {
+  return primary(id).serial;
+}
+[[gnu::always_inline]]
+inline std::uint32_t TaskPool::param_count(TaskId id) const {
+  return primary(id).total_params;
+}
+[[gnu::always_inline]]
+inline std::uint32_t TaskPool::dummy_count(TaskId id) const {
+  return primary(id).n_dummies;
+}
+
+[[gnu::always_inline]]
+inline std::uint16_t TaskPool::dependence_count(TaskId id) const {
+  return primary(id).dc;
+}
+
+[[gnu::always_inline]]
+inline Cost TaskPool::increment_dc(TaskId id) {
+  ++primary(id).dc;
+  return Cost{1, 1};
+}
+
+[[gnu::always_inline]]
+inline TaskPool::DecrementResult TaskPool::decrement_dc(TaskId id) {
+  Slot& slot = primary(id);
+  if (slot.dc == 0) [[unlikely]] {
+    throw_logic_error("TaskPool: dependence counter underflow");
+  }
+  --slot.dc;
+  return DecrementResult{slot.dc, Cost{1, 1}};
+}
+
+[[gnu::always_inline]]
+inline void TaskPool::set_busy(TaskId id, bool busy) {
+  primary(id).busy = busy;
+}
+[[gnu::always_inline]]
+inline bool TaskPool::busy(TaskId id) const { return primary(id).busy; }
+
+[[gnu::always_inline]]
+inline std::span<const Param> TaskPool::slot_params(
+    std::uint32_t index) const {
+  if (index >= slots_.size()) return {};
+  return {params_.data() + std::size_t{index} * config_.max_params,
+          slots_[index].own_params};
+}
+
+[[gnu::always_inline]]
+inline TaskPool::ModeLookup TaskPool::mode_for(TaskId id, Addr addr) const {
+  ModeLookup out;
+  (void)primary(id);
+  for (TaskId cur = id; cur != kInvalidTask; cur = slots_[cur].next_dummy) {
+    out.cost.reads += 1;
+    for (const auto& p : slot_params(cur)) {
+      if (p.addr == addr) {
+        out.mode = p.mode;
+        return out;
+      }
+    }
+  }
+  return out;
+}
+
+[[gnu::always_inline]]
+inline bool TaskPool::slot_used(std::uint32_t index) const {
+  return index < slots_.size() && slots_[index].used;
+}
+[[gnu::always_inline]]
+inline bool TaskPool::slot_is_dummy(std::uint32_t index) const {
+  return index < slots_.size() && slots_[index].used &&
+         slots_[index].is_dummy;
+}
+[[gnu::always_inline]]
+inline TaskId TaskPool::slot_next_dummy(std::uint32_t index) const {
+  if (index >= slots_.size() || !slots_[index].used) return kInvalidTask;
+  return slots_[index].next_dummy;
+}
 
 }  // namespace nexuspp::core

@@ -5,6 +5,8 @@
 
 namespace nexuspp::core {
 
+void throw_logic_error(const char* what) { throw std::logic_error(what); }
+
 MatchMode match_mode_from_string(const std::string& name) {
   if (name == "base-addr" || name == "base") return MatchMode::kBaseAddr;
   if (name == "range") return MatchMode::kRange;

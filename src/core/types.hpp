@@ -41,6 +41,12 @@ enum class MatchMode : std::uint8_t {
   return "?";
 }
 
+/// Throws std::logic_error(what): a broken table invariant. Out of line, so
+/// the inline fast paths (dependence_table.hpp, task_pool.hpp,
+/// resolver.hpp) carry one call, not an exception's construction, on each
+/// branch that can only fire on a bug.
+[[noreturn]] void throw_logic_error(const char* what);
+
 /// Parses the names produced by to_string(MatchMode) (plus the "base"
 /// shorthand). Throws std::invalid_argument on anything else — the CLI
 /// tools surface the message verbatim.

@@ -27,22 +27,29 @@
 //              when the ring looks full), so the master never overwrites
 //              a slot some claimer has yet to win.
 //
-//   completed  workers -> master, one single-producer log per worker. A
-//              worker writes the finished id and publishes its own tail;
-//              the master drains every log. Per-worker logs keep a worker
-//              preempted mid-post from holding back anyone else's
-//              completions, which a shared fetch_add slot would do. A
-//              worker's undrained posts are tasks in flight, so a log
-//              never holds more than `capacity` of them: a post never
-//              waits for the master, and the slot it reuses was drained
-//              before the master made the posted task ready.
+//   completed  workers -> master, one single-producer log per worker, of
+//              stamped entries {stamp, id}, four to a cache line. A worker
+//              writes the finished id, then stores the entry's stamp:
+//              its own post count, kept on a line only it writes. The
+//              master consumes entry `head` while its stamp reads
+//              head + 1, so one drained completion costs one read of the
+//              worker's line, with no separate tail to read first.
+//              Per-worker logs keep a worker preempted mid-post from
+//              holding back anyone else's completions, which a shared
+//              fetch_add slot would do. A worker's undrained posts are
+//              tasks in flight, so a log never holds more than `capacity`
+//              of them: a post never waits for the master, the entry it
+//              reuses was drained before the master made the posted task
+//              ready, and a reused entry's old stamp can never equal the
+//              one the master waits for there.
 //
 // Waiting: a thread with nothing to do spins for kSpinPauses cpu_relax
 // rounds, then parks on the park lock (rank LockDomain::kRunQueue) and a
 // condition variable. Parked threads are counted; a publisher takes the
 // park lock and notifies only when the count is nonzero. The count and the
-// published index are both seq_cst, so either the parking thread's
-// re-check sees the publication or the publisher sees the parked thread.
+// published index or stamp are both seq_cst, so either the parking
+// thread's re-check sees the publication or the publisher sees the parked
+// thread.
 // Under a schedule controller the spin collapses to one controlled yield:
 // waiting is a scheduling decision there, and parking gets explored.
 
@@ -79,12 +86,10 @@ class TaskHandoff {
         // Zeroed, so even a claim of an unwritten slot (the schedcheck
         // mutants) reads a defined id and its schedule replays exactly.
         ready_(std::make_unique<chk::Atomic<TaskId>[]>(mask_ + 1)),
-        logs_(workers),
-        heads_(workers, 0) {
-    for (Log& log : logs_) {
-      log.slots = std::make_unique_for_overwrite<TaskId[]>(mask_ + 1);
-    }
-  }
+        // Zeroed stamps: no entry reads as posted before its first post.
+        logs_(std::make_unique<Entry[]>(std::size_t{workers} * (mask_ + 1))),
+        posts_(std::make_unique<Position[]>(workers)),
+        heads_(workers, 0) {}
 
   TaskHandoff(const TaskHandoff&) = delete;
   TaskHandoff& operator=(const TaskHandoff&) = delete;
@@ -123,10 +128,19 @@ class TaskHandoff {
     }
   }
 
-  /// Ready tasks published but not yet claimed. Master only.
-  [[nodiscard]] std::uint64_t ready_depth() const {
-    // Relaxed: a statistic; the master's own tail_ bounds it.
-    return tail_ - claimed_.load(std::memory_order_relaxed);
+  /// Ready tasks published but not yet claimed. Master only. Reads the
+  /// claimers' head, a line they write, and refreshes the cached copy.
+  [[nodiscard]] std::uint64_t ready_depth() {
+    // Acquire, like push()'s reload: the refreshed copy may license
+    // push() to reuse slots below it.
+    claimed_seen_ = claimed_.load(std::memory_order_acquire);
+    return tail_ - claimed_seen_;
+  }
+
+  /// An upper bound on ready_depth() from master-owned state alone: the
+  /// cached head only lags the real one. Master only.
+  [[nodiscard]] std::uint64_t ready_bound() const noexcept {
+    return tail_ - claimed_seen_;
   }
 
   /// Calls `on_done(id)` for every completion posted so far and returns
@@ -135,14 +149,14 @@ class TaskHandoff {
   template <class OnDone>
   std::size_t drain(OnDone&& on_done) {
     std::size_t drained = 0;
-    for (std::size_t w = 0; w < logs_.size(); ++w) {
-      const Log& log = logs_[w];
-      // Acquire: pairs with post()'s publishing store.
-      const std::uint64_t tail = log.tail.load(std::memory_order_acquire);
-      for (std::uint64_t& head = heads_[w]; head < tail; ++head) {
-        const TaskId& slot = log.slots[head & mask_];
-        chk::plain_read(&slot);
-        on_done(slot);
+    for (std::size_t w = 0; w < heads_.size(); ++w) {
+      const Entry* const log = logs_.get() + w * (mask_ + 1);
+      for (std::uint64_t& head = heads_[w];; ++head) {
+        const Entry& entry = log[head & mask_];
+        // Acquire: pairs with post()'s publishing store.
+        if (entry.stamp.load(std::memory_order_acquire) != head + 1) break;
+        chk::plain_read(&entry.id);
+        on_done(entry.id);
         ++drained;
       }
     }
@@ -175,15 +189,18 @@ class TaskHandoff {
   /// worker index.
   // NEXUS_HOT_PATH
   void post(std::uint32_t worker, TaskId id) {
-    Log& log = logs_[worker];
-    // Relaxed: this thread is the log's only writer.
-    const std::uint64_t tail = log.tail.load(std::memory_order_relaxed);
-    TaskId& slot = log.slots[tail & mask_];
-    chk::plain_write(&slot);
-    slot = id;
-    // Seq_cst: publishes the slot (release half, paired with drain's
+    const std::uint64_t position = posts_[worker].value++;
+    Entry& entry = logs_[worker * (mask_ + 1) + (position & mask_)];
+    // Compiled-in mutant (schedcheck harness only; constant-false and
+    // folded away in normal builds): the stamp goes out before the id, so
+    // the master can drain an entry whose id is not written yet.
+    const bool early = chk::Faults::publish_completion_stamp_early();
+    if (early) entry.stamp.store(position + 1, std::memory_order_seq_cst);
+    chk::plain_write(&entry.id);
+    entry.id = id;
+    // Seq_cst: publishes the id (release half, paired with drain's
     // acquire) and orders this store before the sleeper load below.
-    log.tail.store(tail + 1, std::memory_order_seq_cst);
+    if (!early) entry.stamp.store(position + 1, std::memory_order_seq_cst);
     if (master_parked_.load(std::memory_order_seq_cst) != 0) {
       wake(done_cv_, true);
     }
@@ -237,11 +254,16 @@ class TaskHandoff {
   }
 
  private:
-  /// One worker's completion log. Aligned so each tail sits on its own
-  /// cache line: workers post concurrently and the master polls them all.
-  struct alignas(64) Log {
-    chk::Atomic<std::uint64_t> tail{0};
-    std::unique_ptr<TaskId[]> slots;
+  /// A completion-log entry: `id` is valid once `stamp` reads the post's
+  /// position + 1. Four to a cache line.
+  struct Entry {
+    chk::Atomic<std::uint64_t> stamp{0};
+    TaskId id = 0;
+  };
+
+  /// A worker's post count, on a cache line only that worker writes.
+  struct alignas(64) Position {
+    std::uint64_t value = 0;
   };
 
   [[nodiscard]] bool claimable() const {
@@ -251,9 +273,11 @@ class TaskHandoff {
   }
 
   [[nodiscard]] bool any_posted() const {
-    for (std::size_t w = 0; w < logs_.size(); ++w) {
+    for (std::size_t w = 0; w < heads_.size(); ++w) {
+      const std::uint64_t head = heads_[w];
+      const Entry& entry = logs_[w * (mask_ + 1) + (head & mask_)];
       // Seq_cst: the re-check half of the sleeper protocol (see post).
-      if (logs_[w].tail.load(std::memory_order_seq_cst) != heads_[w]) {
+      if (entry.stamp.load(std::memory_order_seq_cst) == head + 1) {
         return true;
       }
     }
@@ -299,7 +323,9 @@ class TaskHandoff {
   // Read on every claim and post; written only at construction.
   const std::uint64_t mask_;  ///< ring size - 1 (a power of two)
   std::unique_ptr<chk::Atomic<TaskId>[]> ready_;
-  std::vector<Log> logs_;
+  /// Worker w's completion log: entries [w * ring, (w + 1) * ring).
+  std::unique_ptr<Entry[]> logs_;
+  std::unique_ptr<Position[]> posts_;  ///< worker-owned post counts
   std::vector<std::uint64_t> heads_;  ///< master-owned drain cursors
   // Written on every push, so off the lines the workers read.
   alignas(64) std::uint64_t tail_ = 0;  ///< master-owned copy of published_

@@ -206,6 +206,9 @@ class Maestro {
     if (count == 0) return;
     handoff_.push(slots, count);
     at_workers_ += count;
+    // The claimers' head is a line the workers write: read it only when
+    // the master-local bound says the peak could rise, or for the trace.
+    if (rec_ == nullptr && handoff_.ready_bound() <= ready_peak_) return;
     const std::size_t depth = handoff_.ready_depth();
     ready_peak_ = std::max(ready_peak_, depth);
     if (rec_ != nullptr) {

@@ -37,7 +37,11 @@ std::uint64_t measure_iters_per_us() {
     if (elapsed_ns >= 1'000'000) {  // >= 1 ms window: good enough
       return iters * 1'000 / elapsed_ns;
     }
-    iters *= 4;
+    // Size the next attempt from this one's rate to about 1.2 ms, so the
+    // window is reached in one more step instead of up to 4 ms of x4
+    // growth; a batch too short to time grows x4.
+    iters = elapsed_ns < 10'000 ? iters * 4
+                                : iters * 1'200'000 / elapsed_ns + 1;
   }
   return 1'000;  // pessimistic fallback: 1 iteration per ns
 }

@@ -35,24 +35,29 @@ sim::Time Memory::transfer_time(std::uint64_t bytes) const noexcept {
   return static_cast<sim::Time>(chunks) * config_.chunk_latency;
 }
 
+void Memory::enter_service() noexcept {
+  ++in_service_;
+  stats_.max_concurrency = std::max(stats_.max_concurrency, in_service_);
+}
+
 sim::Co<void> Memory::transfer(std::uint64_t addr, std::uint64_t bytes) {
   if (bytes == 0) co_return;
   const sim::Time raw = transfer_time(bytes);
   ++stats_.transfers;
-  stats_.bytes += bytes;
-  stats_.busy_time += raw;
-  ++in_flight_;
-  stats_.max_concurrency = std::max(stats_.max_concurrency, in_flight_);
 
   switch (config_.contention) {
     case ContentionModel::kNone:
+      enter_service();
       co_await sim_->delay(raw);
+      leave_service();
       break;
     case ContentionModel::kPorts: {
       const sim::Time started = sim_->now();
       co_await ports_->acquire();
       stats_.contention_wait += sim_->now() - started;
+      enter_service();
       co_await sim_->delay(raw);
+      leave_service();
       ports_->release();
       break;
     }
@@ -67,13 +72,14 @@ sim::Co<void> Memory::transfer(std::uint64_t addr, std::uint64_t bytes) {
         const sim::Time started = sim_->now();
         co_await bank.acquire();
         stats_.contention_wait += sim_->now() - started;
+        enter_service();
         co_await sim_->delay(config_.chunk_latency);
+        leave_service();
         bank.release();
       }
       break;
     }
   }
-  --in_flight_;
 }
 
 }  // namespace nexuspp::hw

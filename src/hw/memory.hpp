@@ -49,9 +49,9 @@ class Memory {
 
   struct Stats {
     std::uint64_t transfers = 0;
-    std::uint64_t bytes = 0;
-    sim::Time busy_time = 0;        ///< summed raw transfer time
     sim::Time contention_wait = 0;  ///< time spent waiting for ports/banks
+    /// Most transfers in service at once: holding a port or a bank, or
+    /// (kNone) under way. Transfers waiting for a port do not count.
     std::int64_t max_concurrency = 0;
 
     [[nodiscard]] friend bool operator==(const Stats&, const Stats&) = default;
@@ -62,12 +62,16 @@ class Memory {
   }
 
  private:
+  /// A transfer starts or stops being served (see Stats::max_concurrency).
+  void enter_service() noexcept;
+  void leave_service() noexcept { --in_service_; }
+
   sim::Simulator* sim_;
   MemoryConfig config_;
   std::unique_ptr<sim::Semaphore> ports_;  ///< kPorts mode
   std::vector<std::unique_ptr<sim::Semaphore>> banks_;  ///< kBanked mode
   Stats stats_;
-  std::int64_t in_flight_ = 0;
+  std::int64_t in_service_ = 0;
 };
 
 }  // namespace nexuspp::hw

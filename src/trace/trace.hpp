@@ -3,12 +3,13 @@
 //
 // The paper's evaluation is trace-driven: each task record carries its
 // input/output list plus the time it spent executing and the time it spent
-// moving data to/from off-chip memory on the Cell processor. We do not have
-// the original Cell trace (see DESIGN.md substitutions), so records carry
-// the *byte volume* read and written; the memory model converts bytes to
-// time (12 ns per 128-byte chunk), which is exactly how the authors'
-// numbers decompose. Synthetic generators matching the published means
-// live in trace/synth.hpp and src/workloads.
+// moving data to/from off-chip memory on the Cell processor. Those Cell
+// traces were never published, so synthetic generators matching the
+// published means stand in for them (trace/synth.hpp and src/workloads),
+// and records carry the *byte volume* read and written instead of a
+// measured memory time: the memory model converts bytes to time (12 ns
+// per 128-byte chunk), which is exactly how the authors' numbers
+// decompose.
 
 #include <cstdint>
 #include <memory>

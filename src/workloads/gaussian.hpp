@@ -35,8 +35,9 @@ namespace nexuspp::workloads {
 struct GaussianConfig {
   std::uint32_t n = 250;          ///< matrix dimension
   double gflops_per_core = 2.0;   ///< paper: 2 GFLOPS per worker core
-  std::uint32_t float_bytes = 4;  ///< matrix element size (paper-era Cell
-                                  ///< single precision; see EXPERIMENTS.md)
+  /// Matrix element size: the paper counts each task's traffic in floats
+  /// (Section IV-A), and a single-precision float is 4 bytes.
+  std::uint32_t float_bytes = 4;
   core::Addr row_base = 0x4000'0000;
   core::Addr row_stride = 0x1'0000;  ///< address distance between rows
 

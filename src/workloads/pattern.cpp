@@ -203,6 +203,7 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_pattern_trace(
       rec.fn = 0x7A5CB;
       rec.exec_time = sim::ns(static_cast<std::int64_t>(cfg.task_ns));
       const auto deps = pattern_deps(cfg, t, p);
+      rec.params.reserve(deps.size() + 1);
       for (const std::uint32_t q : deps) {
         rec.params.push_back(core::in(
             pattern_point_addr(cfg, q, read_parity), cfg.point_bytes));

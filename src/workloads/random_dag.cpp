@@ -45,6 +45,7 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_random_dag_trace(
     // Partial Fisher-Yates: the first `n` slots become a distinct sample.
     const auto n = static_cast<std::uint32_t>(
         1 + rng.below(cfg.max_params));
+    rec.params.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       const auto j = i + static_cast<std::uint32_t>(
                              rng.below(cfg.addr_space - i));

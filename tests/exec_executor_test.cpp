@@ -1,10 +1,10 @@
 // The real concurrent executor (`exec-threads`): GraphOracle-validated
 // execution order across thread counts, both match modes and several
-// seeds; single-thread determinism; behaviour under core
-// oversubscription; streams longer than the Task Pool, whose slots name
-// the tasks in flight; capacity/structural deadlock diagnosis; master-only
-// release; worker exceptions; and the registry/report contract of the
-// engine adapter.
+// seeds; single-thread determinism; the exact ready-queue peak at one
+// thread; behaviour under core oversubscription; streams longer than the
+// Task Pool, whose slots name the tasks in flight; capacity/structural
+// deadlock diagnosis; master-only release; worker exceptions; and the
+// registry/report contract of the engine adapter.
 //
 // The correctness claim differs from the simulated engines': reports are
 // wall-clock measurements (never bit-identical), so what is asserted is
@@ -204,6 +204,42 @@ TEST(ExecThreads, SingleThreadCompletionOrderIsStable) {
               std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
   EXPECT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.banks, 0u);
+}
+
+// --- Ready-queue peak ---------------------------------------------------------
+
+/// `n` single-parameter tasks: on distinct addresses (independent) or all
+/// on one (a chain).
+std::vector<trace::TaskRecord> peak_stream(std::uint32_t n, bool chain) {
+  std::vector<trace::TaskRecord> tasks(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    tasks[i].serial = i;
+    tasks[i].params = {core::inout(0x1000 + (chain ? 0 : 64 * i), 64)};
+  }
+  return tasks;
+}
+
+TEST(ExecThreads, ReadyQueuePeakIsExactAtOneThread) {
+  // threads=1 claims nothing before the stream ends (the master runs a
+  // task only when it waits), so the peak is exact: every independent
+  // task is published before the first claim, and a chain never has more
+  // than its head ready. Untraced, the master reads the claimed head only
+  // when the peak could rise; traced, after every publication.
+  const auto peak = [](const std::vector<trace::TaskRecord>& tasks,
+                       bool traced) {
+    exec::ExecConfig cfg;
+    cfg.threads = 1;
+    cfg.duration_scale = 0.0;
+    obs::TimelineRecorder rec("exec", "wall", 1u << 14);
+    if (traced) cfg.timeline_recorder = &rec;
+    return run_validated(tasks, cfg).ready_queue_peak;
+  };
+  const auto independent = peak_stream(200, false);
+  const auto chain = peak_stream(200, true);
+  EXPECT_EQ(peak(independent, false), 200u);
+  EXPECT_EQ(peak(chain, false), 1u);
+  EXPECT_EQ(peak(independent, true), 200u);
+  EXPECT_EQ(peak(chain, true), 1u);
 }
 
 // --- Oversubscription ---------------------------------------------------------

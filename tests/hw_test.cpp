@@ -75,7 +75,7 @@ TEST(MemoryModel, PortContentionLimitsConcurrency) {
   }
   EXPECT_EQ(at12, 32);
   EXPECT_EQ(at24, 32);
-  EXPECT_EQ(mem.stats().max_concurrency, 64);  // arrivals
+  EXPECT_EQ(mem.stats().max_concurrency, 32);  // in service, not waiting
   EXPECT_GT(mem.stats().contention_wait, 0);
 }
 
@@ -98,6 +98,7 @@ TEST(MemoryModel, BankedModeStripesChunks) {
   EXPECT_EQ(done[0], sim::ns(24));
   EXPECT_EQ(done[1], sim::ns(36));
   EXPECT_GT(mem.stats().contention_wait, 0);
+  EXPECT_EQ(mem.stats().max_concurrency, 2);  // one chunk per bank
 }
 
 TEST(MemoryModel, StatsAccumulate) {
@@ -106,9 +107,10 @@ TEST(MemoryModel, StatsAccumulate) {
   std::vector<Time> done;
   s.spawn(do_transfer(s, mem, 1000, done));
   s.spawn(do_transfer(s, mem, 0, done));  // zero-byte: free
+  s.spawn(do_transfer(s, mem, 128, done));
   s.run();
-  EXPECT_EQ(mem.stats().transfers, 1u);  // zero-byte transfers don't count
-  EXPECT_EQ(mem.stats().bytes, 1000u);
+  EXPECT_EQ(mem.stats().transfers, 2u);  // zero-byte transfers don't count
+  EXPECT_EQ(mem.stats().max_concurrency, 2);
 }
 
 TEST(MemoryModel, ConfigValidation) {

@@ -21,8 +21,10 @@
 //     schedule budget finds the bug it opens in TaskHandoff, and replay the
 //     found seed to the bit-identical trace and report signature:
 //     publish_ready_tail_early (the ready tail published before the slot
-//     stores) and read_ready_slot_after_claim (a claimer reading its ring
-//     slot after the CAS, when the master may already have reused it).
+//     stores), read_ready_slot_after_claim (a claimer reading its ring
+//     slot after the CAS, when the master may already have reused it) and
+//     publish_completion_stamp_early (a completion entry's stamp stored
+//     before its id, so the master can drain an unwritten id).
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,7 @@ static_assert(std::is_same_v<chk::Mutex, std::mutex>);
 static_assert(std::is_same_v<chk::CondVar, std::condition_variable>);
 // The fault toggle folds to constant false (dead mutant branches).
 static_assert(!chk::Faults::publish_ready_tail_early());
+static_assert(!chk::Faults::publish_completion_stamp_early());
 static_assert(chk::schedule_thread_id() == chk::kNoScheduleThread);
 
 TEST(SchedCheck, RequiresSchedcheckBuild) {
@@ -736,6 +739,46 @@ TEST(SchedExploration, MutantLateSlotReadIsFoundAndReplays) {
   const auto replay = run_mutant_schedule<WrapWorkload>(found_policy);
   EXPECT_TRUE(traces_equal(found.trace, replay.trace))
       << "replay of PCT seed " << found_policy.seed
+      << " diverged from the original failing schedule";
+  EXPECT_EQ(found.reports, replay.reports);
+  EXPECT_EQ(found.outcome, replay.outcome);
+  EXPECT_EQ(found.exact, replay.exact);
+}
+
+// --- The mutant: a completion stamp published before its id ------------------
+
+struct StampEarlyScope {
+  StampEarlyScope() { chk::Faults::set_publish_completion_stamp_early(true); }
+  ~StampEarlyScope() {
+    chk::Faults::set_publish_completion_stamp_early(false);
+  }
+};
+
+TEST(SchedExploration, MutantEarlyCompletionStampIsFoundAndReplays) {
+  const StampEarlyScope mutant;
+  // The same bounded budget as the ready-tail mutant: the master must be
+  // scheduled between a worker's stamp store and its id store.
+  constexpr int kBudget = 200;
+  int attempts = 0;
+  SchedulePolicy found_policy;
+  Detection found;
+  bool detected = false;
+  for (const auto& policy : sweep_policies(150, 50)) {
+    ++attempts;
+    found = run_mutant_schedule(policy);
+    if (wrong(found)) {
+      found_policy = policy;
+      detected = true;
+      break;
+    }
+    if (attempts >= kBudget) break;
+  }
+  ASSERT_TRUE(detected) << "early completion stamp not found within "
+                        << kBudget << " schedules";
+
+  const auto replay = run_mutant_schedule(found_policy);
+  EXPECT_TRUE(traces_equal(found.trace, replay.trace))
+      << "replay of seed " << found_policy.seed
       << " diverged from the original failing schedule";
   EXPECT_EQ(found.reports, replay.reports);
   EXPECT_EQ(found.outcome, replay.outcome);

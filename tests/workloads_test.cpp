@@ -34,8 +34,9 @@ TEST(GaussianWorkload, TaskCountsMatchTableII) {
 TEST(GaussianWorkload, AverageWeightsNearTableII) {
   // Table II's right column. Formula (1) gives exactly these means
   // (~2n/3); the paper's table rounds the small sizes to 167/334/667 and
-  // quotes 2012/3523 for 3000/5000, which its own formula cannot produce —
-  // see EXPERIMENTS.md. We assert the formula-(1) values.
+  // quotes 2012/3523 for 3000/5000, 0.6 % and 5.7 % above what its own
+  // formula gives (1999.3/3332.7, asserted below). We assert the
+  // formula-(1) values.
   EXPECT_NEAR(workloads::gaussian_avg_weight(250), 166.01, 0.01);
   EXPECT_NEAR(workloads::gaussian_avg_weight(500), 332.67, 0.01);
   EXPECT_NEAR(workloads::gaussian_avg_weight(1000), 666.00, 0.01);
