@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <stdexcept>
 
 namespace nexuspp::bench {
 
@@ -75,14 +74,21 @@ void note(const std::string& text) {
   (machine_stdout() ? std::cerr : std::cout) << text;
 }
 
+void print(const std::string& title,
+           const std::vector<engine::SweepResult>& results,
+           const std::vector<engine::SweepDriver::Column>& extra) {
+  note(engine::SweepDriver::to_table(title, results, extra).to_string() +
+       "\n");
+}
+
 void emit(const std::string& title,
           const std::vector<engine::SweepResult>& results,
           const std::vector<engine::SweepDriver::Column>& extra) {
-  // When a machine-readable format targets stdout, the human table moves
-  // to stderr so `bench > data.csv` stays parseable.
-  (machine_stdout() ? std::cerr : std::cout)
-      << engine::SweepDriver::to_table(title, results, extra).to_string()
-      << "\n";
+  print(title, results, extra);
+  write_rows(results);
+}
+
+void write_rows(const std::vector<engine::SweepResult>& results) {
   if (const char* env = std::getenv("NEXUSPP_BENCH_CSV")) {
     emit_to(env, "CSV", [&](std::ostream& os) {
       engine::SweepDriver::write_csv(results, os);
@@ -93,61 +99,6 @@ void emit(const std::string& title,
       engine::SweepDriver::write_json(results, os);
     });
   }
-}
-
-void emit_table(const util::Table& table) {
-  (machine_stdout() ? std::cerr : std::cout) << table.to_string() << "\n";
-  if (const char* env = std::getenv("NEXUSPP_BENCH_CSV")) {
-    emit_to(env, "CSV", [&](std::ostream& os) { os << table.to_csv(); });
-  }
-}
-
-std::vector<std::uint32_t> cores_to_256() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256};
-}
-
-std::vector<std::uint32_t> cores_to_64() { return {1, 2, 4, 8, 16, 32, 64}; }
-
-std::vector<engine::EngineParams> worker_axis(
-    const std::vector<std::uint32_t>& cores, engine::EngineParams base) {
-  std::vector<engine::EngineParams> axis;
-  axis.reserve(cores.size());
-  for (const std::uint32_t n : cores) {
-    engine::EngineParams p = base;
-    p.num_workers = n;
-    axis.push_back(p);
-  }
-  return axis;
-}
-
-std::vector<SeriesPoint> speedup_series(const std::string& engine_name,
-                                        const StreamFactory& factory,
-                                        const std::vector<std::uint32_t>& cores,
-                                        engine::EngineParams base) {
-  engine::SweepSpec spec;
-  spec.workload("workload", factory);
-  spec.grid({engine_name}, {"workload"}, worker_axis(cores, base));
-  const auto results = bench::run_sweep(spec);
-
-  std::vector<SeriesPoint> out;
-  out.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    // A failed point is either a diagnosed deadlock or an exception the
-    // driver routed into SweepResult::error; both invalidate the series.
-    if (results[i].failed()) {
-      throw std::runtime_error(
-          "speedup_series: " + engine_name + " failed at " +
-          std::to_string(cores[i]) + " cores: " +
-          (results[i].error.empty() ? results[i].report.diagnosis
-                                    : results[i].error));
-    }
-    SeriesPoint point;
-    point.cores = cores[i];
-    point.report = results[i].report;
-    point.speedup = results[i].speedup;
-    out.push_back(std::move(point));
-  }
-  return out;
 }
 
 }  // namespace nexuspp::bench

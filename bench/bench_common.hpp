@@ -1,9 +1,10 @@
 #pragma once
-// Shared helpers for the figure/table reproduction harnesses.
+// Shared helpers for the bench binaries.
 //
 // Every bench binary runs stand-alone with no arguments (the benchmark
-// sweep is `for b in build/bench/*; do $b; done`); heavyweight sweeps are
-// gated behind NEXUSPP_BENCH_FULL=1 (or --bench-full).
+// sweep is `for b in build/bench_*; do $b; done`); heavyweight sweeps are
+// gated behind NEXUSPP_BENCH_FULL=1. The paper's figures and tables all
+// live in one driver, bench_paper_figures, one function per figure.
 //
 // All benches are declarative sweep specs over the unified engine layer:
 // they describe a config grid (engine names x workloads x EngineParams),
@@ -14,15 +15,12 @@
 //   NEXUSPP_BENCH_CSV=1|path also emit CSV (stdout or file)
 //   NEXUSPP_BENCH_JSON=1|path also emit JSON (stdout or file)
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "engine/sweep.hpp"
 
 namespace nexuspp::bench {
-
-using engine::StreamFactory;
 
 /// True when the full (slow) sweep was requested via NEXUSPP_BENCH_FULL=1.
 [[nodiscard]] bool full_mode();
@@ -35,43 +33,25 @@ using engine::StreamFactory;
 [[nodiscard]] std::vector<engine::SweepResult> run_sweep(
     const engine::SweepSpec& spec);
 
-/// Prints the standard results table (plus extra columns), then CSV/JSON
-/// when the corresponding environment knob is set.
+/// Prints the standard results table (plus extra columns) where note()
+/// prints.
+void print(const std::string& title,
+           const std::vector<engine::SweepResult>& results,
+           const std::vector<engine::SweepDriver::Column>& extra = {});
+
+/// print(), then write_rows(results).
 void emit(const std::string& title,
           const std::vector<engine::SweepResult>& results,
           const std::vector<engine::SweepDriver::Column>& extra = {});
 
-/// Shared output path for non-simulation tables (e.g. closed-form checks):
-/// prints the table and honors NEXUSPP_BENCH_CSV like emit().
-void emit_table(const util::Table& table);
+/// Writes `results` as CSV to NEXUSPP_BENCH_CSV and as JSON to
+/// NEXUSPP_BENCH_JSON, each when set. A file target is truncated, so a
+/// binary that runs several sweeps writes their rows in one call.
+void write_rows(const std::vector<engine::SweepResult>& results);
 
-/// Human commentary ("Expected shape: ..."). Goes to stdout normally, to
-/// stderr when a machine format targets stdout, so `bench > data.csv`
-/// stays parseable end to end.
+/// Human commentary ("Expected shape: ...") and tables. Goes to stdout
+/// normally, to stderr when a machine format targets stdout, so
+/// `bench > data.csv` stays parseable end to end.
 void note(const std::string& text);
-
-/// Standard core-count sweeps.
-[[nodiscard]] std::vector<std::uint32_t> cores_to_256();
-[[nodiscard]] std::vector<std::uint32_t> cores_to_64();
-
-/// A params axis over worker counts (points render as "w=<n>"); the first
-/// entry becomes the series baseline under SweepSpec::grid.
-[[nodiscard]] std::vector<engine::EngineParams> worker_axis(
-    const std::vector<std::uint32_t>& cores, engine::EngineParams base = {});
-
-struct SeriesPoint {
-  std::uint32_t cores = 0;
-  engine::RunReport report;
-  double speedup = 0.0;  ///< vs the first (1-core) run of the series
-};
-
-/// Core-count speedup series for one engine over fresh streams from
-/// `factory`, executed in parallel through the SweepDriver. Speedups are
-/// relative to the first entry (callers pass 1 as the first core count,
-/// matching the paper's "speedup against the single core experiment").
-[[nodiscard]] std::vector<SeriesPoint> speedup_series(
-    const std::string& engine_name, const StreamFactory& factory,
-    const std::vector<std::uint32_t>& cores,
-    engine::EngineParams base = {});
 
 }  // namespace nexuspp::bench

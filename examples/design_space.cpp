@@ -19,7 +19,7 @@
 //                     [--match-mode=base-addr|range] [--banks=N]
 //                     [--threads=N]
 //                     [--kernel=spin|compute|memory|imbalance|dgemm]
-//                     [--gaussian-n=250] [--cores=64] [--sweep-threads=4]
+//                     [--cores=64] [--sweep-threads=4]
 //                     [--csv] [--json] [--list-engines] [--list-workloads]
 //                     [--timeline=out.json] [--timeline-point=N|all]
 //
@@ -94,11 +94,6 @@ int main(int argc, char** argv) {
       workload = *path;
       spec.workload_from_trace(workload, *path);
     } else {
-      // Legacy convenience: --gaussian-n=N still sizes the gaussian spec.
-      if (workload == "gaussian") {
-        workload +=
-            ":n=" + std::to_string(flags.get_int("gaussian-n", 250));
-      }
       spec.workload(workload, library.make_stream_factory(workload));
     }
   } catch (const std::exception& e) {

@@ -15,13 +15,11 @@
 //              [--engine=...] [--cores=16] [--match-mode=...] [--banks=N]
 //              [--threads=N] [--kernel=...]
 //              [--timeline=out.json]
-//   trace_tool simulate ...        (alias of replay)
 //   trace_tool --list-engines | --list-workloads
 //
 // A <workload-spec> is `name[:key=value,...]` resolved by the workload
-// library, e.g. `tiled-cholesky:tiles=12` or `spatial:fill=0.4` (legacy
-// flags --rows/--cols/--gaussian-n are still honoured for the original
-// five names). `generate` writes the generator's records; `capture`
+// library, e.g. `tiled-cholesky:tiles=12`, `h264:rows=60,cols=34` or
+// `gaussian:n=500`. `generate` writes the generator's records; `capture`
 // additionally runs them through an engine and records the exact stream
 // the engine consumed, stamped with provenance metadata. `replay` feeds a
 // file back through an engine; engine, cores, match mode, banks, threads
@@ -90,21 +88,6 @@ void print_summary(const trace::Trace& trace) {
   t.row({"partially overlapping bases",
          util::fmt_count(s.partially_overlapping_bases)});
   std::cout << t.to_string();
-}
-
-/// Translates the pre-library CLI (--rows/--cols/--gaussian-n) into spec
-/// options so existing invocations keep working.
-std::string legacy_spec(const std::string& spec, const util::Flags& flags) {
-  if (spec.find(':') != std::string::npos) return spec;
-  if (spec == "h264" || spec == "horizontal" || spec == "vertical" ||
-      spec == "independent") {
-    return spec + ":rows=" + std::to_string(flags.get_int("rows", 120)) +
-           ",cols=" + std::to_string(flags.get_int("cols", 68));
-  }
-  if (spec == "gaussian") {
-    return spec + ":n=" + std::to_string(flags.get_int("gaussian-n", 250));
-  }
-  return spec;
 }
 
 /// Strict parse of a numeric trace-meta value: digits only, must fit
@@ -206,7 +189,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "generate" && args.size() == 3) {
-      const std::string spec = legacy_spec(args[1], flags);
+      const std::string& spec = args[1];
       trace::Trace trace;
       trace.tasks = *library.make_trace(spec);
       trace.meta.set(trace::TraceMeta::kWorkload, spec);
@@ -218,7 +201,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (command == "capture" && args.size() == 3) {
-      const std::string spec = legacy_spec(args[1], flags);
+      const std::string& spec = args[1];
       const std::string engine_name = flags.get_or("engine", "nexus++");
       const auto params = params_for_run(flags, trace::TraceMeta{});
       const auto eng = registry.make(engine_name, params);
@@ -239,7 +222,7 @@ int main(int argc, char** argv) {
       }
       return captured.report.deadlocked ? 1 : 0;
     }
-    if ((command == "replay" || command == "simulate") && args.size() == 2) {
+    if (command == "replay" && args.size() == 2) {
       const auto trace = trace::load_trace(args[1]);
       print_summary(trace);
       // Default the engine and its knobs to the capture run's, recorded

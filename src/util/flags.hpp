@@ -2,7 +2,7 @@
 // Minimal command-line/environment flag parsing for example and benchmark
 // binaries. Flags have the form `--name=value` or `--name value`; an
 // environment variable NEXUSPP_<NAME> (upper-cased, dashes->underscores)
-// provides a default, so `NEXUSPP_BENCH_FULL=1 ./bench_fig8_gaussian`
+// provides a default, so `NEXUSPP_BENCH_FULL=1 ./bench_paper_figures`
 // works without arguments (needed because the harness runs every bench
 // binary bare).
 //
