@@ -51,7 +51,7 @@ int run() {
     return std::make_unique<trace::VectorStream>(tile_tasks);
   });
   spec.workload("h264-wavefront", [&grid_tasks] {
-    return workloads::make_grid_stream(grid_tasks);
+    return std::make_unique<trace::VectorStream>(grid_tasks);
   });
 
   engine::EngineParams base;

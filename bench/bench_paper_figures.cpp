@@ -5,12 +5,12 @@
 // grids with H.264 task durations are built once and shared.
 //
 // Runs argument-free. NEXUSPP_BENCH_FULL=1 adds Fig. 8's 3000^2 and
-// 5000^2 sizes, Table II's generator walks at those sizes and Fig. 6's
-// full serial-vs-parallel sweep comparison. With NEXUSPP_BENCH_CSV /
-// NEXUSPP_BENCH_JSON set, the sweep rows of every figure go into one file
-// of each kind, written at the end; each row's series is prefixed with
-// its figure (`fig6/dt-sweep`, `nexus-vs-classic/nexus++/gaussian-500`).
-// Table II runs no sweep, so it prints its table only.
+// 5000^2 sizes and Table II's generator walks at those sizes. With
+// NEXUSPP_BENCH_CSV / NEXUSPP_BENCH_JSON set, the sweep rows of every
+// figure go into one file of each kind, written at the end; each row's
+// series is prefixed with its figure (`fig6/dt-sweep`,
+// `nexus-vs-classic/nexus++/gaussian-500`). Table II runs no sweep, so it
+// prints its table only.
 
 #include <iostream>
 #include <stdexcept>
@@ -37,7 +37,7 @@ Grid grid(GridPattern pattern) {
 }
 
 engine::StreamFactory stream(Grid tasks) {
-  return [tasks] { return workloads::make_grid_stream(tasks); };
+  return [tasks] { return std::make_unique<trace::VectorStream>(tasks); };
 }
 
 /// Gaussian elimination of an n x n matrix. The stream is generated
@@ -95,8 +95,7 @@ std::vector<std::string> speedup_row(std::vector<std::string> lead,
 /// Each series' baseline is the single-core run with both tables large,
 /// matching the paper's "speedup against the single core experiment".
 /// The whole grid is one declarative SweepSpec executed by the
-/// multi-threaded SweepDriver; the figure also re-runs it serially to
-/// report the sweep parallelization speedup itself.
+/// multi-threaded SweepDriver.
 ///
 /// The paper picks DT = 4K (2K already reaches peak speedup but 4K halves
 /// the chain length) and TP = 1K (512 suffices; 1K allows a larger
@@ -177,34 +176,6 @@ std::vector<SweepResult> fig6(const Inputs& in) {
        {"TP max used", [](const SweepResult& r) {
           return util::fmt_count(r.report.tp_max_used);
         }}});
-
-  // The sweep itself is the parallelism showcase: measure the same spec
-  // serial vs parallel. A full-grid re-run would double the figure's
-  // cost, so outside NEXUSPP_BENCH_FULL=1 the comparison replays only the
-  // dt-sweep series — still a genuine measured serial-vs-parallel number.
-  engine::SweepSpec comparison;
-  comparison.workload("independent", stream(in.independent));
-  for (const auto& p : spec.points()) {
-    if (bench::full_mode() || p.series == "dt-sweep") comparison.point(p);
-  }
-  engine::SweepDriver comparison_parallel(engine::EngineRegistry::builtins(),
-                                          bench::sweep_options());
-  (void)comparison_parallel.run(comparison);
-  engine::SweepDriver comparison_serial(engine::EngineRegistry::builtins(),
-                                        engine::SweepOptions{.threads = 1});
-  (void)comparison_serial.run(comparison);
-  bench::note(
-      "Sweep parallelization (" +
-      std::to_string(comparison.points().size()) + " points): " +
-      util::fmt_f(comparison_serial.last_wall_seconds(), 2) +
-      " s serial vs " +
-      util::fmt_f(comparison_parallel.last_wall_seconds(), 2) + " s on " +
-      std::to_string(comparison_parallel.last_threads_used()) +
-      " threads (" +
-      util::fmt_x(comparison_serial.last_wall_seconds() /
-                  comparison_parallel.last_wall_seconds()) +
-      " wall-clock speedup, peak concurrency " +
-      std::to_string(comparison_parallel.last_peak_concurrency()) + ")\n\n");
 
   bench::note("Expected shape (paper): speedup saturates by DT = 2K and "
               "TP = 512; the longest chain keeps shrinking as the DT "
@@ -388,11 +359,10 @@ void table2() {
 /// depth ablation series use their depth-1 run as baseline.
 std::vector<SweepResult> headline(const Inputs& in) {
   // Context tables (human-only): note() keeps them off a machine stdout.
-  bench::note(
-      nexus::NexusConfig::paper_defaults().describe().to_string() + "\n");
+  bench::note(nexus::NexusConfig{}.describe().to_string() + "\n");
   // Section V storage claim: everything fits in ~210 KB (Task Superscalar
   // needs > 6.5 MB). Sized for the largest evaluated machine (512 cores).
-  nexus::NexusConfig storage_cfg = nexus::NexusConfig::paper_defaults();
+  nexus::NexusConfig storage_cfg;
   storage_cfg.num_workers = 512;
   bench::note(
       nexus::storage_budget(storage_cfg).to_table().to_string() + "\n");
@@ -492,8 +462,10 @@ std::vector<SweepResult> nexus_vs_classic(const Inputs& in) {
   wide.lanes = 4;
   wide.chain_length = 16;
   wide.width = 10;  // up to 20 parameters per task
-  spec.workload("wide-20-params",
-                [wide] { return workloads::make_wide_stream(wide); });
+  spec.workload("wide-20-params", [wide] {
+    return std::make_unique<trace::VectorStream>(
+        workloads::make_wide_trace(wide));
+  });
 
   // Fan-out: one writer, 64 readers of the same address.
   std::vector<trace::TaskRecord> fanout;

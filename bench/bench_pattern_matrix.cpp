@@ -55,7 +55,7 @@ int run() {
     cfg.steps = steps;
     const auto tasks = workloads::make_pattern_trace(cfg);
     spec.workload(workloads::to_string(kind), [tasks] {
-      return workloads::make_pattern_stream(tasks);
+      return std::make_unique<trace::VectorStream>(tasks);
     });
   }
   // Classic Nexus cannot run the dense patterns at all: without dummy
@@ -133,7 +133,7 @@ int run() {
         cfg.steps = steps;
         cfg.task_ns = task_ns;
         const auto tasks = workloads::make_pattern_trace(cfg);
-        return [tasks] { return workloads::make_pattern_stream(tasks); };
+        return [tasks] { return std::make_unique<trace::VectorStream>(tasks); };
       };
       auto ladder = driver.run_metg(m);
       if (!ladder.error.empty()) {
@@ -152,7 +152,7 @@ int run() {
     cfg.task_ns = 20'000;  // coarse enough that kernel character shows
     const auto tasks = workloads::make_pattern_trace(cfg);
     espec.workload("stencil1d", [tasks] {
-      return workloads::make_pattern_stream(tasks);
+      return std::make_unique<trace::VectorStream>(tasks);
     });
     bool first = true;
     for (const auto kind :

@@ -47,7 +47,7 @@
 #include "workloads/library.hpp"
 #include "workloads/pattern.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nexuspp;
 
   // csv/json/list-* are booleans: `design_space --csv results.txt`
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                 : param == "threads" || param == "kernel"
                     ? "exec-threads"
                     : "nexus++");
-  const auto cores = static_cast<std::uint32_t>(flags.get_int("cores", 64));
+  const auto cores = flags.get_count("cores", 64);
 
   const auto& registry = engine::EngineRegistry::builtins();
   const auto& library = workloads::WorkloadLibrary::builtins();
@@ -88,17 +88,12 @@ int main(int argc, char** argv) {
   }
 
   engine::SweepSpec spec;
-  try {
-    if (const auto path = flags.get("trace")) {
-      // Replay mode: the swept workload is a captured trace file.
-      workload = *path;
-      spec.workload_from_trace(workload, *path);
-    } else {
-      spec.workload(workload, library.make_stream_factory(workload));
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+  if (const auto path = flags.get("trace")) {
+    // Replay mode: the swept workload is a captured trace file.
+    workload = *path;
+    spec.workload_from_trace(workload, *path);
+  } else {
+    spec.workload(workload, library.make_stream_factory(workload));
   }
 
   engine::EngineParams base;
@@ -106,8 +101,8 @@ int main(int argc, char** argv) {
   if (const auto mode = flags.get("match-mode")) {
     base.match_mode = core::match_mode_from_string(*mode);
   }
-  base.banks = static_cast<std::uint32_t>(flags.get_int("banks", 0));
-  base.threads = static_cast<std::uint32_t>(flags.get_int("threads", 0));
+  base.banks = flags.get_count("banks", 0);
+  base.threads = flags.get_count("threads", 0);
   if (const auto kernel = flags.get("kernel")) {
     base.kernel = exec::kernel_kind_from_string(*kernel);
   }
@@ -211,12 +206,7 @@ int main(int argc, char** argv) {
       spec_str += workload.find(':') == std::string::npos ? ':' : ',';
       spec_str += "kind=";
       spec_str += workloads::to_string(kind);
-      try {
-        spec.workload(spec_str, library.make_stream_factory(spec_str));
-      } catch (const std::exception& e) {
-        std::cerr << "error: " << e.what() << "\n";
-        return 1;
-      }
+      spec.workload(spec_str, library.make_stream_factory(spec_str));
       engine::PointSpec p;
       p.engine = engine_name;
       p.workload = spec_str;
@@ -246,8 +236,7 @@ int main(int argc, char** argv) {
     if (sel == "all") {
       for (auto& p : points) p.params.timeline.enabled = true;
     } else {
-      const auto want = static_cast<std::size_t>(
-          flags.get_int("timeline-point", 1));
+      const std::size_t want = flags.get_count("timeline-point", 1);
       if (want >= points.size()) {
         std::cerr << "error: --timeline-point=" << want
                   << " out of range (points: 0.." << points.size() - 1
@@ -262,8 +251,8 @@ int main(int argc, char** argv) {
   engine::SweepOptions options;
   // Sweep-driver parallelism; points on the real exec-threads backend get
   // the machine to themselves by default (they measure wall clock).
-  options.threads = static_cast<unsigned>(flags.get_int(
-      "sweep-threads", engine_name == "exec-threads" ? 1 : 4));
+  options.threads = flags.get_count(
+      "sweep-threads", engine_name == "exec-threads" ? 1 : 4);
   engine::SweepDriver driver(registry, options);
   const auto results = driver.run(spec);
 
@@ -310,4 +299,7 @@ int main(int argc, char** argv) {
   if (flags.has("csv")) engine::SweepDriver::write_csv(results, std::cout);
   if (flags.has("json")) engine::SweepDriver::write_json(results, std::cout);
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -147,12 +147,11 @@ std::vector<double> solve_tasks(Matrix& m, unsigned threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   nexuspp::util::Flags flags(argc, argv);
-  const int n = static_cast<int>(flags.get_int("n", 250));
-  const auto threads = static_cast<unsigned>(flags.get_int(
-      "threads", static_cast<std::int64_t>(
-                     std::thread::hardware_concurrency())));
+  const int n = static_cast<int>(flags.get_count("n", 250));
+  const unsigned threads =
+      flags.get_count("threads", std::thread::hardware_concurrency());
 
   std::cout << "Gaussian elimination with partial pivoting, n = " << n
             << ", " << threads << " threads\n";
@@ -176,4 +175,7 @@ int main(int argc, char** argv) {
   std::cout << "result verified: task-parallel elimination matches the "
                "serial solver.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -13,12 +13,12 @@
 #include "util/flags.hpp"
 #include "workloads/grid.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nexuspp;
 
   util::Flags flags(argc, argv);
-  const auto cores = static_cast<std::uint32_t>(flags.get_int("cores", 16));
-  const auto depth = static_cast<std::uint32_t>(flags.get_int("depth", 2));
+  const auto cores = flags.get_count("cores", 16);
+  const auto depth = flags.get_count("depth", 2);
   const bool contention = flags.get_bool("contention", true);
 
   // 1. Generate the H.264 wavefront workload (120 x 68 macroblocks,
@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
 
   // 2. Demonstrate the trace format round trip.
   if (auto path = flags.get("trace-out")) {
-    trace::save(*path, *tasks);
-    auto reloaded = trace::load(*path);
+    trace::save(*path, trace::Trace{{}, *tasks});
+    const auto reloaded = trace::load_trace(*path).tasks;
     std::cout << "trace saved to " << *path << " and reloaded ("
               << reloaded.size() << " records match: "
               << (reloaded == *tasks ? "yes" : "NO") << ")\n";
@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
   // 4. Run on the nexus++ engine and report.
   const auto& registry = engine::EngineRegistry::builtins();
   const auto report =
-      registry.make("nexus++", params)->run(workloads::make_grid_stream(tasks));
+      registry.make("nexus++", params)->run(
+          std::make_unique<trace::VectorStream>(tasks));
   if (report.deadlocked) {
     std::cerr << "deadlock: " << report.diagnosis << "\n";
     return 1;
@@ -71,8 +72,12 @@ int main(int argc, char** argv) {
   engine::EngineParams single = params;
   single.num_workers = 1;
   const auto reference =
-      registry.make("nexus++", single)->run(workloads::make_grid_stream(tasks));
+      registry.make("nexus++", single)->run(
+          std::make_unique<trace::VectorStream>(tasks));
   std::cout << "\nspeedup vs single core: "
             << util::fmt_x(report.speedup_vs(reference)) << "\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

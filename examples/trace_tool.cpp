@@ -93,8 +93,8 @@ void print_summary(const trace::Trace& trace) {
 /// Strict parse of a numeric trace-meta value: digits only, must fit
 /// uint32. Corrupt or hand-edited metadata gets a descriptive error, the
 /// same contract trace::io gives malformed files.
-std::int64_t meta_u32(const trace::TraceMeta& meta, const char* key,
-                      std::int64_t fallback) {
+std::uint32_t meta_u32(const trace::TraceMeta& meta, const char* key,
+                       std::uint32_t fallback) {
   const auto value = meta.get(key);
   if (!value) return fallback;
   try {
@@ -103,7 +103,7 @@ std::int64_t meta_u32(const trace::TraceMeta& meta, const char* key,
     if (used != value->size() || v > 0xFFFF'FFFFull) {
       throw std::invalid_argument("out of range or trailing junk");
     }
-    return static_cast<std::int64_t>(v);
+    return static_cast<std::uint32_t>(v);
   } catch (const std::exception&) {
     throw std::runtime_error(std::string("trace meta '") + key +
                              "': expected a 32-bit unsigned integer, got '" +
@@ -117,15 +117,15 @@ std::int64_t meta_u32(const trace::TraceMeta& meta, const char* key,
 engine::EngineParams params_for_run(const util::Flags& flags,
                                     const trace::TraceMeta& meta) {
   engine::EngineParams params;
-  params.num_workers = static_cast<std::uint32_t>(flags.get_int(
-      "cores", meta_u32(meta, trace::TraceMeta::kWorkers, 16)));
+  params.num_workers = flags.get_count(
+      "cores", meta_u32(meta, trace::TraceMeta::kWorkers, 16));
   auto mode = flags.get("match-mode");
   if (!mode) mode = meta.get(trace::TraceMeta::kMatchMode);
   if (mode) params.match_mode = core::match_mode_from_string(*mode);
-  params.banks = static_cast<std::uint32_t>(
-      flags.get_int("banks", meta_u32(meta, trace::TraceMeta::kBanks, 0)));
-  params.threads = static_cast<std::uint32_t>(flags.get_int(
-      "threads", meta_u32(meta, trace::TraceMeta::kThreads, 0)));
+  params.banks =
+      flags.get_count("banks", meta_u32(meta, trace::TraceMeta::kBanks, 0));
+  params.threads = flags.get_count(
+      "threads", meta_u32(meta, trace::TraceMeta::kThreads, 0));
   auto kernel = flags.get("kernel");
   if (!kernel) kernel = meta.get(trace::TraceMeta::kKernel);
   if (kernel) params.kernel = exec::kernel_kind_from_string(*kernel);

@@ -93,13 +93,12 @@ void run_tasks(Grid& g, unsigned threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   nexuspp::util::Flags flags(argc, argv);
-  const int rows = static_cast<int>(flags.get_int("rows", 120));
-  const int cols = static_cast<int>(flags.get_int("cols", 68));
-  const auto threads = static_cast<unsigned>(flags.get_int(
-      "threads", static_cast<std::int64_t>(
-                     std::thread::hardware_concurrency())));
+  const int rows = static_cast<int>(flags.get_count("rows", 120));
+  const int cols = static_cast<int>(flags.get_count("cols", 68));
+  const unsigned threads =
+      flags.get_count("threads", std::thread::hardware_concurrency());
 
   std::cout << "Wavefront " << rows << " x " << cols << " ("
             << rows * cols << " tasks) on " << threads << " threads\n";
@@ -127,4 +126,7 @@ int main(int argc, char** argv) {
             << ms(serial_time) / ms(parallel_time) << "x)\n";
   std::cout << "result verified: task-parallel wavefront == serial.\n";
   return 0;
+} catch (const std::exception& e) {
+  std::cerr << "error: " << e.what() << "\n";
+  return 1;
 }

@@ -35,19 +35,12 @@ core::DependenceTable::Stats BankedTable::aggregated_stats() const {
   core::DependenceTable::Stats out;
   for (const auto& b : banks_) {
     const auto& s = b.stats();
-    out.inserts += s.inserts;
-    out.insert_failures += s.insert_failures;
-    out.erases += s.erases;
     out.ko_dummy_allocations += s.ko_dummy_allocations;
-    out.ko_append_failures += s.ko_append_failures;
-    out.promotions += s.promotions;
     out.lookups += s.lookups;
     out.lookup_probes += s.lookup_probes;
     out.max_live_slots = std::max(out.max_live_slots, s.max_live_slots);
     out.longest_hash_chain =
         std::max(out.longest_hash_chain, s.longest_hash_chain);
-    out.max_ko_chain_slots =
-        std::max(out.max_ko_chain_slots, s.max_ko_chain_slots);
   }
   return out;
 }

@@ -51,14 +51,12 @@ BankedResolver::ParamResult BankedResolver::resolve_param(TaskId id,
 
   // Spanning registration (range mode): two-phase, canonical bank order.
   const auto touched = part.banks_for(param.addr, param.size);
-  ++banked_stats_.two_phase_registrations;
 
   // Phase one — precheck slot demand and structural failures per bank.
   for (const auto b : touched) {
     const auto pre = per_bank_[b].precheck_range(id, param);
     cost_slot(costs_, b) += pre.cost;
     if (!pre.fits) {
-      ++banked_stats_.precheck_stalls;
       out.outcome = core::Resolver::ParamOutcome::kNeedSpace;
       out.structural = pre.structural;
       return out;
@@ -140,15 +138,12 @@ core::Resolver::Stats BankedResolver::aggregated_stats() const {
   core::Resolver::Stats out;
   for (const auto& r : per_bank_) {
     const auto& s = r.stats();
-    out.granted += s.granted;
     out.queued += s.queued;
-    out.stalls += s.stalls;
     out.war_hazards += s.war_hazards;
     out.waw_hazards += s.waw_hazards;
     out.raw_hazards += s.raw_hazards;
     out.defensive_drains += s.defensive_drains;
   }
-  out.stalls += banked_stats_.precheck_stalls;
   return out;
 }
 

@@ -92,18 +92,10 @@ class BankedResolver {
   [[nodiscard]] core::Resolver::SubmitResult submit(TaskId id);
   [[nodiscard]] core::Resolver::FinishResult finish(TaskId id);
 
-  /// Element-wise sum of the per-bank resolver stats plus this layer's
-  /// cross-bank stall accounting. In range mode with spans, granted/queued/
-  /// hazard counters count per (parameter, touched bank) pair.
+  /// Element-wise sum of the per-bank resolver stats. In range mode with
+  /// spans, the queued and hazard counters count per (parameter, touched
+  /// bank) pair.
   [[nodiscard]] core::Resolver::Stats aggregated_stats() const;
-
-  struct BankedStats {
-    std::uint64_t two_phase_registrations = 0;  ///< multi-bank range params
-    std::uint64_t precheck_stalls = 0;  ///< kNeedSpace found in phase one
-  };
-  [[nodiscard]] const BankedStats& banked_stats() const noexcept {
-    return banked_stats_;
-  }
 
   [[nodiscard]] const BankedTable& table() const noexcept { return *table_; }
 
@@ -118,7 +110,6 @@ class BankedResolver {
   /// resolution allocates nothing: at most one entry per bank, reserved at
   /// construction.
   std::vector<BankCost> costs_;
-  BankedStats banked_stats_;
 };
 
 }  // namespace nexuspp::bank

@@ -142,7 +142,6 @@ DependenceTable::AppendResult DependenceTable::kickoff_append_full(
   AppendResult out{true, false, Cost{1, 0}};
   if (!config_.allow_dummy_entries) {
     // Classic Nexus: the list cannot grow, ever.
-    ++stats_.ko_append_failures;
     out.ok = false;
     out.structural = true;
     return out;
@@ -152,7 +151,6 @@ DependenceTable::AppendResult DependenceTable::kickoff_append_full(
   // with the new id, and the freed slot becomes the continuation pointer.
   const auto dummy = alloc_slot();
   if (!dummy) {
-    ++stats_.ko_append_failures;
     out.ok = false;
     return out;
   }
@@ -167,9 +165,6 @@ DependenceTable::AppendResult DependenceTable::kickoff_append_full(
   p.has_dummy = true;
   p.last_dummy = *dummy;
   out.cost.writes += 3;  // dummy slot, tail pointer, parent h_D/l_D
-
-  stats_.max_ko_chain_slots =
-      std::max(stats_.max_ko_chain_slots, kickoff_chain_slots(parent));
   return out;
 }
 
@@ -221,7 +216,6 @@ DependenceTable::Index DependenceTable::promote(Index parent, Cost& cost) {
 
   index_replace(p.addr, parent, first_dummy);
   free_slot(parent);
-  ++stats_.promotions;
   return first_dummy;
 }
 

@@ -201,17 +201,11 @@ class DependenceTable {
   }
 
   struct Stats {
-    std::uint64_t inserts = 0;
-    std::uint64_t insert_failures = 0;
-    std::uint64_t erases = 0;
     std::uint64_t ko_dummy_allocations = 0;
-    std::uint64_t ko_append_failures = 0;
-    std::uint64_t promotions = 0;
     std::uint64_t lookups = 0;        ///< lookup/lookup_owned/overlapping calls
     std::uint64_t lookup_probes = 0;  ///< entries visited across all lookups
     std::uint32_t max_live_slots = 0;
     std::uint32_t longest_hash_chain = 0;  ///< max probes in one lookup
-    std::uint32_t max_ko_chain_slots = 0;  ///< longest kick-off extension chain
 
     /// Mean entries visited per lookup — the per-lookup cost the match-mode
     /// bench compares between base-address and range matching.
@@ -413,10 +407,7 @@ inline DependenceTable::InsertResult DependenceTable::insert(
     Addr addr, std::uint32_t size, bool is_out, TaskId owner) {
   InsertResult out;
   const auto slot = alloc_slot();
-  if (!slot) {
-    ++stats_.insert_failures;
-    return out;
-  }
+  if (!slot) return out;
   Slot& s = slots_[*slot];
   s.addr = addr;
   s.size = size;
@@ -437,7 +428,6 @@ inline DependenceTable::InsertResult DependenceTable::insert(
   bucket_heads_[bucket] = *slot;
   out.cost.writes += 1;
 
-  ++stats_.inserts;
   out.index = *slot;
   return out;
 }
@@ -465,7 +455,6 @@ inline Cost DependenceTable::erase(Index index) {
     index_retire(s.addr, s.size, index);
   }
   free_slot(index);
-  ++stats_.erases;
   return cost;
 }
 

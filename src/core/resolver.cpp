@@ -42,7 +42,6 @@ Resolver::ParamResult Resolver::process_param_range(TaskId id,
   const auto pre = precheck_range(id, param);
   out.cost += pre.cost;
   if (!pre.fits) {
-    ++stats_.stalls;
     out.outcome = ParamOutcome::kNeedSpace;
     out.structural = pre.structural;
     return out;
@@ -73,7 +72,6 @@ Resolver::ParamResult Resolver::process_param_range(TaskId id,
   }
 
   if (pre.conflicts.empty()) {
-    ++stats_.granted;
     out.outcome = ParamOutcome::kGranted;
   } else {
     ++stats_.queued;

@@ -124,9 +124,7 @@ class Resolver {
                                              const Param& param) const;
 
   struct Stats {
-    std::uint64_t granted = 0;
     std::uint64_t queued = 0;
-    std::uint64_t stalls = 0;
     std::uint64_t war_hazards = 0;  ///< writer queued behind readers
     std::uint64_t waw_hazards = 0;  ///< writer queued behind a writer
     std::uint64_t raw_hazards = 0;  ///< reader queued behind a writer
@@ -185,14 +183,12 @@ inline Resolver::ParamResult Resolver::process_param_base(TaskId id,
     auto ins = dt_->insert(param.addr, param.size, !is_reader_only);
     out.cost += ins.cost;
     if (!ins.index.has_value()) {
-      ++stats_.stalls;
       out.outcome = ParamOutcome::kNeedSpace;
       return out;
     }
     if (is_reader_only) {
       out.cost += dt_->set_readers(*ins.index, 1);  // (2)
     }
-    ++stats_.granted;
     out.outcome = ParamOutcome::kGranted;
     return out;
   }
@@ -202,7 +198,6 @@ inline Resolver::ParamResult Resolver::process_param_base(TaskId id,
     // (3) New task only reads the address.
     if (!dt_->is_out(idx) && !dt_->writer_waits(idx)) {
       out.cost += dt_->add_reader(idx);  // (4) RAR: share the address
-      ++stats_.granted;
       out.outcome = ParamOutcome::kGranted;
       return out;
     }
@@ -210,7 +205,6 @@ inline Resolver::ParamResult Resolver::process_param_base(TaskId id,
     auto app = dt_->kickoff_append(idx, id);
     out.cost += app.cost;
     if (!app.ok) {
-      ++stats_.stalls;
       out.outcome = ParamOutcome::kNeedSpace;
       out.structural = app.structural;
       return out;
@@ -226,7 +220,6 @@ inline Resolver::ParamResult Resolver::process_param_base(TaskId id,
   auto app = dt_->kickoff_append(idx, id);
   out.cost += app.cost;
   if (!app.ok) {
-    ++stats_.stalls;
     out.outcome = ParamOutcome::kNeedSpace;
     out.structural = app.structural;
     return out;

@@ -67,10 +67,7 @@ std::uint32_t TaskPool::spilled_slots(std::size_t param_count) const {
 std::optional<TaskPool::Inserted> TaskPool::insert_spilled(
     std::uint64_t fn, std::uint64_t serial, std::span<const Param> params) {
   const std::uint32_t needed = slots_needed(params.size());
-  if (needed > free_.size()) {
-    ++stats_.insert_failures;
-    return std::nullopt;
-  }
+  if (needed > free_.size()) return std::nullopt;
 
   Cost cost;
   const std::size_t m = config_.max_params;
@@ -108,7 +105,6 @@ std::optional<TaskPool::Inserted> TaskPool::insert_spilled(
     cost.writes += 1;
   }
 
-  ++stats_.inserts;
   stats_.max_used_slots = std::max(stats_.max_used_slots, used_slot_count());
   return Inserted{id, cost};
 }

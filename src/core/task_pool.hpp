@@ -145,9 +145,6 @@ class TaskPool {
   }
 
   struct Stats {
-    std::uint64_t inserts = 0;
-    std::uint64_t insert_failures = 0;  ///< Write TP had to stall
-    std::uint64_t frees = 0;
     std::uint64_t dummy_slots_allocated = 0;
     std::uint32_t max_used_slots = 0;
   };
@@ -237,10 +234,7 @@ inline std::optional<TaskPool::Inserted> TaskPool::insert(
   if (params.size() > config_.max_params) [[unlikely]] {
     return insert_spilled(fn, serial, params);
   }
-  if (free_.empty()) {
-    ++stats_.insert_failures;
-    return std::nullopt;
-  }
+  if (free_.empty()) return std::nullopt;
   const TaskId id = free_.pop();
   Slot& head = slots_[id];
   head = kEmptySlot;
@@ -249,7 +243,6 @@ inline std::optional<TaskPool::Inserted> TaskPool::insert(
   head.serial = serial;
   head.total_params = static_cast<std::uint32_t>(params.size());
   store_params(id, params);
-  ++stats_.inserts;
   stats_.max_used_slots = std::max(stats_.max_used_slots, used_slot_count());
   return Inserted{id, Cost{0, 1}};
 }
@@ -271,7 +264,6 @@ inline Cost TaskPool::free_task(TaskId id) {
     cost.writes += 1;
     cur = next;
   }
-  ++stats_.frees;
   return cost;
 }
 

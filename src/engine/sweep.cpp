@@ -37,7 +37,7 @@ SweepSpec& SweepSpec::workload(std::string name, StreamFactory factory) {
 SweepSpec& SweepSpec::workload_from_trace(std::string name,
                                           const std::string& path) {
   auto tasks = std::make_shared<const std::vector<trace::TaskRecord>>(
-      trace::load(path));
+      trace::load_trace(path).tasks);
   return workload(std::move(name), [tasks] {
     return std::make_unique<trace::VectorStream>(tasks);
   });
@@ -226,6 +226,7 @@ double metg_from_samples(std::vector<MetgSample> samples,
 }
 
 MetgResult SweepDriver::run_metg(const MetgSpec& spec) {
+  constexpr double kMetgEfficiencyFloor = 0.5;  // task-bench's 50 %
   MetgResult result;
   if (!spec.workload_at) {
     result.error = "run_metg: null workload_at factory";
@@ -258,15 +259,14 @@ MetgResult SweepDriver::run_metg(const MetgSpec& spec) {
     }
     const double eff = run_efficiency(r.report);
     result.samples.push_back({g, eff});
-    const bool effective = eff >= spec.efficiency_floor;
+    const bool effective = eff >= kMetgEfficiencyFloor;
     if (effective) last_effective = result.runs.size();
     result.runs.push_back(std::move(r));
     // One below-floor rung is enough to interpolate the crossing; keep
     // descending only while the engine stays effective.
     if (!effective || g / 2 < spec.min_task_ns || g == 1) break;
   }
-  result.metg_ns =
-      metg_from_samples(result.samples, spec.efficiency_floor);
+  result.metg_ns = metg_from_samples(result.samples, kMetgEfficiencyFloor);
   if (result.metg_ns > 0.0 &&
       last_effective != static_cast<std::size_t>(-1)) {
     // First-class reporting: the crossing rung's report carries the METG

@@ -7,8 +7,7 @@
 // designated baseline. The SweepDriver expands nothing lazily and hides
 // nothing: every point becomes exactly one single-threaded simulation, and
 // because points are independent the driver runs them concurrently on a
-// std::thread pool — a 13-point Fig. 6 grid on 4 threads finishes in
-// roughly a quarter of the serial wall-clock.
+// std::thread pool.
 //
 // Results come back in spec order (fully deterministic regardless of
 // thread interleaving) with speedup-vs-baseline columns computed per
@@ -131,8 +130,9 @@ class SweepDriver {
 
   /// Runs one METG ladder (see MetgSpec below): descend the granularity
   /// axis from start_task_ns, halving per rung, until efficiency falls
-  /// below the floor (or the ladder/min is exhausted). Rungs run
-  /// sequentially — each one's efficiency decides whether to descend.
+  /// below task-bench's 50 % floor (or the ladder/min is exhausted).
+  /// Rungs run sequentially — each one's efficiency decides whether to
+  /// descend.
   [[nodiscard]] MetgResult run_metg(const MetgSpec& spec);
 
   /// Telemetry of the last run().
@@ -233,7 +233,6 @@ struct MetgSpec {
   EngineParams params;
   std::uint64_t start_task_ns = 262'144;  ///< ladder top (halves each rung)
   std::uint64_t min_task_ns = 64;         ///< ladder floor (inclusive)
-  double efficiency_floor = 0.5;
   std::string series;  ///< speedup/CSV series; empty = engine/workload
 };
 

@@ -28,10 +28,6 @@ void ExecConfig::validate() const {
   if (threads == 0) {
     throw std::invalid_argument("ExecConfig: threads must be >= 1");
   }
-  if (!(duration_scale >= 0.0)) {
-    throw std::invalid_argument("ExecConfig: duration_scale must be >= 0");
-  }
-  kernel.validate();
   resolver_config().validate();
 }
 
@@ -186,8 +182,7 @@ engine::RunReport ThreadedExecutor::run(
       stalled_at = now;
     };
     const Impl::Task task{
-        static_cast<std::uint64_t>(sim::to_ns(record->exec_time) *
-                                   config_.duration_scale),
+        static_cast<std::uint64_t>(sim::to_ns(record->exec_time)),
         submit_start};
     std::uint64_t slot = 0;
     const auto outcome =

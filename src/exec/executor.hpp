@@ -60,11 +60,9 @@ struct ExecConfig {
   std::uint32_t kick_off_capacity =
       core::DependenceTableConfig{}.kick_off_capacity;
   bool allow_dummies = true;
-  /// Multiplier on trace exec times (1.0 honors them; tests shrink it).
-  double duration_scale = 1.0;
   /// Kernel body workers run per task (see exec/kernels.hpp). kSpin is
-  /// the status-quo pure delay; the other kinds convert the (scaled)
-  /// trace duration into calibrated work units with a real resource
+  /// the status-quo pure delay; the other kinds convert the record's
+  /// exec_time into calibrated work units with a real resource
   /// signature. Simulated engines never see this knob, so sim-vs-real
   /// comparisons stay on identical trace durations.
   KernelConfig kernel{};

@@ -1,6 +1,5 @@
 #include "exec/kernels.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
@@ -18,7 +17,14 @@ using Clock = std::chrono::steady_clock;
 /// the work dead (same device as spin.cpp's sink).
 chk::Atomic<std::uint64_t> g_kernel_sink{0};
 
-constexpr std::uint32_t kDefaultTile = 24;
+/// MEMORY_BOUND: per-worker stream buffer (a whole number of chunks).
+constexpr std::size_t kBufferBytes = std::size_t{1} << 20;
+/// COMPUTE_DGEMM: tile edge.
+constexpr std::size_t kTile = 24;
+/// LOAD_IMBALANCE: the per-task multiplier is uniform in [1, kImbalance).
+constexpr double kImbalance = 4.0;
+/// Seeds the per-worker state and the imbalance draw.
+constexpr std::uint64_t kSeed = 1;
 
 std::uint64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
   return static_cast<std::uint64_t>(
@@ -68,18 +74,6 @@ KernelKind kernel_kind_from_string(const std::string& name) {
       "' (accepted: spin, compute, memory, imbalance, dgemm)");
 }
 
-void KernelConfig::validate() const {
-  if (buffer_bytes == 0) {
-    throw std::invalid_argument("KernelConfig: buffer_bytes must be >= 1");
-  }
-  if (tile == 0) {
-    throw std::invalid_argument("KernelConfig: tile must be >= 1");
-  }
-  if (!(imbalance >= 1.0)) {
-    throw std::invalid_argument("KernelConfig: imbalance must be >= 1");
-  }
-}
-
 std::uint64_t kernel_unit_ns(KernelKind kind) {
   switch (kind) {
     case KernelKind::kSpin:
@@ -88,28 +82,21 @@ std::uint64_t kernel_unit_ns(KernelKind kind) {
     case KernelKind::kLoadImbalance: {
       // Both execute compute units; one calibration serves both.
       static const std::uint64_t value = [] {
-        KernelConfig cfg;
-        cfg.kind = KernelKind::kComputeBound;
-        KernelBody scratch(cfg, 0);
+        KernelBody scratch(KernelConfig{KernelKind::kComputeBound}, 0);
         return measure_unit_ns(scratch);
       }();
       return value;
     }
     case KernelKind::kMemoryBound: {
       static const std::uint64_t value = [] {
-        KernelConfig cfg;
-        cfg.kind = KernelKind::kMemoryBound;
-        KernelBody scratch(cfg, 0);
+        KernelBody scratch(KernelConfig{KernelKind::kMemoryBound}, 0);
         return measure_unit_ns(scratch);
       }();
       return value;
     }
     case KernelKind::kComputeDgemm: {
       static const std::uint64_t value = [] {
-        KernelConfig cfg;
-        cfg.kind = KernelKind::kComputeDgemm;
-        cfg.tile = kDefaultTile;
-        KernelBody scratch(cfg, 0);
+        KernelBody scratch(KernelConfig{KernelKind::kComputeDgemm}, 0);
         return measure_unit_ns(scratch);
       }();
       return value;
@@ -120,20 +107,14 @@ std::uint64_t kernel_unit_ns(KernelKind kind) {
 
 KernelBody::KernelBody(const KernelConfig& config, std::uint32_t worker_index)
     : config_(config) {
-  config_.validate();
   // Seed per-worker state differently so workers never share cache lines
   // through identical constants (acc_ also feeds the skew-free chains).
-  acc_ = util::SplitMix64(config_.seed ^ (0x5EEDull + worker_index)).next();
+  acc_ = util::SplitMix64(kSeed ^ (0x5EEDull + worker_index)).next();
   if (config_.kind == KernelKind::kMemoryBound) {
-    const std::size_t elems =
-        (std::max(config_.buffer_bytes, kChunkBytes) + sizeof(std::uint64_t) -
-         1) /
-        sizeof(std::uint64_t);
-    buffer_.assign(elems, 0);
+    buffer_.assign(kBufferBytes / sizeof(std::uint64_t), 0);
   }
   if (config_.kind == KernelKind::kComputeDgemm) {
-    const std::size_t n =
-        static_cast<std::size_t>(config_.tile) * config_.tile;
+    const std::size_t n = kTile * kTile;
     a_.resize(n);
     b_.resize(n);
     c_.assign(n, 0.0);
@@ -146,17 +127,7 @@ KernelBody::KernelBody(const KernelConfig& config, std::uint32_t worker_index)
 }
 
 std::uint64_t KernelBody::unit_ns() const {
-  std::uint64_t base = kernel_unit_ns(config_.kind);
-  if (config_.kind == KernelKind::kComputeDgemm &&
-      config_.tile != kDefaultTile) {
-    // Cubic work scaling; calibration always uses the default tile.
-    const double ratio = static_cast<double>(config_.tile) /
-                         static_cast<double>(kDefaultTile);
-    base = static_cast<std::uint64_t>(static_cast<double>(base) * ratio *
-                                      ratio * ratio);
-    if (base == 0) base = 1;
-  }
-  return base;
+  return kernel_unit_ns(config_.kind);
 }
 
 std::uint64_t KernelBody::units_for(std::uint64_t ns) const {
@@ -168,13 +139,12 @@ std::uint64_t KernelBody::units_for(std::uint64_t ns) const {
 
 double KernelBody::skew(std::uint64_t serial) const {
   if (config_.kind != KernelKind::kLoadImbalance) return 1.0;
-  // Deterministic in (seed, serial): the same trace produces the same
+  // Deterministic in the serial: the same trace produces the same
   // imbalance profile on every run and on every worker.
   const std::uint64_t bits =
-      util::SplitMix64(config_.seed ^ (serial * 0x9E3779B97F4A7C15ull))
-          .next();
+      util::SplitMix64(kSeed ^ (serial * 0x9E3779B97F4A7C15ull)).next();
   const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  return 1.0 + (config_.imbalance - 1.0) * u;
+  return 1.0 + (kImbalance - 1.0) * u;
 }
 
 std::uint64_t KernelBody::run(std::uint64_t ns, std::uint64_t serial) {
@@ -232,7 +202,7 @@ void KernelBody::memory_unit() {
 }
 
 void KernelBody::dgemm_unit() {
-  const std::size_t t = config_.tile;
+  constexpr std::size_t t = kTile;
   for (std::size_t i = 0; i < t; ++i) {
     for (std::size_t k = 0; k < t; ++k) {
       const double aik = a_[i * t + k];

@@ -13,12 +13,13 @@
 //   kComputeBound  — dependent multiply-add chain, calibrated FLOP loop;
 //                    duration is converted to a whole number of compute
 //                    units, so longer requests always do more work.
-//   kMemoryBound   — read-modify-write streaming over a per-worker
-//                    buffer, one cache-unfriendly chunk per unit.
+//   kMemoryBound   — read-modify-write streaming over a 1 MiB per-worker
+//                    buffer, one cache-unfriendly 4 KiB chunk per unit.
 //   kLoadImbalance — compute units with a deterministic per-task skew
-//                    multiplier drawn from (seed, task serial): the same
-//                    trace yields the same imbalance on every run.
-//   kComputeDgemm  — small-tile C += A*B matmul per unit, the classic
+//                    multiplier, uniform in [1, 4) and drawn from the task
+//                    serial: the same trace yields the same imbalance on
+//                    every run.
+//   kComputeDgemm  — 24 x 24 tile C += A*B matmul per unit, the classic
 //                    dense-kernel stand-in.
 //
 // Durations are honored through a *work-unit model*: a one-time
@@ -31,8 +32,7 @@
 // A KernelBody holds per-worker state (stream buffer, matmul tiles) and
 // is used from exactly one worker thread; the executor builds one per
 // worker before the pool starts. Calibration is process-wide, once per
-// kind, thread-safe (magic statics), and uses default-shaped units; DGEMM
-// unit cost scales cubically with a non-default tile edge.
+// kind, and thread-safe (magic statics).
 
 #include <cstdint>
 #include <string>
@@ -56,20 +56,10 @@ enum class KernelKind : std::uint8_t {
 
 struct KernelConfig {
   KernelKind kind = KernelKind::kSpin;
-  /// MEMORY_BOUND: per-worker stream buffer size (rounded up to one chunk).
-  std::uint32_t buffer_bytes = 1u << 20;
-  /// COMPUTE_DGEMM: tile edge (unit cost scales with tile^3).
-  std::uint32_t tile = 24;
-  /// LOAD_IMBALANCE: per-task duration multiplier is uniform in
-  /// [1, imbalance], drawn deterministically from (seed, task serial).
-  double imbalance = 4.0;
-  std::uint64_t seed = 1;
-
-  void validate() const;
 };
 
 /// Calibrated wall nanoseconds one work unit of `kind` costs on this host
-/// (default unit shapes; >= 1). kSpin has no unit model and returns 0.
+/// (>= 1). kSpin has no unit model and returns 0.
 /// Measured once per process per kind, on first use; thread-safe.
 [[nodiscard]] std::uint64_t kernel_unit_ns(KernelKind kind);
 
@@ -77,7 +67,7 @@ struct KernelConfig {
 /// worker thread (the executor indexes a pre-built vector by worker id).
 class KernelBody {
  public:
-  /// Elements the MEMORY_BOUND kernel touches per work unit.
+  /// Bytes the MEMORY_BOUND kernel touches per work unit.
   static constexpr std::uint32_t kChunkBytes = 4096;
   /// Iterations of the multiply-add chain per compute unit.
   static constexpr std::uint64_t kComputeIters = 4096;
@@ -88,8 +78,7 @@ class KernelBody {
     return config_;
   }
 
-  /// Calibrated ns per work unit for this body's kind (0 for kSpin);
-  /// DGEMM cost is scaled by (tile / default tile)^3.
+  /// Calibrated ns per work unit for this body's kind (0 for kSpin).
   [[nodiscard]] std::uint64_t unit_ns() const;
 
   /// Work units a request for `ns` nanoseconds maps to: 0 when ns == 0,
@@ -97,9 +86,9 @@ class KernelBody {
   /// kSpin returns 0 (its duration model is the deadline spin itself).
   [[nodiscard]] std::uint64_t units_for(std::uint64_t ns) const;
 
-  /// Deterministic per-task duration multiplier: uniform in
-  /// [1, config.imbalance] drawn from (config.seed, serial) for
-  /// kLoadImbalance; exactly 1.0 for every other kind.
+  /// Deterministic per-task duration multiplier: uniform in [1, 4) drawn
+  /// from the task serial for kLoadImbalance; exactly 1.0 for every other
+  /// kind.
   [[nodiscard]] double skew(std::uint64_t serial) const;
 
   /// Executes the kernel for approximately `ns * skew(serial)` wall

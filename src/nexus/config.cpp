@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "bank/partition.hpp"
+
 namespace nexuspp::nexus {
 
 void NexusConfig::validate() const {
@@ -24,11 +26,6 @@ void NexusConfig::validate() const {
   if (banks > dep_table.capacity) {
     throw std::invalid_argument(
         "NexusConfig: more DT banks than dependence-table entries");
-  }
-  if (bank_region_bytes == 0 ||
-      (bank_region_bytes & (bank_region_bytes - 1)) != 0) {
-    throw std::invalid_argument(
-        "NexusConfig: bank_region_bytes must be a nonzero power of two");
   }
   task_pool.validate();
   dep_table.validate();
@@ -68,7 +65,8 @@ util::Table NexusConfig::describe() const {
     t.row({"DT banks", std::to_string(banks) + " x " +
                            std::to_string((dep_table.capacity + banks - 1) /
                                           banks) +
-                           " entries, " + std::to_string(bank_region_bytes) +
+                           " entries, " +
+                           std::to_string(bank::BankPartition{}.region_bytes) +
                            " B regions"});
   }
   t.row({"task preparation",

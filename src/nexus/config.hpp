@@ -2,6 +2,7 @@
 // Full configuration of a simulated Nexus++ multicore system — every
 // parameter of the paper's Table IV, fully configurable (one of the four
 // stated contributions: "its parameters are fully configurable").
+// `NexusConfig{}` is the Table IV system.
 
 #include <cstdint>
 
@@ -28,13 +29,12 @@ struct NexusConfig {
   // --- Dependence-table banking ----------------------------------------------
   /// Number of independent Dependence Table banks: dep_table.capacity is
   /// split evenly across this many banks behind a home-region address
-  /// partition (see src/bank/partition.hpp), and the bank arbiter times
-  /// Check Deps and Handle Finished per bank. 1 is the paper's monolithic
-  /// table; the nexus++ and classic-nexus engines always run one bank, the
+  /// partition of 256-byte regions (bank::BankPartition's default; see
+  /// src/bank/partition.hpp), and the bank arbiter times Check Deps and
+  /// Handle Finished per bank. 1 is the paper's monolithic table; the
+  /// nexus++ and classic-nexus engines always run one bank, the
   /// `nexus-banked` engine sweeps this.
   std::uint32_t banks = 1;
-  /// Home-region size of the bank partition (power of two bytes).
-  std::uint32_t bank_region_bytes = 256;
 
   // --- Clocks & access times -------------------------------------------------
   sim::Time nexus_cycle = sim::ns(2);      ///< Nexus++ at 500 MHz
@@ -64,10 +64,6 @@ struct NexusConfig {
   obs::TimelineRecorder* timeline_recorder = nullptr;
 
   void validate() const;
-
-  /// The paper's Table IV defaults (identical to value-initialization; this
-  /// spelling exists so call sites can say what they mean).
-  [[nodiscard]] static NexusConfig paper_defaults() { return {}; }
 
   /// A "classic Nexus" baseline: 5-parameter descriptors, no dummy tasks,
   /// no dummy entries, no task buffering in the workers.

@@ -18,7 +18,6 @@ bank::BankedTableConfig banked_table_config(const NexusConfig& cfg) {
   bank::BankedTableConfig out;
   out.table = cfg.dep_table;
   out.partition.banks = cfg.banks;
-  out.partition.region_bytes = cfg.bank_region_bytes;
   return out;
 }
 

@@ -110,20 +110,12 @@ struct Runtime::Impl {
 
   void run(std::uint64_t /*serial*/, TaskFn& body, std::uint32_t /*worker*/) {
     tls_worker_of = this;
-    // Relaxed: statistics; the peak is a max over the running count.
-    const unsigned now = running.fetch_add(1, std::memory_order_relaxed) + 1;
-    unsigned peak_seen = peak.load(std::memory_order_relaxed);
-    while (peak_seen < now &&
-           !peak.compare_exchange_weak(peak_seen, now,
-                                       std::memory_order_relaxed)) {
-    }
     try {
       body();
     } catch (...) {
       const std::lock_guard<chk::Mutex> lock(error_mu);
       if (!first_error) first_error = std::current_exception();
     }
-    running.fetch_sub(1, std::memory_order_relaxed);
     body = nullptr;  // drop the captures here, off the Maestro's path
   }
 
@@ -221,8 +213,6 @@ struct Runtime::Impl {
   chk::Atomic<std::uint64_t> raw{0};
   chk::Atomic<std::uint64_t> war{0};
   chk::Atomic<std::uint64_t> waw{0};
-  chk::Atomic<unsigned> running{0};
-  chk::Atomic<unsigned> peak{0};
 
   chk::Mutex error_mu;
   std::exception_ptr first_error;  ///< guarded by error_mu
@@ -335,7 +325,6 @@ Runtime::Stats Runtime::stats() const {
   s.raw_hazards = im.raw.load(std::memory_order_relaxed);
   s.war_hazards = im.war.load(std::memory_order_relaxed);
   s.waw_hazards = im.waw.load(std::memory_order_relaxed);
-  s.max_concurrency = im.peak.load(std::memory_order_relaxed);
   return s;
 }
 

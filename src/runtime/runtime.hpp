@@ -114,7 +114,6 @@ class Runtime {
     std::uint64_t raw_hazards = 0;
     std::uint64_t war_hazards = 0;
     std::uint64_t waw_hazards = 0;
-    unsigned max_concurrency = 0;  ///< peak simultaneously-running tasks
   };
   /// Snapshot of runtime statistics (thread-safe, never waits).
   [[nodiscard]] Stats stats() const;

@@ -121,21 +121,18 @@ void expect_eof(std::istream& is) {
 
 // --- Text ---------------------------------------------------------------------
 
-namespace {
-
-void write_text_impl(std::ostream& os, const TraceMeta& meta,
-                     const std::vector<TaskRecord>& tasks) {
+void write_text(std::ostream& os, const Trace& trace) {
   // TraceMeta::set (the class's only mutation path) enforces the key and
   // value syntax rules, so the meta block is serializable as-is.
   os << kTextHeaderPrefix << kFormatVersion << "\n";
-  os << "# tasks: " << tasks.size() << "\n";
-  for (const auto& [key, value] : meta.entries()) {
+  os << "# tasks: " << trace.tasks.size() << "\n";
+  for (const auto& [key, value] : trace.meta.entries()) {
     os << "meta " << key << " " << value << "\n";
   }
   // 17 significant digits: enough for any picosecond count expressed in
   // fractional nanoseconds to round-trip exactly.
   os << std::setprecision(17);
-  for (const auto& t : tasks) {
+  for (const auto& t : trace.tasks) {
     os << "task " << t.serial << " " << t.fn << " "
        << sim::to_ns(t.exec_time) << " " << t.read_bytes << " "
        << t.write_bytes << " " << t.params.size() << "\n";
@@ -144,16 +141,6 @@ void write_text_impl(std::ostream& os, const TraceMeta& meta,
          << " " << core::to_string(p.mode) << "\n";
     }
   }
-}
-
-}  // namespace
-
-void write_text(std::ostream& os, const Trace& trace) {
-  write_text_impl(os, trace.meta, trace.tasks);
-}
-
-void write_text(std::ostream& os, const std::vector<TaskRecord>& tasks) {
-  write_text_impl(os, TraceMeta{}, tasks);
 }
 
 Trace read_text_trace(std::istream& is) {
@@ -257,10 +244,6 @@ Trace read_text_trace(std::istream& is) {
   return trace;
 }
 
-std::vector<TaskRecord> read_text(std::istream& is) {
-  return read_text_trace(is).tasks;
-}
-
 // --- Binary -------------------------------------------------------------------
 
 namespace {
@@ -299,10 +282,8 @@ std::vector<TaskRecord> read_binary_records(std::istream& is) {
 
 }  // namespace
 
-namespace {
-
-void write_binary_impl(std::ostream& os, const TraceMeta& meta,
-                       const std::vector<TaskRecord>& tasks) {
+void write_binary(std::ostream& os, const Trace& trace) {
+  const TraceMeta& meta = trace.meta;
   os.write(kBinaryMagicV2.data(), kBinaryMagicV2.size());
   if (meta.entries().size() > kMaxMetaEntries) {
     throw TraceIoError("binary trace: more than 65536 meta entries");
@@ -313,8 +294,8 @@ void write_binary_impl(std::ostream& os, const TraceMeta& meta,
     put_string(os, key, "meta key");
     put_string(os, value, "meta value");
   }
-  put_raw<std::uint64_t>(os, tasks.size());
-  for (const auto& t : tasks) {
+  put_raw<std::uint64_t>(os, trace.tasks.size());
+  for (const auto& t : trace.tasks) {
     put_raw(os, t.serial);
     put_raw(os, t.fn);
     put_raw(os, t.exec_time);
@@ -327,16 +308,6 @@ void write_binary_impl(std::ostream& os, const TraceMeta& meta,
       put_raw<std::uint8_t>(os, static_cast<std::uint8_t>(p.mode));
     }
   }
-}
-
-}  // namespace
-
-void write_binary(std::ostream& os, const Trace& trace) {
-  write_binary_impl(os, trace.meta, trace.tasks);
-}
-
-void write_binary(std::ostream& os, const std::vector<TaskRecord>& tasks) {
-  write_binary_impl(os, TraceMeta{}, tasks);
 }
 
 Trace read_binary_trace(std::istream& is) {
@@ -384,10 +355,6 @@ Trace read_binary_trace(std::istream& is) {
   return trace;
 }
 
-std::vector<TaskRecord> read_binary(std::istream& is) {
-  return read_binary_trace(is).tasks;
-}
-
 // --- Files --------------------------------------------------------------------
 
 namespace {
@@ -399,29 +366,16 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 
 }  // namespace
 
-namespace {
-
-void save_impl(const std::string& path, const TraceMeta& meta,
-               const std::vector<TaskRecord>& tasks) {
+void save(const std::string& path, const Trace& trace) {
   std::ofstream os(path, std::ios::binary);
   if (!os) throw TraceIoError("cannot open for writing: " + path);
   if (ends_with(path, ".nxb")) {
-    write_binary_impl(os, meta, tasks);
+    write_binary(os, trace);
   } else {
-    write_text_impl(os, meta, tasks);
+    write_text(os, trace);
   }
   os.flush();
   if (!os) throw TraceIoError("write failed (disk full?): " + path);
-}
-
-}  // namespace
-
-void save(const std::string& path, const Trace& trace) {
-  save_impl(path, trace.meta, trace.tasks);
-}
-
-void save(const std::string& path, const std::vector<TaskRecord>& tasks) {
-  save_impl(path, TraceMeta{}, tasks);
 }
 
 Trace load_trace(const std::string& path) {
@@ -433,10 +387,6 @@ Trace load_trace(const std::string& path) {
   } catch (const TraceIoError& e) {
     throw TraceIoError(path + ": " + e.what());
   }
-}
-
-std::vector<TaskRecord> load(const std::string& path) {
-  return load_trace(path).tasks;
 }
 
 }  // namespace nexuspp::trace

@@ -26,7 +26,6 @@
 #include <iosfwd>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "trace/trace.hpp"
 
@@ -43,8 +42,6 @@ class TraceIoError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// --- Whole-trace API (metadata + records) -------------------------------------
-
 void write_text(std::ostream& os, const Trace& trace);
 [[nodiscard]] Trace read_text_trace(std::istream& is);
 
@@ -55,16 +52,5 @@ void write_binary(std::ostream& os, const Trace& trace);
 /// text). Throws TraceIoError when the file cannot be opened/parsed.
 void save(const std::string& path, const Trace& trace);
 [[nodiscard]] Trace load_trace(const std::string& path);
-
-// --- Record-only convenience (empty / discarded metadata) ---------------------
-
-void write_text(std::ostream& os, const std::vector<TaskRecord>& tasks);
-[[nodiscard]] std::vector<TaskRecord> read_text(std::istream& is);
-
-void write_binary(std::ostream& os, const std::vector<TaskRecord>& tasks);
-[[nodiscard]] std::vector<TaskRecord> read_binary(std::istream& is);
-
-void save(const std::string& path, const std::vector<TaskRecord>& tasks);
-[[nodiscard]] std::vector<TaskRecord> load(const std::string& path);
 
 }  // namespace nexuspp::trace

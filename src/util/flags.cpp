@@ -1,10 +1,20 @@
 #include "util/flags.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace nexuspp::util {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("--" + name + "=" + value + ": expected " +
+                              expected);
+}
+
+}  // namespace
 
 Flags::Flags(int argc, const char* const* argv,
              std::unordered_set<std::string> known_bools)
@@ -38,65 +48,54 @@ Flags::Flags(int argc, const char* const* argv,
   }
 }
 
-std::string Flags::env_name(const std::string& name) {
-  std::string out = "NEXUSPP_";
-  for (char ch : name) {
-    out += (ch == '-') ? '_' : static_cast<char>(std::toupper(
-                                   static_cast<unsigned char>(ch)));
-  }
-  return out;
-}
-
-std::optional<std::string> Flags::lookup(const std::string& name) const {
+std::optional<std::string> Flags::get(const std::string& name) const {
   // Last occurrence on the command line wins.
   for (auto it = values_.rbegin(); it != values_.rend(); ++it) {
     if (it->first == name) return it->second;
-  }
-  if (const char* env = std::getenv(env_name(name).c_str())) {
-    return std::string(env);
   }
   return std::nullopt;
 }
 
 bool Flags::has(const std::string& name) const {
-  const auto v = lookup(name);
+  const auto v = get(name);
   return v.has_value() && !v->empty() && *v != "0";
-}
-
-std::optional<std::string> Flags::get(const std::string& name) const {
-  return lookup(name);
 }
 
 std::string Flags::get_or(const std::string& name,
                           const std::string& fallback) const {
-  return lookup(name).value_or(fallback);
+  return get(name).value_or(fallback);
 }
 
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
-  const auto v = lookup(name);
+  const auto v = get(name);
   if (!v) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (const std::exception&) {
-    return fallback;
+  std::int64_t out = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    bad_value(name, *v, "an integer");
   }
+  return out;
 }
 
-double Flags::get_double(const std::string& name, double fallback) const {
-  const auto v = lookup(name);
+std::uint32_t Flags::get_count(const std::string& name,
+                               std::uint32_t fallback) const {
+  const auto v = get(name);
   if (!v) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (const std::exception&) {
-    return fallback;
+  const std::int64_t n = get_int(name, fallback);
+  if (n < 0 || n > std::int64_t{0xFFFF'FFFF}) {
+    bad_value(name, *v, "a non-negative count");
   }
+  return static_cast<std::uint32_t>(n);
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const auto v = lookup(name);
+  const auto v = get(name);
   if (!v) return fallback;
-  return !v->empty() && *v != "0" && *v != "false" && *v != "no";
+  if (*v == "1" || *v == "true" || *v == "yes") return true;
+  if (*v == "0" || *v == "false" || *v == "no") return false;
+  bad_value(name, *v, "1, 0, true, false, yes or no");
 }
 
 }  // namespace nexuspp::util

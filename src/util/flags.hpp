@@ -1,10 +1,8 @@
 #pragma once
-// Minimal command-line/environment flag parsing for example and benchmark
-// binaries. Flags have the form `--name=value` or `--name value`; an
-// environment variable NEXUSPP_<NAME> (upper-cased, dashes->underscores)
-// provides a default, so `NEXUSPP_BENCH_FULL=1 ./bench_paper_figures`
-// works without arguments (needed because the harness runs every bench
-// binary bare).
+// Minimal command-line flag parsing for the example binaries. Flags have
+// the form `--name=value` or `--name value`; the command line is the only
+// source (the benches read their few NEXUSPP_BENCH_* settings from the
+// environment themselves).
 //
 // The greedy `--name value` form cannot tell a flag's value from a
 // following positional argument, so two escape hatches exist:
@@ -14,6 +12,9 @@
 //     positional verbatim (including tokens that start with `--`).
 // Negative numbers are safe either way: `-5` does not start with `--`, so
 // `--delta -5` parses as a value.
+//
+// A malformed value is an error, never a silent default: the typed getters
+// throw std::invalid_argument naming the flag and its value.
 
 #include <cstdint>
 #include <optional>
@@ -29,17 +30,21 @@ class Flags {
   Flags(int argc, const char* const* argv,
         std::unordered_set<std::string> known_bools = {});
 
-  /// True if `--name` appeared (with or without a value) or the matching
-  /// environment variable is set to a non-empty, non-"0" value.
+  /// True if `--name` appeared (with or without a value) with a value
+  /// other than empty or "0".
   [[nodiscard]] bool has(const std::string& name) const;
 
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name,
                                    const std::string& fallback) const;
+  /// A whole integer, optionally signed; anything else throws.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
-  [[nodiscard]] double get_double(const std::string& name,
-                                  double fallback) const;
+  /// A whole non-negative integer that fits 32 bits (a thread, core or
+  /// bank count, a size, an index); anything else throws.
+  [[nodiscard]] std::uint32_t get_count(const std::string& name,
+                                        std::uint32_t fallback) const;
+  /// 1 / 0, true / false or yes / no; anything else throws.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Positional (non-flag) arguments in order.
@@ -47,13 +52,7 @@ class Flags {
     return positional_;
   }
 
-  /// The environment variable name consulted for flag `name`.
-  [[nodiscard]] static std::string env_name(const std::string& name);
-
  private:
-  [[nodiscard]] std::optional<std::string> lookup(
-      const std::string& name) const;
-
   std::unordered_set<std::string> known_bools_;
   std::vector<std::pair<std::string, std::string>> values_;
   std::vector<std::string> positional_;

@@ -91,11 +91,6 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_grid_trace(
   return tasks;
 }
 
-std::unique_ptr<trace::TaskStream> make_grid_stream(
-    std::shared_ptr<const std::vector<trace::TaskRecord>> tasks) {
-  return std::make_unique<trace::VectorStream>(std::move(tasks));
-}
-
 std::uint32_t grid_max_parallelism(const GridConfig& cfg) {
   switch (cfg.pattern) {
     case GridPattern::kWavefront:

@@ -56,10 +56,6 @@ struct GridConfig {
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_grid_trace(const GridConfig& cfg);
 
-/// Fresh stream over a shared trace (cheap; one per simulation run).
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_grid_stream(
-    std::shared_ptr<const std::vector<trace::TaskRecord>> tasks);
-
 /// Maximum theoretical parallelism of a pattern on this grid (used by
 /// tests and expected-shape checks).
 [[nodiscard]] std::uint32_t grid_max_parallelism(const GridConfig& cfg);

@@ -219,9 +219,4 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_pattern_trace(
   return tasks;
 }
 
-std::unique_ptr<trace::TaskStream> make_pattern_stream(
-    std::shared_ptr<const std::vector<trace::TaskRecord>> tasks) {
-  return std::make_unique<trace::VectorStream>(std::move(tasks));
-}
-
 }  // namespace nexuspp::workloads

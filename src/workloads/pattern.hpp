@@ -111,8 +111,4 @@ struct PatternConfig {
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_pattern_trace(const PatternConfig& cfg);
 
-/// Fresh stream over a shared trace (one per simulation run).
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_pattern_stream(
-    std::shared_ptr<const std::vector<trace::TaskRecord>> tasks);
-
 }  // namespace nexuspp::workloads

@@ -67,9 +67,4 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_random_dag_trace(
   return tasks;
 }
 
-std::unique_ptr<trace::TaskStream> make_random_dag_stream(
-    const RandomDagConfig& cfg) {
-  return std::make_unique<trace::VectorStream>(make_random_dag_trace(cfg));
-}
-
 }  // namespace nexuspp::workloads

@@ -30,7 +30,4 @@ struct RandomDagConfig {
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_random_dag_trace(const RandomDagConfig& cfg);
 
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_random_dag_stream(
-    const RandomDagConfig& cfg);
-
 }  // namespace nexuspp::workloads

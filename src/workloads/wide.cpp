@@ -59,8 +59,4 @@ std::shared_ptr<const std::vector<trace::TaskRecord>> make_wide_trace(
   return tasks;
 }
 
-std::unique_ptr<trace::TaskStream> make_wide_stream(const WideConfig& cfg) {
-  return std::make_unique<trace::VectorStream>(make_wide_trace(cfg));
-}
-
 }  // namespace nexuspp::workloads

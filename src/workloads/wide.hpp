@@ -36,7 +36,4 @@ struct WideConfig {
 [[nodiscard]] std::shared_ptr<const std::vector<trace::TaskRecord>>
 make_wide_trace(const WideConfig& cfg);
 
-[[nodiscard]] std::unique_ptr<trace::TaskStream> make_wide_stream(
-    const WideConfig& cfg);
-
 }  // namespace nexuspp::workloads

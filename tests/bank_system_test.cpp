@@ -242,8 +242,9 @@ TEST(BankScaling, DirectSystemRunCarriesPerBankTelemetry) {
   ncfg.num_workers = 4;
   ncfg.banks = 4;
   ncfg.dep_table.match_mode = core::MatchMode::kRange;
-  const auto report =
-      nexus::run_system(ncfg, workloads::make_random_dag_stream(cfg));
+  const auto report = nexus::run_system(
+      ncfg, std::make_unique<trace::VectorStream>(
+                workloads::make_random_dag_trace(cfg)));
   EXPECT_EQ(report.banks, 4u);
   EXPECT_EQ(report.per_bank_max_live.size(), 4u);
   // Some bank was busy: max over mean busy time is only defined then.

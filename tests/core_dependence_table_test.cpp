@@ -112,7 +112,6 @@ TEST(DependenceTable, ManyAddressesChainAndResolve) {
   }
   auto ins = dt.insert(0x9999, 4, false);
   EXPECT_FALSE(ins.index.has_value());  // full
-  EXPECT_EQ(dt.stats().insert_failures, 1u);
 }
 
 TEST(DependenceTable, EraseMiddleOfHashChain) {
@@ -249,7 +248,6 @@ TEST(DependenceTable, LongKickoffChainGrowsAndDrains) {
   }
   EXPECT_EQ(dt.kickoff_length(i), kTasks);
   EXPECT_GT(dt.kickoff_chain_slots(i), 10u);
-  EXPECT_GE(dt.stats().max_ko_chain_slots, dt.kickoff_chain_slots(i));
 
   for (TaskId t = 0; t < kTasks; ++t) {
     auto pop = dt.kickoff_pop(i);
@@ -258,8 +256,9 @@ TEST(DependenceTable, LongKickoffChainGrowsAndDrains) {
     i = pop.parent;
   }
   EXPECT_TRUE(dt.kickoff_empty(i));
-  EXPECT_GT(dt.stats().promotions, 0u);
-  // Only the (possibly promoted) parent remains live.
+  // Draining promoted dummies: the parent moved off the original slot.
+  EXPECT_NE(i, *ins.index);
+  // Only the promoted parent remains live.
   EXPECT_EQ(dt.live_slot_count(), 1u);
   dt.erase(i);
   EXPECT_TRUE(dt.empty());
@@ -333,7 +332,6 @@ TEST(DependenceTable, KickoffAppendFailsWhenPoolExhausted) {
   ASSERT_TRUE(dt.kickoff_append(*a.index, 2).ok);
   auto fail = dt.kickoff_append(*a.index, 3);
   EXPECT_FALSE(fail.ok);
-  EXPECT_EQ(dt.stats().ko_append_failures, 1u);
   // Failed append leaves the list untouched.
   EXPECT_EQ(dt.kickoff_length(*a.index), 2u);
   // After space frees, the same append succeeds (retry semantics).
@@ -532,6 +530,7 @@ void run_kickoff_differential(std::uint32_t width, std::uint64_t seed) {
   std::map<Addr, Index> parents;
   Addr next_addr = 0x1000;
   TaskId next_task = 0;
+  std::uint64_t promotions = 0;  ///< pops that moved a parent
 
   const auto check_all = [&](int step) {
     ASSERT_EQ(dt.free_slot_count(), ref.free_count()) << "step " << step;
@@ -576,6 +575,7 @@ void run_kickoff_differential(std::uint32_t width, std::uint64_t seed) {
         const auto [task, new_parent] = ref.pop(parent);
         ASSERT_EQ(pop.task, task) << "step " << step;
         ASSERT_EQ(pop.parent, new_parent) << "step " << step;
+        promotions += pop.parent != parent;
         parent = pop.parent;
       }
     }
@@ -591,6 +591,7 @@ void run_kickoff_differential(std::uint32_t width, std::uint64_t seed) {
       const auto [task, new_parent] = ref.pop(parent);
       ASSERT_EQ(pop.task, task);
       ASSERT_EQ(pop.parent, new_parent);
+      promotions += pop.parent != parent;
       parent = pop.parent;
       if (!pop.task) break;
     }
@@ -603,7 +604,7 @@ void run_kickoff_differential(std::uint32_t width, std::uint64_t seed) {
   // The run reached the cases the model exists for.
   EXPECT_GT(ref.wrapped_appends(), 0u);
   EXPECT_GT(dt.stats().ko_dummy_allocations, 0u);
-  EXPECT_GT(dt.stats().promotions, 0u);
+  EXPECT_GT(promotions, 0u);
 }
 
 TEST(DependenceTableDifferential, KickoffRingsMatchDequeModel) {

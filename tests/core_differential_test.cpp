@@ -261,7 +261,7 @@ TEST(EngineDifferential, AllEnginesAgreeOnWavefront) {
   grid.cols = 20;
   const auto tasks = make_grid_trace(grid);
   const engine::StreamFactory factory = [&tasks] {
-    return workloads::make_grid_stream(tasks);
+    return std::make_unique<trace::VectorStream>(tasks);
   };
 
   std::vector<engine::RunReport> reports;

@@ -186,7 +186,6 @@ TEST(TaskPool, InsertFailsWhenFullAndRecovers) {
   EXPECT_FALSE(pool.can_insert(1));
   auto c = pool.insert(make_task(1, 3, 0x300));
   EXPECT_FALSE(c.has_value());
-  EXPECT_EQ(pool.stats().insert_failures, 1u);
   pool.free_task(a->id);
   auto d = pool.insert(make_task(1, 4, 0x400));
   EXPECT_TRUE(d.has_value());
@@ -282,11 +281,10 @@ TEST(TaskPool, StatsTrackUsage) {
   auto a = pool.insert(make_task(10));  // 2 slots
   auto b = pool.insert(make_task(1));   // 1 slot
   ASSERT_TRUE(a && b);
-  EXPECT_EQ(pool.stats().inserts, 2u);
   EXPECT_EQ(pool.stats().max_used_slots, 3u);
   pool.free_task(a->id);
   pool.free_task(b->id);
-  EXPECT_EQ(pool.stats().frees, 2u);
+  EXPECT_TRUE(pool.empty());
   EXPECT_EQ(pool.stats().max_used_slots, 3u);
 }
 

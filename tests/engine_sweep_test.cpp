@@ -163,7 +163,8 @@ TEST(NexusSystemLifecycle, SecondRunThrows) {
   workloads::RandomDagConfig cfg;
   cfg.num_tasks = 20;
   nexus::NexusSystem system(nexus::NexusConfig{},
-                            workloads::make_random_dag_stream(cfg));
+                            std::make_unique<trace::VectorStream>(
+                                workloads::make_random_dag_trace(cfg)));
   (void)system.run();
   EXPECT_THROW((void)system.run(), std::logic_error);
 }
@@ -481,7 +482,7 @@ TEST(SweepDriver, PatternWorkloadsAcrossEnginesAndModes) {
     cfg.steps = 6;
     const auto tasks = workloads::make_pattern_trace(cfg);
     spec.workload(workloads::to_string(kind), [tasks] {
-      return workloads::make_pattern_stream(tasks);
+      return std::make_unique<trace::VectorStream>(tasks);
     });
   }
   for (const char* eng : {"nexus++", "nexus-banked", "software-rts"}) {
@@ -578,7 +579,7 @@ TEST(SweepDriver, RunMetgDescendsAndStampsTheCrossingRung) {
     cfg.steps = 6;
     cfg.task_ns = task_ns;
     const auto tasks = workloads::make_pattern_trace(cfg);
-    return [tasks] { return workloads::make_pattern_stream(tasks); };
+    return [tasks] { return std::make_unique<trace::VectorStream>(tasks); };
   };
   engine::SweepDriver driver(engine::EngineRegistry::builtins(),
                              engine::SweepOptions{.threads = 1});
@@ -633,7 +634,7 @@ TEST(SweepDriver, RunMetgRejectsDegenerateSpecs) {
   zero_start.start_task_ns = 0;
   zero_start.workload_at = [](std::uint64_t) -> engine::StreamFactory {
     return [] {
-      return workloads::make_pattern_stream(
+      return std::make_unique<trace::VectorStream>(
           workloads::make_pattern_trace(workloads::PatternConfig{}));
     };
   };

@@ -106,6 +106,17 @@ std::vector<trace::TaskRecord> small_dag(std::uint64_t seed,
   return *workloads::make_random_dag_trace(cfg);
 }
 
+/// `tasks` with every exec_time multiplied by `factor`: short (or, at 0,
+/// zero-length) kernels for runs that check the order, not the duration.
+std::vector<trace::TaskRecord> scaled(std::vector<trace::TaskRecord> tasks,
+                                      double factor) {
+  for (auto& t : tasks) {
+    t.exec_time =
+        static_cast<sim::Time>(static_cast<double>(t.exec_time) * factor);
+  }
+  return tasks;
+}
+
 // --- Differential: oracle-validated order across the whole grid ---------------
 
 struct GridCase {
@@ -121,8 +132,7 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
   exec::ExecConfig cfg;
   cfg.threads = param.threads;
   cfg.match_mode = param.mode;
-  cfg.duration_scale = 0.05;  // keep kernels short; order is what matters
-  const auto report = run_validated(small_dag(param.seed), cfg);
+  const auto report = run_validated(scaled(small_dag(param.seed), 0.05), cfg);
   EXPECT_EQ(report.num_workers, param.threads);
   EXPECT_GT(report.makespan, 0);
   EXPECT_GT(report.exec_tasks_per_sec, 0.0);
@@ -160,11 +170,10 @@ TEST(ExecThreads, HaloStencilRangeMode) {
   workloads::HaloStencilConfig halo;
   halo.blocks = 24;
   halo.steps = 4;
-  const auto tasks = *workloads::make_halo_stencil_trace(halo);
+  const auto tasks = scaled(*workloads::make_halo_stencil_trace(halo), 0.05);
   exec::ExecConfig cfg;
   cfg.threads = 4;
   cfg.match_mode = MatchMode::kRange;
-  cfg.duration_scale = 0.05;
   (void)run_validated(tasks, cfg);
 }
 
@@ -172,16 +181,18 @@ TEST(ExecThreads, HaloStencilRangeMode) {
 
 TEST(ExecThreads, SingleThreadCompletionOrderIsStable) {
   const auto tasks = small_dag(42);
-  const auto run_once = [&tasks](std::uint32_t banks) {
+  // Zero-length kernels: the order is pure protocol.
+  const auto instant = std::make_shared<const std::vector<trace::TaskRecord>>(
+      scaled(tasks, 0.0));
+  const auto run_once = [&tasks, &instant](std::uint32_t banks) {
     core::CompletionRecorder recorder;
     exec::ExecConfig cfg;
     cfg.threads = 1;
     cfg.banks = banks;
-    cfg.duration_scale = 0.0;  // zero-length kernels: order is pure protocol
     cfg.observer = &recorder;
     exec::ThreadedExecutor executor(cfg);
-    const auto report = executor.run(std::make_unique<trace::VectorStream>(
-        std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+    const auto report =
+        executor.run(std::make_unique<trace::VectorStream>(instant));
     EXPECT_FALSE(report.deadlocked) << report.diagnosis;
     EXPECT_EQ(report.tasks_completed, tasks.size());
     return recorder.order();
@@ -229,7 +240,6 @@ TEST(ExecThreads, ReadyQueuePeakIsExactAtOneThread) {
                        bool traced) {
     exec::ExecConfig cfg;
     cfg.threads = 1;
-    cfg.duration_scale = 0.0;
     obs::TimelineRecorder rec("exec", "wall", 1u << 14);
     if (traced) cfg.timeline_recorder = &rec;
     return run_validated(tasks, cfg).ready_queue_peak;
@@ -250,8 +260,7 @@ TEST(ExecThreads, OversubscribedWorkersStayOracleValid) {
   const auto cores = std::max(1u, std::thread::hardware_concurrency());
   exec::ExecConfig cfg;
   cfg.threads = std::max(16u, 2 * cores);
-  cfg.duration_scale = 0.02;
-  const auto report = run_validated(small_dag(4242, 400), cfg);
+  const auto report = run_validated(scaled(small_dag(4242, 400), 0.02), cfg);
   EXPECT_EQ(report.exec_worker_utilization.size(), cfg.threads);
 }
 
@@ -264,13 +273,13 @@ TEST(ExecThreads, CompletesWorkloadLibraryDags) {
         "tiled-lu:tiles=4,tile-elems=16",
         "spatial:cells-x=6,cells-y=6,steps=2"}) {
     SCOPED_TRACE(spec);
-    const auto tasks = *library.make_trace(spec);
+    // FLOP-derived durations are long.
+    const auto tasks = scaled(*library.make_trace(spec), 0.01);
     for (const MatchMode mode : {MatchMode::kBaseAddr, MatchMode::kRange}) {
       for (const std::uint32_t threads : {1u, 4u}) {
         exec::ExecConfig cfg;
         cfg.threads = threads;
         cfg.match_mode = mode;
-        cfg.duration_scale = 0.01;  // FLOP-derived durations are long
         (void)run_validated(tasks, cfg);
       }
     }
@@ -322,17 +331,17 @@ TEST(ExecThreads, RunsCapturedTracesFromTheReplayPipeline) {
 
   exec::ExecConfig cfg;
   cfg.threads = 4;
-  cfg.duration_scale = 0.01;
-  (void)run_validated(reloaded.tasks, cfg);
+  (void)run_validated(scaled(reloaded.tasks, 0.01), cfg);
 }
 
 // --- Streams longer than the Task Pool ---------------------------------------
 
-/// Runs `tasks` at threads 1 and 4 in both match modes, oracle-validated,
-/// at the default capacities: every task is named by one of the pool's
-/// slots, so slots recycle many times and the pool never holds more than
-/// its capacity. `make_stream`, when given, builds the stream to run
-/// instead of a vector stream over `tasks`.
+/// Runs `tasks`, at a hundredth of their durations, at threads 1 and 4 in
+/// both match modes, oracle-validated, at the default capacities: every
+/// task is named by one of the pool's slots, so slots recycle many times
+/// and the pool never holds more than its capacity. `make_stream`, when
+/// given, builds the stream to run instead of a vector stream over
+/// `tasks`; it must produce the same tasks with durations as short.
 void expect_runs_past_the_pool(
     const std::vector<trace::TaskRecord>& tasks,
     exec::KernelKind kernel = exec::KernelKind::kSpin,
@@ -340,6 +349,7 @@ void expect_runs_past_the_pool(
         {}) {
   const std::uint32_t pool = exec::ExecConfig{}.task_pool_capacity;
   ASSERT_GT(tasks.size(), pool) << "the stream must outlast the pool";
+  const auto short_tasks = scaled(tasks, 0.01);
   for (const MatchMode mode : {MatchMode::kBaseAddr, MatchMode::kRange}) {
     for (const std::uint32_t threads : {1u, 4u}) {
       SCOPED_TRACE(std::to_string(threads) + " thread(s), " +
@@ -347,10 +357,9 @@ void expect_runs_past_the_pool(
       exec::ExecConfig cfg;
       cfg.threads = threads;
       cfg.match_mode = mode;
-      cfg.duration_scale = 0.01;
       cfg.kernel.kind = kernel;
       const auto report = run_validated(
-          tasks, cfg, make_stream ? make_stream() : nullptr);
+          short_tasks, cfg, make_stream ? make_stream() : nullptr);
       EXPECT_LE(report.tp_max_used, pool);
     }
   }
@@ -372,9 +381,10 @@ TEST(ExecCapacity, WideFftPattern) {
 
 TEST(ExecCapacity, LazyGaussianStream) {
   // Pivot rows fan out to every task of their step; the stream is built
-  // task by task as the master pulls it.
+  // task by task as the master pulls it. 100x the default GFLOPS: a
+  // hundredth of each duration, like the vector streams.
   const auto& library = workloads::WorkloadLibrary::builtins();
-  const char* spec = "gaussian:n=120";
+  const char* spec = "gaussian:n=120,gflops=200";
   const auto tasks = *library.make_trace(spec);
   expect_runs_past_the_pool(tasks, exec::KernelKind::kSpin,
                             [&library, spec] {
@@ -444,14 +454,13 @@ class MiscountedStream final : public trace::TaskStream {
 TEST(ExecCapacity, MiscountedStreamRunsEveryTaskAndIsDiagnosed) {
   // total_tasks() is only a hint: a stream that under- or over-states its
   // length still runs to its end, and the report names both counts.
-  const auto tasks = small_dag(5, 3000);
+  const auto tasks = scaled(small_dag(5, 3000), 0.01);
   for (const std::uint64_t claimed : {tasks.size() / 2, tasks.size() * 2}) {
     for (const std::uint32_t threads : {1u, 4u}) {
       SCOPED_TRACE(std::to_string(claimed) + " claimed, " +
                    std::to_string(threads) + " thread(s)");
       exec::ExecConfig cfg;
       cfg.threads = threads;
-      cfg.duration_scale = 0.01;
       const auto report = run_validated(
           tasks, cfg,
           std::make_unique<MiscountedStream>(
@@ -581,13 +590,12 @@ class ThrowingObserver final : public core::ExecutionObserver {
 TEST(ExecThreads, WorkerExceptionIsRethrown) {
   // A throwing callback (or kernel) on a worker must not escape the thread
   // and terminate the process: run() stops the pool and rethrows it.
-  const auto tasks = small_dag(3, 400);
+  const auto tasks = scaled(small_dag(3, 400), 0.01);
   for (const std::uint32_t threads : {2u, 8u}) {
     SCOPED_TRACE(threads);
     ThrowingObserver observer(tasks[tasks.size() / 2].serial);
     exec::ExecConfig cfg;
     cfg.threads = threads;
-    cfg.duration_scale = 0.01;
     cfg.observer = &observer;
     exec::ThreadedExecutor executor(cfg);
     try {

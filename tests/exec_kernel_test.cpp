@@ -1,8 +1,8 @@
-// Kernel-body unit model (exec/kernels.hpp): name round-trips, config
-// validation, calibration, the structural monotonicity of the work-unit
-// mapping, MEMORY_BOUND buffer coverage, deterministic LOAD_IMBALANCE
-// skew, and oracle-validated multithreaded execution with every kernel
-// kind swapped in for the spin. Runs under the ThreadSanitizer CI job
+// Kernel-body unit model (exec/kernels.hpp): name round-trips,
+// calibration, the structural monotonicity of the work-unit mapping,
+// MEMORY_BOUND buffer coverage, deterministic LOAD_IMBALANCE skew, and
+// oracle-validated multithreaded execution with every kernel kind swapped
+// in for the spin. Runs under the ThreadSanitizer CI job
 // (exec_ prefix), which is what makes the per-worker-state claim checked
 // rather than asserted.
 
@@ -36,7 +36,7 @@ const std::vector<KernelKind>& all_kinds() {
   return kinds;
 }
 
-// --- Names and config ----------------------------------------------------
+// --- Names ---------------------------------------------------------------
 
 TEST(KernelNames, RoundTripAndRejection) {
   for (const auto kind : all_kinds()) {
@@ -49,18 +49,6 @@ TEST(KernelNames, RoundTripAndRejection) {
     EXPECT_NE(std::string(e.what()).find("imbalance"), std::string::npos)
         << e.what();
   }
-}
-
-TEST(KernelConfigTest, ValidateRejectsDegenerateValues) {
-  KernelConfig cfg;
-  cfg.buffer_bytes = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = {};
-  cfg.tile = 0;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg = {};
-  cfg.imbalance = 0.5;  // multipliers below 1 would *shrink* tasks
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 // --- Calibration and the work-unit mapping -------------------------------
@@ -109,41 +97,20 @@ TEST(KernelUnits, MappingIsStructurallyMonotonic) {
   }
 }
 
-TEST(KernelUnits, DgemmUnitScalesCubicallyWithTile) {
-  const auto base = exec::kernel_unit_ns(KernelKind::kComputeDgemm);
-  KernelConfig cfg;
-  cfg.kind = KernelKind::kComputeDgemm;
-  cfg.tile = 48;  // 2x the default edge => 8x the flops per unit
-  const KernelBody body(cfg, 0);
-  EXPECT_EQ(body.unit_ns(),
-            static_cast<std::uint64_t>(static_cast<double>(base) * 8.0));
-}
-
 // --- MEMORY_BOUND buffer coverage ----------------------------------------
 
 TEST(MemoryKernel, ChunksCoverTheWholeBufferExactly) {
-  KernelConfig cfg;
-  cfg.kind = KernelKind::kMemoryBound;
-  cfg.buffer_bytes = 16'384;  // 2048 elements = 4 chunks of 512
-  KernelBody body(cfg, 0);
-  ASSERT_EQ(body.buffer().size(), 2048u);
+  KernelBody body(KernelConfig{KernelKind::kMemoryBound}, 0);
+  // 1 MiB of 8-byte elements: 256 chunks of 512.
+  ASSERT_EQ(body.buffer().size(), (1u << 20) / sizeof(std::uint64_t));
+  const std::uint64_t chunks =
+      body.buffer().size() * sizeof(std::uint64_t) / KernelBody::kChunkBytes;
 
-  body.run_units(4);
-  for (const auto touches : body.buffer()) EXPECT_EQ(touches, 1u);
+  body.run_units(chunks);
+  for (const auto touches : body.buffer()) ASSERT_EQ(touches, 1u);
   // The cursor wraps: another full cycle touches everything again.
-  body.run_units(4);
-  for (const auto touches : body.buffer()) EXPECT_EQ(touches, 2u);
-}
-
-TEST(MemoryKernel, TinyBufferIsRoundedUpToOneChunk) {
-  KernelConfig cfg;
-  cfg.kind = KernelKind::kMemoryBound;
-  cfg.buffer_bytes = 1;
-  KernelBody body(cfg, 0);
-  ASSERT_EQ(body.buffer().size(),
-            KernelBody::kChunkBytes / sizeof(std::uint64_t));
-  body.run_units(1);
-  for (const auto touches : body.buffer()) EXPECT_EQ(touches, 1u);
+  body.run_units(chunks);
+  for (const auto touches : body.buffer()) ASSERT_EQ(touches, 2u);
 }
 
 TEST(MemoryKernel, OtherKindsCarryNoBuffer) {
@@ -159,10 +126,7 @@ TEST(MemoryKernel, OtherKindsCarryNoBuffer) {
 // --- LOAD_IMBALANCE skew -------------------------------------------------
 
 TEST(ImbalanceSkew, DeterministicBoundedAndActuallySkewed) {
-  KernelConfig cfg;
-  cfg.kind = KernelKind::kLoadImbalance;
-  cfg.imbalance = 4.0;
-  cfg.seed = 99;
+  const KernelConfig cfg{KernelKind::kLoadImbalance};
   const KernelBody body(cfg, 0);
   const KernelBody twin(cfg, 3);  // worker index must not change the skew
 
@@ -180,15 +144,6 @@ TEST(ImbalanceSkew, DeterministicBoundedAndActuallySkewed) {
   // the imbalance axis a no-op.
   EXPECT_LT(lo, 1.5);
   EXPECT_GT(hi, 3.5);
-
-  KernelConfig other = cfg;
-  other.seed = 100;
-  const KernelBody reseeded(other, 0);
-  bool any_difference = false;
-  for (std::uint64_t serial = 0; serial < 100; ++serial) {
-    any_difference |= reseeded.skew(serial) != body.skew(serial);
-  }
-  EXPECT_TRUE(any_difference);
 }
 
 TEST(ImbalanceSkew, ExactlyOneForEveryOtherKind) {
@@ -232,7 +187,9 @@ TEST(ExecKernels, OracleValidatedExecutionPerKind) {
   dag.seed = 11;
   dag.num_tasks = 200;
   dag.addr_space = 24;
-  const auto tasks = *workloads::make_random_dag_trace(dag);
+  auto tasks = *workloads::make_random_dag_trace(dag);
+  // Short kernels: a fiftieth of each generated duration.
+  for (auto& t : tasks) t.exec_time /= 50;
 
   std::vector<std::vector<core::Param>> params;
   std::unordered_map<std::uint64_t, std::uint64_t> index_of;
@@ -248,8 +205,6 @@ TEST(ExecKernels, OracleValidatedExecutionPerKind) {
     cfg.threads = 4;
     cfg.banks = 2;
     cfg.kernel.kind = kind;
-    cfg.kernel.buffer_bytes = 1u << 16;  // keep per-worker state cheap
-    cfg.duration_scale = 0.02;
     cfg.observer = &recorder;
     exec::ThreadedExecutor executor(cfg);
     const auto report = executor.run(std::make_unique<trace::VectorStream>(

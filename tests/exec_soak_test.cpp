@@ -47,8 +47,7 @@ class LazyFineStream final : public trace::TaskStream {
   std::optional<trace::TaskRecord> next() override {
     if (next_ == tasks_) return std::nullopt;
     trace::TaskRecord rec;
-    rec.serial = next_++;
-    rec.exec_time = sim::ns(100);
+    rec.serial = next_++;  // exec_time 0: the master is the bottleneck
     // Partial Fisher-Yates: the first `n` slots are distinct addresses.
     const auto n = static_cast<std::uint32_t>(1 + rng_.below(kMaxParams));
     rec.params.reserve(n);
@@ -79,7 +78,6 @@ class LazyFineStream final : public trace::TaskStream {
 exec::ExecConfig soak_config() {
   exec::ExecConfig cfg;
   cfg.threads = 2;
-  cfg.duration_scale = 0.0;  // protocol only: the master is the bottleneck
   return cfg;
 }
 

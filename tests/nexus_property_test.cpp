@@ -40,7 +40,10 @@ TEST_P(RandomDagSeeds, CompletesAndConserves) {
   NexusConfig cfg;
   cfg.num_workers = 8;
   const auto report = nexus::run_system(
-      cfg, workloads::make_random_dag_stream(dag), false);
+      cfg,
+      std::make_unique<trace::VectorStream>(
+          workloads::make_random_dag_trace(dag)),
+      false);
   check_invariants(report, 600);
 }
 
@@ -63,7 +66,10 @@ TEST_P(RandomDagTinyTables, StallRecoverUnderPressure) {
   cfg.dep_table.kick_off_capacity = 2;
   cfg.tds_buffer_capacity = 4;
   const auto report = nexus::run_system(
-      cfg, workloads::make_random_dag_stream(dag), false);
+      cfg,
+      std::make_unique<trace::VectorStream>(
+          workloads::make_random_dag_trace(dag)),
+      false);
   check_invariants(report, 400);
   // The pressure must actually have materialized.
   EXPECT_GT(report.stage("write-tp")->stall + report.stage("check-deps")->stall,
@@ -83,7 +89,10 @@ TEST_P(BufferDepthSweep, AnyDepthCompletes) {
   cfg.num_workers = 3;
   cfg.buffering_depth = GetParam();
   const auto report = nexus::run_system(
-      cfg, workloads::make_random_dag_stream(dag), false);
+      cfg,
+      std::make_unique<trace::VectorStream>(
+          workloads::make_random_dag_trace(dag)),
+      false);
   check_invariants(report, 300);
 }
 
@@ -97,7 +106,8 @@ TEST(RandomDagDeterminism, IdenticalRunsBitIdentical) {
     dag.num_tasks = 500;
     NexusConfig cfg;
     cfg.num_workers = 6;
-    return nexus::run_system(cfg, workloads::make_random_dag_stream(dag));
+    return nexus::run_system(cfg, std::make_unique<trace::VectorStream>(
+                                      workloads::make_random_dag_trace(dag)));
   };
   const auto a = once();
   const auto b = once();

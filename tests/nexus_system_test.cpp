@@ -192,8 +192,9 @@ TEST(NexusSystem, WideTasksNeedDummyTasks) {
   wide.lanes = 2;
   wide.chain_length = 8;
   wide.width = 10;  // up to 20 params >> 8 per descriptor
-  auto report =
-      nexus::run_system(cfg, workloads::make_wide_stream(wide));
+  auto report = nexus::run_system(
+      cfg, std::make_unique<trace::VectorStream>(
+               workloads::make_wide_trace(wide)));
   EXPECT_EQ(report.tasks_completed, wide.total_tasks());
   EXPECT_GT(report.tp_dummy_slots, 0u);
 }
@@ -205,8 +206,10 @@ TEST(NexusSystem, ClassicNexusRejectsWideTasks) {
   wide.lanes = 1;
   wide.chain_length = 2;
   wide.width = 10;
-  auto report = nexus::run_system(cfg, workloads::make_wide_stream(wide),
-                                  /*require_success=*/false);
+  auto report = nexus::run_system(
+      cfg,
+      std::make_unique<trace::VectorStream>(workloads::make_wide_trace(wide)),
+      /*require_success=*/false);
   EXPECT_TRUE(report.deadlocked);
   EXPECT_NE(report.diagnosis.find("dummy tasks"), std::string::npos);
 }
@@ -282,7 +285,8 @@ TEST(NexusSystem, DeterministicMakespan) {
     NexusConfig cfg;
     cfg.num_workers = 4;
     return nexus::run_system(
-        cfg, workloads::make_grid_stream(workloads::make_grid_trace(grid)));
+        cfg, std::make_unique<trace::VectorStream>(
+                 workloads::make_grid_trace(grid)));
   };
   const auto a = once();
   const auto b = once();
@@ -298,7 +302,8 @@ TEST(NexusSystem, ReportAccountingIsConsistent) {
   NexusConfig cfg;
   cfg.num_workers = 4;
   const auto trace = workloads::make_grid_trace(grid);
-  auto report = nexus::run_system(cfg, workloads::make_grid_stream(trace));
+  auto report =
+      nexus::run_system(cfg, std::make_unique<trace::VectorStream>(trace));
   // Tables fully drained after the run, or it would read as deadlocked.
   EXPECT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.tasks_completed, 100u);
@@ -332,7 +337,8 @@ TEST(NexusSystem, MoreWorkersNeverSlower) {
     NexusConfig cfg;
     cfg.num_workers = workers;
     return nexus::run_system(
-        cfg, workloads::make_grid_stream(workloads::make_grid_trace(grid)));
+        cfg, std::make_unique<trace::VectorStream>(
+                 workloads::make_grid_trace(grid)));
   };
   const auto w1 = run_with(1);
   const auto w4 = run_with(4);
@@ -389,7 +395,8 @@ TEST(NexusSystem, DisablingTaskPrepSpeedsUpSubmission) {
     cfg.num_workers = 64;
     cfg.enable_task_prep = prep;
     return nexus::run_system(
-        cfg, workloads::make_grid_stream(workloads::make_grid_trace(grid)));
+        cfg, std::make_unique<trace::VectorStream>(
+                 workloads::make_grid_trace(grid)));
   };
   const auto with_prep = run_with(true);
   const auto without = run_with(false);
@@ -408,7 +415,8 @@ TEST(NexusSystem, MemoryContentionSlowsHeavyTraffic) {
     cfg.num_workers = 64;  // demand for ~48 ports >> 32 available
     cfg.memory.contention = model;
     return nexus::run_system(
-        cfg, workloads::make_grid_stream(workloads::make_grid_trace(grid)));
+        cfg, std::make_unique<trace::VectorStream>(
+                 workloads::make_grid_trace(grid)));
   };
   const auto contended = run_with(hw::ContentionModel::kPorts);
   const auto free = run_with(hw::ContentionModel::kNone);

@@ -71,7 +71,8 @@ TEST(SoftwareRts, MasterBottleneckCapsScalability) {
     SoftwareRtsConfig cfg;
     cfg.num_workers = workers;
     return rts::run_software_rts(
-        cfg, workloads::make_grid_stream(workloads::make_grid_trace(grid)));
+        cfg, std::make_unique<trace::VectorStream>(
+                 workloads::make_grid_trace(grid)));
   };
   const auto w1 = run_with(1);
   const auto w4 = run_with(4);

@@ -188,7 +188,6 @@ TEST(Runtime, IndependentTasksUseMultipleThreads) {
   rt.wait_all();
   for (int i = 0; i < 16; ++i) EXPECT_EQ(cells[static_cast<std::size_t>(i)], i);
   EXPECT_GE(peak.load(), 2u);
-  EXPECT_GE(rt.stats().max_concurrency, 2u);
 }
 
 TEST(Runtime, NestedSubmissionFromTaskBody) {
@@ -436,9 +435,7 @@ TEST(Runtime, WaitOnReturnsWhileTheOnlyWorkerIsBusy) {
   gate.open();
   rt.wait_all();
   EXPECT_FALSE(gate.expired.load());
-  const auto stats = rt.stats();
-  EXPECT_EQ(stats.executed, 2u);
-  EXPECT_EQ(stats.max_concurrency, 1u);
+  EXPECT_EQ(rt.stats().executed, 2u);
 }
 
 TEST(Runtime, WaitOnUntrackedAddressReturnsWhileWorkersAreBusy) {

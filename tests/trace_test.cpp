@@ -38,91 +38,89 @@ std::vector<TaskRecord> sample_tasks() {
 }
 
 TEST(TraceIo, TextRoundTrip) {
-  const auto tasks = sample_tasks();
+  const trace::Trace t{{}, sample_tasks()};
   std::stringstream ss;
-  trace::write_text(ss, tasks);
-  const auto back = trace::read_text(ss);
-  EXPECT_EQ(back, tasks);
+  trace::write_text(ss, t);
+  EXPECT_EQ(trace::read_text_trace(ss), t);
 }
 
 TEST(TraceIo, BinaryRoundTrip) {
-  const auto tasks = sample_tasks();
+  const trace::Trace t{{}, sample_tasks()};
   std::stringstream ss;
-  trace::write_binary(ss, tasks);
-  const auto back = trace::read_binary(ss);
-  EXPECT_EQ(back, tasks);
+  trace::write_binary(ss, t);
+  EXPECT_EQ(trace::read_binary_trace(ss), t);
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips) {
   std::stringstream ss;
-  trace::write_text(ss, std::vector<TaskRecord>{});
-  EXPECT_TRUE(trace::read_text(ss).empty());
+  trace::write_text(ss, trace::Trace{});
+  EXPECT_TRUE(trace::read_text_trace(ss).tasks.empty());
   std::stringstream bs;
-  trace::write_binary(bs, std::vector<TaskRecord>{});
-  EXPECT_TRUE(trace::read_binary(bs).empty());
+  trace::write_binary(bs, trace::Trace{});
+  EXPECT_TRUE(trace::read_binary_trace(bs).tasks.empty());
 }
 
 TEST(TraceIo, RejectsMissingHeader) {
   std::stringstream ss("task 0 1 2 3 4 0\n");
-  EXPECT_THROW((void)trace::read_text(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_text_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIo, RejectsMalformedTaskLine) {
   std::stringstream ss("nexus-trace v1\ntask 0 nope\n");
-  EXPECT_THROW((void)trace::read_text(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_text_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIo, RejectsParamBeforeTask) {
   std::stringstream ss("nexus-trace v1\nparam 1a 4 in\n");
-  EXPECT_THROW((void)trace::read_text(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_text_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIo, RejectsBadAccessMode) {
   std::stringstream ss(
       "nexus-trace v1\ntask 0 1 10 0 0 1\nparam 1a 4 sideways\n");
-  EXPECT_THROW((void)trace::read_text(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_text_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIo, RejectsMissingParams) {
   std::stringstream ss("nexus-trace v1\ntask 0 1 10 0 0 2\nparam 1a 4 in\n");
-  EXPECT_THROW((void)trace::read_text(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_text_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIo, RejectsExtraParams) {
   std::stringstream ss(
       "nexus-trace v1\ntask 0 1 10 0 0 0\nparam 1a 4 in\n");
-  EXPECT_THROW((void)trace::read_text(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_text_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIo, RejectsBadBinaryMagic) {
   std::stringstream ss("GARBAGE!");
-  EXPECT_THROW((void)trace::read_binary(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_binary_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIo, RejectsTruncatedBinary) {
-  const auto tasks = sample_tasks();
   std::stringstream ss;
-  trace::write_binary(ss, tasks);
+  trace::write_binary(ss, trace::Trace{{}, sample_tasks()});
   std::string data = ss.str();
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
-  EXPECT_THROW((void)trace::read_binary(truncated), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_binary_trace(truncated),
+               trace::TraceIoError);
 }
 
 TEST(TraceIo, FileSaveLoadBothFormats) {
   const auto tasks = sample_tasks();
   const std::string text_path = "/tmp/nexuspp_trace_test.nxt";
   const std::string bin_path = "/tmp/nexuspp_trace_test.nxb";
-  trace::save(text_path, tasks);
-  trace::save(bin_path, tasks);
-  EXPECT_EQ(trace::load(text_path), tasks);
-  EXPECT_EQ(trace::load(bin_path), tasks);
+  trace::save(text_path, trace::Trace{{}, tasks});
+  trace::save(bin_path, trace::Trace{{}, tasks});
+  EXPECT_EQ(trace::load_trace(text_path).tasks, tasks);
+  EXPECT_EQ(trace::load_trace(bin_path).tasks, tasks);
   std::remove(text_path.c_str());
   std::remove(bin_path.c_str());
 }
 
 TEST(TraceIo, LoadMissingFileThrows) {
-  EXPECT_THROW((void)trace::load("/nonexistent/path.nxt"),
+  EXPECT_THROW((void)trace::load_trace("/nonexistent/path.nxt"),
                trace::TraceIoError);
 }
 
@@ -166,16 +164,9 @@ TEST(TraceIoV2, MetaRoundTripsBinary) {
   EXPECT_EQ(trace::read_binary_trace(ss), t);
 }
 
-TEST(TraceIoV2, RecordOnlyReadersDiscardMeta) {
-  const auto t = sample_trace();
-  std::stringstream ss;
-  trace::write_text(ss, t);
-  EXPECT_EQ(trace::read_text(ss), t.tasks);
-}
-
 TEST(TraceIoV2, WriterEmitsCurrentVersionHeader) {
   std::stringstream ss;
-  trace::write_text(ss, sample_tasks());
+  trace::write_text(ss, trace::Trace{{}, sample_tasks()});
   std::string first_line;
   std::getline(ss, first_line);
   EXPECT_EQ(first_line,
@@ -303,9 +294,9 @@ TEST(TraceIoV2, RejectsTruncatedBinaryMetaSection) {
 
 TEST(TraceIoV2, RejectsTrailingBinaryGarbage) {
   std::stringstream ss;
-  trace::write_binary(ss, sample_tasks());
+  trace::write_binary(ss, trace::Trace{{}, sample_tasks()});
   ss << "extra";
-  EXPECT_THROW((void)trace::read_binary(ss), trace::TraceIoError);
+  EXPECT_THROW((void)trace::read_binary_trace(ss), trace::TraceIoError);
 }
 
 TEST(TraceIoV2, RejectsCorruptTaskCount) {

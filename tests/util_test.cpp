@@ -5,8 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -318,19 +318,51 @@ TEST(Flags, LastOccurrenceWins) {
 TEST(Flags, FallbacksAndBadNumbers) {
   const char* argv[] = {"prog", "--bad=xyz"};
   Flags flags(2, argv);
-  EXPECT_EQ(flags.get_int("bad", 7), 7);
+  EXPECT_THROW((void)flags.get_int("bad", 7), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_count("bad", 7), std::invalid_argument);
   EXPECT_EQ(flags.get_int("missing", 9), 9);
-  EXPECT_DOUBLE_EQ(flags.get_double("missing", 1.5), 1.5);
+  EXPECT_EQ(flags.get_count("missing", 9), 9u);
   EXPECT_EQ(flags.get_or("missing", "dflt"), "dflt");
 }
 
-TEST(Flags, BoolParsing) {
-  const char* argv[] = {"prog", "--yes=1", "--no=false", "--zero=0"};
+TEST(Flags, TrailingJunkIsRejected) {
+  const char* argv[] = {"prog", "--cores=6four", "--n=", "--depth=2.5"};
   Flags flags(4, argv);
+  for (const char* name : {"cores", "n", "depth"}) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW((void)flags.get_int(name, 1), std::invalid_argument);
+  }
+  try {
+    (void)flags.get_count("cores", 64);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    // The message names the flag and the value it rejected.
+    EXPECT_NE(std::string(e.what()).find("--cores=6four"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Flags, CountsRejectNegativeAndOversizedValues) {
+  const char* argv[] = {"prog", "--threads=-1", "--banks", "-4",
+                        "--n=4294967296", "--cols=4294967295"};
+  Flags flags(6, argv);
+  EXPECT_EQ(flags.get_int("threads", 0), -1);
+  EXPECT_THROW((void)flags.get_count("threads", 2), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_count("banks", 1), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_count("n", 250), std::invalid_argument);
+  EXPECT_EQ(flags.get_count("cols", 68), 4294967295u);
+}
+
+TEST(Flags, BoolParsing) {
+  const char* argv[] = {"prog", "--yes=1", "--no=false", "--zero=0",
+                        "--word=yes", "--maybe=maybe"};
+  Flags flags(6, argv);
   EXPECT_TRUE(flags.get_bool("yes", false));
   EXPECT_FALSE(flags.get_bool("no", true));
   EXPECT_FALSE(flags.get_bool("zero", true));
+  EXPECT_TRUE(flags.get_bool("word", false));
   EXPECT_TRUE(flags.get_bool("missing", true));
+  EXPECT_THROW((void)flags.get_bool("maybe", true), std::invalid_argument);
 }
 
 TEST(Flags, KnownBooleanDoesNotSwallowPositional) {
@@ -353,10 +385,10 @@ TEST(Flags, TrailingBooleanFlag) {
 }
 
 TEST(Flags, NegativeNumberValues) {
-  const char* argv[] = {"prog", "--delta", "-5", "--bias=-2.5"};
+  const char* argv[] = {"prog", "--delta", "-5", "--bias=-2"};
   Flags flags(4, argv);
   EXPECT_EQ(flags.get_int("delta", 0), -5);
-  EXPECT_DOUBLE_EQ(flags.get_double("bias", 0.0), -2.5);
+  EXPECT_EQ(flags.get_int("bias", 0), -2);
   EXPECT_TRUE(flags.positional().empty());
 }
 
@@ -376,23 +408,6 @@ TEST(Flags, KnownBooleanStillAcceptsEqualsValue) {
   EXPECT_EQ(flags.get_or("csv", ""), "out.csv");
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "rest");
-}
-
-TEST(Flags, EnvironmentFallback) {
-  ASSERT_EQ(Flags::env_name("bench-full"), "NEXUSPP_BENCH_FULL");
-  ::setenv("NEXUSPP_UNIT_TEST_FLAG", "31", 1);
-  const char* argv[] = {"prog"};
-  Flags flags(1, argv);
-  EXPECT_EQ(flags.get_int("unit-test-flag", 0), 31);
-  ::unsetenv("NEXUSPP_UNIT_TEST_FLAG");
-}
-
-TEST(Flags, CommandLineBeatsEnvironment) {
-  ::setenv("NEXUSPP_PRIORITY", "env", 1);
-  const char* argv[] = {"prog", "--priority=cli"};
-  Flags flags(2, argv);
-  EXPECT_EQ(flags.get_or("priority", ""), "cli");
-  ::unsetenv("NEXUSPP_PRIORITY");
 }
 
 }  // namespace
