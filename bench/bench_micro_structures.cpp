@@ -161,16 +161,12 @@ void BM_MasterResolver_FineStreamWindow(benchmark::State& state) {
   const auto tasks = workloads::make_random_dag_trace(cfg);
   // The tables drain after every pass, so one resolver serves them all.
   exec::MasterResolver resolver(exec::MasterResolverConfig{}, kWindow);
-  std::vector<std::vector<core::Param>> params(tasks->size());
   std::vector<std::uint64_t> free_gids;
   std::vector<std::uint64_t> ready(tasks->size());  // FIFO, never wraps
   std::vector<std::uint64_t> granted;
   granted.reserve(kWindow);
   for (auto _ : state) {
     state.PauseTiming();
-    for (std::size_t k = 0; k < tasks->size(); ++k) {
-      params[k] = (*tasks)[k].params;  // begin_submit takes the list
-    }
     free_gids.clear();
     for (std::uint64_t g = 0; g < kWindow; ++g) free_gids.push_back(g);
     std::size_t ready_head = 0;
@@ -192,8 +188,7 @@ void BM_MasterResolver_FineStreamWindow(benchmark::State& state) {
       const std::uint64_t gid = free_gids.back();
       free_gids.pop_back();
       const auto& rec = (*tasks)[k];
-      auto session =
-          resolver.begin_submit(gid, rec.serial, rec.fn, std::move(params[k]));
+      auto session = resolver.begin_submit(gid, rec.serial, rec.fn, rec.params);
       auto progress = session.advance();
       while (progress == exec::MasterResolver::Progress::kStalled) {
         finish_oldest_ready();

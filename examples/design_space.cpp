@@ -55,6 +55,9 @@ int main(int argc, char** argv) try {
   // flag's value.
   util::Flags flags(argc, argv,
                     {"csv", "json", "list-engines", "list-workloads"});
+  // Read before the sweep runs, so a malformed value fails at once.
+  const bool csv = flags.get_bool("csv", false);
+  const bool json = flags.get_bool("json", false);
   const std::string param = flags.get_or("param", "workers");
   std::string workload = flags.get_or(
       "workload", param == "pattern" ? "pattern" : "h264");
@@ -70,11 +73,11 @@ int main(int argc, char** argv) try {
 
   const auto& registry = engine::EngineRegistry::builtins();
   const auto& library = workloads::WorkloadLibrary::builtins();
-  if (flags.has("list-engines")) {
+  if (flags.get_bool("list-engines", false)) {
     for (const auto& name : registry.names()) std::cout << name << "\n";
     return 0;
   }
-  if (flags.has("list-workloads")) {
+  if (flags.get_bool("list-workloads", false)) {
     for (const auto& name : library.names()) {
       std::cout << name << "  (" << library.info(name).options << ")\n";
     }
@@ -257,7 +260,7 @@ int main(int argc, char** argv) try {
   const auto results = driver.run(spec);
 
   // With --csv/--json the table moves to stderr so stdout stays parseable.
-  const bool machine = flags.has("csv") || flags.has("json");
+  const bool machine = csv || json;
   (machine ? std::cerr : std::cout)
       << engine::SweepDriver::to_table(
                    "DSE: " + engine_name + " on " + workload + " vs " +
@@ -296,8 +299,8 @@ int main(int argc, char** argv) try {
                 << " (open at https://ui.perfetto.dev)\n";
     }
   }
-  if (flags.has("csv")) engine::SweepDriver::write_csv(results, std::cout);
-  if (flags.has("json")) engine::SweepDriver::write_json(results, std::cout);
+  if (csv) engine::SweepDriver::write_csv(results, std::cout);
+  if (json) engine::SweepDriver::write_json(results, std::cout);
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << "\n";

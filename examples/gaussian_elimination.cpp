@@ -118,7 +118,7 @@ std::vector<double> solve_tasks(Matrix& m, unsigned threads) {
             std::swap(m.row(i)[c], m.row(pivot)[c]);
           }
         },
-        std::move(pivot_acc));
+        pivot_acc);
 
     // Update tasks: one per remaining row; they read the pivot row (RAW on
     // the pivot task via the token) and write their own row.

@@ -168,15 +168,15 @@ bool maybe_export_timeline(const engine::RunReport& report,
 int main(int argc, char** argv) {
   // The list commands are known booleans so they never swallow positionals.
   util::Flags flags(argc, argv, {"list-engines", "list-workloads"});
-  if (flags.has("list-engines")) return list_engines();
-  if (flags.has("list-workloads")) return list_workloads();
-  const auto& args = flags.positional();
-  if (args.empty()) return usage();
-  const std::string& command = args[0];
-  const auto& registry = engine::EngineRegistry::builtins();
-  const auto& library = workloads::WorkloadLibrary::builtins();
-
   try {
+    if (flags.get_bool("list-engines", false)) return list_engines();
+    if (flags.get_bool("list-workloads", false)) return list_workloads();
+    const auto& args = flags.positional();
+    if (args.empty()) return usage();
+    const std::string& command = args[0];
+    const auto& registry = engine::EngineRegistry::builtins();
+    const auto& library = workloads::WorkloadLibrary::builtins();
+
     if (command == "summarize" && args.size() == 2) {
       print_summary(trace::load_trace(args[1]));
       return 0;

@@ -85,7 +85,7 @@ void run_tasks(Grid& g, unsigned threads) {
                 (i > 0 && j + 1 < g.cols) ? g.at(i - 1, j + 1) : 0;
             g.at(i, j) = decode(g.at(i, j), left, upright);
           },
-          std::move(acc));
+          acc);
     }
   }
   rt.wait_all();

@@ -24,7 +24,9 @@
 // or, with zero workers, runs the oldest ready task on the master itself,
 // the deterministic mode. Grants from one drain go to the workers after
 // the whole drain, so no task is made ready, run and released inside the
-// call that granted it.
+// call that granted it. Between stalls the front end chooses when to
+// release: exec-threads after every task, starss::Runtime only while
+// waiting() counts a task that needs a grant.
 //
 // `Front` is the front end, which owns the core and which the core calls
 // directly (no virtual call):
@@ -43,6 +45,7 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -147,13 +150,14 @@ class Maestro {
   // --- Master ----------------------------------------------------------------
 
   /// Registers a task in a free slot (named in `slot`), stalling while no
-  /// slot or no pool/table space is free. `on_stall(begin)` lets a caller
-  /// time the stalls: called with false after every stall step, and with
-  /// true before a stall that interrupts registration (the wait for a
-  /// slot comes first, so it starts at the call).
+  /// slot or no pool/table space is free. `params` is borrowed for the
+  /// call. `on_stall(begin)` lets a caller time the stalls: called with
+  /// false after every stall step, and with true before a stall that
+  /// interrupts registration (the wait for a slot comes first, so it
+  /// starts at the call).
   template <class OnStall>
   Outcome submit(std::uint64_t serial, std::uint64_t fn,
-                 std::vector<core::Param> params, Payload payload,
+                 std::span<const core::Param> params, Payload payload,
                  Slot& slot, OnStall&& on_stall) {
     while (free_.empty()) {
       if (!stall(serial)) return Outcome::kStopped;
@@ -164,7 +168,7 @@ class Maestro {
     chk::plain_write(&cell);
     cell.serial = serial;
     cell.payload = std::move(payload);
-    auto session = resolver_.begin_submit(slot, serial, fn, std::move(params));
+    auto session = resolver_.begin_submit(slot, serial, fn, params);
     for (;;) {
       const double obs0 = rec_ != nullptr ? rec_->now_ns() : 0.0;
       const auto progress = session.advance();
@@ -241,6 +245,11 @@ class Maestro {
   bool progress() { return release_posted() || await(); }
 
   [[nodiscard]] std::uint64_t in_flight() const noexcept { return in_flight_; }
+  /// Registered tasks not yet made ready: those waiting for a grant, plus
+  /// a task registered ready that the caller has yet to make ready.
+  [[nodiscard]] std::uint64_t waiting() const noexcept {
+    return in_flight_ - at_workers_;
+  }
   /// Why the last kStructural / kStopped / false happened; empty when the
   /// pool closed.
   [[nodiscard]] const std::string& failure() const noexcept {

@@ -37,11 +37,11 @@ MasterResolver::MasterResolver(const MasterResolverConfig& config,
 
 MasterResolver::SubmitSession MasterResolver::begin_submit(
     GlobalId gid, std::uint64_t serial, std::uint64_t fn,
-    std::vector<core::Param> params) {
+    std::span<const core::Param> params) {
   if (gid >= task_of_.size()) {
     throw std::out_of_range("MasterResolver: gid beyond gid_bound");
   }
-  SubmitSession session(this, gid, serial, fn, std::move(params));
+  SubmitSession session(this, gid, serial, fn, params);
   // A task without parameters has nothing to register: ready at once.
   session.ready_ = session.params_.empty();
   session.done_ = session.ready_;

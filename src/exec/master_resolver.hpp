@@ -17,8 +17,8 @@
 // reported as such.
 
 #include <cstdint>
+#include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/dependence_table.hpp"
@@ -65,7 +65,8 @@ class MasterResolver {
 
   /// Resumable registration of one task. On kStalled all completed work
   /// stays registered and the cursor resumes exactly where it stopped, so
-  /// no parameter is ever processed twice.
+  /// no parameter is ever processed twice. The session borrows the
+  /// parameter list: the caller keeps it alive while it advances.
   class SubmitSession {
    public:
     [[nodiscard]] Progress advance();
@@ -81,28 +82,28 @@ class MasterResolver {
    private:
     friend class MasterResolver;
     SubmitSession(MasterResolver* owner, GlobalId gid, std::uint64_t serial,
-                  std::uint64_t fn, std::vector<core::Param> params)
+                  std::uint64_t fn, std::span<const core::Param> params)
         : owner_(owner), gid_(gid), serial_(serial), fn_(fn),
-          params_(std::move(params)) {}
+          params_(params) {}
 
     MasterResolver* owner_;
     GlobalId gid_;
     std::uint64_t serial_;
     std::uint64_t fn_;
-    std::vector<core::Param> params_;
+    std::span<const core::Param> params_;
     std::size_t param_ = 0;  ///< next parameter to register
     std::string failure_;
     bool done_ = false;
     bool ready_ = false;
   };
 
-  /// Starts registration of task `gid` (gid < gid_bound). Takes the
-  /// parameter list by value so a caller can move it in: the submit path
-  /// allocates nothing. A task without parameters is ready at once and
-  /// never occupies a descriptor.
-  [[nodiscard]] SubmitSession begin_submit(GlobalId gid, std::uint64_t serial,
-                                           std::uint64_t fn,
-                                           std::vector<core::Param> params);
+  /// Starts registration of task `gid` (gid < gid_bound) with the
+  /// parameters in `params`, which the session borrows, so the submit path
+  /// copies and allocates nothing. A task without parameters is ready at
+  /// once and never occupies a descriptor.
+  [[nodiscard]] SubmitSession begin_submit(
+      GlobalId gid, std::uint64_t serial, std::uint64_t fn,
+      std::span<const core::Param> params);
 
   /// Handle Finished for completed task `gid`: releases its accesses,
   /// frees its descriptor, and fills `now_ready` (cleared first) with the

@@ -4,13 +4,16 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "chk/chk.hpp"
 #include "exec/maestro.hpp"
+#include "runtime/params.hpp"
 
 namespace nexuspp::starss {
 
@@ -44,51 +47,71 @@ void refuse_task_body(const void* runtime, const char* call) {
   }
 }
 
-/// A task's accesses as Task Pool parameters. Accesses to one base address
-/// become one parameter with the combined mode and the largest size: the
-/// resolver would otherwise queue the task behind its own first access.
-std::vector<core::Param> to_params(const std::vector<Access>& accesses) {
-  std::vector<core::Param> params;
-  params.reserve(accesses.size());
+/// Lists of up to one descriptor's worth of accesses merge duplicates by a
+/// scan, in declaration order; longer lists sort by address first.
+constexpr std::size_t kScanMerge = core::TaskPoolConfig{}.max_params;
+
+/// Folds `p` into `into`, a parameter on the same base address: the
+/// combined mode and the larger size.
+void merge(core::Param& into, const core::Param& p) {
+  const bool reads = core::reads(into.mode) || core::reads(p.mode);
+  const bool writes = core::writes(into.mode) || core::writes(p.mode);
+  into.mode = !writes ? core::AccessMode::kIn
+              : reads ? core::AccessMode::kInOut
+                      : core::AccessMode::kOut;
+  into.size = std::max(into.size, p.size);
+}
+
+}  // namespace
+
+// Accesses to one base address merge because the resolver would otherwise
+// queue the task behind its own first access.
+void to_params(std::span<const Access> accesses,
+               std::vector<core::Param>& params) {
+  params.clear();
+  const bool scan = accesses.size() <= kScanMerge;
   for (const Access& a : accesses) {
     if (a.ptr == nullptr || a.bytes == 0) {
       throw std::invalid_argument("Runtime::submit: bad access");
     }
-    params.push_back(core::Param{
+    const core::Param p{
         reinterpret_cast<core::Addr>(a.ptr),
         static_cast<std::uint32_t>(std::min<std::size_t>(
             a.bytes, std::numeric_limits<std::uint32_t>::max())),
-        a.mode});
-  }
-  std::sort(params.begin(), params.end(),
-            [](const core::Param& a, const core::Param& b) {
-              return a.addr < b.addr;
-            });
-  std::size_t kept = 0;
-  for (const core::Param& p : params) {
-    if (kept > 0 && params[kept - 1].addr == p.addr) {
-      core::Param& merged = params[kept - 1];
-      const bool reads = core::reads(merged.mode) || core::reads(p.mode);
-      const bool writes = core::writes(merged.mode) || core::writes(p.mode);
-      merged.mode = !writes ? core::AccessMode::kIn
-                    : reads ? core::AccessMode::kInOut
-                            : core::AccessMode::kOut;
-      merged.size = std::max(merged.size, p.size);
-    } else {
-      params[kept++] = p;
+        a.mode};
+    if (scan) {
+      const auto same = std::find_if(
+          params.begin(), params.end(),
+          [&p](const core::Param& q) { return q.addr == p.addr; });
+      if (same != params.end()) {
+        merge(*same, p);
+        continue;
+      }
     }
+    params.push_back(p);
   }
-  params.resize(kept);
+  if (!scan) {
+    std::sort(params.begin(), params.end(),
+              [](const core::Param& a, const core::Param& b) {
+                return a.addr < b.addr;
+              });
+    std::size_t kept = 0;
+    for (const core::Param& p : params) {
+      if (kept > 0 && params[kept - 1].addr == p.addr) {
+        merge(params[kept - 1], p);
+      } else {
+        params[kept++] = p;
+      }
+    }
+    params.resize(kept);
+  }
   // More distinct addresses than table entries could never register.
   if (params.size() > kConfig.table_capacity) {
     throw std::invalid_argument(
         "Runtime::submit: more accesses than the dependence table holds (" +
         std::to_string(kConfig.table_capacity) + ")");
   }
-  return params;
 }
-
-}  // namespace
 
 /// The front end the Maestro core calls: a slot's payload is its task's
 /// callable.
@@ -103,6 +126,7 @@ struct Runtime::Impl {
 
   explicit Impl(unsigned workers)
       : threads(workers), core(kConfig, workers, *this) {
+    params.reserve(kScanMerge);
     core.start();
   }
 
@@ -134,11 +158,11 @@ struct Runtime::Impl {
 
   /// Registers one task, named in `slot`. True when it is ready at once,
   /// for the caller to make ready. wait_on's sentinel is not `counted`.
-  bool add(TaskFn fn, std::vector<core::Param> params, Slot& slot,
+  bool add(TaskFn fn, std::span<const core::Param> task_params, Slot& slot,
            bool counted) {
     const core::Resolver::Stats before = core.resolver().resolver_stats();
-    const auto outcome = core.submit(serial++, 0, std::move(params),
-                                     std::move(fn), slot, [](bool) {});
+    const auto outcome = core.submit(serial++, 0, task_params, std::move(fn),
+                                     slot, [](bool) {});
     if (outcome == Core::Outcome::kStructural) {
       throw std::invalid_argument("Runtime::submit: " + core.failure());
     }
@@ -186,7 +210,7 @@ struct Runtime::Impl {
     }
     for (Submission& s : incoming) {
       Slot slot = 0;
-      if (add(std::move(s.fn), std::move(s.params), slot, true)) {
+      if (add(std::move(s.fn), s.params, slot, true)) {
         core.make_ready(&slot, 1);
       }
     }
@@ -198,6 +222,7 @@ struct Runtime::Impl {
   // Maestro-owned: touched only under `maestro`.
   std::uint64_t serial = 0;
   Slot sentinel = kNoSlot;  ///< wait_on's task while it is registered
+  std::vector<core::Param> params;  ///< the submitting task's parameters
   std::vector<Submission> incoming;  ///< the channel batch being registered
   chk::Mutex maestro;  ///< held by the thread acting as the Maestro
 
@@ -241,33 +266,44 @@ Runtime::~Runtime() {
 
 unsigned Runtime::thread_count() const noexcept { return impl_->threads; }
 
-void Runtime::submit(TaskFn fn, std::vector<Access> accesses) {
+void Runtime::submit(TaskFn fn, std::span<const Access> accesses) {
   if (!fn) throw std::invalid_argument("Runtime::submit: empty task");
-  std::vector<core::Param> params = to_params(accesses);
   Impl& im = *impl_;
-  // Relaxed: a statistic.
-  im.submitted.fetch_add(1, std::memory_order_relaxed);
-  if (tls_worker_of == &im) {
+  std::unique_lock<chk::Mutex> maestro;
+  if (tls_worker_of != &im) {
+    maestro = std::unique_lock<chk::Mutex>(im.maestro, std::try_to_lock);
+    // Relaxed: the bound is approximate by design.
+    if (!maestro.owns_lock() &&
+        im.channel_size.load(std::memory_order_relaxed) >= kSlots) {
+      maestro.lock();
+    }
+  }
+  if (!maestro.owns_lock()) {
+    std::vector<core::Param> params;
+    to_params(accesses, params);
+    // Relaxed: a statistic.
+    im.submitted.fetch_add(1, std::memory_order_relaxed);
     im.enqueue(std::move(fn), std::move(params));
     return;
   }
-  std::unique_lock<chk::Mutex> maestro(im.maestro, std::try_to_lock);
-  if (!maestro.owns_lock()) {
-    // Relaxed: the bound is approximate by design.
-    if (im.channel_size.load(std::memory_order_relaxed) < kSlots) {
-      im.enqueue(std::move(fn), std::move(params));
-      return;
-    }
-    maestro.lock();
-  }
+  to_params(accesses, im.params);
+  im.submitted.fetch_add(1, std::memory_order_relaxed);
   // The channel first: it may hold this thread's own earlier submissions.
   // Then this task, then the releases; the task goes to the workers last,
   // so it cannot be released before the next submit() registers its task.
   im.register_channel();
   Slot slot = 0;
-  const bool ready = im.add(std::move(fn), std::move(params), slot, true);
-  (void)im.core.release_posted();
+  const bool ready = im.add(std::move(fn), im.params, slot, true);
+  // Handle Finished on demand: only a task waiting for a grant needs the
+  // posted completions now. Otherwise they wait for a stall step or a
+  // wait, which read a worker's log once per full line, not per post.
+  if (im.core.waiting() > (ready ? 1u : 0u)) (void)im.core.release_posted();
   if (ready) im.core.make_ready(&slot, 1);
+}
+
+void Runtime::submit(TaskFn fn, std::initializer_list<Access> accesses) {
+  submit(std::move(fn), std::span<const Access>(accesses.begin(),
+                                                accesses.size()));
 }
 
 void Runtime::wait_all() {
@@ -303,10 +339,9 @@ void Runtime::wait_on(const void* ptr) {
   // queued behind every one of them that touches ptr. No worker runs it:
   // the core releases it on this thread as soon as it is ready.
   im.register_channel();
+  const core::Param access = core::inout(reinterpret_cast<core::Addr>(ptr), 1);
   Slot slot = 0;
-  const bool ready =
-      im.add(nullptr, {core::inout(reinterpret_cast<core::Addr>(ptr), 1)},
-             slot, false);
+  const bool ready = im.add(nullptr, {&access, 1}, slot, false);
   im.sentinel = slot;
   if (ready) im.core.release_inline(slot);
   while (im.sentinel != kNoSlot) {

@@ -18,14 +18,19 @@
 // checks. Each task's callable is its slot's payload. The thread inside
 // submit(), wait_all() or wait_on() acts as the Maestro. Accesses one task
 // declares on the same base address are merged into one (in + out gives
-// inout).
+// inout) in declaration order (runtime/params.hpp).
 //
 // Progress contract:
-//  - Ready tasks run on the workers at any time, but dependants are
-//    released, and nested submissions registered, only while some thread
-//    is inside submit(), wait_all() or wait_on(). A program that submits
-//    and then waits always completes; between its calls, a task whose
-//    predecessors have finished waits for the next call.
+//  - Ready tasks run on the workers at any time, but finished tasks are
+//    released (Handle Finished), granting their dependants, and nested
+//    submissions registered, only while some thread is inside submit(),
+//    wait_all() or wait_on(). wait_all() and wait_on() release every
+//    posted completion. submit() releases them when some registered task,
+//    its own included, waits for a grant, and when it stalls for a slot or
+//    table space; with no task waiting, completions stay posted and are
+//    released a Task Pool at a time. A program that submits and then
+//    waits always completes; between its calls, a task whose predecessors
+//    have finished waits for the next call.
 //  - Back-pressure: at most one Task Pool's worth of tasks (1 024, the
 //    paper's Table IV size) is registered and unreleased. At that bound
 //    submit() releases posted completions, waiting for a worker when none
@@ -41,14 +46,17 @@
 //
 // Stats count the tasks passed to submit(); the sentinel task wait_on()
 // registers is released by the Maestro as soon as it is ready, never
-// runs on a worker, and is not counted anywhere. The hazard and edge
-// counts are core::Resolver's, one per access that had to queue (an
-// access granted at once counts nothing).
+// runs on a worker, and is not counted anywhere. `executed` counts
+// released tasks, so before a wait it can trail the bodies that have run.
+// The hazard and edge counts are core::Resolver's, one per access that
+// had to queue (an access granted at once counts nothing; one whose
+// predecessor has run but is not yet released queues).
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "core/types.hpp"
 
@@ -89,11 +97,14 @@ class Runtime {
 
   /// Submits a task. Dependencies against earlier unreleased tasks are
   /// derived from the access list (base-address comparison, like the
-  /// paper's hardware). Safe to call from task bodies (nested submission)
-  /// and from several threads. Throws std::invalid_argument on an empty
-  /// callable, a null or empty access, or more accesses than the
-  /// Dependence Table holds.
-  void submit(TaskFn fn, std::vector<Access> accesses);
+  /// paper's hardware), which is read during the call only. Safe to call
+  /// from task bodies (nested submission) and from several threads.
+  /// Throws std::invalid_argument, counting nothing, on an empty callable,
+  /// a null or empty access, or more accesses than the Dependence Table
+  /// holds.
+  void submit(TaskFn fn, std::span<const Access> accesses);
+  /// submit() for a braced list: `rt.submit(fn, {in(&a), out(&b)})`.
+  void submit(TaskFn fn, std::initializer_list<Access> accesses);
 
   /// Blocks until every submitted task has finished (the `css barrier`
   /// pragma). Rethrows the first exception a task threw, if any; the

@@ -56,11 +56,6 @@ std::optional<std::string> Flags::get(const std::string& name) const {
   return std::nullopt;
 }
 
-bool Flags::has(const std::string& name) const {
-  const auto v = get(name);
-  return v.has_value() && !v->empty() && *v != "0";
-}
-
 std::string Flags::get_or(const std::string& name,
                           const std::string& fallback) const {
   return get(name).value_or(fallback);

@@ -30,10 +30,6 @@ class Flags {
   Flags(int argc, const char* const* argv,
         std::unordered_set<std::string> known_bools = {});
 
-  /// True if `--name` appeared (with or without a value) with a value
-  /// other than empty or "0".
-  [[nodiscard]] bool has(const std::string& name) const;
-
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name,
                                    const std::string& fallback) const;
@@ -44,7 +40,8 @@ class Flags {
   /// bank count, a size, an index); anything else throws.
   [[nodiscard]] std::uint32_t get_count(const std::string& name,
                                         std::uint32_t fallback) const;
-  /// 1 / 0, true / false or yes / no; anything else throws.
+  /// 1 / 0, true / false or yes / no; anything else throws. A bare
+  /// `--name` reads true (it stores "1").
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Positional (non-flag) arguments in order.

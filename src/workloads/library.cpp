@@ -1,6 +1,8 @@
 #include "workloads/library.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 #include "workloads/factorization.hpp"
 #include "workloads/gaussian.hpp"
@@ -15,17 +17,17 @@ namespace nexuspp::workloads {
 
 namespace {
 
+/// Digits only: no sign, no space, nothing after them.
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const auto v = std::stoull(value, &used);
-    if (used != value.size()) throw std::invalid_argument("trailing junk");
-    return v;
-  } catch (const std::exception&) {
+  std::uint64_t v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
     throw std::invalid_argument("workload option '" + key +
                                 "': expected a non-negative integer, got '" +
                                 value + "'");
   }
+  return v;
 }
 
 double parse_real(const std::string& key, const std::string& value) {

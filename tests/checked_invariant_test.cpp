@@ -1,8 +1,9 @@
 // The NEXUSPP_CHECKED invariant layer's own tests. Each negative test
 // violates one invariant in a death-test child process and asserts the
 // checked build aborts with the documented "nexuspp-checked:" diagnostic;
-// the positive tests prove the real resolver paths run clean under full
-// instrumentation (no allocation once the tables are built). In a normal
+// the positive tests prove the real resolver paths and starss::Runtime's
+// submit path run clean under full instrumentation (no allocation once
+// the tables are built and the path is warm). In a normal
 // build the hooks compile to nothing, and this file only verifies they
 // stay inert.
 
@@ -17,6 +18,7 @@
 #include "core/task_pool.hpp"
 #include "core/types.hpp"
 #include "exec/master_resolver.hpp"
+#include "runtime/runtime.hpp"
 #include "util/invariant.hpp"
 #include "util/rng.hpp"
 
@@ -113,8 +115,8 @@ TEST(CheckedInvariants, CoreChurnIsAllocationFree) {
 /// resolver is constructed, begin_submit / advance / finish run thousands
 /// of random base-address tasks — through pool and table stalls, dummy
 /// tasks and dummy entries — without one heap allocation. The parameter
-/// lists are built before the scope opens and moved in, as the executor
-/// moves each stream record's list.
+/// lists are built before the scope opens and lent to each session, as
+/// the executor lends each stream record's list.
 TEST(CheckedInvariants, MasterRegistrationIsAllocationFree) {
   constexpr std::uint64_t kTasks = 4000;
   constexpr std::uint64_t kAddresses = 32;
@@ -154,8 +156,7 @@ TEST(CheckedInvariants, MasterRegistrationIsAllocationFree) {
   {
     const NoAllocScope no_alloc("master registration");
     for (std::uint64_t gid = 0; gid < kTasks && !failed; ++gid) {
-      auto session =
-          resolver.begin_submit(gid, gid, 0xF, std::move(params[gid]));
+      auto session = resolver.begin_submit(gid, gid, 0xF, params[gid]);
       for (;;) {
         const auto progress = session.advance();
         if (progress == MasterResolver::Progress::kDone) break;
@@ -177,6 +178,51 @@ TEST(CheckedInvariants, MasterRegistrationIsAllocationFree) {
   EXPECT_GT(stalls, 0u);
   EXPECT_GT(resolver.pool_stats().dummy_slots_allocated, 0u);
   EXPECT_GT(resolver.table_stats().ko_dummy_allocations, 0u);
+}
+
+/// starss::Runtime's submit path once warm: the registration session,
+/// to_params into the Maestro's buffer, the releases (on demand and in
+/// stall steps) and the push to the workers allocate nothing, for a task
+/// whose callable (two pointers) std::function holds inline. The workers
+/// are other threads, outside the scope.
+TEST(CheckedInvariants, RuntimeSubmitIsAllocationFree) {
+  constexpr std::size_t kWarm = 2000;
+  constexpr std::size_t kTasks = 5000;
+  constexpr std::size_t kCells = 64;
+  struct CellTask {
+    std::size_t out;
+    std::size_t in_a;
+    std::size_t in_b;
+    void mix(std::uint64_t* cells) const {
+      cells[out] = cells[out] * 3 + cells[in_a] + cells[in_b];
+    }
+  };
+  util::Rng rng(23);
+  std::vector<CellTask> tasks(kWarm + kTasks);
+  for (CellTask& t : tasks) {
+    t.out = rng.below(kCells);
+    t.in_a = (t.out + 1 + rng.below(kCells - 1)) % kCells;
+    t.in_b = rng.below(kCells);
+  }
+  std::vector<std::uint64_t> expected(kCells, 1);
+  for (const CellTask& t : tasks) t.mix(expected.data());
+
+  std::vector<std::uint64_t> cells(kCells, 1);
+  std::uint64_t* const base = cells.data();
+  starss::Runtime rt(2);
+  const auto submit = [&](std::size_t k) {
+    const CellTask* const task = &tasks[k];
+    rt.submit([base, task] { task->mix(base); },
+              {starss::inout(base + task->out), starss::in(base + task->in_a),
+               starss::in(base + task->in_b)});
+  };
+  for (std::size_t k = 0; k < kWarm; ++k) submit(k);
+  {
+    const NoAllocScope no_alloc("runtime submit");
+    for (std::size_t k = kWarm; k < kWarm + kTasks; ++k) submit(k);
+  }
+  rt.wait_all();
+  EXPECT_EQ(cells, expected);
 }
 
 #if defined(NEXUSPP_CHECKED)

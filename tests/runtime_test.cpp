@@ -1,8 +1,9 @@
 // Tests for the real threaded StarSs-style runtime: dependency ordering
 // (RAW/WAR/WAW/RAR), concurrency, nested submission, exceptions, barriers,
-// duplicate accesses, waits from task bodies, slot recycling past the
-// in-flight bound, submission from two threads, and randomized stress
-// against expected serial results.
+// duplicate accesses and how they merge, the submit() overloads, releases
+// on demand, waits from task bodies, slot recycling past the in-flight
+// bound, submission from two threads, and randomized stress against
+// expected serial results.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "exec/master_resolver.hpp"
+#include "runtime/params.hpp"
 #include "runtime/runtime.hpp"
 #include "util/rng.hpp"
 
@@ -238,6 +240,28 @@ TEST(Runtime, RejectsBadSubmissions) {
       std::invalid_argument);
   EXPECT_THROW(rt.submit([] {}, {Access{&x, 0, core::AccessMode::kIn}}),
                std::invalid_argument);
+  EXPECT_THROW(rt.submit([] {}, {starss::in(&x),
+                                 Access{nullptr, 4, core::AccessMode::kIn}}),
+               std::invalid_argument);
+  EXPECT_EQ(rt.stats().submitted, 0u);
+  // A task body's submission goes through the channel; it counts nothing
+  // either.
+  std::atomic<int> refused{0};
+  rt.submit(
+      [&rt, &refused] {
+        try {
+          rt.submit([] {}, {Access{nullptr, 4, core::AccessMode::kIn}});
+        } catch (const std::invalid_argument&) {
+          refused.fetch_add(1);
+        }
+      },
+      {});
+  rt.submit([&x] { x = 1; }, {starss::out(&x)});
+  rt.wait_all();
+  EXPECT_EQ(refused.load(), 1);
+  EXPECT_EQ(x, 1);
+  EXPECT_EQ(rt.stats().submitted, 2u);
+  EXPECT_EQ(rt.stats().executed, 2u);
 }
 
 TEST(Runtime, ParameterlessTasksRunUnordered) {
@@ -296,7 +320,7 @@ TEST_P(RuntimeWavefront, MatchesSerialReference) {
                 (i > 0 && j + 1 < n) ? grid[idx(i - 1, j + 1)] : 0;
             grid[idx(i, j)] = 1 + left + upright;
           },
-          std::move(acc));
+          acc);
     }
   }
   rt.wait_all();
@@ -438,6 +462,42 @@ TEST(Runtime, WaitOnReturnsWhileTheOnlyWorkerIsBusy) {
   EXPECT_EQ(rt.stats().executed, 2u);
 }
 
+TEST(Runtime, NextSubmitReleasesAWaitingTask) {
+  // B waits for A. Once A's completion is posted, the next submit() (of an
+  // unrelated task C) must release A and so start B, with no further call
+  // into the runtime. The one worker runs A, then D; D's body running
+  // proves A was posted, as the worker posts A before it claims D.
+  Runtime rt(1);
+  Gate gate;
+  int a = 0;
+  int c = 0;
+  std::atomic<bool> b_ran{false};
+  std::atomic<bool> d_ran{false};
+  rt.submit(
+      [&a, &gate] {
+        gate.hold();
+        a = 1;
+      },
+      {starss::out(&a)});
+  rt.submit([&a, &b_ran] { b_ran.store(a == 1); }, {starss::in(&a)});
+  rt.submit([&d_ran] { d_ran.store(true); }, {});
+  gate.open();
+  const auto spin_until = [](const std::atomic<bool>& flag) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return flag.load();
+  };
+  ASSERT_TRUE(spin_until(d_ran));
+  rt.submit([&c] { c = 1; }, {starss::out(&c)});
+  EXPECT_TRUE(spin_until(b_ran)) << "B was not released by the next submit";
+  rt.wait_all();
+  EXPECT_FALSE(gate.expired.load());
+  EXPECT_EQ(rt.stats().executed, 4u);
+}
+
 TEST(Runtime, WaitOnUntrackedAddressReturnsWhileWorkersAreBusy) {
   Runtime rt(2);
   Gate gate;
@@ -498,6 +558,72 @@ TEST(Runtime, DuplicateAccessesInOneTask) {
   EXPECT_EQ(x, ref_x);
   EXPECT_EQ(y, ref_y);
   EXPECT_EQ(z, ref_z);
+}
+
+TEST(Runtime, ToParamsMergesDuplicatesInDeclarationOrder) {
+  // Up to one descriptor's worth of accesses: the merged parameter keeps
+  // the first access's place, the combined mode and the largest size.
+  long a = 0;
+  long b = 0;
+  long c = 0;
+  const std::vector<Access> short_list = {
+      starss::in(&b), starss::in(&a), starss::out(&b, 4), starss::in(&c),
+      starss::in(&a)};
+  std::vector<core::Param> params;
+  starss::to_params(short_list, params);
+  const auto addr = [](const void* p) {
+    return reinterpret_cast<core::Addr>(p);
+  };
+  ASSERT_EQ(params.size(), 3u);
+  EXPECT_EQ(params[0].addr, addr(&b));
+  EXPECT_EQ(params[0].mode, core::AccessMode::kInOut);
+  EXPECT_EQ(params[0].size, 4 * sizeof(long));
+  EXPECT_EQ(params[1].addr, addr(&a));
+  EXPECT_EQ(params[1].mode, core::AccessMode::kIn);
+  EXPECT_EQ(params[1].size, sizeof(long));
+  EXPECT_EQ(params[2].addr, addr(&c));
+
+  // A longer list is put in address order, then merged the same way.
+  long v[10] = {};
+  std::vector<Access> long_list;
+  for (int i = 9; i >= 0; --i) long_list.push_back(starss::in(&v[i]));
+  long_list.push_back(starss::out(&v[3], 2));
+  long_list.push_back(starss::out(&v[5]));
+  starss::to_params(long_list, params);
+  ASSERT_EQ(params.size(), 10u);
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(params[i].addr, addr(&v[i]));
+    EXPECT_EQ(params[i].mode, i == 3 || i == 5 ? core::AccessMode::kInOut
+                                               : core::AccessMode::kIn);
+    EXPECT_EQ(params[i].size, (i == 3 ? 2 : 1) * sizeof(long));
+  }
+
+  // Neither list holds its own task back.
+  Runtime rt(1);
+  rt.submit([&b] { b = 7; }, short_list);
+  rt.submit([&v] { v[3] = v[5] + 2; }, long_list);
+  rt.wait_all();
+  EXPECT_EQ(b, 7);
+  EXPECT_EQ(v[3], 2);
+  EXPECT_EQ(rt.stats().dependency_edges, 0u);
+}
+
+TEST(Runtime, EmptyBracedListAndVectorCallers) {
+  Runtime rt(2);
+  std::atomic<int> ran{0};
+  rt.submit([&ran] { ran.fetch_add(1); }, {});
+  int x = 0;
+  std::vector<Access> accesses = {starss::out(&x)};
+  rt.submit([&x] { x = 5; }, accesses);
+  // The list is read during the call only; the caller may reuse it.
+  accesses = {starss::inout(&x)};
+  rt.submit([&x] { x *= 3; }, accesses);
+  accesses.clear();
+  rt.wait_all();
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(x, 15);
+  EXPECT_EQ(rt.stats().submitted, 3u);
 }
 
 TEST(Runtime, WaitFromTaskBodyThrowsLogicError) {
@@ -724,6 +850,7 @@ TEST(Runtime, TaskWithAsManyAccessesAsTheTableHolds) {
   accesses.push_back(starss::inout(&bytes[kTableEntries]));
   EXPECT_THROW(rt.submit([] {}, accesses), std::invalid_argument);
   rt.wait_all();
+  EXPECT_EQ(rt.stats().submitted, 2u);
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 //     completion, every task claimed and drained exactly once, and zero
 //     race reports. A third runs the exec::Maestro core through its own
 //     worker loop at two slots, forcing slot and table stalls, and checks
-//     each task runs and is released once, in an oracle-valid order.
+//     each task runs and is released once, in an oracle-valid order; a
+//     fourth drives the core as starss::Runtime::submit does, releasing
+//     only while a registered task waits for a grant.
 //   * The mutant tests flip one chk::Faults toggle each, prove a bounded
 //     schedule budget finds the bug it opens in TaskHandoff, and replay the
 //     found seed to the bit-identical trace and report signature:
@@ -616,6 +618,115 @@ TEST(SchedExploration, MaestroCoreIsRaceFreeAndReleasesInOracleOrder) {
     EXPECT_GT(workload.stall_steps, workload.table_stalls)
         << "seed " << policy.seed;
   }
+}
+
+/// exec::Maestro at 2 slots and 2 workers, driven the way
+/// starss::Runtime::submit drives it: after registering a task the master
+/// releases posted completions only while some registered task waits for
+/// a grant, besides one it has just registered ready; every other release
+/// happens in a stall step or in the final drain-out. The stream
+/// interleaves a RAW chain through A, C and E with independent tasks:
+///   t0 out(A)   t1 out(B)   t2 in(A) out(C)   t3 out(D)
+///   t4 in(C) out(E)   t5 out(F)
+/// A chain task registers waiting whenever its predecessor is not yet
+/// released, so schedules take both branches of the rule.
+struct OnDemandReleaseWorkload {
+  static constexpr std::size_t kTasks = 6;
+
+  // The core's front end.
+  using Core = exec::Maestro<OnDemandReleaseWorkload>;
+  using Payload = char;
+  void run(std::uint64_t serial, char& /*payload*/, std::uint32_t) {
+    chk::plain_write(&runs[serial]);
+    ++runs[serial];
+  }
+  void released(std::uint64_t slot) { order.push_back(serial_of[slot]); }
+  static bool release_inline(std::uint64_t /*slot*/) { return false; }
+
+  [[nodiscard]] static exec::MasterResolverConfig config() {
+    exec::MasterResolverConfig cfg;
+    cfg.pool_capacity = 2;
+    cfg.table_capacity = 8;
+    return cfg;
+  }
+
+  [[nodiscard]] std::vector<std::function<void()>> threads() {
+    const auto master = [this] {
+      for (std::uint64_t k = 0; k < kTasks; ++k) {
+        std::uint64_t slot = 0;
+        const auto outcome =
+            core.submit(k, 0, tasks[k], 0, slot, [](bool) {});
+        if (outcome != Core::Outcome::kReady &&
+            outcome != Core::Outcome::kWaiting) {
+          failure = core.failure();
+          break;
+        }
+        serial_of[slot] = k;
+        const bool ready = outcome == Core::Outcome::kReady;
+        if (core.waiting() > (ready ? 1u : 0u)) {
+          ++on_demand;
+          (void)core.release_posted();
+        } else {
+          ++deferred;
+        }
+        if (ready) core.make_ready(&slot, 1);
+      }
+      while (failure.empty() && core.in_flight() > 0) {
+        if (!core.progress()) failure = core.failure();
+      }
+      (void)core.join();
+    };
+    return {master, [this] { core.serve(0); }, [this] { core.serve(1); }};
+  }
+
+  std::vector<std::vector<core::Param>> tasks = {
+      {core::out(0xA0)},
+      {core::out(0xB0)},
+      {core::in(0xA0), core::out(0xC0)},
+      {core::out(0xD0)},
+      {core::in(0xC0), core::out(0xE0)},
+      {core::out(0xF0)},
+  };
+  std::array<std::uint32_t, kTasks> runs{};
+  std::array<std::uint64_t, 2> serial_of{};  ///< master-owned
+  std::vector<std::uint64_t> order;           ///< release order
+  std::uint32_t on_demand = 0;  ///< submits that released (a task waited)
+  std::uint32_t deferred = 0;   ///< submits that left completions posted
+  std::string failure;
+  Core core{config(), 2, *this};
+};
+
+TEST(SchedExploration, OnDemandReleaseIsRaceFreeAndReleasesInOracleOrder) {
+  std::uint32_t on_demand = 0;
+  std::uint32_t deferred = 0;
+  for (const auto& policy : sweep_policies(100, 100)) {
+    OnDemandReleaseWorkload workload;
+    RaceChecker checker;
+    {
+      ScheduleController controller(policy);
+      chk::SessionScope scope(&controller, &checker);
+      // A lost wake-up parks a thread for good: a diagnosed deadlock.
+      const auto outcome = controller.run(workload.threads());
+      ASSERT_TRUE(outcome.completed())
+          << controller.seed_banner() << ": " << outcome.diagnosis;
+      EXPECT_TRUE(checker.reports().empty())
+          << controller.seed_banner() << ": "
+          << checker.reports()[0].to_string();
+    }
+    ASSERT_TRUE(workload.failure.empty()) << workload.failure;
+    for (std::uint64_t k = 0; k < OnDemandReleaseWorkload::kTasks; ++k) {
+      EXPECT_EQ(workload.runs[k], 1u) << "seed " << policy.seed << ", t" << k;
+    }
+    EXPECT_EQ(core::GraphOracle::validate_completion_order(
+                  core::MatchMode::kBaseAddr, workload.tasks, workload.order),
+              "")
+        << "seed " << policy.seed;
+    on_demand += workload.on_demand;
+    deferred += workload.deferred;
+  }
+  // The sweep took both branches of the release rule.
+  EXPECT_GT(on_demand, 0u);
+  EXPECT_GT(deferred, 0u);
 }
 
 // --- The mutant: an early ready-tail publication, found and replayed ---------

@@ -304,7 +304,7 @@ TEST(Flags, ParsesEqualsAndSpaceForms) {
   Flags flags(6, argv);
   EXPECT_EQ(flags.get_int("cores", 0), 64);
   EXPECT_EQ(flags.get_int("depth", 0), 2);
-  EXPECT_TRUE(flags.has("full"));
+  EXPECT_TRUE(flags.get_bool("full", false));
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "pos1");
 }
@@ -365,12 +365,32 @@ TEST(Flags, BoolParsing) {
   EXPECT_THROW((void)flags.get_bool("maybe", true), std::invalid_argument);
 }
 
+TEST(Flags, BooleanFlagReadsItsValue) {
+  // The examples read --csv with get_bool: `--csv=false` turns it off, and
+  // a value that is no boolean (a file name) throws naming the flag
+  // instead of reading as set.
+  {
+    const char* argv[] = {"prog", "--csv=false"};
+    Flags flags(2, argv, {"csv"});
+    EXPECT_FALSE(flags.get_bool("csv", false));
+  }
+  const char* argv[] = {"prog", "--csv=out.csv"};
+  Flags flags(2, argv, {"csv"});
+  try {
+    (void)flags.get_bool("csv", false);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--csv=out.csv"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Flags, KnownBooleanDoesNotSwallowPositional) {
   // Regression: greedy `--name value` used to consume a following
   // positional as the value of a boolean flag.
   const char* argv[] = {"prog", "--verbose", "trace.json"};
   Flags flags(3, argv, {"verbose"});
-  EXPECT_TRUE(flags.has("verbose"));
+  EXPECT_TRUE(flags.get_bool("verbose", false));
   EXPECT_EQ(flags.get_or("verbose", ""), "1");
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "trace.json");
@@ -379,7 +399,7 @@ TEST(Flags, KnownBooleanDoesNotSwallowPositional) {
 TEST(Flags, TrailingBooleanFlag) {
   const char* argv[] = {"prog", "input.trc", "--verbose"};
   Flags flags(3, argv, {"verbose"});
-  EXPECT_TRUE(flags.has("verbose"));
+  EXPECT_TRUE(flags.get_bool("verbose", false));
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "input.trc");
 }
@@ -396,7 +416,7 @@ TEST(Flags, DoubleDashTerminatesFlagParsing) {
   const char* argv[] = {"prog", "--cores=4", "--", "--not-a-flag", "file"};
   Flags flags(5, argv);
   EXPECT_EQ(flags.get_int("cores", 0), 4);
-  EXPECT_FALSE(flags.has("not-a-flag"));
+  EXPECT_FALSE(flags.get("not-a-flag").has_value());
   ASSERT_EQ(flags.positional().size(), 2u);
   EXPECT_EQ(flags.positional()[0], "--not-a-flag");
   EXPECT_EQ(flags.positional()[1], "file");

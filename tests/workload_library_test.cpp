@@ -86,6 +86,23 @@ TEST(WorkloadLibraryTest, UnknownOptionRejected) {
                std::invalid_argument);
 }
 
+TEST(WorkloadLibraryTest, NegativeIntegerOptionRejected) {
+  // Digits only: a minus sign must not wrap to a huge seed or count.
+  const auto& lib = WorkloadLibrary::builtins();
+  for (const char* spec : {"random-dag:seed=-1", "random-dag:tasks=-1",
+                           "random-dag:tasks=+5", "random-dag:tasks= 5"}) {
+    SCOPED_TRACE(spec);
+    try {
+      (void)lib.make_trace(spec);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("expected a non-negative integer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(WorkloadLibraryTest, OptionsReachTheGenerators) {
   const auto& lib = WorkloadLibrary::builtins();
   EXPECT_EQ(lib.make_trace("tiled-cholesky:tiles=5")->size(),
