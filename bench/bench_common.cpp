@@ -3,24 +3,50 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
+
+#include "util/flags.hpp"
 
 namespace nexuspp::bench {
 
 namespace {
 
-/// "1"/"true" means stdout; anything else is a file path.
-void emit_to(const char* env_value, const std::string& what,
+[[noreturn]] void bad_env(const char* name, const std::string& value,
+                          const char* expected) {
+  throw std::invalid_argument(std::string(name) + "=" + value +
+                              ": expected " + expected);
+}
+
+/// Where a machine format goes: nullopt when off (unset, empty or
+/// 0/false/no), "" for stdout (1/true/yes), else a file path.
+std::optional<std::string> target(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0') return std::nullopt;
+  if (const auto on = util::parse_bool(env)) {
+    return *on ? std::optional<std::string>("") : std::nullopt;
+  }
+  return env;
+}
+
+bool targets_stdout(const char* name) {
+  const auto path = target(name);
+  return path && path->empty();
+}
+
+void emit_to(const char* name,
              const std::function<void(std::ostream&)>& write) {
-  const std::string value(env_value);
-  if (value == "1" || value == "true") {
+  const auto path = target(name);
+  if (!path) return;
+  if (path->empty()) {
     write(std::cout);
     return;
   }
   // Truncate: appending would stack duplicate CSV headers / concatenated
   // JSON arrays across runs. One file holds one run's output.
-  std::ofstream file(value, std::ios::trunc);
+  std::ofstream file(*path, std::ios::trunc);
   if (!file) {
-    std::cerr << "bench: cannot open " << value << " for " << what << "\n";
+    std::cerr << "bench: cannot open " << *path << " for " << name << "\n";
     return;
   }
   write(file);
@@ -28,17 +54,26 @@ void emit_to(const char* env_value, const std::string& what,
 
 }  // namespace
 
+engine::StreamFactory stream(Tasks tasks) {
+  return [tasks] { return std::make_unique<trace::VectorStream>(tasks); };
+}
+
 bool full_mode() {
   const char* env = std::getenv("NEXUSPP_BENCH_FULL");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
+  if (env == nullptr || env[0] == '\0') return false;
+  if (const auto on = util::parse_bool(env)) return *on;
+  bad_env("NEXUSPP_BENCH_FULL", env, "1, 0, true, false, yes or no");
 }
 
 engine::SweepOptions sweep_options() {
   engine::SweepOptions options;
   options.threads = 4;
   if (const char* env = std::getenv("NEXUSPP_SWEEP_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) options.threads = static_cast<unsigned>(parsed);
+    const auto threads = util::parse_count(env);
+    if (!threads || *threads == 0) {
+      bad_env("NEXUSPP_SWEEP_THREADS", env, "a count of at least 1");
+    }
+    options.threads = *threads;
   }
   return options;
 }
@@ -50,28 +85,14 @@ std::vector<engine::SweepResult> run_sweep(const engine::SweepSpec& spec) {
   // Telemetry goes to stderr: stdout stays clean for CSV/JSON consumers.
   std::cerr << "[sweep] " << results.size() << " points on "
             << driver.last_threads_used() << " threads in "
-            << util::fmt_f(driver.last_wall_seconds(), 2)
-            << " s (peak concurrency " << driver.last_peak_concurrency()
-            << ")\n";
+            << util::fmt_f(driver.last_wall_seconds(), 2) << " s\n";
   return results;
 }
 
-namespace {
-
-bool targets_stdout(const char* env_value) {
-  return env_value != nullptr && (std::string(env_value) == "1" ||
-                                  std::string(env_value) == "true");
-}
-
-bool machine_stdout() {
-  return targets_stdout(std::getenv("NEXUSPP_BENCH_CSV")) ||
-         targets_stdout(std::getenv("NEXUSPP_BENCH_JSON"));
-}
-
-}  // namespace
-
 void note(const std::string& text) {
-  (machine_stdout() ? std::cerr : std::cout) << text;
+  const bool machine_stdout = targets_stdout("NEXUSPP_BENCH_CSV") ||
+                              targets_stdout("NEXUSPP_BENCH_JSON");
+  (machine_stdout ? std::cerr : std::cout) << text;
 }
 
 void print(const std::string& title,
@@ -81,24 +102,21 @@ void print(const std::string& title,
        "\n");
 }
 
-void emit(const std::string& title,
-          const std::vector<engine::SweepResult>& results,
-          const std::vector<engine::SweepDriver::Column>& extra) {
-  print(title, results, extra);
-  write_rows(results);
+void keep(std::vector<engine::SweepResult>& rows, const std::string& prefix,
+          std::vector<engine::SweepResult> results) {
+  for (auto& r : results) {
+    r.spec.series = prefix + "/" + r.spec.resolved_series();
+    rows.push_back(std::move(r));
+  }
 }
 
 void write_rows(const std::vector<engine::SweepResult>& results) {
-  if (const char* env = std::getenv("NEXUSPP_BENCH_CSV")) {
-    emit_to(env, "CSV", [&](std::ostream& os) {
-      engine::SweepDriver::write_csv(results, os);
-    });
-  }
-  if (const char* env = std::getenv("NEXUSPP_BENCH_JSON")) {
-    emit_to(env, "JSON", [&](std::ostream& os) {
-      engine::SweepDriver::write_json(results, os);
-    });
-  }
+  emit_to("NEXUSPP_BENCH_CSV", [&](std::ostream& os) {
+    engine::SweepDriver::write_csv(results, os);
+  });
+  emit_to("NEXUSPP_BENCH_JSON", [&](std::ostream& os) {
+    engine::SweepDriver::write_json(results, os);
+  });
 }
 
 }  // namespace nexuspp::bench

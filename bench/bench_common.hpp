@@ -1,20 +1,29 @@
 #pragma once
-// Shared helpers for the bench binaries.
+// Shared helpers for the bench drivers.
 //
 // Every bench binary runs stand-alone with no arguments (the benchmark
 // sweep is `for b in build/bench_*; do $b; done`); heavyweight sweeps are
-// gated behind NEXUSPP_BENCH_FULL=1. The paper's figures and tables all
-// live in one driver, bench_paper_figures, one function per figure.
+// gated behind NEXUSPP_BENCH_FULL=1. Two drivers run the sweeps, one
+// function per figure or study: bench_paper_figures reproduces the paper's
+// figures and tables, bench_scenarios runs the studies beyond them. Each
+// writes one CSV/JSON at the end, every series prefixed with its figure or
+// study (keep()).
 //
 // All benches are declarative sweep specs over the unified engine layer:
 // they describe a config grid (engine names x workloads x EngineParams),
 // run it through the multi-threaded engine::SweepDriver, and emit results
-// through the shared RunReport table/CSV path. Environment knobs:
+// through the shared RunReport table/CSV path. Environment knobs, read
+// under util::Flags' value rules; a value outside them throws
+// std::invalid_argument ("NEXUSPP_BENCH_FULL=maybe: expected ..."):
 //
-//   NEXUSPP_SWEEP_THREADS=N  sweep worker threads (default 4)
-//   NEXUSPP_BENCH_CSV=1|path also emit CSV (stdout or file)
-//   NEXUSPP_BENCH_JSON=1|path also emit JSON (stdout or file)
+//   NEXUSPP_BENCH_FULL=1|0   full-size sweeps (true/false, yes/no too;
+//                            unset or empty is off)
+//   NEXUSPP_SWEEP_THREADS=N  sweep worker threads, N >= 1 (default 4)
+//   NEXUSPP_BENCH_CSV=1|0|path  CSV to stdout (1/true/yes), nowhere
+//                            (0/false/no, unset or empty) or a file
+//   NEXUSPP_BENCH_JSON=1|0|path  the same for JSON
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,7 +31,13 @@
 
 namespace nexuspp::bench {
 
-/// True when the full (slow) sweep was requested via NEXUSPP_BENCH_FULL=1.
+/// A materialized task stream, shared between the runs that replay it.
+using Tasks = std::shared_ptr<const std::vector<trace::TaskRecord>>;
+
+/// A workload whose every run replays `tasks`.
+[[nodiscard]] engine::StreamFactory stream(Tasks tasks);
+
+/// True when the full (slow) sweep was requested via NEXUSPP_BENCH_FULL.
 [[nodiscard]] bool full_mode();
 
 /// Sweep options from the environment (NEXUSPP_SWEEP_THREADS, default 4).
@@ -39,14 +54,14 @@ void print(const std::string& title,
            const std::vector<engine::SweepResult>& results,
            const std::vector<engine::SweepDriver::Column>& extra = {});
 
-/// print(), then write_rows(results).
-void emit(const std::string& title,
-          const std::vector<engine::SweepResult>& results,
-          const std::vector<engine::SweepDriver::Column>& extra = {});
+/// Appends `results` to `rows`, each series prefixed with `prefix/` (a
+/// figure or study), so one CSV/JSON tells the drivers' sweeps apart.
+void keep(std::vector<engine::SweepResult>& rows, const std::string& prefix,
+          std::vector<engine::SweepResult> results);
 
 /// Writes `results` as CSV to NEXUSPP_BENCH_CSV and as JSON to
 /// NEXUSPP_BENCH_JSON, each when set. A file target is truncated, so a
-/// binary that runs several sweeps writes their rows in one call.
+/// driver writes all its rows in one call.
 void write_rows(const std::vector<engine::SweepResult>& results);
 
 /// Human commentary ("Expected shape: ...") and tables. Goes to stdout

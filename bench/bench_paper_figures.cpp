@@ -26,7 +26,8 @@ namespace {
 
 using engine::SweepResult;
 using workloads::GridPattern;
-using Grid = std::shared_ptr<const std::vector<trace::TaskRecord>>;
+using bench::stream;
+using Grid = bench::Tasks;
 
 /// The paper's 120 x 68 macroblock grid (8160 tasks, Cell H.264 task
 /// durations) with `pattern`'s dependencies.
@@ -34,10 +35,6 @@ Grid grid(GridPattern pattern) {
   workloads::GridConfig cfg;
   cfg.pattern = pattern;
   return workloads::make_grid_trace(cfg);
-}
-
-engine::StreamFactory stream(Grid tasks) {
-  return [tasks] { return std::make_unique<trace::VectorStream>(tasks); };
 }
 
 /// Gaussian elimination of an n x n matrix. The stream is generated
@@ -639,21 +636,14 @@ std::vector<SweepResult> memory_models(const Inputs& in) {
 int run() {
   const Inputs in;
   std::vector<SweepResult> rows;
-  auto keep = [&rows](const std::string& figure,
-                      std::vector<SweepResult> results) {
-    for (auto& r : results) {
-      r.spec.series = figure + "/" + r.spec.resolved_series();
-      rows.push_back(std::move(r));
-    }
-  };
-  keep("fig6", fig6(in));
-  keep("fig7", fig7(in));
-  keep("fig8", fig8());
+  bench::keep(rows, "fig6", fig6(in));
+  bench::keep(rows, "fig7", fig7(in));
+  bench::keep(rows, "fig8", fig8());
   table2();
-  keep("headline", headline(in));
-  keep("nexus-vs-classic", nexus_vs_classic(in));
-  keep("rts-vs-nexus", rts_vs_nexus(in));
-  keep("memory-models", memory_models(in));
+  bench::keep(rows, "headline", headline(in));
+  bench::keep(rows, "nexus-vs-classic", nexus_vs_classic(in));
+  bench::keep(rows, "rts-vs-nexus", rts_vs_nexus(in));
+  bench::keep(rows, "memory-models", memory_models(in));
   bench::write_rows(rows);
   return 0;
 }

@@ -87,7 +87,6 @@ std::vector<SweepResult> SweepDriver::run(const SweepSpec& spec) {
   if (points.empty()) {
     last_wall_seconds_ = 0.0;
     last_threads_used_ = 0;
-    last_peak_concurrency_ = 0;
     return results;
   }
   // Fail fast on spec errors before spawning anything.
@@ -105,8 +104,6 @@ std::vector<SweepResult> SweepDriver::run(const SweepSpec& spec) {
       std::min<std::size_t>(threads, points.size()));
 
   std::atomic<std::size_t> next{0};
-  std::atomic<unsigned> active{0};
-  std::atomic<unsigned> peak{0};
 
   auto worker = [&] {
     for (;;) {
@@ -115,12 +112,6 @@ std::vector<SweepResult> SweepDriver::run(const SweepSpec& spec) {
       const PointSpec& point = points[i];
       SweepResult& out = results[i];
       out.spec = point;
-
-      const unsigned now_active = active.fetch_add(1) + 1;
-      unsigned seen = peak.load();
-      while (now_active > seen &&
-             !peak.compare_exchange_weak(seen, now_active)) {
-      }
 
       const auto t0 = std::chrono::steady_clock::now();
       try {
@@ -136,7 +127,6 @@ std::vector<SweepResult> SweepDriver::run(const SweepSpec& spec) {
       out.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
-      active.fetch_sub(1);
     }
   };
 
@@ -153,7 +143,6 @@ std::vector<SweepResult> SweepDriver::run(const SweepSpec& spec) {
                            std::chrono::steady_clock::now() - sweep_start)
                            .count();
   last_threads_used_ = threads;
-  last_peak_concurrency_ = peak.load();
 
   // Speedups: baseline of a series is its flagged point, else its first
   // point in spec order.

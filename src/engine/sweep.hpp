@@ -142,10 +142,6 @@ class SweepDriver {
   [[nodiscard]] unsigned last_threads_used() const noexcept {
     return last_threads_used_;
   }
-  /// High-water mark of points simulating at the same instant.
-  [[nodiscard]] unsigned last_peak_concurrency() const noexcept {
-    return last_peak_concurrency_;
-  }
 
   // --- Emission ---------------------------------------------------------------
 
@@ -190,7 +186,6 @@ class SweepDriver {
   SweepOptions options_;
   double last_wall_seconds_ = 0.0;
   unsigned last_threads_used_ = 0;
-  unsigned last_peak_concurrency_ = 0;
 };
 
 // --- METG (minimum effective task granularity) --------------------------------

@@ -101,7 +101,11 @@ class Runtime {
   /// from task bodies (nested submission) and from several threads.
   /// Throws std::invalid_argument, counting nothing, on an empty callable,
   /// a null or empty access, or more accesses than the Dependence Table
-  /// holds.
+  /// holds. A warm submit allocates nothing only for a callable that
+  /// TaskFn (std::function) stores inline: in libstdc++ one that is
+  /// trivially copyable and at most 16 bytes, e.g. a lambda capturing two
+  /// pointers, as checked_invariant_test's RuntimeSubmitIsAllocationFree
+  /// pins. A larger capture costs one allocation per task.
   void submit(TaskFn fn, std::span<const Access> accesses);
   /// submit() for a braced list: `rt.submit(fn, {in(&a), out(&b)})`.
   void submit(TaskFn fn, std::initializer_list<Access> accesses);

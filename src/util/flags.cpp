@@ -16,6 +16,21 @@ namespace {
 
 }  // namespace
 
+std::optional<bool> parse_bool(std::string_view value) {
+  if (value == "1" || value == "true" || value == "yes") return true;
+  if (value == "0" || value == "false" || value == "no") return false;
+  return std::nullopt;
+}
+
+std::optional<std::uint32_t> parse_count(std::string_view value) {
+  // An unsigned from_chars takes digits only: no sign, no space, no junk.
+  std::uint32_t out = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
+
 Flags::Flags(int argc, const char* const* argv,
              std::unordered_set<std::string> known_bools)
     : known_bools_(std::move(known_bools)) {
@@ -78,18 +93,14 @@ std::uint32_t Flags::get_count(const std::string& name,
                                std::uint32_t fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  const std::int64_t n = get_int(name, fallback);
-  if (n < 0 || n > std::int64_t{0xFFFF'FFFF}) {
-    bad_value(name, *v, "a non-negative count");
-  }
-  return static_cast<std::uint32_t>(n);
+  if (const auto n = parse_count(*v)) return *n;
+  bad_value(name, *v, "a non-negative count");
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   const auto v = get(name);
   if (!v) return fallback;
-  if (*v == "1" || *v == "true" || *v == "yes") return true;
-  if (*v == "0" || *v == "false" || *v == "no") return false;
+  if (const auto b = parse_bool(*v)) return *b;
   bad_value(name, *v, "1, 0, true, false, yes or no");
 }
 

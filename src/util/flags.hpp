@@ -1,8 +1,9 @@
 #pragma once
 // Minimal command-line flag parsing for the example binaries. Flags have
 // the form `--name=value` or `--name value`; the command line is the only
-// source (the benches read their few NEXUSPP_BENCH_* settings from the
-// environment themselves).
+// source (the benches read their few NEXUSPP_* settings from the
+// environment themselves, under the same value rules: parse_bool and
+// parse_count below).
 //
 // The greedy `--name value` form cannot tell a flag's value from a
 // following positional argument, so two escape hatches exist:
@@ -19,10 +20,20 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 namespace nexuspp::util {
+
+// The value rules of Flags::get_bool and Flags::get_count, for settings
+// that come from elsewhere (the benches' NEXUSPP_* environment). Each
+// returns nullopt for a value the rule rejects.
+
+/// 1 / 0, true / false or yes / no.
+[[nodiscard]] std::optional<bool> parse_bool(std::string_view value);
+/// A whole non-negative integer that fits 32 bits, digits only.
+[[nodiscard]] std::optional<std::uint32_t> parse_count(std::string_view value);
 
 class Flags {
  public:

@@ -216,7 +216,6 @@ TEST(SweepDriver, ParallelMatchesSerialAndComputesSpeedups) {
   const auto b = parallel.run(spec);
   EXPECT_EQ(serial.last_threads_used(), 1u);
   EXPECT_EQ(parallel.last_threads_used(), 4u);
-  EXPECT_GE(parallel.last_peak_concurrency(), 1u);
 
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -363,6 +364,27 @@ TEST(Flags, BoolParsing) {
   EXPECT_TRUE(flags.get_bool("word", false));
   EXPECT_TRUE(flags.get_bool("missing", true));
   EXPECT_THROW((void)flags.get_bool("maybe", true), std::invalid_argument);
+}
+
+TEST(Flags, ValueRulesStandAlone) {
+  // The benches read their NEXUSPP_* environment with these: exactly the
+  // values get_bool and get_count accept, and nullopt for the rest.
+  for (const char* v : {"1", "true", "yes"}) {
+    EXPECT_EQ(util::parse_bool(v), true) << v;
+  }
+  for (const char* v : {"0", "false", "no"}) {
+    EXPECT_EQ(util::parse_bool(v), false) << v;
+  }
+  for (const char* v : {"", "maybe", "TRUE", "on", "1 ", "out.csv"}) {
+    EXPECT_EQ(util::parse_bool(v), std::nullopt) << v;
+  }
+  EXPECT_EQ(util::parse_count("4"), 4u);
+  EXPECT_EQ(util::parse_count("0"), 0u);
+  EXPECT_EQ(util::parse_count("4294967295"), 4294967295u);
+  for (const char* v :
+       {"", "4x", "abc", "-1", "+4", " 4", "2.5", "4294967296"}) {
+    EXPECT_EQ(util::parse_count(v), std::nullopt) << v;
+  }
 }
 
 TEST(Flags, BooleanFlagReadsItsValue) {
