@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -29,30 +30,66 @@ std::optional<std::string> target(const char* name) {
   return env;
 }
 
-bool targets_stdout(const char* name) {
-  const auto path = target(name);
-  return path && path->empty();
-}
+/// A machine-format output, resolved and opened by open_outputs().
+struct Output {
+  explicit Output(const char* setting) : name(setting) {}
 
-void emit_to(const char* name,
-             const std::function<void(std::ostream&)>& write) {
-  const auto path = target(name);
-  if (!path) return;
-  if (path->empty()) {
-    write(std::cout);
-    return;
+  void open() {
+    const auto where = target(name);
+    if (!where) return;
+    if (where->empty()) {
+      os = &std::cout;
+      return;
+    }
+    path = *where;
+    // Truncate: appending would stack duplicate CSV headers / concatenated
+    // JSON arrays across runs. One file holds one run's output.
+    file.open(path, std::ios::trunc);
+    if (!file) {
+      throw std::runtime_error(std::string(name) + "=" + path +
+                               ": cannot open for writing");
+    }
+    os = &file;
   }
-  // Truncate: appending would stack duplicate CSV headers / concatenated
-  // JSON arrays across runs. One file holds one run's output.
-  std::ofstream file(*path, std::ios::trunc);
-  if (!file) {
-    std::cerr << "bench: cannot open " << *path << " for " << name << "\n";
-    return;
+
+  void write(const std::function<void(std::ostream&)>& rows) {
+    if (os == nullptr) return;
+    rows(*os);
+    if (!os->flush()) {
+      throw std::runtime_error(std::string(name) + "=" +
+                               (path.empty() ? "stdout" : path) +
+                               ": write failed");
+    }
   }
-  write(file);
-}
+
+  const char* name;  ///< the environment setting
+  std::string path;  ///< the file target; empty for stdout
+  std::ofstream file;
+  std::ostream* os = nullptr;  ///< null when off
+};
+
+Output g_csv("NEXUSPP_BENCH_CSV");
+Output g_json("NEXUSPP_BENCH_JSON");
+std::string g_timeline;
 
 }  // namespace
+
+void open_outputs(bool timeline) {
+  (void)full_mode();
+  (void)sweep_options();
+  g_csv.open();
+  g_json.open();
+  if (!timeline) return;
+  const char* env = std::getenv("NEXUSPP_BENCH_TIMELINE");
+  g_timeline = env != nullptr ? env : "";
+  if (g_timeline.empty()) return;
+  if (!std::ofstream(g_timeline, std::ios::trunc)) {
+    throw std::runtime_error("NEXUSPP_BENCH_TIMELINE=" + g_timeline +
+                             ": cannot open for writing");
+  }
+}
+
+const std::string& timeline_path() { return g_timeline; }
 
 engine::StreamFactory stream(Tasks tasks) {
   return [tasks] { return std::make_unique<trace::VectorStream>(tasks); };
@@ -90,8 +127,7 @@ std::vector<engine::SweepResult> run_sweep(const engine::SweepSpec& spec) {
 }
 
 void note(const std::string& text) {
-  const bool machine_stdout = targets_stdout("NEXUSPP_BENCH_CSV") ||
-                              targets_stdout("NEXUSPP_BENCH_JSON");
+  const bool machine_stdout = g_csv.os == &std::cout || g_json.os == &std::cout;
   (machine_stdout ? std::cerr : std::cout) << text;
 }
 
@@ -111,10 +147,10 @@ void keep(std::vector<engine::SweepResult>& rows, const std::string& prefix,
 }
 
 void write_rows(const std::vector<engine::SweepResult>& results) {
-  emit_to("NEXUSPP_BENCH_CSV", [&](std::ostream& os) {
+  g_csv.write([&](std::ostream& os) {
     engine::SweepDriver::write_csv(results, os);
   });
-  emit_to("NEXUSPP_BENCH_JSON", [&](std::ostream& os) {
+  g_json.write([&](std::ostream& os) {
     engine::SweepDriver::write_json(results, os);
   });
 }

@@ -13,8 +13,11 @@
 // they describe a config grid (engine names x workloads x EngineParams),
 // run it through the multi-threaded engine::SweepDriver, and emit results
 // through the shared RunReport table/CSV path. Environment knobs, read
-// under util::Flags' value rules; a value outside them throws
-// std::invalid_argument ("NEXUSPP_BENCH_FULL=maybe: expected ..."):
+// under util::Flags' value rules and resolved by open_outputs() before
+// the first study; a value outside them throws std::invalid_argument
+// ("NEXUSPP_BENCH_FULL=maybe: expected ..."), and a file target that
+// cannot be opened std::runtime_error ("NEXUSPP_BENCH_CSV=/x/y.csv:
+// cannot open for writing"), which each driver's main turns into exit 1:
 //
 //   NEXUSPP_BENCH_FULL=1|0   full-size sweeps (true/false, yes/no too;
 //                            unset or empty is off)
@@ -22,6 +25,8 @@
 //   NEXUSPP_BENCH_CSV=1|0|path  CSV to stdout (1/true/yes), nowhere
 //                            (0/false/no, unset or empty) or a file
 //   NEXUSPP_BENCH_JSON=1|0|path  the same for JSON
+//   NEXUSPP_BENCH_TIMELINE=path  bench_scenarios only: a Chrome-trace
+//                            timeline file (unset or empty is off)
 
 #include <memory>
 #include <string>
@@ -30,6 +35,15 @@
 #include "engine/sweep.hpp"
 
 namespace nexuspp::bench {
+
+/// Resolves every knob above (NEXUSPP_BENCH_TIMELINE only when
+/// `timeline`) and opens each file target, truncating it. Call before the
+/// first study: it throws, naming the setting and its value, on a value
+/// or a target the driver could not honour.
+void open_outputs(bool timeline = false);
+
+/// NEXUSPP_BENCH_TIMELINE as open_outputs() resolved it; empty when off.
+[[nodiscard]] const std::string& timeline_path();
 
 /// A materialized task stream, shared between the runs that replay it.
 using Tasks = std::shared_ptr<const std::vector<trace::TaskRecord>>;
@@ -60,8 +74,9 @@ void keep(std::vector<engine::SweepResult>& rows, const std::string& prefix,
           std::vector<engine::SweepResult> results);
 
 /// Writes `results` as CSV to NEXUSPP_BENCH_CSV and as JSON to
-/// NEXUSPP_BENCH_JSON, each when set. A file target is truncated, so a
-/// driver writes all its rows in one call.
+/// NEXUSPP_BENCH_JSON, each when set, into the targets open_outputs()
+/// opened, so a driver writes all its rows in one call. Throws
+/// std::runtime_error, naming the setting, when a write fails.
 void write_rows(const std::vector<engine::SweepResult>& results);
 
 /// Human commentary ("Expected shape: ...") and tables. Goes to stdout

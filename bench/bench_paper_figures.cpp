@@ -634,6 +634,7 @@ std::vector<SweepResult> memory_models(const Inputs& in) {
 }
 
 int run() {
+  bench::open_outputs();
   const Inputs in;
   std::vector<SweepResult> rows;
   bench::keep(rows, "fig6", fig6(in));

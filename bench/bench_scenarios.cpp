@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -338,7 +337,7 @@ std::vector<SweepResult> executor_throughput() {
 
   // NEXUSPP_BENCH_TIMELINE=out.json additionally records a task timeline
   // on the fine-stream 4-thread point (the CI artifact).
-  const char* timeline_path = std::getenv("NEXUSPP_BENCH_TIMELINE");
+  const std::string& timeline_path = bench::timeline_path();
   for (const char* workload :
        {"wavefront", "fine-dag", "fine-stream", "tiled-cholesky"}) {
     bool first = true;
@@ -347,7 +346,7 @@ std::vector<SweepResult> executor_throughput() {
       p.engine = "exec-threads";
       p.workload = workload;
       p.params.threads = threads;
-      p.params.timeline.enabled = timeline_path != nullptr &&
+      p.params.timeline.enabled = !timeline_path.empty() &&
                                   std::string(workload) == "fine-stream" &&
                                   threads == 4;
       p.series = std::string(workload) + "/real";
@@ -374,7 +373,7 @@ std::vector<SweepResult> executor_throughput() {
                              engine::SweepOptions{.threads = 1});
   const auto results = driver.run(spec);
 
-  if (timeline_path != nullptr) {
+  if (!timeline_path.empty()) {
     const auto written =
         engine::SweepDriver::export_timelines(results, timeline_path);
     for (const auto& path : written) {
@@ -679,6 +678,7 @@ std::vector<SweepResult> pattern_matrix() {
 }
 
 int run() {
+  bench::open_outputs(/*timeline=*/true);
   const Inputs in;
   std::vector<SweepResult> rows;
   bench::keep(rows, "app-traces", app_traces());

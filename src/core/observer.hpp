@@ -18,8 +18,8 @@
 //   - on_completed fires after the kernel finishes but *before* the task's
 //     accesses are released — so a dependant's completion event can never
 //     be recorded ahead of its predecessor's.
-// Callbacks may fire concurrently from many workers; implementations must
-// be thread-safe.
+// Callbacks may fire concurrently from many workers (and the master, where
+// it runs tasks); implementations must be thread-safe.
 
 #include <cstdint>
 #include <mutex>
@@ -33,7 +33,10 @@ class ExecutionObserver {
 
   /// Task entered the runtime (stream order; called from the submit path).
   virtual void on_submitted(std::uint64_t serial) { (void)serial; }
-  /// A worker is about to run the task's kernel.
+  /// An executor is about to run the task's kernel. `worker` indexes the
+  /// threads that run tasks: exec-threads' workers are 0..threads-1 and
+  /// its master, which runs tasks while it waits, is `threads` (0 at
+  /// threads=1, where it runs them all).
   virtual void on_started(std::uint64_t serial, std::uint32_t worker) {
     (void)serial;
     (void)worker;

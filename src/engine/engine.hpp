@@ -54,8 +54,10 @@ struct EngineParams {
   /// master owns one unbanked table. 0 keeps the config default of 1.
   std::uint32_t banks = 0;
   /// Worker threads of the real executor (`exec-threads` only; simulated
-  /// engines ignore it). 0 defaults to num_workers, so worker-count sweeps
-  /// drive the real backend with the same axis as the simulated ones.
+  /// engines ignore it; ExecConfig::threads). 0 defaults to num_workers,
+  /// so worker-count sweeps drive the real backend with the same axis as
+  /// the simulated ones. At >= 2 the master runs tasks as well, and the
+  /// report's num_workers reads threads + 1.
   std::uint32_t threads = 0;
   /// Kernel body of the real executor (`exec-threads` only; simulated
   /// engines consume trace durations and ignore it): spin, compute,

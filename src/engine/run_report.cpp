@@ -50,7 +50,9 @@ using R = RunReport;
 const Column kColumns[] = {
     {"engine", kText, kAlways, "registry name of the engine that ran",
      [](const R& r) { return r.engine; }},
-    {"workers", "cores", kAlways, "worker cores, or exec-threads threads",
+    {"workers", "cores", kAlways,
+     "worker cores; exec-threads: threads that run tasks (threads + 1 at "
+     "threads >= 2: the master runs tasks too)",
      [](const R& r) { return std::to_string(r.num_workers); }},
     {"makespan_ns", "ns", kAlways,
      "first submission to last completion (exec-threads: wall clock)",

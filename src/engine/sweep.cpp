@@ -414,10 +414,11 @@ std::vector<std::string> SweepDriver::export_timelines(
     obs::TraceExportOptions options;
     options.pid = static_cast<std::uint32_t>(i + 1);
     options.report_json = to_json(results[i]);
-    if (obs::save_chrome_trace(*results[i].report.timeline.data, out_path,
-                               options)) {
-      written.push_back(out_path);
+    if (!obs::save_chrome_trace(*results[i].report.timeline.data, out_path,
+                                options)) {
+      throw std::runtime_error("cannot write timeline " + out_path);
     }
+    written.push_back(out_path);
   }
   return written;
 }

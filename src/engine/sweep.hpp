@@ -177,7 +177,8 @@ class SweepDriver {
   /// (EngineParams::timeline.enabled) to `path`. A single timeline lands at
   /// `path` exactly; with several, each point i writes `stem.p<i>.ext`. The
   /// point's to_json() object rides along under the "report" key. Returns
-  /// the paths written, in results order.
+  /// the paths written, in results order; throws std::runtime_error
+  /// naming the first path it could not write.
   static std::vector<std::string> export_timelines(
       const std::vector<SweepResult>& results, const std::string& path);
 

@@ -9,6 +9,7 @@
 #include "exec/maestro.hpp"
 #include "exec/spin.hpp"
 #include "sim/time.hpp"
+#include "util/invariant.hpp"
 
 namespace nexuspp::exec {
 
@@ -49,41 +50,62 @@ struct ThreadedExecutor::Impl {
     Clock::time_point submitted_at{};
   };
   using Payload = Task;
+  /// The master runs ready tasks while it waits (exec/maestro.hpp).
+  static constexpr bool kMasterRunsTasks = true;
+
+  /// Worker threads: none at threads == 1, where the master runs every
+  /// task itself.
+  static std::uint32_t pool_size(const ExecConfig& config) {
+    return config.threads == 1 ? 0 : config.threads;
+  }
 
   explicit Impl(const ExecConfig& config)
       : observer(config.observer),
         rec(config.timeline_recorder),
-        workers(config.threads),
-        // threads == 1: no pool; the master runs ready tasks itself.
-        core(config.resolver_config(), config.threads == 1 ? 0 : config.threads,
-             *this, config.timeline_recorder) {
-    // Kernel state (stream buffers, matmul tiles) and tracks are made
-    // here, before any worker exists: each body is touched by one worker,
-    // and the rings are single-writer. The core added the master track.
-    kernels.reserve(config.threads);
-    for (std::uint32_t w = 0; w < config.threads; ++w) {
-      kernels.emplace_back(config.kernel, w);
+        // One executor per worker, then the master's, at index pool size.
+        executors(pool_size(config) + 1),
+        core(config.resolver_config(), pool_size(config), *this,
+             config.timeline_recorder) {
+    // Kernel state (stream buffers, matmul tiles), the turnaround
+    // reservoirs and tracks are made here, before any worker exists: each
+    // is touched by one executor, and the rings are single-writer. The
+    // core added the master track.
+    const std::uint32_t master = pool_size(config);
+    kernels.reserve(master + 1);
+    for (std::uint32_t e = 0; e <= master; ++e) {
+      kernels.emplace_back(config.kernel, e);
+      executors[e].turnaround.reserve();
       if (rec == nullptr) continue;
-      const std::uint32_t track = rec->add_track("worker-" + std::to_string(w));
-      if (w == 0) worker_track0 = track;
+      const std::uint32_t track =
+          rec->add_track(e == master ? std::string("master-run")
+                                     : "worker-" + std::to_string(e));
+      if (e == 0) run_track0 = track;
     }
   }
 
-  /// Runs the kernel of task `serial` on worker `widx`. The completion
-  /// event fires before the task is posted back, hence before its accesses
-  /// are released, so recorded completion order stays oracle-valid.
+  /// Runs the kernel of task `serial` on executor `e` (a worker, or the
+  /// master at e == pool size). The completion event fires before the
+  /// task is released, so recorded completion order stays oracle-valid.
   // NEXUS_HOT_PATH
-  void run(std::uint64_t serial, const Task& task, std::uint32_t widx) {
-    if (observer != nullptr) observer->on_started(serial, widx);
-    WorkerStats& stats = workers[widx];
+  void run(std::uint64_t serial, const Task& task, std::uint32_t e) {
+    // Observers are the caller's code; nothing else here allocates.
+    const util::NoAllocScope no_alloc("exec task path");
+    if (observer != nullptr) {
+      const util::AllowAllocScope caller("observer callback");
+      observer->on_started(serial, e);
+    }
+    ExecutorStats& stats = executors[e];
     double obs_run0 = 0.0;
     if (rec != nullptr) obs_run0 = rec->now_ns();
     const auto t0 = Clock::now();
-    stats.units += kernels[widx].run(task.exec_ns, serial);
+    stats.units += kernels[e].run(task.exec_ns, serial);
     const auto t1 = Clock::now();
-    if (observer != nullptr) observer->on_completed(serial, widx);
+    if (observer != nullptr) {
+      const util::AllowAllocScope caller("observer callback");
+      observer->on_completed(serial, e);
+    }
     if (rec != nullptr) {
-      rec->record(worker_track0 + widx, obs::EventKind::kRun, obs_run0,
+      rec->record(run_track0 + e, obs::EventKind::kRun, obs_run0,
                   rec->now_ns() - obs_run0, serial, 0);
     }
     stats.busy_ns += elapsed_ns(t0, t1);
@@ -95,10 +117,10 @@ struct ThreadedExecutor::Impl {
     return false;
   }
 
-  /// One worker's accounting (written only by that worker — by the master
-  /// at threads=1 — and read after the pool is joined). Cache-line aligned
-  /// so workers finishing tasks concurrently do not share lines.
-  struct alignas(64) WorkerStats {
+  /// One executor's accounting (written only by that worker, or by the
+  /// master, and read after the pool is joined). Cache-line aligned so
+  /// executors finishing tasks concurrently do not share lines.
+  struct alignas(64) ExecutorStats {
     double busy_ns = 0.0;  ///< kernel time
     std::uint64_t units = 0;
     util::RunningStats turnaround;
@@ -107,9 +129,10 @@ struct ThreadedExecutor::Impl {
   // Read by the workers on every task; written before they start.
   core::ExecutionObserver* const observer;
   obs::TimelineRecorder* const rec;  ///< null: every hook is one test
-  std::uint32_t worker_track0 = 0;
-  std::vector<WorkerStats> workers;
-  /// Per-worker kernel bodies (the master at threads=1 uses slot 0).
+  std::uint32_t run_track0 = 0;  ///< executor 0's run track
+  /// Per executor, indexed like the kernels: the master's comes last.
+  std::vector<ExecutorStats> executors;
+  /// Per-executor kernel bodies.
   std::vector<KernelBody> kernels;
   using Core = Maestro<Impl>;
   Core core;
@@ -139,7 +162,8 @@ engine::RunReport ThreadedExecutor::run(
   engine::RunReport report;
   report.measures = engine::RunReport::kTables | engine::RunReport::kWallClock;
   report.tasks_expected = stream->total_tasks();
-  report.num_workers = config_.threads;
+  // Every thread that runs tasks: the master too, whenever a pool exists.
+  report.num_workers = static_cast<std::uint32_t>(im.executors.size());
   core.start();
 
   // Force the one-time spin calibration (>= 1 ms) before the clock starts:
@@ -229,9 +253,9 @@ engine::RunReport ThreadedExecutor::run(
       wall_ns > 0.0
           ? static_cast<double>(report.tasks_completed) * 1e9 / wall_ns
           : 0.0;
-  report.exec_worker_utilization.reserve(im.workers.size());
+  report.exec_worker_utilization.reserve(im.executors.size());
   double busy_total = 0.0;
-  for (const auto& stats : im.workers) {
+  for (const auto& stats : im.executors) {
     report.exec_worker_utilization.push_back(
         wall_ns > 0.0 ? stats.busy_ns / wall_ns : 0.0);
     busy_total += stats.busy_ns;
@@ -240,7 +264,7 @@ engine::RunReport ThreadedExecutor::run(
   }
   report.avg_core_utilization =
       wall_ns > 0.0
-          ? busy_total / (wall_ns * static_cast<double>(config_.threads))
+          ? busy_total / (wall_ns * static_cast<double>(report.num_workers))
           : 0.0;
   report.exec_kernel = to_string(config_.kernel.kind);
   report.ready_queue_peak = core.ready_peak();

@@ -12,24 +12,32 @@
 // RunReport::tasks_expected: a stream that produces a different number
 // of tasks still runs to its end, and the diagnosis names both counts.
 //
-// threads == 1 spawns no worker: the master runs the oldest ready task
-// itself wherever it would otherwise wait. No concurrency, hence a
-// *stable, reproducible completion order* — the determinism anchor the
-// multi-threaded runs are differentially tested against (same
-// GraphOracle-validated partial order, arbitrary interleaving).
+// The master runs ready tasks too, whenever it would otherwise wait (a
+// registration stalled with nothing posted, or the end-of-stream drain)
+// and more tasks are ready than there are workers: the Maestro's waiting
+// rule. So the threads that run tasks are the executors: workers
+// 0..threads-1, then the master at index `threads`. threads == 1 spawns
+// no worker: the master, executor 0, runs every task itself. No
+// concurrency, hence a *stable, reproducible completion order* — the
+// determinism anchor the multi-threaded runs are differentially tested
+// against (same GraphOracle-validated partial order, arbitrary
+// interleaving).
 //
 // run() fills an engine::RunReport after the timed loop: the wall clock
 // in the makespan slot, the master's one "submit" stage (registration
-// busy time; stall time releasing posted completions and waiting for
-// more, at threads=1 running tasks itself), tasks/sec, per-worker kernel
-// utilization and turnaround (registration to kernel completion), next to
-// the table and hazard telemetry shared with the simulated engines.
-// Ordering evidence flows through core::ExecutionObserver (on_completed
-// fires before accesses are released, so recorded completion order is
-// always oracle-checkable). An exception thrown by a kernel or an
-// observer callback on a worker stops the run and is rethrown from run()
-// once the pool is joined; one thrown on the master (by the stream or
-// on_submitted) leaves run() only after that join too.
+// busy time; stall time releasing posted completions, waiting for more
+// and running tasks itself), tasks/sec, and per executor (num_workers =
+// threads + 1 at threads >= 2, so the master's core counts in run
+// efficiency and utilization) kernel utilization and turnaround
+// (registration to kernel completion), next to the table and hazard
+// telemetry shared with the simulated engines. Ordering evidence flows
+// through core::ExecutionObserver, whose worker index is the executor's
+// (on_completed fires before accesses are released, so recorded
+// completion order is always oracle-checkable). An exception thrown by a
+// kernel or an observer callback stops the run and is rethrown from run()
+// once the pool is joined, whether a worker or the master ran the task;
+// one thrown on the master by the stream or on_submitted leaves run()
+// only after that join too.
 
 #include <cstdint>
 #include <memory>
@@ -47,7 +55,10 @@
 namespace nexuspp::exec {
 
 struct ExecConfig {
-  std::uint32_t threads = 4;  ///< worker pool size (1 = deterministic inline)
+  /// Worker threads. At 1 there is no pool: the master runs every task,
+  /// in a deterministic order. At >= 2 the master runs ready tasks too
+  /// while it waits, so threads + 1 threads run tasks.
+  std::uint32_t threads = 4;
   /// Ignored: the master owns one resolver, with no banks. Kept only
   /// because perfbench/src/replay.cpp still assigns it.
   std::uint32_t banks = 1;

@@ -15,9 +15,10 @@
 // to the bound.
 //
 //   ready      master -> workers. The master is the only producer: it
-//              writes the slots, then publishes the new tail. Workers (and
-//              the master itself at threads=1) claim the oldest unclaimed
-//              position with a CAS on the head, so claims are FIFO. A
+//              writes the slots, then publishes the new tail. Workers, and
+//              a master that runs tasks while it waits (exec-threads, at
+//              every thread count), claim the oldest unclaimed position
+//              with a CAS on the head, so claims are FIFO. A
 //              claimer reads its slot *before* the CAS that claims it:
 //              once the head passes a position the master may reuse its
 //              slot, so a read after the CAS could see the next lap's id.
@@ -80,7 +81,8 @@ class TaskHandoff {
   static constexpr std::uint32_t kSpinPauses = 2000;
 
   /// `capacity` bounds the tasks in flight (made ready, not yet drained);
-  /// `workers` is the number of completion posters (0 at threads=1).
+  /// `workers` is the number of completion posters (0 at threads=1). A
+  /// task the master claims is never posted: the master releases it.
   TaskHandoff(std::uint64_t capacity, std::uint32_t workers)
       : mask_(std::bit_ceil(std::max<std::uint64_t>(capacity, 1)) - 1),
         // Zeroed, so even a claim of an unwritten slot (the schedcheck
@@ -209,7 +211,9 @@ class TaskHandoff {
   // --- Any thread -----------------------------------------------------------
 
   /// Claims the oldest ready task without waiting; false when none is
-  /// published. The master uses it at threads=1, where it runs tasks.
+  /// published. The master's claim: a Maestro whose front end lets the
+  /// master run tasks calls it at every thread count, racing the workers'
+  /// claim() on the same head.
   // NEXUS_HOT_PATH
   bool try_claim(TaskId& id) {
     // Compiled-in mutant (schedcheck harness only; constant-false in

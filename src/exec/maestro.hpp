@@ -20,22 +20,39 @@
 // space. Only a release frees any, so a stall step releases what the
 // workers posted; if nothing was, it diagnoses a capacity deadlock
 // (nothing in flight) or a wedge (tasks in flight, none ready or running:
-// only a release could make one ready), and otherwise waits for a post —
-// or, with zero workers, runs the oldest ready task on the master itself,
-// the deterministic mode. Grants from one drain go to the workers after
-// the whole drain, so no task is made ready, run and released inside the
-// call that granted it. Between stalls the front end chooses when to
-// release: exec-threads after every task, starss::Runtime only while
-// waiting() counts a task that needs a grant.
+// only a release could make one ready), and otherwise waits — as the
+// end-of-stream drain (progress()) does when nothing was posted. Grants
+// from one drain go to the workers after the whole drain, so no task is
+// made ready, run and released inside the call that granted it. Between
+// stalls the front end chooses when to release: exec-threads after every
+// task, starss::Runtime only while waiting() counts a task that needs a
+// grant.
+//
+// The waiting rule. A front end that sets kMasterRunsTasks makes the
+// master a task runner whenever it must wait: while more tasks are
+// published and unclaimed than there are workers, it claims the oldest
+// (TaskHandoff::try_claim), runs it as executor `workers` (the index after
+// the pool's), releases it and drains what the workers posted; otherwise
+// it waits for a post. The guard leaves every worker one task to claim, so
+// the master never takes the task an idle worker is about to run. With
+// zero workers every ready task is unclaimed and the master runs them all:
+// the deterministic mode. exec-threads opts in. starss::Runtime stays out:
+// its master is a user thread inside submit(), wait_on() or wait_all(),
+// and a Runtime task body may wait for that thread to go on (the gated
+// task of Runtime.WaitOnReturnsWhileTheOnlyWorkerIsBusy); run on it, the
+// body would wait on itself. Its master only ever waits for posts.
 //
 // `Front` is the front end, which owns the core and which the core calls
 // directly (no virtual call):
 //   using Payload = ...;                  // per-slot task data
-//   void run(std::uint64_t serial, Payload&, std::uint32_t worker);
+//   static constexpr bool kMasterRunsTasks = ...;  // the waiting rule
+//   void run(std::uint64_t serial, Payload&, std::uint32_t executor);
 //   void released(Slot slot);             // master, after each release
 //   bool release_inline(Slot slot);       // master: release when granted?
-// run() is called on a worker (on the master with zero workers); an
-// exception escaping it stops the pool and is returned by join(). A task
+// run() is called on a worker, as executor w < workers, and on the master
+// as executor `workers` when the front end opts in; an exception escaping
+// it on a worker stops the pool and is returned by join(), one escaping it
+// on the master leaves the Maestro call that ran the task. A task
 // release_inline() names never runs: it is released on the master as soon
 // as it is granted, without waiting for a worker (starss::Runtime's
 // wait_on sentinel).
@@ -75,7 +92,8 @@ class Maestro {
   };
 
   /// `workers` threads run tasks once start() is called; 0 runs them on
-  /// the master. A non-null `rec` gets a "master" track for the hooks.
+  /// the master, which needs Front::kMasterRunsTasks. A non-null `rec`
+  /// gets a "master" track for the hooks.
   Maestro(const MasterResolverConfig& config, std::uint32_t workers,
           Front& front, obs::TimelineRecorder* rec = nullptr)
       : front_(&front),
@@ -117,9 +135,7 @@ class Maestro {
     try {
       Slot slot = 0;
       while (handoff_.claim(slot)) {
-        Cell& cell = cells_[slot];
-        chk::plain_write(&cell);
-        front_->run(cell.serial, cell.payload, w);
+        run(slot, w);
         handoff_.post(w, slot);
       }
     } catch (...) {
@@ -315,6 +331,14 @@ class Maestro {
     queued_ = 0;
   }
 
+  /// Runs claimed task `slot` as executor `executor`.
+  // NEXUS_HOT_PATH
+  void run(Slot slot, std::uint32_t executor) {
+    Cell& cell = cells_[slot];
+    chk::plain_write(&cell);
+    front_->run(cell.serial, cell.payload, executor);
+  }
+
   /// Registration of task `serial` cannot go on until a release.
   bool stall(std::uint64_t serial) {
     const double obs0 = rec_ != nullptr ? rec_->now_ns() : 0.0;
@@ -333,8 +357,9 @@ class Maestro {
     return ok;
   }
 
-  /// Nothing was posted: waits for a post (with zero workers, runs and
-  /// releases the oldest ready task), then releases what came back.
+  /// Nothing was posted: runs, releases and drains after the oldest ready
+  /// task if the waiting rule allows it (see the file comment), else waits
+  /// for a post and releases what came back.
   bool await() {
     if (at_workers_ == 0) {
       // Every task made ready is released, and only a release makes one
@@ -343,16 +368,19 @@ class Maestro {
                  " task(s) in flight but none ready or running";
       return false;
     }
-    if (workers_ == 0) {
+    if constexpr (Front::kMasterRunsTasks) {
+      // At zero workers every task made ready and unreleased is unclaimed,
+      // so the master always finds one here and never waits for a post.
+      // Once a worker failed (the pool closed), it runs nothing more.
       Slot slot = 0;
-      if (handoff_.try_claim(slot)) {
-        Cell& cell = cells_[slot];
-        front_->run(cell.serial, cell.payload, 0);
+      if (!handoff_.closed() && handoff_.ready_depth() > workers_ &&
+          handoff_.try_claim(slot)) {
+        run(slot, workers_);
         --at_workers_;
         release(slot);
-        flush();
+        (void)release_posted();
+        return true;
       }
-      return true;
     }
     handoff_.wait_for_completion();
     if (handoff_.closed()) return false;

@@ -117,6 +117,9 @@ void to_params(std::span<const Access> accesses,
 /// callable.
 struct Runtime::Impl {
   using Payload = TaskFn;
+  /// The master never runs a task body: a body may wait for the very
+  /// thread acting as the master to go on (exec/maestro.hpp).
+  static constexpr bool kMasterRunsTasks = false;
 
   /// A task waiting in the channel for the Maestro to register it.
   struct Submission {

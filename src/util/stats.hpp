@@ -23,8 +23,13 @@ class RunningStats {
   /// Reservoir size: exact percentiles up to this many samples.
   static constexpr std::size_t kReservoirCapacity = 4096;
 
-  /// Not noexcept: growing the percentile reservoir can allocate.
+  /// Not noexcept: growing the percentile reservoir can allocate, unless
+  /// reserve() ran first.
   void add(double x);
+
+  /// Allocates the whole percentile reservoir now, so add() never does:
+  /// for accumulators fed on paths that must not allocate.
+  void reserve() { reservoir_.reserve(kReservoirCapacity); }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }

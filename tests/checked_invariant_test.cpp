@@ -1,15 +1,17 @@
 // The NEXUSPP_CHECKED invariant layer's own tests. Each negative test
 // violates one invariant in a death-test child process and asserts the
 // checked build aborts with the documented "nexuspp-checked:" diagnostic;
-// the positive tests prove the real resolver paths and starss::Runtime's
-// submit path run clean under full instrumentation (no allocation once
-// the tables are built and the path is warm). In a normal
+// the positive tests prove the real resolver paths, starss::Runtime's
+// submit path and exec-threads' task path run clean under full
+// instrumentation (no allocation once the tables are built and the path
+// is warm). In a normal
 // build the hooks compile to nothing, and this file only verifies they
 // stay inert.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -17,8 +19,11 @@
 #include "core/resolver.hpp"
 #include "core/task_pool.hpp"
 #include "core/types.hpp"
+#include "exec/executor.hpp"
 #include "exec/master_resolver.hpp"
 #include "runtime/runtime.hpp"
+#include "sim/time.hpp"
+#include "trace/trace.hpp"
 #include "util/invariant.hpp"
 #include "util/rng.hpp"
 
@@ -223,6 +228,29 @@ TEST(CheckedInvariants, RuntimeSubmitIsAllocationFree) {
   }
   rt.wait_all();
   EXPECT_EQ(cells, expected);
+}
+
+/// exec-threads' task path: ThreadedExecutor runs every task under a
+/// NoAllocScope, on a worker or on the master, letting only observer
+/// callbacks allocate. With no observer and no timeline, a threads = 2 run
+/// whose master also runs tasks (16 slots fill with independent work)
+/// allocates nothing there: the turnaround reservoirs are reserved before
+/// the workers start. In the checked build an allocation would abort.
+TEST(CheckedInvariants, ExecTaskPathIsAllocationFree) {
+  auto tasks = std::make_shared<std::vector<trace::TaskRecord>>(3000);
+  for (std::size_t i = 0; i < tasks->size(); ++i) {
+    (*tasks)[i].serial = i;
+    (*tasks)[i].exec_time = sim::ns(500);
+    (*tasks)[i].params = {core::inout(0x1000 + 64 * (i % 64))};
+  }
+  exec::ExecConfig cfg;
+  cfg.threads = 2;
+  cfg.task_pool_capacity = 16;
+  exec::ThreadedExecutor executor(cfg);
+  const auto report =
+      executor.run(std::make_unique<trace::VectorStream>(tasks));
+  EXPECT_FALSE(report.deadlocked) << report.diagnosis;
+  EXPECT_EQ(report.tasks_completed, tasks->size());
 }
 
 #if defined(NEXUSPP_CHECKED)

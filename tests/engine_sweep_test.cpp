@@ -272,6 +272,35 @@ TEST(SweepDriver, CsvAndJsonEmission) {
   EXPECT_NE(json_text.find("\"deadlocked\": 0"), std::string::npos);
 }
 
+TEST(SweepDriver, TimelineExportThatCannotBeWrittenThrows) {
+  // A timeline it could not save is an error naming the path, not a
+  // silently shorter list of paths written.
+  workloads::RandomDagConfig cfg;
+  cfg.num_tasks = 40;
+  const auto trace = make_random_dag_trace(cfg);
+  engine::SweepSpec spec;
+  spec.workload("dag", [trace] {
+    return std::make_unique<trace::VectorStream>(trace);
+  });
+  engine::PointSpec point;
+  point.engine = "nexus++";
+  point.workload = "dag";
+  point.params.timeline.enabled = true;
+  spec.point(point);
+  const auto results =
+      engine::run_sweep(spec, engine::SweepOptions{.threads = 1});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_NE(results[0].report.timeline.data, nullptr);
+  const std::string path = "/nonexistent-dir/timeline.json";
+  try {
+    (void)engine::SweepDriver::export_timelines(results, path);
+    ADD_FAILURE() << "export_timelines returned for an unwritable path";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepDriver, ExceptionInOnePointIsContained) {
   engine::EngineRegistry reg = engine::EngineRegistry::with_builtins();
   reg.add("explosive", [](const engine::EngineParams&)
@@ -442,7 +471,8 @@ TEST(RunReport, WorkerUtilizationCsvCellIsOneScalarAndJsonCarriesPerWorker) {
       engine::run_sweep(spec, engine::SweepOptions{.threads = 1});
   ASSERT_EQ(results.size(), 1u);
   const auto& report = results[0].report;
-  ASSERT_EQ(report.exec_worker_utilization.size(), 3u);
+  // Three workers and the master, which runs tasks while it waits.
+  ASSERT_EQ(report.exec_worker_utilization.size(), 4u);
 
   const auto row = report.csv_row();
   ASSERT_EQ(row.size(), header.size());

@@ -1,7 +1,9 @@
 // The real concurrent executor (`exec-threads`): GraphOracle-validated
 // execution order across thread counts, both match modes and several
 // seeds; single-thread determinism; the exact ready-queue peak at one
-// thread; behaviour under core oversubscription; streams longer than the
+// thread; behaviour under core oversubscription; the master running ready
+// tasks while it waits, and only when more are ready than the workers
+// can claim; streams longer than the
 // Task Pool, whose slots name the tasks in flight; capacity/structural
 // deadlock diagnosis; master-only release; worker exceptions; and the
 // registry/report contract of the engine adapter.
@@ -19,12 +21,14 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/observer.hpp"
@@ -64,6 +68,26 @@ OracleInput oracle_input(const std::vector<trace::TaskRecord>& tasks) {
   return in;
 }
 
+/// Checks `serials`, a recorded completion order of `tasks`, against the
+/// oracle.
+void expect_oracle_order(const std::vector<trace::TaskRecord>& tasks,
+                         MatchMode mode,
+                         const std::vector<std::uint64_t>& serials) {
+  const auto in = oracle_input(tasks);
+  std::vector<std::uint64_t> order;
+  for (const auto serial : serials) {
+    const auto it = in.index_of.find(serial);
+    if (it == in.index_of.end()) {
+      ADD_FAILURE() << "recorder saw unknown serial " << serial;
+      return;
+    }
+    order.push_back(it->second);
+  }
+  const auto violation =
+      GraphOracle::validate_completion_order(mode, in.params, order);
+  EXPECT_TRUE(violation.empty()) << violation;
+}
+
 /// Runs `tasks` through a ThreadedExecutor and validates the recorded
 /// completion order against the oracle. Returns the report. `stream`, when
 /// given, is run instead of a vector stream and must produce `tasks`.
@@ -80,20 +104,7 @@ engine::RunReport run_validated(
   const auto report = executor.run(std::move(stream));
   EXPECT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.tasks_completed, tasks.size());
-
-  const auto in = oracle_input(tasks);
-  std::vector<std::uint64_t> order;
-  for (const auto serial : recorder.order()) {
-    const auto it = in.index_of.find(serial);
-    if (it == in.index_of.end()) {
-      ADD_FAILURE() << "recorder saw unknown serial " << serial;
-      return report;
-    }
-    order.push_back(it->second);
-  }
-  const auto violation = GraphOracle::validate_completion_order(
-      cfg.match_mode, in.params, order);
-  EXPECT_TRUE(violation.empty()) << violation;
+  expect_oracle_order(tasks, cfg.match_mode, recorder.order());
   return report;
 }
 
@@ -133,7 +144,9 @@ TEST_P(ExecOrderGrid, CompletionOrderRespectsDependencies) {
   cfg.threads = param.threads;
   cfg.match_mode = param.mode;
   const auto report = run_validated(scaled(small_dag(param.seed), 0.05), cfg);
-  EXPECT_EQ(report.num_workers, param.threads);
+  // Every thread that runs tasks: the master too, whenever a pool exists.
+  EXPECT_EQ(report.num_workers,
+            param.threads == 1 ? 1u : param.threads + 1);
   EXPECT_GT(report.makespan, 0);
   EXPECT_GT(report.exec_tasks_per_sec, 0.0);
   EXPECT_EQ(report.turnaround_ns.count(), report.tasks_completed);
@@ -261,7 +274,134 @@ TEST(ExecThreads, OversubscribedWorkersStayOracleValid) {
   exec::ExecConfig cfg;
   cfg.threads = std::max(16u, 2 * cores);
   const auto report = run_validated(scaled(small_dag(4242, 400), 0.02), cfg);
-  EXPECT_EQ(report.exec_worker_utilization.size(), cfg.threads);
+  EXPECT_EQ(report.exec_worker_utilization.size(), cfg.threads + 1);
+}
+
+// --- The master runs ready tasks while it waits -------------------------------
+
+/// Records the completion order, as core::CompletionRecorder does, and the
+/// executor that started each task.
+class ExecutorRecorder final : public core::ExecutionObserver {
+ public:
+  void on_started(std::uint64_t serial, std::uint32_t executor) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    started_.emplace_back(serial, executor);
+  }
+  void on_completed(std::uint64_t serial, std::uint32_t /*worker*/) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    order_.push_back(serial);
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> order() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return order_;
+  }
+  /// Tasks executor `executor` started.
+  [[nodiscard]] std::size_t started_by(std::uint32_t executor) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return static_cast<std::size_t>(std::count_if(
+        started_.begin(), started_.end(),
+        [executor](const auto& s) { return s.second == executor; }));
+  }
+  /// True when no task was started twice.
+  [[nodiscard]] bool each_started_once() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::unordered_map<std::uint64_t, int> starts;
+    for (const auto& s : started_) {
+      if (++starts[s.first] > 1) return false;
+    }
+    return true;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> started_;
+  std::vector<std::uint64_t> order_;
+};
+
+/// Runs `tasks` at threads = 2 with a 16-slot Task Pool under `observer`.
+engine::RunReport run_two_workers(const std::vector<trace::TaskRecord>& tasks,
+                                  core::ExecutionObserver& observer) {
+  exec::ExecConfig cfg;
+  cfg.threads = 2;
+  cfg.task_pool_capacity = 16;
+  cfg.observer = &observer;
+  exec::ThreadedExecutor executor(cfg);
+  return executor.run(std::make_unique<trace::VectorStream>(
+      std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
+}
+
+/// `n` independent tasks of `exec` each.
+std::vector<trace::TaskRecord> wide_stream(std::uint32_t n, sim::Time exec) {
+  auto tasks = peak_stream(n, false);
+  for (auto& t : tasks) t.exec_time = exec;
+  return tasks;
+}
+
+TEST(ExecThreads, MasterRunsReadyTasksWhileItWaits) {
+  // Sixteen slots fill at once with independent tasks, so the master's
+  // stalls find more tasks ready than the two workers can claim: it runs
+  // some itself, as executor 2, and the order stays oracle-valid.
+  const auto tasks = wide_stream(400, sim::us(20));
+  ExecutorRecorder recorder;
+  const auto report = run_two_workers(tasks, recorder);
+  ASSERT_FALSE(report.deadlocked) << report.diagnosis;
+  EXPECT_EQ(report.tasks_completed, tasks.size());
+  EXPECT_GT(recorder.started_by(2), 0u);
+  EXPECT_EQ(recorder.started_by(0) + recorder.started_by(1) +
+                recorder.started_by(2),
+            tasks.size());
+  EXPECT_TRUE(recorder.each_started_once());
+  expect_oracle_order(tasks, MatchMode::kBaseAddr, recorder.order());
+  EXPECT_EQ(report.num_workers, 3u);
+  EXPECT_EQ(report.exec_worker_utilization.size(), 3u);
+  EXPECT_LE(report.tp_max_used, 16u);
+  EXPECT_LE(report.avg_core_utilization, 1.0);
+}
+
+TEST(ExecThreads, ChainLeavesTheMasterNothingToRun) {
+  // A chain has at most one task ready, never more than the workers: the
+  // master only waits for their posts.
+  const auto tasks = scaled(peak_stream(300, true), 0.0);
+  ExecutorRecorder recorder;
+  const auto report = run_two_workers(tasks, recorder);
+  ASSERT_FALSE(report.deadlocked) << report.diagnosis;
+  EXPECT_EQ(report.tasks_completed, tasks.size());
+  EXPECT_EQ(recorder.started_by(2), 0u);
+  expect_oracle_order(tasks, MatchMode::kBaseAddr, recorder.order());
+}
+
+/// Throws from on_started the first time the master (executor 2 at
+/// threads = 2) starts a task, and counts the callbacks.
+class MasterRunThrowingObserver final : public core::ExecutionObserver {
+ public:
+  void on_started(std::uint64_t /*serial*/, std::uint32_t executor) override {
+    if (executor == 2) throw std::runtime_error("master-run task failed");
+    ++started;
+  }
+  void on_completed(std::uint64_t, std::uint32_t) override { ++completed; }
+
+  std::atomic<std::uint64_t> started{0};
+  std::atomic<std::uint64_t> completed{0};
+};
+
+TEST(ExecThreads, MasterRunTaskExceptionIsRethrownAfterTheJoin) {
+  // A task the master runs throws: run() rethrows it once the workers are
+  // joined, so no callback fires after it returns.
+  const auto tasks = wide_stream(400, sim::us(100));
+  MasterRunThrowingObserver observer;
+  try {
+    (void)run_two_workers(tasks, observer);
+    ADD_FAILURE() << "run() returned although a master-run task threw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("master-run task failed"),
+              std::string::npos)
+        << e.what();
+  }
+  const std::uint64_t started = observer.started.load();
+  EXPECT_EQ(observer.completed.load(), started);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(observer.started.load(), started);
 }
 
 // --- Workload library DAGs and captured traces --------------------------------
@@ -671,11 +811,11 @@ TEST(ExecThreads, RegisteredEngineFillsTheRealExecutionReport) {
       std::make_shared<const std::vector<trace::TaskRecord>>(tasks)));
   ASSERT_FALSE(report.deadlocked) << report.diagnosis;
   EXPECT_EQ(report.engine, "exec-threads");
-  EXPECT_EQ(report.num_workers, 4u);
+  EXPECT_EQ(report.num_workers, 5u);  // four workers and the master
   EXPECT_EQ(report.tasks_completed, tasks.size());
   EXPECT_GT(report.makespan, 0);
   EXPECT_GT(report.exec_tasks_per_sec, 0.0);
-  EXPECT_EQ(report.exec_worker_utilization.size(), 4u);
+  EXPECT_EQ(report.exec_worker_utilization.size(), 5u);
   EXPECT_GT(report.dt_lookups, 0u);
   EXPECT_EQ(report.turnaround_ns.count(), tasks.size());
   // The real-execution columns ride the shared CSV schema.

@@ -18,7 +18,10 @@
 //     worker loop at two slots, forcing slot and table stalls, and checks
 //     each task runs and is released once, in an oracle-valid order; a
 //     fourth drives the core as starss::Runtime::submit does, releasing
-//     only while a registered task waits for a grant.
+//     only while a registered task waits for a grant; a fifth gives the
+//     core one worker and a master that runs ready tasks while it waits,
+//     so the master's try_claim races the worker's claim, and checks each
+//     task runs once.
 //   * The mutant tests flip one chk::Faults toggle each, prove a bounded
 //     schedule budget finds the bug it opens in TaskHandoff, and replay the
 //     found seed to the bit-identical trace and report signature:
@@ -528,6 +531,7 @@ struct MaestroWorkload {
   // The core's front end.
   using Core = exec::Maestro<MaestroWorkload>;
   using Payload = char;
+  static constexpr bool kMasterRunsTasks = false;
   void run(std::uint64_t serial, char& /*payload*/, std::uint32_t) {
     chk::plain_write(&runs[serial]);
     ++runs[serial];
@@ -636,6 +640,7 @@ struct OnDemandReleaseWorkload {
   // The core's front end.
   using Core = exec::Maestro<OnDemandReleaseWorkload>;
   using Payload = char;
+  static constexpr bool kMasterRunsTasks = false;
   void run(std::uint64_t serial, char& /*payload*/, std::uint32_t) {
     chk::plain_write(&runs[serial]);
     ++runs[serial];
@@ -727,6 +732,115 @@ TEST(SchedExploration, OnDemandReleaseIsRaceFreeAndReleasesInOracleOrder) {
   // The sweep took both branches of the release rule.
   EXPECT_GT(on_demand, 0u);
   EXPECT_GT(deferred, 0u);
+}
+
+/// exec::Maestro with one worker and a front end whose master runs tasks
+/// while it waits (exec-threads' waiting rule), at 4 slots. The master
+/// registers without draining between tasks; the stream is mostly
+/// independent, so when the slots fill more tasks are ready than there is
+/// a worker, and the master's try_claim races the worker's claim for the
+/// oldest one, in the stall steps and in the final drain-out:
+///   t0 out(A)   t1 out(B)   t2 out(C)   t3 out(D)   t4 in(A) out(E)
+///   t5 out(F)
+struct MasterRunsWorkload {
+  static constexpr std::size_t kTasks = 6;
+  static constexpr std::uint32_t kMaster = 1;  ///< the master's executor
+
+  // The core's front end.
+  using Core = exec::Maestro<MasterRunsWorkload>;
+  using Payload = char;
+  static constexpr bool kMasterRunsTasks = true;
+  void run(std::uint64_t serial, char& /*payload*/, std::uint32_t executor) {
+    chk::plain_write(&runs[serial]);
+    ++runs[serial];
+    ran_on[serial] = executor;
+  }
+  void released(std::uint64_t slot) { order.push_back(serial_of[slot]); }
+  static bool release_inline(std::uint64_t /*slot*/) { return false; }
+
+  [[nodiscard]] static exec::MasterResolverConfig config() {
+    exec::MasterResolverConfig cfg;
+    cfg.pool_capacity = 4;
+    cfg.table_capacity = 8;
+    return cfg;
+  }
+
+  [[nodiscard]] std::vector<std::function<void()>> threads() {
+    const auto master = [this] {
+      for (std::uint64_t k = 0; k < kTasks; ++k) {
+        std::uint64_t slot = 0;
+        const auto outcome =
+            core.submit(k, 0, tasks[k], 0, slot, [](bool) {});
+        serial_of[slot] = k;
+        if (outcome == Core::Outcome::kReady) {
+          core.make_ready(&slot, 1);
+        } else if (outcome != Core::Outcome::kWaiting) {
+          failure = core.failure();
+          break;
+        }
+      }
+      while (failure.empty() && core.in_flight() > 0) {
+        if (!core.progress()) failure = core.failure();
+      }
+      (void)core.join();
+    };
+    return {master, [this] { core.serve(0); }};
+  }
+
+  /// Tasks executor `executor` ran.
+  [[nodiscard]] std::uint32_t ran_by(std::uint32_t executor) const {
+    std::uint32_t n = 0;
+    for (std::size_t k = 0; k < kTasks; ++k) n += ran_on[k] == executor;
+    return n;
+  }
+
+  std::vector<std::vector<core::Param>> tasks = {
+      {core::out(0xA0)},
+      {core::out(0xB0)},
+      {core::out(0xC0)},
+      {core::out(0xD0)},
+      {core::in(0xA0), core::out(0xE0)},
+      {core::out(0xF0)},
+  };
+  std::array<std::uint32_t, kTasks> runs{};
+  std::array<std::uint32_t, kTasks> ran_on{};  ///< executor of each run
+  std::array<std::uint64_t, 4> serial_of{};    ///< master-owned
+  std::vector<std::uint64_t> order;            ///< release order
+  std::string failure;
+  Core core{config(), 1, *this};
+};
+
+TEST(SchedExploration, MasterRunningTasksIsRaceFreeAndRunsEachOnce) {
+  std::uint32_t master_runs = 0;
+  std::uint32_t worker_runs = 0;
+  for (const auto& policy : sweep_policies(100, 100)) {
+    MasterRunsWorkload workload;
+    RaceChecker checker;
+    {
+      ScheduleController controller(policy);
+      chk::SessionScope scope(&controller, &checker);
+      // A lost wake-up parks a thread for good: a diagnosed deadlock.
+      const auto outcome = controller.run(workload.threads());
+      ASSERT_TRUE(outcome.completed())
+          << controller.seed_banner() << ": " << outcome.diagnosis;
+      EXPECT_TRUE(checker.reports().empty())
+          << controller.seed_banner() << ": "
+          << checker.reports()[0].to_string();
+    }
+    ASSERT_TRUE(workload.failure.empty()) << workload.failure;
+    for (std::uint64_t k = 0; k < MasterRunsWorkload::kTasks; ++k) {
+      EXPECT_EQ(workload.runs[k], 1u) << "seed " << policy.seed << ", t" << k;
+    }
+    EXPECT_EQ(core::GraphOracle::validate_completion_order(
+                  core::MatchMode::kBaseAddr, workload.tasks, workload.order),
+              "")
+        << "seed " << policy.seed;
+    master_runs += workload.ran_by(MasterRunsWorkload::kMaster);
+    worker_runs += workload.ran_by(0);
+  }
+  // The sweep had both executors run tasks, so their claims raced.
+  EXPECT_GT(master_runs, 0u);
+  EXPECT_GT(worker_runs, 0u);
 }
 
 // --- The mutant: an early ready-tail publication, found and replayed ---------
